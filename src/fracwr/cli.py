@@ -108,6 +108,10 @@ def main(argv=None) -> int:
         return 0
     if args.seed_check:
         return _seed_check()
+    if not (args.tol is None or math.isfinite(args.tol) and args.tol > 0) or (
+            args.max_iter is not None and args.max_iter < 1):
+        print("error: --tol and --max-iter must be positive", file=sys.stderr)
+        return 1
     if bool(args.config) == bool(args.preset):
         print("error: exactly one of --config or --preset is required", file=sys.stderr)
         print(USAGE, end="", file=sys.stderr)

@@ -41,6 +41,7 @@ Named initial conditions: zero, parabola_16 (x(16-x)/64), bump_2d
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -121,6 +122,22 @@ def _check_keys(section, allowed, required, where, errs):
     return all(k in section for k in required)
 
 
+def _number(x, integer=False) -> bool:
+    """A finite real (or integer) number; bools, strings, NaN and inf are not."""
+    kind = numbers.Integral if integer else numbers.Real
+    return isinstance(x, kind) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _positive(x) -> bool:
+    """A positive number, or a non-empty list of them."""
+    members = x if isinstance(x, list) and x else [x]
+    return all(_number(v) and v > 0 for v in members)
+
+
+def _interval(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(_number, x)) and x[0] < x[1]
+
+
 def _validate(raw) -> ExperimentConfig:
     errs = []
     ok = _check_keys(raw, {"algorithm", "geometry", "time", "relaxation", "run", "output"},
@@ -137,36 +154,46 @@ def _validate(raw) -> ExperimentConfig:
     _check_keys(geo, geo_keys, {"domain", "kappa", "dx"}, "geometry", errs)
     if isinstance(geo, dict) and "domain" in geo:
         dom = geo["domain"]
-        if not (isinstance(dom, (list, tuple)) and len(dom) == 2 and dom[0] < dom[1]):
+        for key in ("kappa", "dx", "dy"):
+            if not _positive(geo.get(key, 1.0)):
+                errs.append(f"geometry.{key}: must be a positive number or a list of them")
+        if not _interval(dom):
             errs.append("geometry.domain: expected [x0, x1] with x0 < x1")
         elif algorithm in ("dnwr", "nnwr1d", "monolithic"):
             breaks = geo.get("breakpoints", [])
-            if algorithm == "dnwr" and len(breaks) != 1:
+            if not (isinstance(breaks, list) and all(map(_number, breaks))):
+                errs.append("geometry.breakpoints: expected a list of numbers")
+            elif algorithm == "dnwr" and len(breaks) != 1:
                 errs.append("geometry.breakpoints: dnwr needs exactly one breakpoint")
-            if any(not dom[0] < b < dom[1] for b in breaks):
+            elif any(not dom[0] < b < dom[1] for b in breaks):
                 errs.append("geometry.breakpoints: must lie strictly inside the domain")
         elif algorithm == "nnwr2d":
             for key in ("split", "y_extent", "dy"):
                 if key not in geo:
                     errs.append(f"geometry.{key}: required for nnwr2d")
-            if "split" in geo and "domain" in geo and not dom[0] < geo["split"] < dom[1]:
+            split = geo.get("split")
+            if "split" in geo and not (_number(split) and dom[0] < split < dom[1]):
                 errs.append("geometry.split: must lie strictly inside the domain")
-            if not np.isscalar(geo.get("kappa", 1.0)):
-                errs.append("geometry.kappa: nnwr2d takes a single shared kappa")
+            if not _interval(geo.get("y_extent", [0.0, 1.0])):
+                errs.append("geometry.y_extent: expected [y0, y1] with y0 < y1")
+            for key in ("kappa", "dx", "dy"):
+                if isinstance(geo.get(key), list):
+                    errs.append(f"geometry.{key}: nnwr2d takes a single shared {key}")
 
     tm = raw["time"]
     _check_keys(tm, {"order", "horizon", "steps", "grading"}, {"order", "horizon", "steps"}, "time", errs)
     if isinstance(tm, dict):
         order = tm.get("order", 0.5)
-        if not (np.isscalar(order) and 0.0 < order < 2.0):
+        if not (_number(order) and 0.0 < order < 2.0):
             errs.append(f"time.order: must lie in (0, 2), got {order!r}")
-        if not (np.isscalar(tm.get("horizon", 1.0)) and tm.get("horizon", 1.0) > 0):
-            errs.append("time.horizon: must be positive")
+        horizon = tm.get("horizon", 1.0)
+        if not (_number(horizon) and horizon > 0):
+            errs.append("time.horizon: must be a positive number")
         steps = tm.get("steps", 1)
-        if not (isinstance(steps, int) and steps >= 1):
+        if not (_number(steps, integer=True) and steps >= 1):
             errs.append("time.steps: must be a positive integer")
         grading = tm.get("grading", "auto")
-        if grading != "auto" and not (np.isscalar(grading) and grading >= 1.0):
+        if grading != "auto" and not (_number(grading) and grading >= 1.0):
             errs.append('time.grading: must be "auto" or a number >= 1')
 
     rel = raw["relaxation"]
@@ -175,10 +202,12 @@ def _validate(raw) -> ExperimentConfig:
     if isinstance(rel, dict) and "theta" in rel:
         th = rel["theta"]
         members = th if isinstance(th, (list, tuple)) else [th]
+        if not members:
+            errs.append("relaxation.theta: the sweep list is empty")
         for m in members:
             if m == "optimal":
                 continue
-            if not (np.isscalar(m) and 0.0 < m <= 1.0):
+            if not (_number(m) and 0.0 < m <= 1.0):
                 errs.append(f"relaxation.theta: members must be 'optimal' or in (0, 1], got {m!r}")
         thetas = tuple(members)
 
@@ -188,20 +217,23 @@ def _validate(raw) -> ExperimentConfig:
     _check_keys(run, run_keys, {"tolerance", "max_iter", "mode"}, "run", errs)
     mode = "error_equation"
     if isinstance(run, dict):
-        if not (np.isscalar(run.get("tolerance", 1.0)) and run.get("tolerance", 1.0) > 0):
-            errs.append("run.tolerance: must be positive")
-        if not (isinstance(run.get("max_iter", 1), int) and run.get("max_iter", 1) >= 1):
+        tol = run.get("tolerance", 1.0)
+        if not (_number(tol) and tol > 0):
+            errs.append("run.tolerance: must be a positive number")
+        max_iter = run.get("max_iter", 1)
+        if not (_number(max_iter, integer=True) and max_iter >= 1):
             errs.append("run.max_iter: must be a positive integer")
         mode = run.get("mode", "error_equation")
         if mode not in ("error_equation", "forced"):
             errs.append(f'run.mode: must be "error_equation" or "forced", got {mode!r}')
         ig = run.get("initial_guess", "unit")
-        if ig != "unit" and not np.isscalar(ig):
+        if ig != "unit" and not _number(ig):
             errs.append('run.initial_guess: must be "unit" or a number')
-        if run.get("source", "zero") not in SOURCES:
+        # tuples, so that an unhashable value is a miss and not a TypeError
+        if run.get("source", "zero") not in tuple(SOURCES):
             errs.append(f"run.source: unknown name {run.get('source')!r}")
         ics = INITIAL_CONDITIONS_2D if algorithm == "nnwr2d" else INITIAL_CONDITIONS
-        if run.get("initial_condition", "zero") not in ics:
+        if run.get("initial_condition", "zero") not in tuple(ics):
             errs.append(
                 f"run.initial_condition: unknown name {run.get('initial_condition')!r} "
                 f"for {algorithm} (choose from {sorted(ics)})"
@@ -211,7 +243,14 @@ def _validate(raw) -> ExperimentConfig:
 
     out = raw.get("output", {})
     _check_keys(out, {"stem"}, set(), "output", errs)
+    if isinstance(out, dict) and not isinstance(out.get("stem", "run"), str):
+        errs.append("output.stem: must be a string")
 
+    if not errs:  # the values are well formed; check that they tile
+        try:
+            _build_geometry(algorithm, geo)
+        except ValueError as exc:
+            errs.append(f"geometry: {exc}")
     if errs:
         raise ConfigError(errs)
     return ExperimentConfig(
@@ -231,6 +270,16 @@ def _validate(raw) -> ExperimentConfig:
         scheduler=run.get("scheduler", "sequential"),
         stem=out.get("stem", "run"),
     )
+
+
+def _build_geometry(algorithm, geo):
+    """The strip's two subdomains for nnwr2d, else the 1D partition."""
+    if algorithm == "nnwr2d":
+        dom, split, (y0, y1) = geo["domain"], geo["split"], geo["y_extent"]
+        kap, dx, dy = float(geo["kappa"]), float(geo["dx"]), float(geo["dy"])
+        return (build_subdomain_2d(dom[0], split, y0, y1, kap, dx, dy),
+                build_subdomain_2d(split, dom[1], y0, y1, kap, dx, dy))
+    return build_partition(geo["domain"], geo.get("breakpoints", []), geo["kappa"], geo["dx"])
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -313,11 +362,8 @@ def _run_single(cfg: ExperimentConfig, theta_member, out_dir, tag):
 
     if cfg.algorithm == "nnwr2d":
         dom = geo["domain"]
-        y0, y1 = geo["y_extent"]
-        kap = float(geo["kappa"])
-        dx = float(geo["dx"])
-        left = build_subdomain_2d(dom[0], geo["split"], y0, y1, kap, dx, geo["dy"])
-        right = build_subdomain_2d(geo["split"], dom[1], y0, y1, kap, dx, geo["dy"])
+        left, right = _build_geometry(cfg.algorithm, geo)
+        kap = left.kappa
         ic = INITIAL_CONDITIONS_2D[cfg.initial_condition]
         run_cfg = Nnwr2dConfig(
             left=left, right=right, order=cfg.order, horizon=cfg.horizon,
@@ -334,8 +380,7 @@ def _run_single(cfg: ExperimentConfig, theta_member, out_dir, tag):
         kappas = (kap, kap)
         errors = result.report.errors
     else:
-        partition = build_partition(geo["domain"], geo.get("breakpoints", []),
-                                    geo["kappa"], geo["dx"])
+        partition = _build_geometry(cfg.algorithm, geo)
         lengths = tuple(s.length for s in partition.subdomains)
         kappas = partition.kappas
         ic = INITIAL_CONDITIONS[cfg.initial_condition]

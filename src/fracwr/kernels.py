@@ -1,123 +1,76 @@
-"""Hot numerical kernels, numba-compiled when available.
+"""Per-time-level tridiagonal solves through LAPACK ``dgtsv``.
 
-The waveform solvers spend nearly all their runtime inside the per-step
-implicit solve: assembling a tridiagonal system, folding boundary rows into
-tridiagonal form and running the Thomas elimination.  That work is a scalar
-loop, so it is compiled with numba by default.  Setting ``FRACWR_NO_NUMBA=1``
-in the environment (or running without numba installed) selects a pure-numpy
-fallback with identical semantics; ``benchmarks/bench_kernels.py`` compares
-the two paths.
+Each system is assembled with vectorized numpy and solved by
+``scipy.linalg.lapack.dgtsv``, which pivots.  A pinned Dirichlet row
+``u = g`` would then come back only to rounding accuracy, so known Dirichlet
+values are taken out of the system and set exactly.
 """
 
-import os
-
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 DIRICHLET = 0
 FLUX = 1
 
-NUMBA_DISABLED = os.environ.get("FRACWR_NO_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
 
-
-def _tridiag_solve_impl(lower, diag, upper, rhs):
-    """Thomas elimination for a tridiagonal system.
-
-    ``lower[i]`` multiplies x[i-1] in row i (lower[0] unused) and ``upper[i]``
-    multiplies x[i+1] (upper[-1] unused).  No pivoting; every system assembled
-    by the solvers is an M-matrix-like implicit stencil for which plain
-    elimination is stable.
-    """
-    n = rhs.shape[0]
-    cp = np.empty(n)
-    dp = np.empty(n)
-    x = np.empty(n)
-    cp[0] = upper[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        m = diag[i] - lower[i] * cp[i - 1]
-        cp[i] = upper[i] / m
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / m
-    x[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
+def _gtsv(dl, d, du, b, overwrite=False):
+    if d.shape[0] == 1:  # dgtsv rejects empty off-diagonals
+        if d[0] == 0.0:
+            raise ArithmeticError("tridiagonal system is singular at row 1")
+        return b / d
+    *_, x, info = dgtsv(dl, d, du, b, overwrite, overwrite, overwrite, overwrite)
+    if info != 0:
+        raise ArithmeticError(f"tridiagonal system is singular at row {info}")
     return x
 
 
-def _step_solve_impl(bnn, s, rhs, bc_left, val_left, bc_right, val_right, c_left, c_right):
+def tridiag_solve(lower, diag, upper, rhs):
+    """Solve a tridiagonal system; raises ArithmeticError if it is singular.
+
+    ``lower[i]`` multiplies x[i-1] in row i (lower[0] unused) and ``upper[i]``
+    multiplies x[i+1] (upper[-1] unused).  The inputs are not modified.
+    """
+    return _gtsv(lower[1:], diag, upper[:-1], rhs)
+
+
+def step_solve(bnn, s, rhs, bc_left, val_left, bc_right, val_right, c_left, c_right):
     """Solve one implicit time level of (bnn*I - s*D2_scaled) u = rhs.
 
     Interior rows carry diag = bnn + 2*s and off-diagonals -s, where
-    s = implicit_fraction * kappa / dx**2.  Boundary rows are either a
-    Dirichlet pin (u = val) or a one-sided three-point outward-flux equation
-    kappa * (3*u0 - 4*u1 + u2) / (2*dx) = val with c = kappa / (2*dx); the
-    flux row's third entry is eliminated against the first interior row so a
-    single Thomas sweep solves the system.
+    s = implicit_fraction * kappa / dx**2.  An end is either a Dirichlet node
+    (u = val, set exactly; its neighbour's row gains s*val on the right-hand
+    side) or a one-sided three-point outward-flux row
+    kappa * (3*u0 - 4*u1 + u2) / (2*dx) = val with c = kappa / (2*dx), whose
+    third entry is eliminated against the first interior row of the
+    unmodified ``rhs``.  ``rhs`` is not modified.
     """
     n = rhs.shape[0]
-    lower = np.empty(n)
-    diag = np.empty(n)
-    upper = np.empty(n)
-    b = rhs.copy()
-    for i in range(n):
-        lower[i] = -s
-        diag[i] = bnn + 2.0 * s
-        upper[i] = -s
+    lo = 1 if bc_left == DIRICHLET else 0
+    hi = n - 1 if bc_right == DIRICHLET else n
+    diag = np.full(hi - lo, bnn + 2.0 * s)
+    lower = np.full(hi - lo - 1, -s)
+    upper = lower.copy()
+    b = rhs[lo:hi].copy()
+    u = np.empty(n)
 
     if bc_left == DIRICHLET:
-        lower[0] = 0.0
-        diag[0] = 1.0
-        upper[0] = 0.0
-        b[0] = val_left
+        u[0] = val_left
+        b[0] += s * val_left
     else:
         # row (3c, -4c, c) plus (c/s) times the first interior row
         f = c_left / s
         diag[0] = 2.0 * c_left
         upper[0] = -4.0 * c_left + f * (bnn + 2.0 * s)
-        lower[0] = 0.0
-        b[0] = val_left + f * b[1]
+        b[0] = val_left + f * rhs[1]
 
     if bc_right == DIRICHLET:
-        lower[n - 1] = 0.0
-        diag[n - 1] = 1.0
-        upper[n - 1] = 0.0
-        b[n - 1] = val_right
+        u[n - 1] = val_right
+        b[-1] += s * val_right
     else:
         f = c_right / s
-        diag[n - 1] = 2.0 * c_right
-        lower[n - 1] = -4.0 * c_right + f * (bnn + 2.0 * s)
-        upper[n - 1] = 0.0
-        b[n - 1] = val_right + f * b[n - 2]
+        diag[-1] = 2.0 * c_right
+        lower[-1] = -4.0 * c_right + f * (bnn + 2.0 * s)
+        b[-1] = val_right + f * rhs[n - 2]
 
-    return _TRIDIAG(lower, diag, upper, b)
-
-
-if NUMBA_DISABLED:
-    njit = None
-else:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - exercised via FRACWR_NO_NUMBA
-        njit = None
-
-NUMBA_ENABLED = njit is not None
-
-if NUMBA_ENABLED:
-    tridiag_solve = njit(cache=True)(_tridiag_solve_impl)
-    _TRIDIAG = tridiag_solve
-    _step = njit(cache=True)(_step_solve_impl)
-
-    def step_solve(bnn, s, rhs, bc_left, val_left, bc_right, val_right, c_left, c_right):
-        return _step(
-            float(bnn), float(s), rhs, bc_left, float(val_left), bc_right,
-            float(val_right), float(c_left), float(c_right),
-        )
-else:
-    tridiag_solve = _tridiag_solve_impl
-    _TRIDIAG = _tridiag_solve_impl
-    step_solve = _step_solve_impl
-
-step_solve.__doc__ = _step_solve_impl.__doc__
+    u[lo:hi] = _gtsv(lower, diag, upper, b, overwrite=True)
+    return u

@@ -217,11 +217,6 @@ def solve_monolithic(partition: Partition1D, weights: CaputoWeights, f=None, u0=
         lower = -s_arr.copy()
         diag = bnn + 2.0 * s_arr
         upper = -s_arr.copy()
-        # physical ends: homogeneous Dirichlet
-        diag[0] = diag[-1] = 1.0
-        upper[0] = lower[-1] = 0.0
-        lower[0] = upper[-1] = 0.0
-        rhs[0] = rhs[-1] = 0.0
         for (cl, cr), g in zip(ifc_coef, ifc):
             row_lm = -4.0 * cl
             row_c = 3.0 * cl + 3.0 * cr
@@ -239,7 +234,9 @@ def solve_monolithic(partition: Partition1D, weights: CaputoWeights, f=None, u0=
             diag[g] = row_c
             upper[g] = row_rp
             rhs[g] = r_val
-        u[n] = kernels.tridiag_solve(lower, diag, upper, rhs)
+        # physical ends: homogeneous Dirichlet, so only the rows between them
+        # are solved and u[n] keeps its zero end values
+        u[n, 1:-1] = kernels.tridiag_solve(lower[1:-1], diag[1:-1], upper[1:-1], rhs[1:-1])
         du[n - 1] = u[n] - u[n - 1]
     return MonolithicSolution(field=u, nodes=nodes, interface_indices=ifc)
 

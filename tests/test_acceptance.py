@@ -5,8 +5,8 @@ line per criterion.  Criterion 4 is implemented verbatim and is an expected
 failure (strict xfail): the diffusion-wave envelope collapses double
 exponentially in the sweep index while every fixed discretization keeps a
 polynomially-small transfer floor, so no feasible resolution can track it
-past the first few sweeps; the test prints the full collision table and the
-decisions ledger carries the quantitative analysis.
+past the first few sweeps; the test prints the full collision table, and the
+expected-failure paragraph under "Install and test" in README.md explains it.
 """
 
 import math
@@ -98,7 +98,8 @@ def test_criterion_03_subdiffusion_bound_domination():
     strict=True,
     reason="diffusion-wave envelope collapses below the transfer-accuracy floor of any "
     "feasible discretization after the first few sweeps; implemented verbatim and "
-    "documented as an expected failure (see the decisions ledger)",
+    "documented as an expected failure (see the expected-failure paragraph under "
+    "'Install and test' in README.md)",
 )
 def test_criterion_04_wave_bound_domination():
     collisions = []
@@ -146,7 +147,7 @@ def test_criterion_05_nnwr_theta_behavior():
 
 def test_criterion_06_nnwr_bound_domination():
     # uniform time mesh: error-equation runs have no t -> 0 solution layer to
-    # resolve, and grading only stiffens the earliest steps (ledger entry)
+    # resolve, and grading only stiffens the earliest steps
     for n_sub in (4, 8):
         width = 16.0 / n_sub
         kappas = table2_kappas(n_sub)
@@ -169,7 +170,7 @@ def test_criterion_06_nnwr_bound_domination():
 
 def test_criterion_07_order_monotonicity():
     # run at the optimal weight for the stated kappa = 1 geometry (theta = 1/2,
-    # the equal-coefficient translation of the figure's 0.33); ledger entry
+    # the equal-coefficient translation of the figure's 0.33)
     counts = []
     for order in (0.2, 0.5, 0.8, 1.2, 1.5, 1.8):
         part = build_partition((0, 2), [0.5], 1.0, 0.02)

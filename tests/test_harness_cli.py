@@ -227,6 +227,15 @@ def test_cli_invalid_config_exit_code(tmp_path):
     assert main(["--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--max-iter", "-3"),
+                                         ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")])
+def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_minimal_dnwr()))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), flag, value]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_preset_run_writes_csvs(tmp_path, capsys):
     assert main(["--preset", "fig_dnwr_bounds_sub", "--out", str(tmp_path),
                  "--max-iter", "4"]) == 0
@@ -241,3 +250,34 @@ def test_initial_condition_registry_is_per_dimension():
     raw["run"]["initial_condition"] = "bump_2d"
     with pytest.raises(ConfigError, match="initial_condition"):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, match",
+    [
+        ("time", "order", "x", "time.order"),
+        ("geometry", "domain", ["a", "b"], "geometry.domain"),
+        ("geometry", "dx", "0.02", "geometry.dx"),
+        ("run", "initial_guess", "abc", "run.initial_guess"),
+        ("time", "horizon", math.inf, "time.horizon"),
+        ("time", "horizon", math.nan, "time.horizon"),
+        ("time", "steps", True, "time.steps"),
+        ("run", "max_iter", True, "run.max_iter"),
+        ("relaxation", "theta", "abc", "relaxation.theta"),
+        ("relaxation", "theta", [], "relaxation.theta"),
+        ("run", "source", ["zero"], "run.source"),
+        ("geometry", "breakpoints", ["1.0"], "geometry.breakpoints"),
+        ("geometry", "kappa", [1.0, 1.0, 1.0], "kappa list has 3 entries"),
+        ("geometry", "dx", 0.3, "does not tile"),
+        ("output", "stem", 5, "output.stem"),
+    ],
+)
+def test_malformed_values_are_config_errors(tmp_path, section, key, value, match):
+    raw = _minimal_dnwr(output={"stem": "run"})
+    raw[section][key] = value
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(raw)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))  # non-finite floats go out as Infinity / NaN
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()

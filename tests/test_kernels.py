@@ -31,27 +31,38 @@ def test_tridiag_matches_dense_solve(n):
     np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-12)
 
 
-def test_compiled_and_fallback_paths_agree():
-    rng = np.random.default_rng(7)
-    lower, diag, upper, rhs = _random_system(64, rng)
-    compiled = kernels.tridiag_solve(lower, diag, upper, rhs)
-    plain = kernels._tridiag_solve_impl(lower, diag, upper, rhs)
-    np.testing.assert_allclose(compiled, plain, rtol=1e-14, atol=1e-14)
+def test_tridiag_singular_system_raises():
+    # rows (1, 1) and (1, 1): elimination leaves an exact zero pivot
+    lower = np.array([0.0, 1.0])
+    diag = np.array([1.0, 1.0])
+    upper = np.array([1.0, 0.0])
+    with pytest.raises(ArithmeticError, match="singular"):
+        kernels.tridiag_solve(lower, diag, upper, np.array([1.0, 2.0]))
+    with pytest.raises(ArithmeticError, match="singular"):
+        kernels.tridiag_solve(np.zeros(1), np.zeros(1), np.zeros(1), np.ones(1))
 
 
-@pytest.mark.parametrize("stiffness", [1e-3, 1.0, 1e6])
+@pytest.mark.parametrize(
+    "n, stiffness",
+    [
+        pytest.param(n, stiffness, id=str(stiffness) if n == 12 else f"{stiffness}-n{n}")
+        for n in (12, 3)
+        for stiffness in (1e-3, 1.0, 1e6)
+    ],
+)
 @pytest.mark.parametrize("bcs", [(0, 0), (0, 1), (1, 0), (1, 1)])
-def test_step_solve_residuals_across_regimes(stiffness, bcs):
+def test_step_solve_residuals_across_regimes(n, stiffness, bcs):
     # verify the condensed flux rows against a dense assembly of the raw
-    # (uncondensed) equations, including very stiff first steps
-    n = 12
+    # (uncondensed) equations, including very stiff first steps and the
+    # smallest subdomain (3 nodes, one unknown between two Dirichlet ends)
     s = 0.7
     bnn = stiffness * s
     c = 0.35
     rng = np.random.default_rng(int(stiffness) + 10 * bcs[0] + bcs[1])
     rhs = rng.standard_normal(n)
+    b_in = rhs.copy()
     val_l, val_r = rng.standard_normal(2)
-    x = kernels.step_solve(bnn, s, rhs.copy(), bcs[0], val_l, bcs[1], val_r, c, c)
+    x = kernels.step_solve(bnn, s, rhs, bcs[0], val_l, bcs[1], val_r, c, c)
 
     a = np.zeros((n, n))
     b = rhs.copy()
@@ -72,7 +83,9 @@ def test_step_solve_residuals_across_regimes(stiffness, bcs):
         b[-1] = val_r
     resid = np.abs(a @ x - b).max()
     assert resid <= 1e-11 * max(1.0, np.abs(b).max(), np.abs(x).max())
-
-
-def test_numba_flag_is_reported():
-    assert isinstance(kernels.NUMBA_ENABLED, bool)
+    # Dirichlet values are exact, and the caller's right-hand side is untouched
+    if bcs[0] == kernels.DIRICHLET:
+        assert x[0] == val_l
+    if bcs[1] == kernels.DIRICHLET:
+        assert x[-1] == val_r
+    np.testing.assert_array_equal(rhs, b_in)
