@@ -24,7 +24,6 @@ from .geometry import (
     build_partition,
     build_subdomain,
     build_subdomain_2d,
-    ghost_interpolate,
     interface_flux,
     laplacian_apply,
 )

@@ -24,7 +24,6 @@ __all__ = [
     "laplacian_apply",
     "interface_flux",
     "interface_flux_series",
-    "ghost_interpolate",
 ]
 
 _DIV_TOL = 1e-8
@@ -119,12 +118,15 @@ def _per_subdomain(values, n_sub, name):
 
 
 def laplacian_apply(sub: Subdomain1D, field_row) -> np.ndarray:
-    """kappa * (u_{i-1} - 2 u_i + u_{i+1}) / dx**2 at interior nodes, 0 at ends."""
+    """kappa * (u_{i-1} - 2 u_i + u_{i+1}) / dx**2 at interior nodes, 0 at ends.
+
+    The stencil runs along the last axis, so a stack of rows is applied at once.
+    """
     u = np.asarray(field_row, dtype=float)
-    if len(u) != sub.n_nodes:
-        raise ValueError(f"field has {len(u)} values for {sub.n_nodes} nodes")
+    if u.shape[-1] != sub.n_nodes:
+        raise ValueError(f"field has {u.shape[-1]} values for {sub.n_nodes} nodes")
     out = np.zeros_like(u)
-    out[1:-1] = sub.kappa * (u[:-2] - 2.0 * u[1:-1] + u[2:]) / sub.dx**2
+    out[..., 1:-1] = sub.kappa * (u[..., :-2] - 2.0 * u[..., 1:-1] + u[..., 2:]) / sub.dx**2
     return out
 
 
@@ -154,32 +156,6 @@ def interface_flux_series(fields, side: str, sub: Subdomain1D) -> np.ndarray:
     if side == "left":
         return c * (3.0 * u[..., 0] - 4.0 * u[..., 1] + u[..., 2])
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def ghost_interpolate(sub: Subdomain1D, field_row, target_x: float) -> float:
-    """Piecewise-quadratic interpolation of nodal values at ``target_x``.
-
-    Used to transfer traces between differently resolved neighbor grids;
-    reproduces quadratics exactly, matching the flux stencil order.
-    """
-    u = np.asarray(field_row, dtype=float)
-    if len(u) != sub.n_nodes:
-        raise ValueError(f"field has {len(u)} values for {sub.n_nodes} nodes")
-    x = float(target_x)
-    if x < sub.x_left - _DIV_TOL * sub.dx or x > sub.x_right + _DIV_TOL * sub.dx:
-        raise ValueError(f"target {x} outside [{sub.x_left}, {sub.x_right}]")
-    i = int(np.clip(round((x - sub.x_left) / sub.dx), 0, sub.n_nodes - 1))
-    i0 = int(np.clip(i - 1, 0, sub.n_nodes - 3))
-    xs = sub.nodes[i0 : i0 + 3]
-    ys = u[i0 : i0 + 3]
-    value = 0.0
-    for m in range(3):
-        lm = 1.0
-        for p in range(3):
-            if p != m:
-                lm *= (x - xs[p]) / (xs[m] - xs[p])
-        value += ys[m] * lm
-    return float(value)
 
 
 @dataclass(frozen=True)

@@ -43,34 +43,53 @@ def step_solve(bnn, s, rhs, bc_left, val_left, bc_right, val_right, c_left, c_ri
     kappa * (3*u0 - 4*u1 + u2) / (2*dx) = val with c = kappa / (2*dx), whose
     third entry is eliminated against the first interior row of the
     unmodified ``rhs``.  ``rhs`` is not modified.
+
+    An ``rhs`` of shape (B, n) holds B independent systems that share ``s``,
+    the end kinds and ``c``; ``bnn`` and the end values are then scalars or
+    one value per system.  The systems are stacked block-diagonally, with
+    zero couplings between blocks, into a single ``dgtsv`` call.
     """
-    n = rhs.shape[0]
+    n = rhs.shape[-1]
     lo = 1 if bc_left == DIRICHLET else 0
     hi = n - 1 if bc_right == DIRICHLET else n
-    diag = np.full(hi - lo, bnn + 2.0 * s)
-    lower = np.full(hi - lo - 1, -s)
+    shape = rhs.shape[:-1] + (hi - lo,)
+    # columns 0, 1, -2 and -1; plain integers for a single system keep its
+    # end updates on scalars, which is cheaper than on 0-d array views
+    if rhs.ndim == 1:
+        c0, c1, c2, c3 = 0, 1, -2, -1
+    else:
+        c0, c1, c2, c3 = np.s_[:, 0], np.s_[:, 1], np.s_[:, -2], np.s_[:, -1]
+    d0 = bnn + 2.0 * s
+    diag = np.empty(shape)
+    diag.T[...] = d0  # one value per system fills its whole block
+    # lower[.., i] couples row i+1 to row i and upper[.., i] row i to row i+1;
+    # the last slot of each block is the zero coupling to the next block
+    lower = np.empty(shape)
+    lower[...] = -s
+    lower[c3] = 0.0
     upper = lower.copy()
-    b = rhs[lo:hi].copy()
-    u = np.empty(n)
+    b = rhs[..., lo:hi].copy()
+    u = np.empty(rhs.shape)
 
     if bc_left == DIRICHLET:
-        u[0] = val_left
-        b[0] += s * val_left
+        u[c0] = val_left
+        b[c0] += s * val_left
     else:
         # row (3c, -4c, c) plus (c/s) times the first interior row
         f = c_left / s
-        diag[0] = 2.0 * c_left
-        upper[0] = -4.0 * c_left + f * (bnn + 2.0 * s)
-        b[0] = val_left + f * rhs[1]
+        diag[c0] = 2.0 * c_left
+        upper[c0] = -4.0 * c_left + f * d0
+        b[c0] = val_left + f * rhs[c1]
 
     if bc_right == DIRICHLET:
-        u[n - 1] = val_right
-        b[-1] += s * val_right
+        u[c3] = val_right
+        b[c3] += s * val_right
     else:
         f = c_right / s
-        diag[-1] = 2.0 * c_right
-        lower[-1] = -4.0 * c_right + f * (bnn + 2.0 * s)
-        b[-1] = val_right + f * rhs[n - 2]
+        diag[c3] = 2.0 * c_right
+        lower[c2] = -4.0 * c_right + f * d0
+        b[c3] = val_right + f * rhs[c2]
 
-    u[lo:hi] = _gtsv(lower, diag, upper, b, overwrite=True)
+    x = _gtsv(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1], b.ravel(), overwrite=True)
+    u[..., lo:hi] = x.reshape(shape)
     return u

@@ -199,10 +199,14 @@ class Nnwr2dConfig:
     def __post_init__(self):
         if abs(self.left.x_right - self.right.x_left) > 1e-12:
             raise ValueError("subdomains do not share a vertical interface")
-        if self.left.ny != self.right.ny or abs(self.left.dy - self.right.dy) > 1e-12:
+        l, r = self.left, self.right
+        if l.ny != r.ny or max(abs(l.y_bottom - r.y_bottom), abs(l.y_top - r.y_top)) > 1e-12:
             raise ValueError("subdomains must share the interface lattice")
         if self.mode not in ("error_equation", "forced"):
             raise ValueError(f"mode must be 'error_equation' or 'forced', got {self.mode!r}")
+        if self.scheduler not in ("sequential", "threads"):
+            raise ValueError(f"scheduler must be 'sequential' or 'threads', got {self.scheduler!r}")
+        self.resolve_theta()
 
     def resolve_theta(self) -> float:
         if isinstance(self.theta, str) and self.theta == "optimal":

@@ -11,13 +11,16 @@ the wave scheme (whose Caputo weights refer to the half point).  A monolithic
 whole-domain reference solver couples subdomains through the identical
 one-sided flux-balance row the substructuring iterations use, so a converged
 iteration and the monolithic solve agree to solver precision.
+
+A 2D strip solve is a batch of such 1D solves: a sine transform in y turns
+the 5-point operator into one x-problem per y-mode, shifted by that mode's
+eigenvalue, and all modes march together through one batched tridiagonal
+solve per time level.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import kernels
 from .fractional_time import CaputoWeights
@@ -34,51 +37,66 @@ __all__ = [
 ]
 
 
-def _expand_trace(values, n_steps: int) -> np.ndarray:
+def _expand_trace(values, shape) -> np.ndarray:
     if values is None:
-        return np.zeros(n_steps)
+        return np.zeros(shape)
     if np.isscalar(values):
-        return np.full(n_steps, float(values))
+        return np.full(shape, float(values))
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (n_steps,):
-        raise ValueError(f"trace has shape {arr.shape}, expected ({n_steps},)")
+    if arr.shape != shape:
+        raise ValueError(f"trace has shape {arr.shape}, expected {shape}")
     return arr
 
 
-def _initial_samples(u0, nodes) -> np.ndarray:
+def _initial_samples(u0, nodes, shape) -> np.ndarray:
     if u0 is None:
-        return np.zeros(len(nodes))
+        return np.zeros(shape)
     if callable(u0):
         return np.asarray(u0(nodes), dtype=float)
     arr = np.asarray(u0, dtype=float)
-    if arr.shape != nodes.shape:
-        raise ValueError(f"initial data has shape {arr.shape}, expected {nodes.shape}")
+    if arr.shape != shape:
+        raise ValueError(f"initial data has shape {arr.shape}, expected {shape}")
     return arr
 
 
-def _source_table(f, nodes, eval_times) -> np.ndarray:
-    n, nx = len(eval_times), len(nodes)
+def _source_table(f, nodes, eval_times, shape) -> np.ndarray:
+    n = len(eval_times)
     if f is None:
-        return np.zeros((n, nx))
+        return np.zeros((n,) + shape)
     if callable(f):
-        return np.array([np.broadcast_to(f(nodes, t), (nx,)) for t in eval_times], dtype=float)
+        return np.array([np.broadcast_to(f(nodes, t), shape) for t in eval_times], dtype=float)
     arr = np.asarray(f, dtype=float)
-    if arr.shape == (nx,):
-        return np.broadcast_to(arr, (n, nx)).copy()
-    if arr.shape == (n, nx):
+    if arr.shape == shape:
+        return np.broadcast_to(arr, (n,) + shape).copy()
+    if arr.shape == (n,) + shape:
         return arr
-    raise ValueError(f"source has shape {arr.shape}, expected ({nx},) or ({n}, {nx})")
+    raise ValueError(f"source has shape {arr.shape}, expected {shape} or {(n,) + shape}")
 
 
-def solve_waveform(sub: Subdomain1D, weights: CaputoWeights, left, right, f=None, u0=None):
+def solve_waveform(
+    sub: Subdomain1D, weights: CaputoWeights, left, right, f=None, u0=None, decay=None
+):
     """March one subdomain through all time levels with mixed end conditions.
 
     ``left`` and ``right`` are ('dirichlet', values) or ('flux', values) where
     values is None, a scalar, or a length-N array of the imposed trace /
     outward-normal flux at t_1..t_N.  Returns the field u[n, node] with row 0
     holding the initial samples.
+
+    With ``decay`` (shape (B,)) the call marches B independent problems at
+    once, problem b solving D^nu u = kappa u_xx - decay[b] u + f with the
+    reaction term split between levels like the Laplacian.  Then ``u0`` and
+    a time-independent ``f`` have shape (B, n_nodes), a time table ``f``
+    (N, B, n_nodes), trace arrays (N, B), and the field (N+1, B, n_nodes).
+    Every time level is one batched ``kernels.step_solve`` call.
     """
     n_steps = weights.n_steps
+    theta_s = weights.implicit_fraction
+    if decay is None:
+        shape, shift = (sub.n_nodes,), 0.0
+    else:
+        decay = np.asarray(decay, dtype=float)
+        shape, shift = (len(decay), sub.n_nodes), theta_s * decay
     specs = []
     for side in (left, right):
         if side is None:
@@ -87,32 +105,36 @@ def solve_waveform(sub: Subdomain1D, weights: CaputoWeights, left, right, f=None
         if kind not in ("dirichlet", "flux"):
             raise ValueError(f"boundary kind must be 'dirichlet' or 'flux', got {kind!r}")
         code = kernels.DIRICHLET if kind == "dirichlet" else kernels.FLUX
-        specs.append((code, _expand_trace(values, n_steps)))
+        specs.append((code, _expand_trace(values, (n_steps,) + shape[:-1])))
     (code_l, vals_l), (code_r, vals_r) = specs
     if (code_l == kernels.FLUX or code_r == kernels.FLUX) and sub.n_nodes < 3:
         raise ValueError("flux conditions need at least 3 nodes")
 
-    theta_s = weights.implicit_fraction
     s = theta_s * sub.kappa / sub.dx**2
     c = sub.kappa / (2.0 * sub.dx)
     rows = weights.rows
-    ftab = _source_table(f, sub.nodes, weights.eval_times)
+    ftab = None if f is None else _source_table(f, sub.nodes, weights.eval_times, shape)
 
-    u = np.zeros((n_steps + 1, sub.n_nodes))
-    u[0] = _initial_samples(u0, sub.nodes)
-    du = np.zeros((n_steps, sub.n_nodes))
+    u = np.zeros((n_steps + 1,) + shape)
+    u[0] = _initial_samples(u0, sub.nodes, shape)
+    du = np.zeros((n_steps, u[0].size))  # flat, so the history is one product
     for n in range(1, n_steps + 1):
         b_row = rows[n - 1]
         bnn = b_row[n - 1]
-        rhs = bnn * u[n - 1] + ftab[n - 1]
+        rhs = bnn * u[n - 1]
+        if ftab is not None:
+            rhs += ftab[n - 1]
         if n > 1:
-            rhs -= b_row[: n - 1] @ du[: n - 1]
+            rhs -= (b_row[: n - 1] @ du[: n - 1]).reshape(shape)
         if theta_s < 1.0:
-            rhs += (1.0 - theta_s) * laplacian_apply(sub, u[n - 1])
+            explicit = laplacian_apply(sub, u[n - 1])
+            if decay is not None:
+                explicit -= decay[:, None] * u[n - 1]
+            rhs += (1.0 - theta_s) * explicit
         u[n] = kernels.step_solve(
-            bnn, s, rhs, code_l, vals_l[n - 1], code_r, vals_r[n - 1], c, c
+            bnn + shift, s, rhs, code_l, vals_l[n - 1], code_r, vals_r[n - 1], c, c
         )
-        du[n - 1] = u[n] - u[n - 1]
+        du[n - 1] = (u[n] - u[n - 1]).ravel()
     return u
 
 
@@ -190,9 +212,9 @@ def solve_monolithic(partition: Partition1D, weights: CaputoWeights, f=None, u0=
         sr = partition.subdomains[m + 1]
         ifc_coef.append((sl.kappa / (2.0 * sl.dx), sr.kappa / (2.0 * sr.dx)))
 
-    ftab = _source_table(f, nodes, weights.eval_times)
+    ftab = _source_table(f, nodes, weights.eval_times, (ntot,))
     u = np.zeros((n_steps + 1, ntot))
-    u[0] = _initial_samples(u0, nodes)
+    u[0] = _initial_samples(u0, nodes, (ntot,))
     du = np.zeros((n_steps, ntot))
 
     interior = np.ones(ntot, dtype=bool)
@@ -255,123 +277,66 @@ def _interface_table(values, n_steps, ny1):
 
 
 def _solve_waveform_2d(sub: Subdomain2D, weights, side: str, kind: str, values, f, u0):
+    """Strip solve as a batch of 1D problems, one per sine mode in y.
+
+    The strip has homogeneous Dirichlet data on its y-boundary rows, a uniform
+    dy, one kappa and an interface condition that acts along x alone, so the
+    orthonormal DST-I over the ny-1 interior y nodes diagonalises the 5-point
+    operator exactly: mode k is a 1D problem with the extra reaction
+    coefficient kappa * lambda_k / dy**2, lambda_k = 4 sin(k pi / (2 ny))**2
+    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970).
+    """
     if side not in ("left", "right"):
         raise ValueError(f"interface side must be 'left' or 'right', got {side!r}")
     nx, ny = sub.nx, sub.ny
     n_steps = weights.n_steps
     theta_s = weights.implicit_fraction
-    kappa = sub.kappa
-    sx = theta_s * kappa / sub.dx**2
-    sy = theta_s * kappa / sub.dy**2
-    ntot = (nx + 1) * (ny + 1)
-
-    def gid(ix, iy):
-        return ix * (ny + 1) + iy
-
-    ifc_ix = 0 if side == "left" else nx
-    xg, yg = np.meshgrid(sub.xs, sub.ys, indexing="ij")
-
     vals = _interface_table(values, n_steps, ny + 1)
-    # node classification
-    node_type = np.full((nx + 1, ny + 1), 1, dtype=np.int8)  # 1 = interior
-    node_type[:, 0] = node_type[:, -1] = 0  # outer Dirichlet
-    node_type[0, :] = node_type[-1, :] = 0
-    node_type[ifc_ix, 1:-1] = 2  # interface rows (corners stay Dirichlet)
-
-    interior = (node_type == 1).ravel()
-    ifc_mask = (node_type == 2).ravel()
-
-    # static sparse pattern: interior 5-point rows + identity rows + interface rows
-    ixs, iys = np.nonzero(node_type == 1)
-    g0 = gid(ixs, iys)
-    stride = ny + 1
-    offsets = (0, stride, -stride, 1, -1)
-    off_coefs = (0.0, -sx, -sx, -sy, -sy)  # diagonal filled per step
-    rows_i = [g0] * len(offsets)
-    cols_i = [g0 + off for off in offsets]
-    base_i = [np.full(len(g0), coef) for coef in off_coefs]
-    diag_slot = 0
-
-    rows_b = np.nonzero(node_type.ravel() == 0)[0]
-    ifc_nodes = np.nonzero(ifc_mask)[0]
-
-    sgn = 1 if side == "left" else -1
-    c = kappa / (2.0 * sub.dx)
-    inner1 = gid(1, 0) * sgn
-    # flux row: c * (3 u_ifc - 4 u_ifc+1 + u_ifc+2) = value  (outward normal)
-
+    xg, yg = np.meshgrid(sub.xs, sub.ys, indexing="ij")
     if callable(u0):
-        u_prev = np.asarray(u0(xg, yg), dtype=float).ravel()
+        u_init = np.broadcast_to(np.asarray(u0(xg, yg), dtype=float), xg.shape)
     elif u0 is None:
-        u_prev = np.zeros(ntot)
+        u_init = np.zeros(xg.shape)
     else:
-        u_prev = np.asarray(u0, dtype=float).ravel()
-        if u_prev.size != ntot:
+        u_init = np.asarray(u0, dtype=float)
+        if u_init.size != xg.size:
             raise ValueError("initial data does not match the lattice")
+        u_init = u_init.reshape(xg.shape)
 
-    eval_times = weights.eval_times
-    u_hist = np.zeros((n_steps + 1, ntot))
-    u_hist[0] = u_prev
-    du = np.zeros((n_steps, ntot))
+    # the transform matrix is symmetric and its own inverse
+    k = np.arange(1, ny)
+    sine = np.sqrt(2.0 / ny) * np.sin(np.pi * np.outer(k, k) / ny)
+    decay = sub.kappa * (2.0 * np.sin(0.5 * np.pi * k / ny) / sub.dy) ** 2
 
-    lap_idx = np.nonzero(interior)[0]
-    for n in range(1, n_steps + 1):
-        b_row = weights.rows[n - 1]
-        bnn = b_row[n - 1]
+    # mode tables have the x nodes last, as the 1D march stores its fields;
+    # the source table is built only when there is a source
+    edge_source = theta_s < 1.0 and u0 is not None
+    f_hat = None
+    if f is not None or edge_source:
+        f_hat = np.zeros((n_steps, ny - 1, nx + 1))
+    if f is not None:
+        for n, t in enumerate(weights.eval_times):
+            fv = f(xg, yg, t) if callable(f) else f
+            f_hat[n] = sine @ np.broadcast_to(fv, xg.shape)[:, 1:-1].T
+    if edge_source:
+        # the explicit half of the first level reads u0 on the y-boundary rows
+        edge = (1.0 - theta_s) * sub.kappa / sub.dy**2
+        f_hat[0] += edge * (np.outer(sine[0], u_init[:, 0]) + np.outer(sine[-1], u_init[:, -1]))
 
-        rhs = np.zeros(ntot)
-        if f is not None:
-            fv = f(xg, yg, eval_times[n - 1]) if callable(f) else np.asarray(f, dtype=float)
-            rhs[interior] = np.broadcast_to(fv, (nx + 1, ny + 1)).ravel()[interior]
-        rhs[interior] += bnn * u_prev[interior]
-        if n > 1:
-            rhs[interior] -= (b_row[: n - 1] @ du[: n - 1])[interior]
-        if theta_s < 1.0:
-            up = u_prev
-            lap = (
-                kappa
-                * (up[lap_idx + (ny + 1)] - 2.0 * up[lap_idx] + up[lap_idx - (ny + 1)])
-                / sub.dx**2
-            )
-            lap += kappa * (up[lap_idx + 1] - 2.0 * up[lap_idx] + up[lap_idx - 1]) / sub.dy**2
-            rhs[lap_idx] += (1.0 - theta_s) * lap
+    interface = (kind, vals[:, 1:-1] @ sine)
+    left, right = (interface, None) if side == "left" else (None, interface)
+    line = Subdomain1D(sub.x_left, sub.x_right, sub.kappa, sub.dx, sub.xs)
+    u_hat = solve_waveform(
+        line, weights, left, right, f=f_hat, u0=sine @ u_init[:, 1:-1].T, decay=decay
+    )
 
-        data = []
-        rr = []
-        cc = []
-        for blk, (rws, cls, base) in enumerate(zip(rows_i, cols_i, base_i)):
-            rr.append(rws)
-            cc.append(cls)
-            data.append(
-                np.full(len(rws), bnn + 2.0 * sx + 2.0 * sy) if blk == diag_slot else base
-            )
-        rr.append(rows_b)
-        cc.append(rows_b)
-        data.append(np.ones(len(rows_b)))
-        if kind == "dirichlet":
-            rr.append(ifc_nodes)
-            cc.append(ifc_nodes)
-            data.append(np.ones(len(ifc_nodes)))
-            rhs[ifc_nodes] = vals[n - 1][1:-1]
-        else:
-            for off, coef in ((0, 3.0 * c), (inner1, -4.0 * c), (2 * inner1, c)):
-                rr.append(ifc_nodes)
-                cc.append(ifc_nodes + off)
-                data.append(np.full(len(ifc_nodes), coef))
-            rhs[ifc_nodes] = vals[n - 1][1:-1]
-
-        mat = sp.csc_matrix(
-            (np.concatenate(data), (np.concatenate(rr), np.concatenate(cc))),
-            shape=(ntot, ntot),
-        )
-        u_new = splu(mat).solve(rhs)
-        resid = np.abs(mat @ u_new - rhs).max()
-        if not resid <= 1e-10 * max(1.0, np.abs(rhs).max()):
-            raise ArithmeticError(f"step {n}: linear solve residual {resid:.3e}")
-        u_hist[n] = u_new
-        du[n - 1] = u_new - u_prev
-        u_prev = u_new
-    return u_hist.reshape(n_steps + 1, nx + 1, ny + 1)
+    # physical boundary values stay zero after the initial level
+    out = np.zeros((n_steps + 1, nx + 1, ny + 1))
+    np.matmul(u_hat.transpose(0, 2, 1), sine, out=out[:, :, 1:-1])
+    out[0] = u_init
+    if kind == "dirichlet":
+        out[1:, 0 if side == "left" else nx, 1:-1] = vals[:, 1:-1]
+    return out
 
 
 def solve_dirichlet_waveform_2d(sub, weights, side, trace, f=None, u0=None):

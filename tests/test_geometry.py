@@ -7,7 +7,6 @@ from fracwr.geometry import (
     build_partition,
     build_subdomain,
     build_subdomain_2d,
-    ghost_interpolate,
     interface_flux,
     interface_flux_series,
     laplacian_apply,
@@ -88,17 +87,6 @@ def test_flux_consistency_order_two():
         mism.append(abs(m))
     orders = np.log2(np.array(mism[:-1]) / np.array(mism[1:]))
     assert orders.min() > 1.9
-
-
-def test_ghost_interpolate_quadratic_and_nodes():
-    sub = build_subdomain(0.0, 1.0, 1.0, 0.01)
-    vals = 3.0 * sub.nodes**2 - sub.nodes + 0.5
-    for x in (0.003, 0.4142, 0.985):
-        expected = 3.0 * x**2 - x + 0.5
-        assert ghost_interpolate(sub, vals, x) == pytest.approx(expected, rel=1e-12)
-    assert ghost_interpolate(sub, vals, sub.nodes[17]) == pytest.approx(vals[17], rel=1e-13)
-    with pytest.raises(ValueError):
-        ghost_interpolate(sub, vals, 1.5)
 
 
 def test_heterogeneous_steps_accepted():

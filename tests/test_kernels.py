@@ -89,3 +89,21 @@ def test_step_solve_residuals_across_regimes(n, stiffness, bcs):
     if bcs[1] == kernels.DIRICHLET:
         assert x[-1] == val_r
     np.testing.assert_array_equal(rhs, b_in)
+
+
+@pytest.mark.parametrize("n", [3, 12])
+@pytest.mark.parametrize("bcs", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_step_solve_batch_equals_one_system_at_a_time(n, bcs):
+    # stacked systems with their own diagonals and end values solve exactly
+    # as they do one by one: the zero couplings leave each block untouched
+    rng = np.random.default_rng(n)
+    s, c = 0.7, 0.35
+    bnn = 0.5 + rng.random(4)
+    rhs = rng.standard_normal((4, n))
+    vl, vr = rng.standard_normal(4), rng.standard_normal(4)
+    before = rhs.copy()
+    u = kernels.step_solve(bnn, s, rhs, bcs[0], vl, bcs[1], vr, c, c)
+    assert np.array_equal(rhs, before)
+    for b in range(4):
+        one = kernels.step_solve(bnn[b], s, rhs[b], bcs[0], vl[b], bcs[1], vr[b], c, c)
+        np.testing.assert_array_equal(u[b], one)

@@ -135,6 +135,23 @@ def test_2d_config_validation():
         _config_2d(right=bad_lattice)
 
 
+def test_2d_config_rejects_offset_y_lattice():
+    shifted = build_subdomain_2d(0.5, 2.0, -1.0, 3.0, 1.0, 0.05, 0.25)  # same ny and dy
+    with pytest.raises(ValueError, match="interface lattice"):
+        _config_2d(right=shifted)
+
+
+def test_2d_config_rejects_unknown_scheduler():
+    with pytest.raises(ValueError, match="scheduler"):
+        _config_2d(scheduler="processes")
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.25, 1.5])
+def test_2d_config_rejects_theta_outside_unit_interval(theta):
+    with pytest.raises(ValueError, match="theta"):
+        _config_2d(theta=theta)
+
+
 def test_2d_optimal_theta_is_quarter():
     assert _config_2d(theta="optimal").resolve_theta() == pytest.approx(0.25)
 

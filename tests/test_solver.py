@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
 from fracwr.geometry import build_partition, build_subdomain, build_subdomain_2d
@@ -254,6 +256,72 @@ def test_2d_initial_condition_sampling():
     xg, yg = np.meshgrid(sub.xs, sub.ys, indexing="ij")
     np.testing.assert_allclose(u[0], g(xg, yg))
     assert np.isfinite(u).all()
+
+
+def _sparse_strip_reference(sub, weights, side, kind, values, f, u0):
+    """The strip solve assembled as one sparse 5-point system per time level.
+
+    Outer boundary nodes are identity rows with zero data, interface nodes
+    (corners excluded) carry the trace or the one-sided outward-flux row, and
+    interior rows hold the time-stepping equation with the Laplacian split
+    between levels by the scheme's implicit fraction.
+    """
+    nx, ny, n_steps = sub.nx, sub.ny, weights.n_steps
+    theta = weights.implicit_fraction
+    xg, yg = np.meshgrid(sub.xs, sub.ys, indexing="ij")
+    ids = np.arange(xg.size).reshape(xg.shape)
+    inner = np.zeros(xg.shape, dtype=bool)
+    inner[1:-1, 1:-1] = True
+    inner = inner.ravel()
+
+    def second_difference(m, h):
+        return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m + 1, m + 1)) / h**2
+
+    lap = sub.kappa * (
+        sp.kron(second_difference(nx, sub.dx), sp.identity(ny + 1))
+        + sp.kron(sp.identity(nx + 1), second_difference(ny, sub.dy))
+    )
+    lap = (sp.diags(inner.astype(float)) @ lap).tocsr()  # interior rows only
+
+    ifc = ids[0 if side == "left" else nx, 1:-1]
+    edge = sp.lil_matrix((xg.size, xg.size))
+    for g in np.nonzero(~inner)[0]:
+        edge[g, g] = 1.0
+    if kind == "flux":
+        c = sub.kappa / (2.0 * sub.dx)
+        step = ids[1, 0] if side == "left" else -ids[1, 0]
+        for g in ifc:
+            edge[g, g], edge[g, g + step], edge[g, g + 2 * step] = 3.0 * c, -4.0 * c, c
+    fixed = edge.tocsr() - theta * lap
+    mass = sp.diags(inner.astype(float))
+
+    u = np.zeros((n_steps + 1, xg.size))
+    u[0] = u0(xg, yg).ravel()
+    for n in range(1, n_steps + 1):
+        b_row = weights.rows[n - 1]
+        rhs = b_row[n - 1] * u[n - 1] + f(xg, yg, weights.eval_times[n - 1]).ravel()
+        rhs -= b_row[: n - 1] @ (u[1:n] - u[: n - 1])
+        rhs += (1.0 - theta) * (lap @ u[n - 1])
+        rhs[~inner] = 0.0
+        rhs[ifc] = values[n - 1, 1:-1]
+        u[n] = spsolve((b_row[n - 1] * mass + fixed).tocsc(), rhs)
+    return u.reshape(n_steps + 1, nx + 1, ny + 1)
+
+
+@pytest.mark.parametrize("order", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("kind", ["dirichlet", "flux"])
+def test_2d_matches_sparse_five_point_reference(kind, side, order):
+    sub = build_subdomain_2d(0.0, 0.7, -1.0, 1.2, 1.3, 0.1, 0.2)
+    w = _weights(order, n=12)
+    values = np.random.default_rng(7).standard_normal((12, sub.ny + 1))
+    u0 = lambda x, y: np.cos(x) * (1.0 + y) + 0.3  # nonzero on every boundary row
+    f = lambda x, y, t: np.sin(3.0 * x + y) * (1.0 + t)
+    solve = solve_dirichlet_waveform_2d if kind == "dirichlet" else solve_neumann_waveform_2d
+    got = solve(sub, w, side, values, f=f, u0=u0)
+    ref = _sparse_strip_reference(sub, w, side, kind, values, f, u0)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_2d_flux_series_orientation():
