@@ -6,7 +6,7 @@ superlinear convergence estimates and the inverse-Laplace kernel machinery
 used to validate them.
 """
 
-from .dnwr import DnwrConfig, DnwrResult, IterationReport, optimal_theta_dnwr, run_dnwr
+from .dnwr import DnwrConfig, DnwrResult, optimal_theta_dnwr, run_dnwr
 from .fractional_time import (
     CaputoWeights,
     TimeMesh,
@@ -27,6 +27,7 @@ from .geometry import (
     interface_flux,
     laplacian_apply,
 )
+from .iteration import IterationReport
 from .nnwr import (
     Nnwr2dConfig,
     NnwrConfig,

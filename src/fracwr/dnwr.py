@@ -3,10 +3,8 @@
 One sweep solves the left subdomain with the current interface trace imposed
 as Dirichlet data over the whole time window, transmits the resulting
 outward flux with flipped sign to the right subdomain's Neumann solve, and
-relaxes the trace toward the Neumann solution's interface values.  In
-``error_equation`` mode all problem data are zero, so the trace iterate is
-itself the error and its sup norm is reported directly; ``forced`` mode runs
-with the configured source/initial data and stops on the update norm.
+relaxes the trace toward the Neumann solution's interface values.  The
+sweeps run in the interface iteration of ``fracwr.iteration``.
 """
 
 import math
@@ -15,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fractional_time import build_graded_mesh, caputo_weights, default_grading
 from .geometry import Partition1D, interface_flux_series
+from .iteration import IterationConfig, IterationReport, iterate
 from .solver import solve_dirichlet_waveform, solve_monolithic, solve_neumann_waveform
 
-__all__ = ["DnwrConfig", "IterationReport", "DnwrResult", "optimal_theta_dnwr", "run_dnwr"]
+__all__ = ["DnwrConfig", "DnwrResult", "optimal_theta_dnwr", "run_dnwr"]
 
 
 def optimal_theta_dnwr(kappa1: float, kappa2: float) -> float:
@@ -35,47 +33,16 @@ def optimal_theta_dnwr(kappa1: float, kappa2: float) -> float:
     return 1.0 / (1.0 + math.sqrt(kappa1 / kappa2))
 
 
-@dataclass(frozen=True)
-class IterationReport:
-    """Per-sweep interface error norms and run metadata."""
-
-    errors: np.ndarray  # (iterations, n_interfaces)
-    converged: bool
-    theta: np.ndarray
-    wall_time: float
-
-    @property
-    def iterations(self) -> int:
-        return self.errors.shape[0]
-
-    @property
-    def sup_errors(self) -> np.ndarray:
-        """Max over interfaces per sweep."""
-        return self.errors.max(axis=1)
-
-
-@dataclass(frozen=True)
-class DnwrConfig:
+@dataclass(frozen=True, kw_only=True)
+class DnwrConfig(IterationConfig):
     partition: Partition1D
-    order: float
-    horizon: float
-    n_steps: int
     theta: object = "optimal"
-    tolerance: float = 1e-8
-    max_iter: int = 50
-    mode: str = "error_equation"
-    initial_guess: object = 1.0
-    grading: object = "auto"
-    source: object = None
     initial_condition: object = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.partition.n_subdomains != 2:
             raise ValueError("the Dirichlet-Neumann driver takes exactly two subdomains")
-        if self.mode not in ("error_equation", "forced"):
-            raise ValueError(f"mode must be 'error_equation' or 'forced', got {self.mode!r}")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
         th = self.resolve_theta()
         if not 0.0 < th <= 1.0:
             raise ValueError(f"theta must lie in (0, 1], got {th}")
@@ -85,11 +52,6 @@ class DnwrConfig:
             k1, k2 = self.partition.kappas
             return optimal_theta_dnwr(k1, k2)
         return float(self.theta)
-
-    def build_weights(self):
-        r = default_grading(self.order) if self.grading == "auto" else float(self.grading)
-        mesh = build_graded_mesh(self.horizon, self.n_steps, r)
-        return caputo_weights(mesh, self.order)
 
 
 @dataclass(frozen=True)
@@ -104,40 +66,18 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False) -> DnwrResult:
     weights = cfg.build_weights()
     sub1, sub2 = cfg.partition.subdomains
     theta = cfg.resolve_theta()
+    f = None if cfg.error_mode else cfg.source
+    u0 = None if cfg.error_mode else cfg.initial_condition
 
-    if np.isscalar(cfg.initial_guess):
-        h = np.full(cfg.n_steps, float(cfg.initial_guess))
-    else:
-        h = np.asarray(cfg.initial_guess, dtype=float).copy()
-        if h.shape != (cfg.n_steps,):
-            raise ValueError(f"initial guess has shape {h.shape}, expected ({cfg.n_steps},)")
-
-    error_mode = cfg.mode == "error_equation"
-    f = None if error_mode else cfg.source
-    u0 = None if error_mode else cfg.initial_condition
-
-    errors = []
-    converged = False
-    u1 = u2 = None
-    for _ in range(cfg.max_iter):
+    def sweep(h):
         u1 = solve_dirichlet_waveform(sub1, weights, None, h, f=f, u0=u0)
         flux = interface_flux_series(u1[1:], "right", sub1)
         u2 = solve_neumann_waveform(sub2, weights, -flux, None, f=f, u0=u0)
         h_new = theta * u2[1:, 0] + (1.0 - theta) * h
-        err = float(np.max(np.abs(h_new))) if error_mode else float(np.max(np.abs(h_new - h)))
-        errors.append(err)
-        h = h_new
-        if err <= cfg.tolerance:
-            converged = True
-            break
+        return h_new, h_new - h, (u1, u2)
 
-    report = IterationReport(
-        errors=np.asarray(errors)[:, None],
-        converged=converged,
-        theta=np.array([theta]),
-        wall_time=time.perf_counter() - t_start,
-    )
-    return DnwrResult(report=report, trace=h, fields=(u1, u2) if keep_fields else None)
+    report, h, fields = iterate(cfg, sweep, cfg.initial_traces((cfg.n_steps,)), theta, t_start)
+    return DnwrResult(report=report, trace=h, fields=fields if keep_fields else None)
 
 
 def monolithic_reference(cfg: DnwrConfig):

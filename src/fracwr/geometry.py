@@ -56,15 +56,8 @@ def build_subdomain(x_left: float, x_right: float, kappa: float, dx: float) -> S
         raise ValueError(f"empty interval [{x_left}, {x_right}]")
     if not kappa > 0.0:
         raise ValueError(f"diffusion coefficient must be positive, got {kappa}")
-    length = x_right - x_left
-    cells = length / dx
-    n_cells = int(round(cells))
-    if n_cells < 2 or abs(cells - n_cells) > _DIV_TOL * max(1.0, cells):
-        raise ValueError(
-            f"dx={dx} does not tile [{x_left}, {x_right}] with at least one interior node"
-        )
-    nodes = np.linspace(x_left, x_right, n_cells + 1)
-    return Subdomain1D(x_left, x_right, kappa, length / n_cells, nodes)
+    nodes = _axis_nodes(x_left, x_right, dx, minimum_cells=2)
+    return Subdomain1D(x_left, x_right, kappa, (x_right - x_left) / (len(nodes) - 1), nodes)
 
 
 @dataclass(frozen=True)
@@ -199,6 +192,8 @@ def build_subdomain_2d(x_left, x_right, y_bottom, y_top, kappa, dx, dy) -> Subdo
 
 def _axis_nodes(lo, hi, step, minimum_cells):
     cells = (hi - lo) / step
+    if not math.isfinite(cells):
+        raise ValueError(f"step {step} gives a non-finite cell count on [{lo}, {hi}]")
     n = int(round(cells))
     if n < minimum_cells or abs(cells - n) > _DIV_TOL * max(1.0, cells):
         raise ValueError(f"step {step} does not tile [{lo}, {hi}]")

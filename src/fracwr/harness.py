@@ -7,7 +7,8 @@ per relaxation weight with the exact header
     k,interface_id,error_sup,bound,theta,two_nu
 
 where ``bound`` is the matching theoretical envelope when one applies (error
-equations at the optimal weight) and blank otherwise.  Floats are written
+equations with every interface at its optimal weight) and blank otherwise,
+and ``theta`` is the weight of the row's interface.  Floats are written
 with 17 significant digits so identical configurations produce byte-identical
 files.
 
@@ -48,8 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dnwr import DnwrConfig, optimal_theta_dnwr, run_dnwr
-from .fractional_time import build_graded_mesh, caputo_weights, default_grading
 from .geometry import build_partition, build_subdomain_2d
+from .iteration import IterationConfig
 from .nnwr import Nnwr2dConfig, NnwrConfig, optimal_theta_nnwr, run_nnwr_1d, run_nnwr_2d
 from .solver import solve_monolithic
 from .theory import (
@@ -304,41 +305,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _bound_column(cfg: ExperimentConfig, theta_is_optimal: bool, n_iters: int, kappas, lengths):
-    """Theoretical envelope per sweep, or None where no estimate applies."""
-    if cfg.mode != "error_equation" or not theta_is_optimal:
-        return [None] * n_iters
-    nu = cfg.order / 2.0
-    out = []
-    if cfg.algorithm == "dnwr":
-        p = DnwrBoundParams(nu=nu, a=lengths[0], b=lengths[1],
-                            kappa1=kappas[0], kappa2=kappas[1], horizon=cfg.horizon)
-        regime = "sub" if cfg.order <= 1.0 else "wave"
-        for k in range(1, n_iters + 1):
-            try:
-                out.append(dnwr_error_bound(p, k, regime))
-            except BoundNotApplicableError:
-                out.append(None)
-    elif cfg.algorithm == "nnwr1d":
-        p = NnwrBoundParams(nu=nu, lengths=lengths, kappas=kappas, horizon=cfg.horizon)
-        for k in range(1, n_iters + 1):
-            try:
-                out.append(nnwr_error_bound(p, k))
-            except BoundNotApplicableError:
-                out.append(None)
-    elif cfg.algorithm == "nnwr2d":
-        p = Nnwr2dBoundParams(nu=nu, a=lengths[0], b=lengths[1],
-                              kappa=kappas[0], horizon=cfg.horizon)
-        for k in range(1, n_iters + 1):
-            try:
-                out.append(nnwr2d_error_bound(p, k))
-            except BoundNotApplicableError:
-                out.append(None)
-    else:
-        out = [None] * n_iters
-    return out
-
-
 def _write_csv(path, rows):
     tmp = path + ".part"
     try:
@@ -356,72 +322,73 @@ def _write_csv(path, rows):
 
 
 def _run_single(cfg: ExperimentConfig, theta_member, out_dir, tag):
-    geo = cfg.geometry
+    path = os.path.join(out_dir, f"{cfg.stem}_{tag}.csv")
     source = SOURCES[cfg.source]
-    guess = 1.0 if cfg.initial_guess == "unit" else float(cfg.initial_guess)
+    common = dict(
+        order=cfg.order, horizon=cfg.horizon, n_steps=cfg.n_steps, tolerance=cfg.tolerance,
+        max_iter=cfg.max_iter, mode=cfg.mode, grading=cfg.grading,
+        initial_guess=1.0 if cfg.initial_guess == "unit" else float(cfg.initial_guess),
+    )
+    nu = cfg.order / 2.0
+    geometry = _build_geometry(cfg.algorithm, cfg.geometry)
 
+    # Each branch builds the run's config, the optimal weight per interface and
+    # the envelope bound(k); the drivers are looked up here, at call time.
     if cfg.algorithm == "nnwr2d":
-        dom = geo["domain"]
-        left, right = _build_geometry(cfg.algorithm, geo)
-        kap = left.kappa
+        left, right = geometry
         ic = INITIAL_CONDITIONS_2D[cfg.initial_condition]
         run_cfg = Nnwr2dConfig(
-            left=left, right=right, order=cfg.order, horizon=cfg.horizon,
-            n_steps=cfg.n_steps, theta=theta_member, tolerance=cfg.tolerance,
-            max_iter=cfg.max_iter, mode=cfg.mode, initial_guess=guess,
-            grading=cfg.grading, source=None if source is None else
-            (lambda x, y, t: source(x, t)), initial_condition_left=ic,
-            initial_condition_right=ic, scheduler=cfg.scheduler,
+            left=left, right=right, theta=theta_member, scheduler=cfg.scheduler,
+            source=None if source is None else (lambda x, y, t: source(x, t)),
+            initial_condition_left=ic, initial_condition_right=ic, **common,
         )
-        result = run_nnwr_2d(run_cfg)
-        theta_val = run_cfg.resolve_theta()
-        theta_opt = math.isclose(theta_val, optimal_theta_nnwr(kap, kap))
-        lengths = (geo["split"] - dom[0], dom[1] - geo["split"])
-        kappas = (kap, kap)
-        errors = result.report.errors
+        run, optimal = run_nnwr_2d, [optimal_theta_nnwr(left.kappa, right.kappa)]
+        params = Nnwr2dBoundParams(nu=nu, a=left.x_right - left.x_left,
+                                   b=right.x_right - right.x_left, kappa=left.kappa,
+                                   horizon=cfg.horizon)
+        bound = lambda k: nnwr2d_error_bound(params, k)  # noqa: E731
     else:
-        partition = _build_geometry(cfg.algorithm, geo)
-        lengths = tuple(s.length for s in partition.subdomains)
-        kappas = partition.kappas
+        lengths = tuple(s.length for s in geometry.subdomains)
+        kappas = geometry.kappas
         ic = INITIAL_CONDITIONS[cfg.initial_condition]
         if cfg.algorithm == "monolithic":
-            r = default_grading(cfg.order) if cfg.grading == "auto" else float(cfg.grading)
-            mesh = build_graded_mesh(cfg.horizon, cfg.n_steps, r)
-            solve_monolithic(partition, caputo_weights(mesh, cfg.order), f=source, u0=ic)
+            solve_monolithic(geometry, IterationConfig(**common).build_weights(), f=source, u0=ic)
             rows = [(0, m, 0.0, None, 0.0, cfg.order) for m in range(len(lengths) - 1)]
-            return _write_csv(os.path.join(out_dir, f"{cfg.stem}_{tag}.csv"), rows)
+            return _write_csv(path, rows)
         if cfg.algorithm == "dnwr":
-            run_cfg = DnwrConfig(
-                partition=partition, order=cfg.order, horizon=cfg.horizon,
-                n_steps=cfg.n_steps, theta=theta_member, tolerance=cfg.tolerance,
-                max_iter=cfg.max_iter, mode=cfg.mode, initial_guess=guess,
-                grading=cfg.grading, source=source, initial_condition=ic,
-            )
-            result = run_dnwr(run_cfg)
-            theta_val = run_cfg.resolve_theta()
-            theta_opt = math.isclose(theta_val, optimal_theta_dnwr(*kappas))
+            run_cfg = DnwrConfig(partition=geometry, theta=theta_member, source=source,
+                                 initial_condition=ic, **common)
+            run, optimal = run_dnwr, [optimal_theta_dnwr(*kappas)]
+            params = DnwrBoundParams(nu=nu, a=lengths[0], b=lengths[1], kappa1=kappas[0],
+                                     kappa2=kappas[1], horizon=cfg.horizon)
+            regime = "sub" if cfg.order <= 1.0 else "wave"
+            bound = lambda k: dnwr_error_bound(params, k, regime)  # noqa: E731
         else:
-            run_cfg = NnwrConfig(
-                partition=partition, order=cfg.order, horizon=cfg.horizon,
-                n_steps=cfg.n_steps, thetas=theta_member, tolerance=cfg.tolerance,
-                max_iter=cfg.max_iter, mode=cfg.mode, initial_guess=guess,
-                grading=cfg.grading, source=source, initial_condition=ic,
-                scheduler=cfg.scheduler,
-            )
-            result = run_nnwr_1d(run_cfg)
-            thetas_all = run_cfg.resolve_thetas()
-            opt = [optimal_theta_nnwr(kappas[i], kappas[i + 1]) for i in range(len(kappas) - 1)]
-            theta_opt = bool(np.allclose(thetas_all, opt))
-            theta_val = float(thetas_all[0])
-        errors = result.report.errors
+            run_cfg = NnwrConfig(partition=geometry, thetas=theta_member, source=source,
+                                 initial_condition=ic, scheduler=cfg.scheduler, **common)
+            run = run_nnwr_1d
+            optimal = [optimal_theta_nnwr(a, b) for a, b in zip(kappas, kappas[1:])]
+            params = NnwrBoundParams(nu=nu, lengths=lengths, kappas=kappas,
+                                     horizon=cfg.horizon)
+            bound = lambda k: nnwr_error_bound(params, k)  # noqa: E731
 
-    n_iters = errors.shape[0]
-    bounds = _bound_column(cfg, theta_opt, n_iters, kappas, lengths)
+    report = run(run_cfg).report
+    # the envelope applies to error equations with every interface at its optimum
+    enveloped = cfg.mode == "error_equation" and all(
+        math.isclose(t, o) for t, o in zip(report.theta, optimal))
     rows = []
-    for k in range(n_iters):
-        for m in range(errors.shape[1]):
-            rows.append((k + 1, m, float(errors[k, m]), bounds[k], theta_val, cfg.order))
-    return _write_csv(os.path.join(out_dir, f"{cfg.stem}_{tag}.csv"), rows)
+    for k, errors in enumerate(report.errors, start=1):
+        b = _bound_or_none(bound, k) if enveloped else None
+        rows.extend((k, m, float(e), b, float(report.theta[m]), cfg.order)
+                    for m, e in enumerate(errors))
+    return _write_csv(path, rows)
+
+
+def _bound_or_none(bound, k):
+    try:
+        return bound(k)
+    except BoundNotApplicableError:
+        return None
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list:

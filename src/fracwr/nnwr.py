@@ -8,7 +8,8 @@ homogeneous Dirichlet condition), and (d) the relaxed trace update
 h <- h - theta * (psi_i + psi_j) per interface.  Phases (a) and (c) are
 embarrassingly parallel across subdomains; results are reduced in fixed
 subdomain order so sequential and threaded scheduling produce bit-identical
-iterates.
+iterates.  Both drivers run their sweeps in the interface iteration of
+``fracwr.iteration``.
 """
 
 import math
@@ -18,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dnwr import IterationReport
-from .fractional_time import build_graded_mesh, caputo_weights, default_grading
 from .geometry import Partition1D, Subdomain2D, interface_flux_series
+from .iteration import IterationConfig, IterationReport, iterate
 from .solver import (
     interface_flux_series_2d,
     solve_dirichlet_waveform,
@@ -47,6 +47,11 @@ def optimal_theta_nnwr(kappa_left: float, kappa_right: float) -> float:
     return 1.0 / (2.0 + r + 1.0 / r)
 
 
+def _check_scheduler(scheduler):
+    if scheduler not in ("sequential", "threads"):
+        raise ValueError(f"scheduler must be 'sequential' or 'threads', got {scheduler!r}")
+
+
 def _run_tasks(tasks, scheduler: str):
     if scheduler == "threads":
         with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
@@ -54,29 +59,19 @@ def _run_tasks(tasks, scheduler: str):
     return [task() for task in tasks]
 
 
-@dataclass(frozen=True)
-class NnwrConfig:
+@dataclass(frozen=True, kw_only=True)
+class NnwrConfig(IterationConfig):
     partition: Partition1D
-    order: float
-    horizon: float
-    n_steps: int
     thetas: object = "optimal"
-    tolerance: float = 1e-8
     max_iter: int = 60
-    mode: str = "error_equation"
-    initial_guess: object = 1.0
-    grading: object = "auto"
-    source: object = None
     initial_condition: object = None
     scheduler: str = "sequential"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.partition.n_subdomains < 2:
             raise ValueError("need at least two subdomains")
-        if self.mode not in ("error_equation", "forced"):
-            raise ValueError(f"mode must be 'error_equation' or 'forced', got {self.mode!r}")
-        if self.scheduler not in ("sequential", "threads"):
-            raise ValueError(f"scheduler must be 'sequential' or 'threads', got {self.scheduler!r}")
+        _check_scheduler(self.scheduler)
         th = self.resolve_thetas()
         if np.any(th <= 0.0) or np.any(th > 1.0):
             raise ValueError(f"interface weights must lie in (0, 1], got {th}")
@@ -95,11 +90,6 @@ class NnwrConfig:
             raise ValueError(f"theta list has shape {arr.shape}, expected ({n_ifc},)")
         return arr.copy()
 
-    def build_weights(self):
-        r = default_grading(self.order) if self.grading == "auto" else float(self.grading)
-        mesh = build_graded_mesh(self.horizon, self.n_steps, r)
-        return caputo_weights(mesh, self.order)
-
 
 @dataclass(frozen=True)
 class NnwrResult:
@@ -108,31 +98,16 @@ class NnwrResult:
     fields: tuple = field(default=None, repr=False)
 
 
-def _initial_traces(guess, n_ifc, n_steps):
-    if np.isscalar(guess):
-        return np.full((n_ifc, n_steps), float(guess))
-    arr = np.asarray(guess, dtype=float)
-    if arr.shape != (n_ifc, n_steps):
-        raise ValueError(f"initial guesses have shape {arr.shape}, expected {(n_ifc, n_steps)}")
-    return arr.copy()
-
-
 def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False) -> NnwrResult:
     t_start = time.perf_counter()
     weights = cfg.build_weights()
     subs = cfg.partition.subdomains
     n_sub = len(subs)
     thetas = cfg.resolve_thetas()
-    error_mode = cfg.mode == "error_equation"
-    f = None if error_mode else cfg.source
-    u0 = None if error_mode else cfg.initial_condition
+    f = None if cfg.error_mode else cfg.source
+    u0 = None if cfg.error_mode else cfg.initial_condition
 
-    h = _initial_traces(cfg.initial_guess, n_sub - 1, cfg.n_steps)
-
-    errors = []
-    converged = False
-    fields = None
-    for _ in range(cfg.max_iter):
+    def sweep(h):
         def dirichlet_task(i):
             left = h[i - 1] if i > 0 else None
             right = h[i] if i < n_sub - 1 else None
@@ -159,53 +134,31 @@ def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False) -> NnwrResult:
                 for m in range(n_sub - 1)
             ]
         )
-        h = h - updates
-        if error_mode:
-            err = np.max(np.abs(h), axis=1)
-        else:
-            err = np.max(np.abs(updates), axis=1)
-        errors.append(err)
-        if float(err.max()) <= cfg.tolerance:
-            converged = True
-            break
+        return h - updates, updates, tuple(fields)
 
-    report = IterationReport(
-        errors=np.asarray(errors),
-        converged=converged,
-        theta=thetas,
-        wall_time=time.perf_counter() - t_start,
-    )
-    return NnwrResult(report=report, traces=h, fields=tuple(fields) if keep_fields else None)
+    h0 = cfg.initial_traces((n_sub - 1, cfg.n_steps))
+    report, h, fields = iterate(cfg, sweep, h0, thetas, t_start)
+    return NnwrResult(report=report, traces=h, fields=fields if keep_fields else None)
 
 
-@dataclass(frozen=True)
-class Nnwr2dConfig:
+@dataclass(frozen=True, kw_only=True)
+class Nnwr2dConfig(IterationConfig):
     left: Subdomain2D
     right: Subdomain2D
-    order: float
-    horizon: float
-    n_steps: int
     theta: object = "optimal"
-    tolerance: float = 1e-8
     max_iter: int = 30
-    mode: str = "error_equation"
-    initial_guess: object = 1.0
-    grading: object = "auto"
-    source: object = None
     initial_condition_left: object = None
     initial_condition_right: object = None
     scheduler: str = "sequential"
 
     def __post_init__(self):
+        super().__post_init__()
         if abs(self.left.x_right - self.right.x_left) > 1e-12:
             raise ValueError("subdomains do not share a vertical interface")
         l, r = self.left, self.right
         if l.ny != r.ny or max(abs(l.y_bottom - r.y_bottom), abs(l.y_top - r.y_top)) > 1e-12:
             raise ValueError("subdomains must share the interface lattice")
-        if self.mode not in ("error_equation", "forced"):
-            raise ValueError(f"mode must be 'error_equation' or 'forced', got {self.mode!r}")
-        if self.scheduler not in ("sequential", "threads"):
-            raise ValueError(f"scheduler must be 'sequential' or 'threads', got {self.scheduler!r}")
+        _check_scheduler(self.scheduler)
         self.resolve_theta()
 
     def resolve_theta(self) -> float:
@@ -216,34 +169,16 @@ class Nnwr2dConfig:
             raise ValueError(f"theta must lie in (0, 1], got {th}")
         return th
 
-    def build_weights(self):
-        r = default_grading(self.order) if self.grading == "auto" else float(self.grading)
-        mesh = build_graded_mesh(self.horizon, self.n_steps, r)
-        return caputo_weights(mesh, self.order)
-
 
 def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False) -> NnwrResult:
     t_start = time.perf_counter()
     weights = cfg.build_weights()
     theta = cfg.resolve_theta()
-    ny1 = cfg.left.ny + 1
-    error_mode = cfg.mode == "error_equation"
-    f = None if error_mode else cfg.source
-    u0l = None if error_mode else cfg.initial_condition_left
-    u0r = None if error_mode else cfg.initial_condition_right
+    f = None if cfg.error_mode else cfg.source
+    u0l = None if cfg.error_mode else cfg.initial_condition_left
+    u0r = None if cfg.error_mode else cfg.initial_condition_right
 
-    if np.isscalar(cfg.initial_guess):
-        h = np.full((cfg.n_steps, ny1), float(cfg.initial_guess))
-        h[:, 0] = h[:, -1] = 0.0  # trace endpoints sit on the outer boundary
-    else:
-        h = np.asarray(cfg.initial_guess, dtype=float).copy()
-        if h.shape != (cfg.n_steps, ny1):
-            raise ValueError(f"initial guess has shape {h.shape}, expected {(cfg.n_steps, ny1)}")
-
-    errors = []
-    converged = False
-    fields = None
-    for _ in range(cfg.max_iter):
+    def sweep(h):
         tasks = [
             lambda: solve_dirichlet_waveform_2d(cfg.left, weights, "right", h, f=f, u0=u0l),
             lambda: solve_dirichlet_waveform_2d(cfg.right, weights, "left", h, f=f, u0=u0r),
@@ -259,17 +194,10 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False) -> NnwrResult:
         ]
         corrections = _run_tasks(tasks, cfg.scheduler)
         update = theta * (corrections[0][1:, -1, :] + corrections[1][1:, 0, :])
-        h = h - update
-        err = float(np.max(np.abs(h))) if error_mode else float(np.max(np.abs(update)))
-        errors.append(err)
-        if err <= cfg.tolerance:
-            converged = True
-            break
+        return h - update, update, tuple(fields)
 
-    report = IterationReport(
-        errors=np.asarray(errors)[:, None],
-        converged=converged,
-        theta=np.array([theta]),
-        wall_time=time.perf_counter() - t_start,
-    )
-    return NnwrResult(report=report, traces=h, fields=tuple(fields) if keep_fields else None)
+    h0 = cfg.initial_traces((cfg.n_steps, cfg.left.ny + 1))
+    if np.isscalar(cfg.initial_guess):
+        h0[:, 0] = h0[:, -1] = 0.0  # trace endpoints sit on the outer boundary
+    report, h, fields = iterate(cfg, sweep, h0, theta, t_start)
+    return NnwrResult(report=report, traces=h, fields=fields if keep_fields else None)

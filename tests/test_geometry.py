@@ -46,6 +46,16 @@ def test_partition_rejects():
         build_partition((0, 2), [1.0, 0.5], 1.0, 0.1)  # not increasing
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_subdomain(0.0, 1e308, 1.0, 0.02),
+    lambda: build_subdomain_2d(0.0, 1e308, -1.0, 1.0, 1.0, 0.02, 0.5),
+    lambda: build_subdomain_2d(0.0, 1.0, -1e308, 1e308, 1.0, 0.5, 0.5),
+], ids=["1d", "2d-x", "2d-y"])
+def test_non_finite_cell_count_is_a_value_error(build):
+    with pytest.raises(ValueError, match="non-finite cell count"):
+        build()
+
+
 def test_laplacian_exact_on_polynomials():
     sub = build_subdomain(0.0, 1.0, 0.7, 0.05)
     x = sub.nodes

@@ -1,13 +1,17 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwr.cli import main
 from fracwr.harness import (
     CSV_HEADER,
     ConfigError,
+    ExperimentConfig,
     PRESETS,
     config_from_dict,
     parse_config,
@@ -281,3 +285,49 @@ def test_malformed_values_are_config_errors(tmp_path, section, key, value, match
     path.write_text(json.dumps(raw))  # non-finite floats go out as Infinity / NaN
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("algorithm", ["dnwr", "nnwr2d"])
+def test_overflowing_domain_is_a_config_error(tmp_path, algorithm):
+    raw = _minimal_dnwr(algorithm=algorithm)
+    raw["geometry"]["domain"] = [0.0, 1e308]
+    if algorithm == "nnwr2d":
+        raw["geometry"] = {"domain": [0.0, 1e308], "split": 0.5, "y_extent": [-2.0, 2.0],
+                           "kappa": 1.0, "dx": 0.1, "dy": 0.5}
+    with pytest.raises(ConfigError, match="non-finite cell count"):
+        config_from_dict(raw)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+# Bad values for any key or list entry.  No small positive number is in the
+# pool: validation builds the mesh, and a tiny step would make a huge one.
+BAD_VALUES = (None, "x", True, [], {}, math.nan, math.inf, -math.inf, 0, -1, -0.5, 1e308,
+              -1e308)
+PRESET_RAWS = [raw for name in sorted(PRESETS) for raw in PRESETS[name]()]
+
+
+def _paths(node, prefix=()):
+    """The key (or list index) path of every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_mutated_presets_are_valid_or_config_errors(data):
+    raw = copy.deepcopy(data.draw(st.sampled_from(PRESET_RAWS)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(raw))))
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(st.sampled_from(BAD_VALUES))
+    try:
+        assert isinstance(config_from_dict(raw), ExperimentConfig)
+    except ConfigError:
+        pass
