@@ -100,7 +100,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 
-    from .harness import ConfigError, PRESETS, parse_config, preset_config, run_experiment
+    from .harness import (ConfigError, PRESETS, parse_config, preset_config, remove_outputs,
+                          run_experiment)
 
     if args.list_presets:
         for name in sorted(PRESETS):
@@ -140,7 +141,8 @@ def main(argv=None) -> int:
     try:
         for cfg in configs:
             written.extend(run_experiment(cfg, args.out))
-    except Exception as exc:  # numerical failure: partial outputs already removed
+    except Exception as exc:  # numerical failure: run_experiment removed its own CSVs
+        remove_outputs(written)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     for path in written:

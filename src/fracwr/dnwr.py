@@ -37,7 +37,6 @@ def optimal_theta_dnwr(kappa1: float, kappa2: float) -> float:
 class DnwrConfig(IterationConfig):
     partition: Partition1D
     theta: object = "optimal"
-    initial_condition: object = None
 
     def __post_init__(self):
         super().__post_init__()

@@ -26,13 +26,12 @@ Config schema (all keys required unless noted):
         "dy": number                   # nnwr2d only
       },
       "time": {"order": 2nu in (0,2), "horizon": T, "steps": N,
-               "grading": "auto" | r >= 1},        # grading optional
+               "grading": "auto" | r >= 1},        # optional; r = 1 for order > 1
       "relaxation": {"theta": "optimal" | number | [sweep...]},
       "run": {"tolerance": tol, "max_iter": n, "mode": "error_equation" | "forced",
               "initial_guess": "unit" | number,
-              "source": name, "initial_condition": name,   # optional, forced mode
-              "scheduler": "sequential" | "threads"},       # optional
-      "output": {"stem": "basename"}                        # optional
+              "source": name, "initial_condition": name},  # optional, forced mode
+      "output": {"stem": "basename"}                       # optional
     }
 
 Named sources: zero, sin_half_pi_x (sin(pi x/2)), sin_pi_x_over_16.
@@ -64,7 +63,7 @@ from .theory import (
 )
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run_experiment",
-           "PRESETS", "preset_config", "CSV_HEADER"]
+           "remove_outputs", "PRESETS", "preset_config", "CSV_HEADER"]
 
 CSV_HEADER = "k,interface_id,error_sup,bound,theta,two_nu"
 
@@ -106,7 +105,6 @@ class ExperimentConfig:
     initial_guess: object
     source: str = "zero"
     initial_condition: str = "zero"
-    scheduler: str = "sequential"
     stem: str = "run"
 
 
@@ -166,6 +164,8 @@ def _validate(raw) -> ExperimentConfig:
                 errs.append("geometry.breakpoints: expected a list of numbers")
             elif algorithm == "dnwr" and len(breaks) != 1:
                 errs.append("geometry.breakpoints: dnwr needs exactly one breakpoint")
+            elif algorithm == "nnwr1d" and not breaks:
+                errs.append("geometry.breakpoints: nnwr1d needs at least one breakpoint")
             elif any(not dom[0] < b < dom[1] for b in breaks):
                 errs.append("geometry.breakpoints: must lie strictly inside the domain")
         elif algorithm == "nnwr2d":
@@ -196,6 +196,9 @@ def _validate(raw) -> ExperimentConfig:
         grading = tm.get("grading", "auto")
         if grading != "auto" and not (_number(grading) and grading >= 1.0):
             errs.append('time.grading: must be "auto" or a number >= 1')
+        elif grading != "auto" and grading > 1.0 and _number(order) and 1.0 < order < 2.0:
+            errs.append("time.grading: the wave scheme (order in (1, 2)) needs a uniform "
+                        f"mesh, grading 1, got {grading!r}")
 
     rel = raw["relaxation"]
     _check_keys(rel, {"theta"}, {"theta"}, "relaxation", errs)
@@ -213,8 +216,7 @@ def _validate(raw) -> ExperimentConfig:
         thetas = tuple(members)
 
     run = raw["run"]
-    run_keys = {"tolerance", "max_iter", "mode", "initial_guess", "source",
-                "initial_condition", "scheduler"}
+    run_keys = {"tolerance", "max_iter", "mode", "initial_guess", "source", "initial_condition"}
     _check_keys(run, run_keys, {"tolerance", "max_iter", "mode"}, "run", errs)
     mode = "error_equation"
     if isinstance(run, dict):
@@ -239,8 +241,6 @@ def _validate(raw) -> ExperimentConfig:
                 f"run.initial_condition: unknown name {run.get('initial_condition')!r} "
                 f"for {algorithm} (choose from {sorted(ics)})"
             )
-        if run.get("scheduler", "sequential") not in ("sequential", "threads"):
-            errs.append('run.scheduler: must be "sequential" or "threads"')
 
     out = raw.get("output", {})
     _check_keys(out, {"stem"}, set(), "output", errs)
@@ -268,7 +268,6 @@ def _validate(raw) -> ExperimentConfig:
         initial_guess=run.get("initial_guess", "unit"),
         source=run.get("source", "zero"),
         initial_condition=run.get("initial_condition", "zero"),
-        scheduler=run.get("scheduler", "sequential"),
         stem=out.get("stem", "run"),
     )
 
@@ -336,11 +335,10 @@ def _run_single(cfg: ExperimentConfig, theta_member, out_dir, tag):
     # the envelope bound(k); the drivers are looked up here, at call time.
     if cfg.algorithm == "nnwr2d":
         left, right = geometry
-        ic = INITIAL_CONDITIONS_2D[cfg.initial_condition]
         run_cfg = Nnwr2dConfig(
-            left=left, right=right, theta=theta_member, scheduler=cfg.scheduler,
+            left=left, right=right, theta=theta_member,
             source=None if source is None else (lambda x, y, t: source(x, t)),
-            initial_condition_left=ic, initial_condition_right=ic, **common,
+            initial_condition=INITIAL_CONDITIONS_2D[cfg.initial_condition], **common,
         )
         run, optimal = run_nnwr_2d, [optimal_theta_nnwr(left.kappa, right.kappa)]
         params = Nnwr2dBoundParams(nu=nu, a=left.x_right - left.x_left,
@@ -365,7 +363,7 @@ def _run_single(cfg: ExperimentConfig, theta_member, out_dir, tag):
             bound = lambda k: dnwr_error_bound(params, k, regime)  # noqa: E731
         else:
             run_cfg = NnwrConfig(partition=geometry, thetas=theta_member, source=source,
-                                 initial_condition=ic, scheduler=cfg.scheduler, **common)
+                                 initial_condition=ic, **common)
             run = run_nnwr_1d
             optimal = [optimal_theta_nnwr(a, b) for a, b in zip(kappas, kappas[1:])]
             params = NnwrBoundParams(nu=nu, lengths=lengths, kappas=kappas,
@@ -391,13 +389,27 @@ def _bound_or_none(bound, k):
         return None
 
 
+def remove_outputs(paths):
+    """Delete the CSVs a failed run wrote, those that are still there."""
+    for path in paths:
+        if os.path.exists(path):
+            os.remove(path)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list:
-    """Execute every sweep member and return the list of CSV paths written."""
+    """Execute every sweep member and return the list of CSV paths written.
+
+    If a member raises, the CSVs of the members before it are removed.
+    """
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for member in cfg.thetas:
-        tag = "theta_optimal" if member == "optimal" else f"theta_{float(member):g}"
-        paths.append(_run_single(cfg, member, out_dir, tag))
+    try:
+        for member in cfg.thetas:
+            tag = "theta_optimal" if member == "optimal" else f"theta_{float(member):g}"
+            paths.append(_run_single(cfg, member, out_dir, tag))
+    except BaseException:
+        remove_outputs(paths)
+        raise
     return paths
 
 

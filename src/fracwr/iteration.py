@@ -54,6 +54,7 @@ class IterationConfig:
     initial_guess: object = 1.0
     grading: object = "auto"
     source: object = None
+    initial_condition: object = None
 
     def __post_init__(self):
         if self.mode not in ("error_equation", "forced"):

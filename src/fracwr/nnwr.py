@@ -1,20 +1,19 @@
-"""Fully parallel Neumann-Neumann waveform relaxation in 1D and 2D.
+"""Neumann-Neumann waveform relaxation in 1D and 2D.
 
 Each sweep has four phases: (a) Dirichlet solves on all subdomains with the
 current interface traces, (b) assembly of the outward-flux mismatch
 kappa_i d_n u_i + kappa_j d_n u_j per interface, (c) zero-data Neumann
 correction solves driven by that mismatch (physical boundaries keep a
 homogeneous Dirichlet condition), and (d) the relaxed trace update
-h <- h - theta * (psi_i + psi_j) per interface.  Phases (a) and (c) are
-embarrassingly parallel across subdomains; results are reduced in fixed
-subdomain order so sequential and threaded scheduling produce bit-identical
-iterates.  Both drivers run their sweeps in the interface iteration of
+h <- h - theta * (psi_i + psi_j) per interface.  The solves of phases (a)
+and (c) are independent across subdomains, as in the paper; they run one
+after another in fixed subdomain order, so a rerun reproduces the iterates
+bit for bit.  Both drivers run their sweeps in the interface iteration of
 ``fracwr.iteration``.
 """
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,31 +46,16 @@ def optimal_theta_nnwr(kappa_left: float, kappa_right: float) -> float:
     return 1.0 / (2.0 + r + 1.0 / r)
 
 
-def _check_scheduler(scheduler):
-    if scheduler not in ("sequential", "threads"):
-        raise ValueError(f"scheduler must be 'sequential' or 'threads', got {scheduler!r}")
-
-
-def _run_tasks(tasks, scheduler: str):
-    if scheduler == "threads":
-        with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
-            return list(pool.map(lambda task: task(), tasks))
-    return [task() for task in tasks]
-
-
 @dataclass(frozen=True, kw_only=True)
 class NnwrConfig(IterationConfig):
     partition: Partition1D
     thetas: object = "optimal"
     max_iter: int = 60
-    initial_condition: object = None
-    scheduler: str = "sequential"
 
     def __post_init__(self):
         super().__post_init__()
         if self.partition.n_subdomains < 2:
             raise ValueError("need at least two subdomains")
-        _check_scheduler(self.scheduler)
         th = self.resolve_thetas()
         if np.any(th <= 0.0) or np.any(th > 1.0):
             raise ValueError(f"interface weights must lie in (0, 1], got {th}")
@@ -108,12 +92,12 @@ def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False) -> NnwrResult:
     u0 = None if cfg.error_mode else cfg.initial_condition
 
     def sweep(h):
-        def dirichlet_task(i):
-            left = h[i - 1] if i > 0 else None
-            right = h[i] if i < n_sub - 1 else None
-            return lambda: solve_dirichlet_waveform(subs[i], weights, left, right, f=f, u0=u0)
-
-        fields = _run_tasks([dirichlet_task(i) for i in range(n_sub)], cfg.scheduler)
+        # subdomain i lies between interfaces i - 1 and i; the outer ends have none
+        traces = [None, *h, None]
+        fields = [
+            solve_dirichlet_waveform(sub, weights, traces[i], traces[i + 1], f=f, u0=u0)
+            for i, sub in enumerate(subs)
+        ]
 
         mismatch = [
             interface_flux_series(fields[m][1:], "right", subs[m])
@@ -121,12 +105,11 @@ def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False) -> NnwrResult:
             for m in range(n_sub - 1)
         ]
 
-        def neumann_task(i):
-            left = mismatch[i - 1] if i > 0 else None
-            right = mismatch[i] if i < n_sub - 1 else None
-            return lambda: solve_neumann_waveform(subs[i], weights, left, right)
-
-        corrections = _run_tasks([neumann_task(i) for i in range(n_sub)], cfg.scheduler)
+        fluxes = [None, *mismatch, None]
+        corrections = [
+            solve_neumann_waveform(sub, weights, fluxes[i], fluxes[i + 1])
+            for i, sub in enumerate(subs)
+        ]
 
         updates = np.array(
             [
@@ -147,9 +130,6 @@ class Nnwr2dConfig(IterationConfig):
     right: Subdomain2D
     theta: object = "optimal"
     max_iter: int = 30
-    initial_condition_left: object = None
-    initial_condition_right: object = None
-    scheduler: str = "sequential"
 
     def __post_init__(self):
         super().__post_init__()
@@ -158,7 +138,6 @@ class Nnwr2dConfig(IterationConfig):
         l, r = self.left, self.right
         if l.ny != r.ny or max(abs(l.y_bottom - r.y_bottom), abs(l.y_top - r.y_top)) > 1e-12:
             raise ValueError("subdomains must share the interface lattice")
-        _check_scheduler(self.scheduler)
         self.resolve_theta()
 
     def resolve_theta(self) -> float:
@@ -175,26 +154,19 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False) -> NnwrResult:
     weights = cfg.build_weights()
     theta = cfg.resolve_theta()
     f = None if cfg.error_mode else cfg.source
-    u0l = None if cfg.error_mode else cfg.initial_condition_left
-    u0r = None if cfg.error_mode else cfg.initial_condition_right
+    u0 = None if cfg.error_mode else cfg.initial_condition
 
     def sweep(h):
-        tasks = [
-            lambda: solve_dirichlet_waveform_2d(cfg.left, weights, "right", h, f=f, u0=u0l),
-            lambda: solve_dirichlet_waveform_2d(cfg.right, weights, "left", h, f=f, u0=u0r),
-        ]
-        fields = _run_tasks(tasks, cfg.scheduler)
+        u_left = solve_dirichlet_waveform_2d(cfg.left, weights, "right", h, f=f, u0=u0)
+        u_right = solve_dirichlet_waveform_2d(cfg.right, weights, "left", h, f=f, u0=u0)
         mismatch = interface_flux_series_2d(
-            fields[0][1:], "right", cfg.left
-        ) + interface_flux_series_2d(fields[1][1:], "left", cfg.right)
+            u_left[1:], "right", cfg.left
+        ) + interface_flux_series_2d(u_right[1:], "left", cfg.right)
 
-        tasks = [
-            lambda: solve_neumann_waveform_2d(cfg.left, weights, "right", mismatch),
-            lambda: solve_neumann_waveform_2d(cfg.right, weights, "left", mismatch),
-        ]
-        corrections = _run_tasks(tasks, cfg.scheduler)
-        update = theta * (corrections[0][1:, -1, :] + corrections[1][1:, 0, :])
-        return h - update, update, tuple(fields)
+        psi_left = solve_neumann_waveform_2d(cfg.left, weights, "right", mismatch)
+        psi_right = solve_neumann_waveform_2d(cfg.right, weights, "left", mismatch)
+        update = theta * (psi_left[1:, -1, :] + psi_right[1:, 0, :])
+        return h - update, update, (u_left, u_right)
 
     h0 = cfg.initial_traces((cfg.n_steps, cfg.left.ny + 1))
     if np.isscalar(cfg.initial_guess):

@@ -274,6 +274,7 @@ def test_initial_condition_registry_is_per_dimension():
         ("geometry", "kappa", [1.0, 1.0, 1.0], "kappa list has 3 entries"),
         ("geometry", "dx", 0.3, "does not tile"),
         ("output", "stem", 5, "output.stem"),
+        ("run", "scheduler", "sequential", "run.scheduler"),
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, section, key, value, match):
@@ -283,6 +284,23 @@ def test_malformed_values_are_config_errors(tmp_path, section, key, value, match
         config_from_dict(raw)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))  # non-finite floats go out as Infinity / NaN
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+# Configs whose values are each well formed but that no driver can run.
+@pytest.mark.parametrize("algorithm, time, breakpoints, match", [
+    ("dnwr", {"order": 1.5, "grading": 2.0}, [1.0], "time.grading"),
+    ("nnwr1d", {}, [], "geometry.breakpoints"),
+], ids=["graded-wave-mesh", "nnwr1d-without-interfaces"])
+def test_unrunnable_combinations_are_config_errors(tmp_path, algorithm, time, breakpoints, match):
+    raw = _minimal_dnwr(algorithm=algorithm)
+    raw["time"].update(time)
+    raw["geometry"]["breakpoints"] = breakpoints
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(raw)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
 

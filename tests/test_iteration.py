@@ -75,17 +75,20 @@ def _diverging(max_iter=1000):
     }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_raises_naming_the_sweep():
     cfg = _nnwr(thetas=1.0, tolerance=1e-10, max_iter=1000)
     with pytest.raises(ArithmeticError, match=r"diverged: sweep \d+ "):
         run_nnwr_1d(cfg)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_exits_2_on_divergence_and_writes_no_csv(tmp_path, capsys):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", [1.0, [0.25, 1.0]], ids=["diverging", "sweep-then-diverging"])
+def test_cli_exits_2_on_divergence_and_writes_no_csv(tmp_path, capsys, theta):
+    raw = _diverging()
+    raw["relaxation"]["theta"] = theta  # with 0.25 first, its CSV is written, then removed
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(_diverging()))
+    path.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main(["--config", str(path), "--out", str(out)]) == 2
     assert "diverged" in capsys.readouterr().err
