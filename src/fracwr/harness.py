@@ -6,9 +6,10 @@ per relaxation weight with the exact header
 
     k,interface_id,error_sup,bound,theta,two_nu
 
-where ``bound`` is the matching theoretical envelope when one applies (error
-equations with every interface at its optimal weight) and blank otherwise,
-and ``theta`` is the weight of the row's interface.  Floats are written
+where ``bound`` is the paper's closed-form estimate when one applies (error
+equations with every interface at its optimal weight) and blank otherwise;
+it is a reference, not a guarantee, and the DNWR diffusion-wave errors
+exceed it.  ``theta`` is the weight of the row's interface.  Floats are written
 with 17 significant digits so identical configurations produce byte-identical
 files.
 
@@ -149,7 +150,8 @@ def _validate(raw) -> ExperimentConfig:
         errs.append(f"config.algorithm: must be dnwr|nnwr1d|nnwr2d|monolithic, got {algorithm!r}")
 
     geo = raw["geometry"]
-    geo_keys = {"domain", "breakpoints", "kappa", "dx", "split", "y_extent", "dy"}
+    geo_keys = ({"domain", "split", "y_extent", "kappa", "dx", "dy"} if algorithm == "nnwr2d"
+                else {"domain", "breakpoints", "kappa", "dx"})
     _check_keys(geo, geo_keys, {"domain", "kappa", "dx"}, "geometry", errs)
     if isinstance(geo, dict) and "domain" in geo:
         dom = geo["domain"]
@@ -244,8 +246,19 @@ def _validate(raw) -> ExperimentConfig:
 
     out = raw.get("output", {})
     _check_keys(out, {"stem"}, set(), "output", errs)
-    if isinstance(out, dict) and not isinstance(out.get("stem", "run"), str):
+    stem = out.get("stem", "run") if isinstance(out, dict) else "run"
+    if not isinstance(stem, str):
         errs.append("output.stem: must be a string")
+    elif stem in ("", ".", "..") or set(stem) & {os.sep, os.altsep, "\0"}:
+        errs.append(f"output.stem: must be a file name without a directory part, got {stem!r}")
+    elif not any(e.startswith("relaxation.") for e in errs):
+        files = {}  # two members with one tag would write one file
+        for m in thetas:
+            name = f"{stem}_{_tag(m)}.csv"
+            if name in files:
+                errs.append(
+                    f"relaxation.theta: members {files[name]!r} and {m!r} both write {name}")
+            files[name] = m
 
     if not errs:  # the values are well formed; check that they tile
         try:
@@ -268,7 +281,7 @@ def _validate(raw) -> ExperimentConfig:
         initial_guess=run.get("initial_guess", "unit"),
         source=run.get("source", "zero"),
         initial_condition=run.get("initial_condition", "zero"),
-        stem=out.get("stem", "run"),
+        stem=stem,
     )
 
 
@@ -320,8 +333,13 @@ def _write_csv(path, rows):
     return path
 
 
-def _run_single(cfg: ExperimentConfig, theta_member, out_dir, tag):
-    path = os.path.join(out_dir, f"{cfg.stem}_{tag}.csv")
+def _tag(member) -> str:
+    """File-name tag of a sweep member; distinct tags keep members' CSVs apart."""
+    return "theta_optimal" if member == "optimal" else f"theta_{float(member):g}"
+
+
+def _run_single(cfg: ExperimentConfig, theta_member, out_dir):
+    path = os.path.join(out_dir, f"{cfg.stem}_{_tag(theta_member)}.csv")
     source = SOURCES[cfg.source]
     common = dict(
         order=cfg.order, horizon=cfg.horizon, n_steps=cfg.n_steps, tolerance=cfg.tolerance,
@@ -405,8 +423,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list:
     paths = []
     try:
         for member in cfg.thetas:
-            tag = "theta_optimal" if member == "optimal" else f"theta_{float(member):g}"
-            paths.append(_run_single(cfg, member, out_dir, tag))
+            paths.append(_run_single(cfg, member, out_dir))
     except BaseException:
         remove_outputs(paths)
         raise

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "BoundNotApplicableError",
@@ -80,6 +79,8 @@ def mwright_phase(alpha: float, phi: float) -> float:
 
 def _phase_integral(alpha: float, x_scaled: float, with_u: bool) -> float:
     """Integral over (0, pi) of [u(phi)] * exp(-u(phi) * x_scaled)."""
+    # imported here, not at the top: it loads scipy.optimize, .special and .sparse (~0.4 s)
+    from scipy.integrate import quad
 
     def integrand(phi):
         lu = _phase_log(alpha, phi)

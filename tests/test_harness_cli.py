@@ -275,6 +275,14 @@ def test_initial_condition_registry_is_per_dimension():
         ("geometry", "dx", 0.3, "does not tile"),
         ("output", "stem", 5, "output.stem"),
         ("run", "scheduler", "sequential", "run.scheduler"),
+        ("geometry", "split", 1.0, "geometry.split: unknown key"),
+        ("geometry", "y_extent", [-1.0, 1.0], "geometry.y_extent: unknown key"),
+        ("geometry", "dy", 0.1, "geometry.dy: unknown key"),
+        ("output", "stem", "sub/dir", "output.stem"),
+        ("output", "stem", "..", "output.stem"),
+        ("output", "stem", "", "output.stem"),
+        ("relaxation", "theta", [0.5, 0.5], "both write run_theta_0.5.csv"),
+        ("relaxation", "theta", [0.1, 0.1000001], "both write run_theta_0.1.csv"),
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, section, key, value, match):
@@ -284,6 +292,18 @@ def test_malformed_values_are_config_errors(tmp_path, section, key, value, match
         config_from_dict(raw)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))  # non-finite floats go out as Infinity / NaN
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_nnwr2d_rejects_breakpoints(tmp_path):
+    raw = _minimal_dnwr(algorithm="nnwr2d")
+    raw["geometry"] = {"domain": [0.0, 2.0], "split": 0.5, "y_extent": [-2.0, 2.0],
+                       "kappa": 1.0, "dx": 0.1, "dy": 0.5, "breakpoints": [1.0]}
+    with pytest.raises(ConfigError, match="geometry.breakpoints: unknown key"):
+        config_from_dict(raw)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
 
@@ -324,6 +344,11 @@ def test_overflowing_domain_is_a_config_error(tmp_path, algorithm):
 BAD_VALUES = (None, "x", True, [], {}, math.nan, math.inf, -math.inf, 0, -1, -0.5, 1e308,
               -1e308)
 PRESET_RAWS = [raw for name in sorted(PRESETS) for raw in PRESETS[name]()]
+# Geometry keys of the other dimension, each with a value its own algorithm accepts.
+FOREIGN_KEYS = {
+    "1d": {"split": 1.0, "y_extent": [-1.0, 1.0], "dy": 0.1},
+    "2d": {"breakpoints": [1.0]},
+}
 
 
 def _paths(node, prefix=()):
@@ -339,7 +364,12 @@ def _paths(node, prefix=()):
 @given(data=st.data())
 def test_mutated_presets_are_valid_or_config_errors(data):
     raw = copy.deepcopy(data.draw(st.sampled_from(PRESET_RAWS)))
-    for _ in range(data.draw(st.integers(1, 2))):
+    algorithm, foreign = raw["algorithm"], None
+    if data.draw(st.booleans()):
+        pool = FOREIGN_KEYS["2d" if algorithm == "nnwr2d" else "1d"]
+        foreign = data.draw(st.sampled_from(sorted(pool)))
+        raw["geometry"][foreign] = data.draw(st.sampled_from((pool[foreign],) + BAD_VALUES))
+    for _ in range(data.draw(st.integers(0 if foreign else 1, 2))):
         path = data.draw(st.sampled_from(list(_paths(raw))))
         node = raw
         for key in path[:-1]:
@@ -347,5 +377,10 @@ def test_mutated_presets_are_valid_or_config_errors(data):
         node[path[-1]] = data.draw(st.sampled_from(BAD_VALUES))
     try:
         assert isinstance(config_from_dict(raw), ExperimentConfig)
-    except ConfigError:
-        pass
+    except ConfigError as exc:
+        # mutations replace values and drop no key: while the algorithm and
+        # the geometry object survive, so does the foreign key
+        if foreign and raw["algorithm"] == algorithm and isinstance(raw["geometry"], dict):
+            assert f"geometry.{foreign}: unknown key" in exc.violations
+    else:
+        assert foreign is None
