@@ -6,7 +6,7 @@ superlinear convergence estimates and the inverse-Laplace kernel machinery
 used to validate them.
 """
 
-from .dnwr import DnwrConfig, DnwrResult, optimal_theta_dnwr, run_dnwr
+from .dnwr import DnwrConfig, optimal_theta_dnwr, run_dnwr
 from .fractional_time import (
     CaputoWeights,
     TimeMesh,
@@ -24,14 +24,12 @@ from .geometry import (
     build_partition,
     build_subdomain,
     build_subdomain_2d,
-    interface_flux,
     laplacian_apply,
 )
-from .iteration import IterationReport
+from .iteration import IterationReport, RunResult
 from .nnwr import (
     Nnwr2dConfig,
     NnwrConfig,
-    NnwrResult,
     optimal_theta_nnwr,
     run_nnwr_1d,
     run_nnwr_2d,

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 configuration error (bad flags, bad config file,
-unknown preset), 2 numerical failure (a run raised during the solve or the
-self-check found a broken oracle).  Invoked with no arguments, prints usage
-and exits 1.
+unknown preset) or outputs that cannot be written, 2 numerical failure (a
+run raised during the solve or the self-check found a broken oracle).
+Invoked with no arguments, prints usage and exits 1.
 """
 
 import argparse
@@ -141,6 +141,10 @@ def main(argv=None) -> int:
     try:
         for cfg in configs:
             written.extend(run_experiment(cfg, args.out))
+    except OSError as exc:  # the outputs cannot be written
+        remove_outputs(written)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # numerical failure: run_experiment removed its own CSVs
         remove_outputs(written)
         print(f"numerical failure: {exc}", file=sys.stderr)

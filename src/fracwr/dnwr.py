@@ -9,15 +9,13 @@ sweeps run in the interface iteration of ``fracwr.iteration``.
 
 import math
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .geometry import Partition1D, interface_flux_series
-from .iteration import IterationConfig, IterationReport, iterate
+from .iteration import IterationConfig, RunResult, iterate
 from .solver import solve_dirichlet_waveform, solve_monolithic, solve_neumann_waveform
 
-__all__ = ["DnwrConfig", "DnwrResult", "optimal_theta_dnwr", "run_dnwr"]
+__all__ = ["DnwrConfig", "optimal_theta_dnwr", "run_dnwr"]
 
 
 def optimal_theta_dnwr(kappa1: float, kappa2: float) -> float:
@@ -36,35 +34,22 @@ def optimal_theta_dnwr(kappa1: float, kappa2: float) -> float:
 @dataclass(frozen=True, kw_only=True)
 class DnwrConfig(IterationConfig):
     partition: Partition1D
-    theta: object = "optimal"
 
     def __post_init__(self):
         super().__post_init__()
         if self.partition.n_subdomains != 2:
             raise ValueError("the Dirichlet-Neumann driver takes exactly two subdomains")
-        th = self.resolve_theta()
-        if not 0.0 < th <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {th}")
+        self.resolve_theta()
 
-    def resolve_theta(self) -> float:
-        if self.theta == "optimal":
-            k1, k2 = self.partition.kappas
-            return optimal_theta_dnwr(k1, k2)
-        return float(self.theta)
+    def optimal_theta(self):
+        return [optimal_theta_dnwr(*self.partition.kappas)]
 
 
-@dataclass(frozen=True)
-class DnwrResult:
-    report: IterationReport
-    trace: np.ndarray  # final interface trace at t_1..t_N
-    fields: tuple = field(default=None, repr=False)  # final (u1, u2)
-
-
-def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False) -> DnwrResult:
+def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False) -> RunResult:
     t_start = time.perf_counter()
     weights = cfg.build_weights()
     sub1, sub2 = cfg.partition.subdomains
-    theta = cfg.resolve_theta()
+    (theta,) = cfg.resolve_theta()
     f = None if cfg.error_mode else cfg.source
     u0 = None if cfg.error_mode else cfg.initial_condition
 
@@ -76,7 +61,7 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False) -> DnwrResult:
         return h_new, h_new - h, (u1, u2)
 
     report, h, fields = iterate(cfg, sweep, cfg.initial_traces((cfg.n_steps,)), theta, t_start)
-    return DnwrResult(report=report, trace=h, fields=fields if keep_fields else None)
+    return RunResult(report=report, traces=h, fields=fields if keep_fields else None)
 
 
 def monolithic_reference(cfg: DnwrConfig):

@@ -22,7 +22,6 @@ __all__ = [
     "build_partition",
     "build_subdomain_2d",
     "laplacian_apply",
-    "interface_flux",
     "interface_flux_series",
 ]
 
@@ -121,21 +120,6 @@ def laplacian_apply(sub: Subdomain1D, field_row) -> np.ndarray:
     out = np.zeros_like(u)
     out[..., 1:-1] = sub.kappa * (u[..., :-2] - 2.0 * u[..., 1:-1] + u[..., 2:]) / sub.dx**2
     return out
-
-
-def interface_flux(field_row, side: str, sub: Subdomain1D) -> float:
-    """Outward-normal flux kappa * d_n u at one end, one-sided second order."""
-    u = np.asarray(field_row, dtype=float)
-    if len(u) != sub.n_nodes:
-        raise ValueError(f"field has {len(u)} values for {sub.n_nodes} nodes")
-    if sub.n_nodes < 3:
-        raise ValueError("one-sided flux needs at least 3 nodes")
-    c = sub.kappa / (2.0 * sub.dx)
-    if side == "right":
-        return float(c * (3.0 * u[-1] - 4.0 * u[-2] + u[-3]))
-    if side == "left":
-        return float(c * (3.0 * u[0] - 4.0 * u[1] + u[2]))
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def interface_flux_series(fields, side: str, sub: Subdomain1D) -> np.ndarray:

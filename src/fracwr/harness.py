@@ -48,10 +48,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dnwr import DnwrConfig, optimal_theta_dnwr, run_dnwr
+from .dnwr import DnwrConfig, run_dnwr
 from .geometry import build_partition, build_subdomain_2d
 from .iteration import IterationConfig
-from .nnwr import Nnwr2dConfig, NnwrConfig, optimal_theta_nnwr, run_nnwr_1d, run_nnwr_2d
+from .nnwr import Nnwr2dConfig, NnwrConfig, run_nnwr_1d, run_nnwr_2d
 from .solver import solve_monolithic
 from .theory import (
     BoundNotApplicableError,
@@ -259,6 +259,13 @@ def _validate(raw) -> ExperimentConfig:
                 errs.append(
                     f"relaxation.theta: members {files[name]!r} and {m!r} both write {name}")
             files[name] = m
+        try:  # a run opens <name>.part first; NAME_MAX is 255 bytes
+            fits = all(len(os.fsencode(name + ".part")) <= 255 for name in files)
+        except UnicodeEncodeError:
+            fits = False
+        if not fits:
+            errs.append("output.stem: each CSV name <stem>_<tag>.csv must encode to at most "
+                        "250 bytes")
 
     if not errs:  # the values are well formed; check that they tile
         try:
@@ -343,22 +350,22 @@ def _run_single(cfg: ExperimentConfig, theta_member, out_dir):
     source = SOURCES[cfg.source]
     common = dict(
         order=cfg.order, horizon=cfg.horizon, n_steps=cfg.n_steps, tolerance=cfg.tolerance,
-        max_iter=cfg.max_iter, mode=cfg.mode, grading=cfg.grading,
+        max_iter=cfg.max_iter, mode=cfg.mode, grading=cfg.grading, theta=theta_member,
         initial_guess=1.0 if cfg.initial_guess == "unit" else float(cfg.initial_guess),
     )
     nu = cfg.order / 2.0
     geometry = _build_geometry(cfg.algorithm, cfg.geometry)
 
-    # Each branch builds the run's config, the optimal weight per interface and
-    # the envelope bound(k); the drivers are looked up here, at call time.
+    # Each branch builds the run's config and the envelope bound(k); the
+    # drivers are looked up here, at call time.
     if cfg.algorithm == "nnwr2d":
         left, right = geometry
         run_cfg = Nnwr2dConfig(
-            left=left, right=right, theta=theta_member,
+            left=left, right=right,
             source=None if source is None else (lambda x, y, t: source(x, t)),
             initial_condition=INITIAL_CONDITIONS_2D[cfg.initial_condition], **common,
         )
-        run, optimal = run_nnwr_2d, [optimal_theta_nnwr(left.kappa, right.kappa)]
+        run = run_nnwr_2d
         params = Nnwr2dBoundParams(nu=nu, a=left.x_right - left.x_left,
                                    b=right.x_right - right.x_left, kappa=left.kappa,
                                    horizon=cfg.horizon)
@@ -372,18 +379,17 @@ def _run_single(cfg: ExperimentConfig, theta_member, out_dir):
             rows = [(0, m, 0.0, None, 0.0, cfg.order) for m in range(len(lengths) - 1)]
             return _write_csv(path, rows)
         if cfg.algorithm == "dnwr":
-            run_cfg = DnwrConfig(partition=geometry, theta=theta_member, source=source,
-                                 initial_condition=ic, **common)
-            run, optimal = run_dnwr, [optimal_theta_dnwr(*kappas)]
+            run_cfg = DnwrConfig(partition=geometry, source=source, initial_condition=ic,
+                                 **common)
+            run = run_dnwr
             params = DnwrBoundParams(nu=nu, a=lengths[0], b=lengths[1], kappa1=kappas[0],
                                      kappa2=kappas[1], horizon=cfg.horizon)
             regime = "sub" if cfg.order <= 1.0 else "wave"
             bound = lambda k: dnwr_error_bound(params, k, regime)  # noqa: E731
         else:
-            run_cfg = NnwrConfig(partition=geometry, thetas=theta_member, source=source,
-                                 initial_condition=ic, **common)
+            run_cfg = NnwrConfig(partition=geometry, source=source, initial_condition=ic,
+                                 **common)
             run = run_nnwr_1d
-            optimal = [optimal_theta_nnwr(a, b) for a, b in zip(kappas, kappas[1:])]
             params = NnwrBoundParams(nu=nu, lengths=lengths, kappas=kappas,
                                      horizon=cfg.horizon)
             bound = lambda k: nnwr_error_bound(params, k)  # noqa: E731
@@ -391,7 +397,7 @@ def _run_single(cfg: ExperimentConfig, theta_member, out_dir):
     report = run(run_cfg).report
     # the envelope applies to error equations with every interface at its optimum
     enveloped = cfg.mode == "error_equation" and all(
-        math.isclose(t, o) for t, o in zip(report.theta, optimal))
+        math.isclose(t, o) for t, o in zip(report.theta, run_cfg.optimal_theta()))
     rows = []
     for k, errors in enumerate(report.errors, start=1):
         b = _bound_or_none(bound, k) if enveloped else None

@@ -3,23 +3,23 @@
 Seen from the interface, DNWR and NNWR (1D and 2D) are the same relaxed
 fixed-point iteration on the interface traces: only the sweep that maps the
 current traces to the next ones differs.  This module holds what the drivers
-share: the run configuration (time mesh, stopping rule, mode), the report,
-and the loop that applies a sweep until the sup norm of the interface error
-meets the tolerance.  In ``error_equation`` mode all problem data are zero,
-so the trace iterate is itself the error; ``forced`` mode stops on the size
-of the last update.
+share: the run configuration (time mesh, stopping rule, mode, the weight of
+each interface), the report, the result, and the loop that applies a sweep
+until the sup norm of the interface error meets the tolerance.  In
+``error_equation`` mode all problem data are zero, so the trace iterate is
+itself the error; ``forced`` mode stops on the size of the last update.
 """
 
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fractional_time import build_graded_mesh, caputo_weights, default_grading
 
-__all__ = ["IterationConfig", "IterationReport", "iterate"]
+__all__ = ["IterationConfig", "IterationReport", "RunResult", "iterate"]
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,22 @@ class IterationReport:
         return self.errors.max(axis=1)
 
 
+@dataclass(frozen=True)
+class RunResult:
+    """What a driver returns: the report, the last traces and, on request, the last fields."""
+
+    report: IterationReport
+    traces: np.ndarray  # DNWR (N,), NNWR-1D (n_interfaces, N), NNWR-2D (N, ny+1)
+    fields: tuple = field(default=None, repr=False)
+
+
 @dataclass(frozen=True, kw_only=True)
 class IterationConfig:
-    """Time mesh, stopping rule and data of one interface iteration."""
+    """Time mesh, stopping rule, relaxation weights and data of one interface iteration.
+
+    ``theta`` is ``"optimal"``, one weight for every interface, or one weight
+    per interface; a driver config supplies ``optimal_theta()``.
+    """
 
     order: float
     horizon: float
@@ -52,6 +65,7 @@ class IterationConfig:
     max_iter: int = 50
     mode: str = "error_equation"
     initial_guess: object = 1.0
+    theta: object = "optimal"
     grading: object = "auto"
     source: object = None
     initial_condition: object = None
@@ -69,6 +83,24 @@ class IterationConfig:
     @property
     def error_mode(self) -> bool:
         return self.mode == "error_equation"
+
+    def optimal_theta(self):
+        """The optimal weight of each interface."""
+        raise NotImplementedError("only a driver config knows its interfaces")
+
+    def resolve_theta(self) -> np.ndarray:
+        """The weight of each interface, checked to lie in (0, 1]."""
+        optimal = np.array(self.optimal_theta(), dtype=float)
+        if isinstance(self.theta, str) and self.theta == "optimal":
+            return optimal
+        th = np.array(self.theta, dtype=float)
+        if th.ndim == 0:
+            th = np.full(optimal.shape, th)
+        if th.shape != optimal.shape:
+            raise ValueError(f"theta has {th.size} weights for {optimal.size} interfaces")
+        if not np.all((th > 0.0) & (th <= 1.0)):  # NaN fails both
+            raise ValueError(f"theta must lie in (0, 1], got {th}")
+        return th
 
     def build_weights(self):
         """Caputo weights on the configured (graded) time mesh."""

@@ -14,12 +14,12 @@ bit for bit.  Both drivers run their sweeps in the interface iteration of
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Partition1D, Subdomain2D, interface_flux_series
-from .iteration import IterationConfig, IterationReport, iterate
+from .iteration import IterationConfig, RunResult, iterate
 from .solver import (
     interface_flux_series_2d,
     solve_dirichlet_waveform,
@@ -31,7 +31,6 @@ from .solver import (
 __all__ = [
     "NnwrConfig",
     "Nnwr2dConfig",
-    "NnwrResult",
     "optimal_theta_nnwr",
     "run_nnwr_1d",
     "run_nnwr_2d",
@@ -49,45 +48,25 @@ def optimal_theta_nnwr(kappa_left: float, kappa_right: float) -> float:
 @dataclass(frozen=True, kw_only=True)
 class NnwrConfig(IterationConfig):
     partition: Partition1D
-    thetas: object = "optimal"
     max_iter: int = 60
 
     def __post_init__(self):
         super().__post_init__()
         if self.partition.n_subdomains < 2:
             raise ValueError("need at least two subdomains")
-        th = self.resolve_thetas()
-        if np.any(th <= 0.0) or np.any(th > 1.0):
-            raise ValueError(f"interface weights must lie in (0, 1], got {th}")
+        self.resolve_theta()
 
-    def resolve_thetas(self) -> np.ndarray:
+    def optimal_theta(self):
         kappas = self.partition.kappas
-        n_ifc = self.partition.n_subdomains - 1
-        if isinstance(self.thetas, str) and self.thetas == "optimal":
-            return np.array(
-                [optimal_theta_nnwr(kappas[i], kappas[i + 1]) for i in range(n_ifc)]
-            )
-        if np.isscalar(self.thetas):
-            return np.full(n_ifc, float(self.thetas))
-        arr = np.asarray(self.thetas, dtype=float)
-        if arr.shape != (n_ifc,):
-            raise ValueError(f"theta list has shape {arr.shape}, expected ({n_ifc},)")
-        return arr.copy()
+        return [optimal_theta_nnwr(a, b) for a, b in zip(kappas, kappas[1:])]
 
 
-@dataclass(frozen=True)
-class NnwrResult:
-    report: IterationReport
-    traces: np.ndarray  # final per-interface traces, (n_interfaces, N) or (N, ny+1)
-    fields: tuple = field(default=None, repr=False)
-
-
-def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False) -> NnwrResult:
+def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False) -> RunResult:
     t_start = time.perf_counter()
     weights = cfg.build_weights()
     subs = cfg.partition.subdomains
     n_sub = len(subs)
-    thetas = cfg.resolve_thetas()
+    thetas = cfg.resolve_theta()
     f = None if cfg.error_mode else cfg.source
     u0 = None if cfg.error_mode else cfg.initial_condition
 
@@ -121,14 +100,13 @@ def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False) -> NnwrResult:
 
     h0 = cfg.initial_traces((n_sub - 1, cfg.n_steps))
     report, h, fields = iterate(cfg, sweep, h0, thetas, t_start)
-    return NnwrResult(report=report, traces=h, fields=fields if keep_fields else None)
+    return RunResult(report=report, traces=h, fields=fields if keep_fields else None)
 
 
 @dataclass(frozen=True, kw_only=True)
 class Nnwr2dConfig(IterationConfig):
     left: Subdomain2D
     right: Subdomain2D
-    theta: object = "optimal"
     max_iter: int = 30
 
     def __post_init__(self):
@@ -140,19 +118,14 @@ class Nnwr2dConfig(IterationConfig):
             raise ValueError("subdomains must share the interface lattice")
         self.resolve_theta()
 
-    def resolve_theta(self) -> float:
-        if isinstance(self.theta, str) and self.theta == "optimal":
-            return optimal_theta_nnwr(self.left.kappa, self.right.kappa)
-        th = float(self.theta)
-        if not 0.0 < th <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {th}")
-        return th
+    def optimal_theta(self):
+        return [optimal_theta_nnwr(self.left.kappa, self.right.kappa)]
 
 
-def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False) -> NnwrResult:
+def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False) -> RunResult:
     t_start = time.perf_counter()
     weights = cfg.build_weights()
-    theta = cfg.resolve_theta()
+    (theta,) = cfg.resolve_theta()
     f = None if cfg.error_mode else cfg.source
     u0 = None if cfg.error_mode else cfg.initial_condition
 
@@ -172,4 +145,4 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False) -> NnwrResult:
     if np.isscalar(cfg.initial_guess):
         h0[:, 0] = h0[:, -1] = 0.0  # trace endpoints sit on the outer boundary
     report, h, fields = iterate(cfg, sweep, h0, theta, t_start)
-    return NnwrResult(report=report, traces=h, fields=fields if keep_fields else None)
+    return RunResult(report=report, traces=h, fields=fields if keep_fields else None)

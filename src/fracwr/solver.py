@@ -267,15 +267,6 @@ def solve_monolithic(partition: Partition1D, weights: CaputoWeights, f=None, u0=
 # 2D strip solves (two subdomains sharing a vertical interface)
 # ---------------------------------------------------------------------------
 
-def _interface_table(values, n_steps, ny1):
-    if values is None:
-        return np.zeros((n_steps, ny1))
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (n_steps, ny1):
-        raise ValueError(f"interface data has shape {arr.shape}, expected ({n_steps}, {ny1})")
-    return arr
-
-
 def _solve_waveform_2d(sub: Subdomain2D, weights, side: str, kind: str, values, f, u0):
     """Strip solve as a batch of 1D problems, one per sine mode in y.
 
@@ -291,7 +282,7 @@ def _solve_waveform_2d(sub: Subdomain2D, weights, side: str, kind: str, values, 
     nx, ny = sub.nx, sub.ny
     n_steps = weights.n_steps
     theta_s = weights.implicit_fraction
-    vals = _interface_table(values, n_steps, ny + 1)
+    vals = _expand_trace(values, (n_steps, ny + 1))
     xg, yg = np.meshgrid(sub.xs, sub.ys, indexing="ij")
     if callable(u0):
         u_init = np.broadcast_to(np.asarray(u0(xg, yg), dtype=float), xg.shape)

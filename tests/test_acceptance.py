@@ -129,7 +129,7 @@ def test_criterion_05_nnwr_theta_behavior():
         for theta in (0.25, 0.4, 0.6, 0.8):
             part = build_partition((0, 16), [3.2, 6.4, 9.6, 12.8], 1.0, 0.02)
             cfg = NnwrConfig(partition=part, order=order, horizon=4.0, n_steps=96,
-                             thetas=theta, tolerance=1e-14, max_iter=40,
+                             theta=theta, tolerance=1e-14, max_iter=40,
                              mode="error_equation")
             errs = run_nnwr_1d(cfg).report.sup_errors
             histories[theta] = errs
@@ -155,7 +155,7 @@ def test_criterion_06_nnwr_bound_domination():
             part = build_partition((0, 16), [width * i for i in range(1, n_sub)],
                                    kappas, 0.005)
             cfg = NnwrConfig(partition=part, order=order, horizon=1.0, n_steps=64,
-                             thetas="optimal", tolerance=1e-15, max_iter=12,
+                             theta="optimal", tolerance=1e-15, max_iter=12,
                              mode="error_equation", grading=1.0)
             errors = run_nnwr_1d(cfg).report.errors
             p = NnwrBoundParams(nu=order / 2, lengths=[width] * n_sub,

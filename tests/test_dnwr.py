@@ -54,7 +54,7 @@ def test_update_identity():
     flux = interface_flux_series(u1[1:], "right", sub1)
     u2 = solve_neumann_waveform(sub2, weights, -flux, None)
     expected = 0.37 * u2[1:, 0] + (1 - 0.37) * h0
-    np.testing.assert_array_equal(res.trace, expected)
+    np.testing.assert_array_equal(res.traces, expected)
 
 
 def test_two_sweep_convergence_symmetric():
@@ -99,7 +99,7 @@ def test_forced_mode_converges_to_monolithic_trace():
     res = run_dnwr(cfg)
     assert res.report.converged
     mono = monolithic_reference(cfg)
-    assert np.abs(res.trace - mono.interface_traces()[0]).max() <= 1e-9
+    assert np.abs(res.traces - mono.interface_traces()[0]).max() <= 1e-9
 
 
 def test_fixed_point_invariance_any_theta():
@@ -171,7 +171,7 @@ def test_heterogeneous_grid_coupling():
     res = run_dnwr(cfg)
     assert res.report.converged
     mono = monolithic_reference(cfg)
-    assert np.abs(res.trace - mono.interface_traces()[0]).max() <= 1e-9
+    assert np.abs(res.traces - mono.interface_traces()[0]).max() <= 1e-9
 
 
 def test_nonconvergence_reported_not_raised():

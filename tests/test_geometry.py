@@ -7,7 +7,6 @@ from fracwr.geometry import (
     build_partition,
     build_subdomain,
     build_subdomain_2d,
-    interface_flux,
     interface_flux_series,
     laplacian_apply,
 )
@@ -69,19 +68,20 @@ def test_laplacian_exact_on_polynomials():
 def test_flux_exact_on_polynomials():
     sub = build_subdomain(0.0, 1.0, 2.0, 0.1)
     x = sub.nodes
-    assert interface_flux(x, "right", sub) == pytest.approx(2.0, rel=1e-12)
-    assert interface_flux(x**2, "right", sub) == pytest.approx(2.0 * 2.0, rel=1e-10)
-    assert interface_flux(np.full_like(x, 3.3), "right", sub) == pytest.approx(0.0, abs=1e-12)
+    assert interface_flux_series(x, "right", sub) == pytest.approx(2.0, rel=1e-12)
+    assert interface_flux_series(x**2, "right", sub) == pytest.approx(2.0 * 2.0, rel=1e-10)
+    constant = np.full_like(x, 3.3)
+    assert interface_flux_series(constant, "right", sub) == pytest.approx(0.0, abs=1e-12)
     # outward normal at the left end points in -x
-    assert interface_flux(x, "left", sub) == pytest.approx(-2.0, rel=1e-12)
+    assert interface_flux_series(x, "left", sub) == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_flux_series_matches_scalar():
     sub = build_subdomain(0.0, 1.0, 1.5, 0.25)
     rows = np.vstack([sub.nodes, sub.nodes**2])
     series = interface_flux_series(rows, "right", sub)
-    assert series[0] == pytest.approx(interface_flux(rows[0], "right", sub))
-    assert series[1] == pytest.approx(interface_flux(rows[1], "right", sub))
+    assert series[0] == pytest.approx(interface_flux_series(rows[0], "right", sub))
+    assert series[1] == pytest.approx(interface_flux_series(rows[1], "right", sub))
 
 
 def test_flux_consistency_order_two():
@@ -91,9 +91,8 @@ def test_flux_consistency_order_two():
     for dx in steps:
         left = build_subdomain(0.0, 1.0, 1.0, dx)
         right = build_subdomain(1.0, 2.0, 1.0, dx)
-        m = interface_flux(np.sin(left.nodes), "right", left) + interface_flux(
-            np.sin(right.nodes), "left", right
-        )
+        m = (interface_flux_series(np.sin(left.nodes), "right", left)
+             + interface_flux_series(np.sin(right.nodes), "left", right))
         mism.append(abs(m))
     orders = np.log2(np.array(mism[:-1]) / np.array(mism[1:]))
     assert orders.min() > 1.9

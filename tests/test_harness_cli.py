@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -120,6 +121,22 @@ def test_bound_blank_for_suboptimal_theta(tmp_path):
     (path,) = run_experiment(cfg, str(tmp_path))
     for line in open(path).read().splitlines()[1:]:
         assert line.split(",")[3] == ""
+
+
+# a numeric weight equal to the optimum counts as optimal for the envelope
+@pytest.mark.parametrize("algorithm, geometry, theta, filled", [
+    ("dnwr", {"domain": [0.0, 2.0], "breakpoints": [1.0], "kappa": 1.0, "dx": 0.1}, 0.5, True),
+    ("nnwr2d", {"domain": [0.0, 2.0], "split": 0.5, "y_extent": [-2.0, 2.0], "kappa": 1.0,
+                "dx": 0.1, "dy": 0.5}, 0.25, True),
+    # the weight is optimal at the second interface only
+    ("nnwr1d", {"domain": [0.0, 3.0], "breakpoints": [1.0, 2.0], "kappa": [1.0, 4.0, 4.0],
+                "dx": 0.25}, 0.25, False),
+], ids=["dnwr", "nnwr2d", "nnwr1d-unequal-kappa"])
+def test_bound_column_for_a_numeric_weight(tmp_path, algorithm, geometry, theta, filled):
+    raw = _minimal_dnwr(algorithm=algorithm, geometry=geometry, relaxation={"theta": theta})
+    (path,) = run_experiment(config_from_dict(raw), str(tmp_path))
+    rows = [line.split(",") for line in open(path).read().splitlines()[1:]]
+    assert rows and all((r[3] != "") == filled for r in rows)
 
 
 def test_reproducible_bytes(tmp_path):
@@ -283,6 +300,10 @@ def test_initial_condition_registry_is_per_dimension():
         ("output", "stem", "", "output.stem"),
         ("relaxation", "theta", [0.5, 0.5], "both write run_theta_0.5.csv"),
         ("relaxation", "theta", [0.1, 0.1000001], "both write run_theta_0.1.csv"),
+        pytest.param("output", "stem", "a" * 300, "output.stem", id="stem-300"),
+        # a * 237 + _theta_0.5.csv.part is 256 bytes, one above NAME_MAX
+        pytest.param("output", "stem", "a" * 237, "output.stem", id="stem-237"),
+        ("output", "stem", "\ud800", "output.stem"),
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, section, key, value, match):
@@ -294,6 +315,22 @@ def test_malformed_values_are_config_errors(tmp_path, section, key, value, match
     path.write_text(json.dumps(raw))  # non-finite floats go out as Infinity / NaN
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_longest_stem_runs(tmp_path):
+    raw = _minimal_dnwr(output={"stem": "a" * 236})
+    (path,) = run_experiment(config_from_dict(raw), str(tmp_path))
+    assert len(os.path.basename(path) + ".part") == 255
+
+
+def test_cli_out_naming_a_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_minimal_dnwr()))
+    out = tmp_path / "out"
+    out.write_text("")
+    assert main(["--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == ""
 
 
 def test_nnwr2d_rejects_breakpoints(tmp_path):

@@ -39,6 +39,14 @@ def test_every_config_rejects_a_bad_stopping_rule(make, over):
         make(**over)
 
 
+@pytest.mark.parametrize("make", [_dnwr, _nnwr, _nnwr2d], ids=["dnwr", "nnwr1d", "nnwr2d"])
+@pytest.mark.parametrize("theta", [math.nan, 0.0, 1.5, [0.25, math.nan], [0.25] * 3],
+                         ids=["nan", "zero", "above-one", "nan-member", "wrong-length"])
+def test_every_config_rejects_a_bad_theta(make, theta):
+    with pytest.raises(ValueError, match="theta"):
+        make(theta=theta)
+
+
 def test_default_max_iter_per_driver():
     assert (_dnwr().max_iter, _nnwr().max_iter, _nnwr2d().max_iter) == (50, 60, 30)
 
@@ -77,7 +85,7 @@ def _diverging(max_iter=1000):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_raises_naming_the_sweep():
-    cfg = _nnwr(thetas=1.0, tolerance=1e-10, max_iter=1000)
+    cfg = _nnwr(theta=1.0, tolerance=1e-10, max_iter=1000)
     with pytest.raises(ArithmeticError, match=r"diverged: sweep \d+ "):
         run_nnwr_1d(cfg)
 
@@ -111,4 +119,4 @@ def test_forced_dnwr_error_is_the_update():
     f = lambda x, t: np.sin(np.pi * x / 2)  # noqa: E731
     one = run_dnwr(_dnwr(theta=0.5, mode="forced", source=f, max_iter=1, tolerance=1e-30))
     two = run_dnwr(_dnwr(theta=0.5, mode="forced", source=f, max_iter=2, tolerance=1e-30))
-    assert two.report.errors[1, 0] == np.max(np.abs(two.trace - one.trace))
+    assert two.report.errors[1, 0] == np.max(np.abs(two.traces - one.traces))

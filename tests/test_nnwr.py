@@ -26,7 +26,7 @@ def _config(**overrides):
         order=0.5,
         horizon=1.0,
         n_steps=16,
-        thetas="optimal",
+        theta="optimal",
         tolerance=1e-10,
         max_iter=25,
         mode="error_equation",
@@ -37,15 +37,15 @@ def _config(**overrides):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        _config(thetas=1.5)
+        _config(theta=1.5)
     with pytest.raises(ValueError):
-        _config(thetas=[0.25, 0.25])  # wrong length for 3 interfaces
+        _config(theta=[0.25, 0.25])  # wrong length for 3 interfaces
 
 
 def test_resolve_thetas_per_interface():
     part = build_partition((0, 3), [1.0, 2.0], [1.0, 4.0, 1.0], 0.1)
     cfg = _config(partition=part)
-    np.testing.assert_allclose(cfg.resolve_thetas(), [1 / 4.5, 1 / 4.5])
+    np.testing.assert_allclose(cfg.resolve_theta(), [1 / 4.5, 1 / 4.5])
 
 
 def test_zero_guess_zero_data_stays_zero():
@@ -157,7 +157,7 @@ def test_2d_matches_1d_at_mid_strip(sweeps):
     res2d = run_nnwr_2d(cfg)
     part = build_partition((0, 2), [0.5], 1.0, 0.05)
     cfg1d = NnwrConfig(partition=part, order=0.5, horizon=1.0, n_steps=12,
-                       thetas=0.25, tolerance=1e-30, max_iter=sweeps,
+                       theta=0.25, tolerance=1e-30, max_iter=sweeps,
                        mode="error_equation")
     res1d = run_nnwr_1d(cfg1d)
     mid = left.ny // 2

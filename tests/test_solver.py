@@ -185,17 +185,17 @@ def test_monolithic_two_material_steady_state():
     drift = np.abs(mono.field[-1] - mono.field[-2]).max()
     assert drift < 1e-10
     # flux continuity at the interface in the converged state
-    from fracwr.geometry import interface_flux
+    from fracwr.geometry import interface_flux_series
 
     g = mono.interface_indices[0]
     left, right = part.subdomains
-    fl = interface_flux(final[: g + 1], "right", left)
-    fr = interface_flux(final[g:], "left", right)
+    fl = interface_flux_series(final[: g + 1], "right", left)
+    fr = interface_flux_series(final[g:], "left", right)
     assert abs(fl + fr) < 1e-10
 
 
 def test_monolithic_interface_rows_balance_fluxes():
-    from fracwr.geometry import interface_flux
+    from fracwr.geometry import interface_flux_series
 
     part = build_partition((0, 16), [3.5, 5.5, 10, 12], [0.25, 1, 0.25, 4, 1], 0.1)
     w = _weights(0.5, n=10, horizon=2.0)
@@ -209,8 +209,8 @@ def test_monolithic_interface_rows_balance_fluxes():
             sl = part.subdomains[m]
             sr = part.subdomains[m + 1]
             row = mono.field[n]
-            fl = interface_flux(row[bounds[m] : bounds[m + 1] + 1], "right", sl)
-            fr = interface_flux(row[bounds[m + 1] : bounds[m + 2] + 1], "left", sr)
+            fl = interface_flux_series(row[bounds[m] : bounds[m + 1] + 1], "right", sl)
+            fr = interface_flux_series(row[bounds[m + 1] : bounds[m + 2] + 1], "left", sr)
             assert abs(fl + fr) <= 1e-9 * max(1.0, abs(fl))
 
 
