@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .geometry import Partition1D, interface_flux_series
-from .iteration import IterationConfig, RunResult, iterate
+from .iteration import IterationConfig, iterate
 from .solver import solve_dirichlet_waveform, solve_monolithic, solve_neumann_waveform
 
 __all__ = ["DnwrConfig", "optimal_theta_dnwr", "run_dnwr"]
@@ -45,23 +45,31 @@ class DnwrConfig(IterationConfig):
         return [optimal_theta_dnwr(*self.partition.kappas)]
 
 
-def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False) -> RunResult:
+def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
+    """Run the iteration with ``cfg.theta``, or with each of ``members``.
+
+    Without ``members`` the call returns one ``RunResult``.  With a sequence
+    of weights (each one that ``cfg.theta`` takes) every member marches in
+    one batch and the call returns one ``RunResult`` per member, in order,
+    each bit for bit the result of a run with that member as ``cfg.theta``.
+    """
     t_start = time.perf_counter()
     weights = cfg.build_weights()
     sub1, sub2 = cfg.partition.subdomains
-    (theta,) = cfg.resolve_theta()
     f = None if cfg.error_mode else cfg.source
     u0 = None if cfg.error_mode else cfg.initial_condition
 
-    def sweep(h):
-        u1 = solve_dirichlet_waveform(sub1, weights, None, h, f=f, u0=u0)
-        flux = interface_flux_series(u1[1:], "right", sub1)
-        u2 = solve_neumann_waveform(sub2, weights, -flux, None, f=f, u0=u0)
-        h_new = theta * u2[1:, 0] + (1.0 - theta) * h
+    def sweep(h, theta):
+        m = len(h)
+        u1 = solve_dirichlet_waveform(sub1, weights, None, h, f=f, u0=u0, members=m)
+        flux = interface_flux_series(u1[:, 1:], "right", sub1)
+        u2 = solve_neumann_waveform(sub2, weights, -flux, None, f=f, u0=u0, members=m)
+        h_new = theta * u2[:, 1:, 0] + (1.0 - theta) * h
         return h_new, h_new - h, (u1, u2)
 
-    report, h, fields = iterate(cfg, sweep, cfg.initial_traces((cfg.n_steps,)), theta, t_start)
-    return RunResult(report=report, traces=h, fields=fields if keep_fields else None)
+    results = iterate(cfg, sweep, cfg.initial_traces((cfg.n_steps,)),
+                      cfg.member_thetas(members), t_start, keep_fields)
+    return results if members is not None else results[0]
 
 
 def monolithic_reference(cfg: DnwrConfig):

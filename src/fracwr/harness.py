@@ -345,16 +345,17 @@ def _tag(member) -> str:
     return "theta_optimal" if member == "optimal" else f"theta_{float(member):g}"
 
 
-def _run_single(cfg: ExperimentConfig, theta_member, out_dir):
-    path = os.path.join(out_dir, f"{cfg.stem}_{_tag(theta_member)}.csv")
+def _run_members(cfg: ExperimentConfig, out_dir, paths):
+    """Run every sweep member in one driver call, appending each CSV path written."""
     source = SOURCES[cfg.source]
     common = dict(
         order=cfg.order, horizon=cfg.horizon, n_steps=cfg.n_steps, tolerance=cfg.tolerance,
-        max_iter=cfg.max_iter, mode=cfg.mode, grading=cfg.grading, theta=theta_member,
+        max_iter=cfg.max_iter, mode=cfg.mode, grading=cfg.grading, theta=cfg.thetas[0],
         initial_guess=1.0 if cfg.initial_guess == "unit" else float(cfg.initial_guess),
     )
     nu = cfg.order / 2.0
     geometry = _build_geometry(cfg.algorithm, cfg.geometry)
+    names = [os.path.join(out_dir, f"{cfg.stem}_{_tag(m)}.csv") for m in cfg.thetas]
 
     # Each branch builds the run's config and the envelope bound(k); the
     # drivers are looked up here, at call time.
@@ -377,7 +378,8 @@ def _run_single(cfg: ExperimentConfig, theta_member, out_dir):
         if cfg.algorithm == "monolithic":
             solve_monolithic(geometry, IterationConfig(**common).build_weights(), f=source, u0=ic)
             rows = [(0, m, 0.0, None, 0.0, cfg.order) for m in range(len(lengths) - 1)]
-            return _write_csv(path, rows)
+            paths.extend(_write_csv(name, rows) for name in names)
+            return
         if cfg.algorithm == "dnwr":
             run_cfg = DnwrConfig(partition=geometry, source=source, initial_condition=ic,
                                  **common)
@@ -394,16 +396,21 @@ def _run_single(cfg: ExperimentConfig, theta_member, out_dir):
                                      horizon=cfg.horizon)
             bound = lambda k: nnwr_error_bound(params, k)  # noqa: E731
 
-    report = run(run_cfg).report
-    # the envelope applies to error equations with every interface at its optimum
-    enveloped = cfg.mode == "error_equation" and all(
-        math.isclose(t, o) for t, o in zip(report.theta, run_cfg.optimal_theta()))
-    rows = []
-    for k, errors in enumerate(report.errors, start=1):
-        b = _bound_or_none(bound, k) if enveloped else None
-        rows.extend((k, m, float(e), b, float(report.theta[m]), cfg.order)
-                    for m, e in enumerate(errors))
-    return _write_csv(path, rows)
+    # more members march in one batch; a lone one takes the plain call,
+    # which returns its RunResult itself
+    results = run(run_cfg, members=cfg.thetas) if len(cfg.thetas) > 1 else [run(run_cfg)]
+    optimal = run_cfg.optimal_theta()
+    for name, result in zip(names, results):
+        report = result.report
+        # the envelope applies to error equations with every interface at its optimum
+        enveloped = cfg.mode == "error_equation" and all(
+            math.isclose(t, o) for t, o in zip(report.theta, optimal))
+        rows = []
+        for k, errors in enumerate(report.errors, start=1):
+            b = _bound_or_none(bound, k) if enveloped else None
+            rows.extend((k, m, float(e), b, float(report.theta[m]), cfg.order)
+                        for m, e in enumerate(errors))
+        paths.append(_write_csv(name, rows))
 
 
 def _bound_or_none(bound, k):
@@ -423,13 +430,13 @@ def remove_outputs(paths):
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list:
     """Execute every sweep member and return the list of CSV paths written.
 
-    If a member raises, the CSVs of the members before it are removed.
+    The members march in one batched driver call, and each writes its own
+    CSV.  If the run raises, the CSVs already written are removed.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     try:
-        for member in cfg.thetas:
-            paths.append(_run_single(cfg, member, out_dir))
+        _run_members(cfg, out_dir, paths)
     except BaseException:
         remove_outputs(paths)
         raise

@@ -5,7 +5,8 @@ fixed-point iteration on the interface traces: only the sweep that maps the
 current traces to the next ones differs.  This module holds what the drivers
 share: the run configuration (time mesh, stopping rule, mode, the weight of
 each interface), the report, the result, and the loop that applies a sweep
-until the sup norm of the interface error meets the tolerance.  In
+until the sup norm of the interface error meets the tolerance, for every
+member of a relaxation-weight sweep at once.  In
 ``error_equation`` mode all problem data are zero, so the trace iterate is
 itself the error; ``forced`` mode stops on the size of the last update.
 """
@@ -88,12 +89,14 @@ class IterationConfig:
         """The optimal weight of each interface."""
         raise NotImplementedError("only a driver config knows its interfaces")
 
-    def resolve_theta(self) -> np.ndarray:
-        """The weight of each interface, checked to lie in (0, 1]."""
+    def resolve_theta(self, theta=None) -> np.ndarray:
+        """The weight of each interface under ``theta`` (default ``self.theta``),
+        checked to lie in (0, 1]."""
+        theta = self.theta if theta is None else theta
         optimal = np.array(self.optimal_theta(), dtype=float)
-        if isinstance(self.theta, str) and self.theta == "optimal":
+        if isinstance(theta, str) and theta == "optimal":
             return optimal
-        th = np.array(self.theta, dtype=float)
+        th = np.array(theta, dtype=float)
         if th.ndim == 0:
             th = np.full(optimal.shape, th)
         if th.shape != optimal.shape:
@@ -101,6 +104,18 @@ class IterationConfig:
         if not np.all((th > 0.0) & (th <= 1.0)):  # NaN fails both
             raise ValueError(f"theta must lie in (0, 1], got {th}")
         return th
+
+    def member_thetas(self, members=None) -> np.ndarray:
+        """One row of interface weights per sweep member, shape (members, interfaces).
+
+        Each member takes a form ``theta`` takes; ``None`` stands for the one
+        member ``self.theta``.
+        """
+        if members is None:
+            members = [self.theta]
+        elif isinstance(members, str) or not len(members):
+            raise ValueError(f"members must be a non-empty sequence, got {members!r}")
+        return np.array([self.resolve_theta(m) for m in members])
 
     def build_weights(self):
         """Caputo weights on the configured (graded) time mesh."""
@@ -117,28 +132,49 @@ class IterationConfig:
         return h.copy()
 
 
-def iterate(cfg: IterationConfig, sweep, h0, theta, t_start):
-    """Apply ``sweep`` from ``h0`` until the interface error meets the tolerance.
+def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False) -> list:
+    """Apply ``sweep`` from ``h0`` until each member's interface error meets the tolerance.
 
-    ``sweep(h)`` returns ``(h_new, change, fields)``.  The error of a sweep
-    is, per interface, the sup norm of ``h_new`` in error-equation mode and
-    of ``change`` in forced mode; the traces of the interfaces are stacked
-    along the first axis, one block per entry of ``theta``.  A non-finite
-    error raises ``ArithmeticError``: the iteration diverged.  Returns the
-    report, the last traces and the last sweep's fields.
+    The members of a sweep march in lock-step: ``thetas`` holds one row of
+    interface weights per member, and ``sweep(h, theta)`` maps the active
+    members' traces, stacked along a leading member axis, and their rows of
+    ``thetas`` to ``(h_new, change, fields)``, each with the same leading
+    axis (``fields`` is a tuple of such arrays).  The error of a sweep is, per
+    member and interface, the sup norm of ``h_new`` in error-equation mode and
+    of ``change`` in forced mode; the traces of a member's interfaces are
+    stacked along its first axis, one block per weight.  A member leaves the
+    batch once its error meets the tolerance, or at ``max_iter``.
+
+    A non-finite error raises ``ArithmeticError``: the iteration diverged.
+    The batch's tridiagonal solves carry a NaN across the zero couplings
+    between members, so the raise comes at the first sweep where any member
+    is non-finite, for every member.
+
+    Returns one ``RunResult`` per member, with the traces and, under
+    ``keep_fields``, the fields of the member's last sweep.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    h, fields, errors, converged = h0, None, [], False
+    thetas = np.asarray(thetas, dtype=float)
+    n_ifc = thetas.shape[1]
+    active = np.arange(len(thetas))
+    h = np.repeat(h0[None], len(thetas), axis=0)
+    errors = [[] for _ in thetas]
+    results = [None] * len(thetas)
     for k in range(1, cfg.max_iter + 1):
-        h_new, change, fields = sweep(h)
-        err = np.abs((h_new if cfg.error_mode else change).reshape(len(theta), -1)).max(axis=1)
+        h_new, change, fields = sweep(h, thetas[active])
+        err = np.abs((h_new if cfg.error_mode else change).reshape(len(active), n_ifc, -1))
+        err = err.max(axis=2)
         if not np.all(np.isfinite(err)):
-            raise ArithmeticError(f"the iteration diverged: sweep {k} has interface errors {err}")
-        errors.append(err)
-        h = h_new
-        if err.max() <= cfg.tolerance:
-            converged = True
+            raise ArithmeticError(f"the iteration diverged: sweep {k} has interface errors "
+                                  f"{err.tolist()}")
+        converged = err.max(axis=1) <= cfg.tolerance
+        for j, i in enumerate(active):
+            errors[i].append(err[j])
+            if converged[j] or k == cfg.max_iter:
+                report = IterationReport(errors=np.array(errors[i]), converged=bool(converged[j]),
+                                         theta=thetas[i], wall_time=time.perf_counter() - t_start)
+                results[i] = RunResult(report=report, traces=h_new[j],
+                                       fields=tuple(u[j] for u in fields) if keep_fields else None)
+        active, h = active[~converged], h_new[~converged]
+        if not len(active):
             break
-    report = IterationReport(errors=np.array(errors), converged=converged, theta=theta,
-                             wall_time=time.perf_counter() - t_start)
-    return report, h, fields
+    return results

@@ -45,8 +45,9 @@ def step_solve(bnn, s, rhs, bc_left, val_left, bc_right, val_right, c_left, c_ri
     unmodified ``rhs``.  ``rhs`` is not modified.
 
     An ``rhs`` of shape (B, n) holds B independent systems that share ``s``,
-    the end kinds and ``c``; ``bnn`` and the end values are then scalars or
-    one value per system.  The systems are stacked block-diagonally, with
+    the end kinds and ``c`` (the members of a relaxation sweep, the sine
+    modes of a 2D strip, or both); ``bnn`` and the end values are then
+    scalars or one value per system.  The systems are stacked block-diagonally, with
     zero couplings between blocks, into a single ``dgtsv`` call.
     """
     n = rhs.shape[-1]

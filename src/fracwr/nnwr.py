@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Partition1D, Subdomain2D, interface_flux_series
-from .iteration import IterationConfig, RunResult, iterate
+from .iteration import IterationConfig, iterate
 from .solver import (
     interface_flux_series_2d,
     solve_dirichlet_waveform,
@@ -61,46 +61,50 @@ class NnwrConfig(IterationConfig):
         return [optimal_theta_nnwr(a, b) for a, b in zip(kappas, kappas[1:])]
 
 
-def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False) -> RunResult:
+def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
+    """Run the iteration with ``cfg.theta``, or with each of ``members`` in
+    one batch (one ``RunResult`` per member, as ``run_dnwr`` describes)."""
     t_start = time.perf_counter()
     weights = cfg.build_weights()
     subs = cfg.partition.subdomains
     n_sub = len(subs)
-    thetas = cfg.resolve_theta()
     f = None if cfg.error_mode else cfg.source
     u0 = None if cfg.error_mode else cfg.initial_condition
 
-    def sweep(h):
+    def sweep(h, thetas):
+        m = len(h)
         # subdomain i lies between interfaces i - 1 and i; the outer ends have none
-        traces = [None, *h, None]
+        traces = [None, *h.swapaxes(0, 1), None]
         fields = [
-            solve_dirichlet_waveform(sub, weights, traces[i], traces[i + 1], f=f, u0=u0)
+            solve_dirichlet_waveform(sub, weights, traces[i], traces[i + 1], f=f, u0=u0,
+                                     members=m)
             for i, sub in enumerate(subs)
         ]
 
         mismatch = [
-            interface_flux_series(fields[m][1:], "right", subs[m])
-            + interface_flux_series(fields[m + 1][1:], "left", subs[m + 1])
-            for m in range(n_sub - 1)
+            interface_flux_series(fields[i][:, 1:], "right", subs[i])
+            + interface_flux_series(fields[i + 1][:, 1:], "left", subs[i + 1])
+            for i in range(n_sub - 1)
         ]
 
         fluxes = [None, *mismatch, None]
         corrections = [
-            solve_neumann_waveform(sub, weights, fluxes[i], fluxes[i + 1])
+            solve_neumann_waveform(sub, weights, fluxes[i], fluxes[i + 1], members=m)
             for i, sub in enumerate(subs)
         ]
 
-        updates = np.array(
+        updates = np.stack(
             [
-                thetas[m] * (corrections[m][1:, -1] + corrections[m + 1][1:, 0])
-                for m in range(n_sub - 1)
-            ]
+                thetas[:, i, None] * (corrections[i][:, 1:, -1] + corrections[i + 1][:, 1:, 0])
+                for i in range(n_sub - 1)
+            ],
+            axis=1,
         )
         return h - updates, updates, tuple(fields)
 
     h0 = cfg.initial_traces((n_sub - 1, cfg.n_steps))
-    report, h, fields = iterate(cfg, sweep, h0, thetas, t_start)
-    return RunResult(report=report, traces=h, fields=fields if keep_fields else None)
+    results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, keep_fields)
+    return results if members is not None else results[0]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -122,27 +126,31 @@ class Nnwr2dConfig(IterationConfig):
         return [optimal_theta_nnwr(self.left.kappa, self.right.kappa)]
 
 
-def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False) -> RunResult:
+def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
+    """Run the iteration with ``cfg.theta``, or with each of ``members`` in
+    one batch (one ``RunResult`` per member, as ``run_dnwr`` describes)."""
     t_start = time.perf_counter()
     weights = cfg.build_weights()
-    (theta,) = cfg.resolve_theta()
     f = None if cfg.error_mode else cfg.source
     u0 = None if cfg.error_mode else cfg.initial_condition
 
-    def sweep(h):
-        u_left = solve_dirichlet_waveform_2d(cfg.left, weights, "right", h, f=f, u0=u0)
-        u_right = solve_dirichlet_waveform_2d(cfg.right, weights, "left", h, f=f, u0=u0)
+    def sweep(h, theta):
+        m = len(h)
+        u_left = solve_dirichlet_waveform_2d(cfg.left, weights, "right", h, f=f, u0=u0,
+                                             members=m)
+        u_right = solve_dirichlet_waveform_2d(cfg.right, weights, "left", h, f=f, u0=u0,
+                                              members=m)
         mismatch = interface_flux_series_2d(
-            u_left[1:], "right", cfg.left
-        ) + interface_flux_series_2d(u_right[1:], "left", cfg.right)
+            u_left[:, 1:], "right", cfg.left
+        ) + interface_flux_series_2d(u_right[:, 1:], "left", cfg.right)
 
-        psi_left = solve_neumann_waveform_2d(cfg.left, weights, "right", mismatch)
-        psi_right = solve_neumann_waveform_2d(cfg.right, weights, "left", mismatch)
-        update = theta * (psi_left[1:, -1, :] + psi_right[1:, 0, :])
+        psi_left = solve_neumann_waveform_2d(cfg.left, weights, "right", mismatch, members=m)
+        psi_right = solve_neumann_waveform_2d(cfg.right, weights, "left", mismatch, members=m)
+        update = theta[:, :, None] * (psi_left[:, 1:, -1, :] + psi_right[:, 1:, 0, :])
         return h - update, update, (u_left, u_right)
 
     h0 = cfg.initial_traces((cfg.n_steps, cfg.left.ny + 1))
     if np.isscalar(cfg.initial_guess):
         h0[:, 0] = h0[:, -1] = 0.0  # trace endpoints sit on the outer boundary
-    report, h, fields = iterate(cfg, sweep, h0, theta, t_start)
-    return RunResult(report=report, traces=h, fields=fields if keep_fields else None)
+    results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, keep_fields)
+    return results if members is not None else results[0]

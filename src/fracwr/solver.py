@@ -74,7 +74,8 @@ def _source_table(f, nodes, eval_times, shape) -> np.ndarray:
 
 
 def solve_waveform(
-    sub: Subdomain1D, weights: CaputoWeights, left, right, f=None, u0=None, decay=None
+    sub: Subdomain1D, weights: CaputoWeights, left, right, f=None, u0=None, decay=None,
+    members=None,
 ):
     """March one subdomain through all time levels with mixed end conditions.
 
@@ -88,15 +89,30 @@ def solve_waveform(
     reaction term split between levels like the Laplacian.  Then ``u0`` and
     a time-independent ``f`` have shape (B, n_nodes), a time table ``f``
     (N, B, n_nodes), trace arrays (N, B), and the field (N+1, B, n_nodes).
-    Every time level is one batched ``kernels.step_solve`` call.
+
+    With ``members`` = M the call marches M problems that share ``f``, ``u0``
+    and ``decay`` but have their own end values, the members of a relaxation
+    sweep.  Trace arrays then gain a leading member axis, (M, N) or
+    (M, N, B), and so does the field, (M, N+1, n_nodes) or
+    (M, N+1, B, n_nodes).  Each member's history term is its own product of
+    the Caputo row with its increments (one stacked ``matmul`` over
+    member-major increments), so a member's field is bit for bit the one a
+    call without ``members`` gives.  Every time level is one
+    ``kernels.step_solve`` call over all members and modes.
     """
     n_steps = weights.n_steps
     theta_s = weights.implicit_fraction
+    m = 1 if members is None else members
+    shape = (sub.n_nodes,) if decay is None else (len(decay), sub.n_nodes)
+    # each level stacks the systems of all members (and modes); a lone 1D
+    # system goes as a flat row, whose end updates kernels.step_solve runs on scalars
+    n_sys = m * (1 if decay is None else len(decay))
+    level = (n_sys, sub.n_nodes) if n_sys > 1 or decay is not None else shape
     if decay is None:
-        shape, shift = (sub.n_nodes,), 0.0
+        shift = 0.0
     else:
-        decay = np.asarray(decay, dtype=float)
-        shape, shift = (len(decay), sub.n_nodes), theta_s * decay
+        decay = np.tile(np.asarray(decay, dtype=float), m)[:, None]
+        shift = theta_s * decay[:, 0]
     specs = []
     for side in (left, right):
         if side is None:
@@ -105,7 +121,11 @@ def solve_waveform(
         if kind not in ("dirichlet", "flux"):
             raise ValueError(f"boundary kind must be 'dirichlet' or 'flux', got {kind!r}")
         code = kernels.DIRICHLET if kind == "dirichlet" else kernels.FLUX
-        specs.append((code, _expand_trace(values, (n_steps,) + shape[:-1])))
+        trace_shape = (n_steps,) + shape[:-1]
+        vals = _expand_trace(values, trace_shape if members is None else (m,) + trace_shape)
+        # one row of end values per level, across the stacked systems
+        vals = vals.reshape(m, n_steps, -1).swapaxes(0, 1).reshape((n_steps,) + level[:-1])
+        specs.append((code, vals))
     (code_l, vals_l), (code_r, vals_r) = specs
     if (code_l == kernels.FLUX or code_r == kernels.FLUX) and sub.n_nodes < 3:
         raise ValueError("flux conditions need at least 3 nodes")
@@ -113,39 +133,49 @@ def solve_waveform(
     s = theta_s * sub.kappa / sub.dx**2
     c = sub.kappa / (2.0 * sub.dx)
     rows = weights.rows
-    ftab = None if f is None else _source_table(f, sub.nodes, weights.eval_times, shape)
+    ftab = None
+    if f is not None:  # shared by the members
+        ftab = np.empty((n_steps,) + level)
+        ftab.reshape((n_steps, m) + shape)[...] = _source_table(
+            f, sub.nodes, weights.eval_times, shape)[:, None]
 
-    u = np.zeros((n_steps + 1,) + shape)
-    u[0] = _initial_samples(u0, sub.nodes, shape)
-    du = np.zeros((n_steps, u[0].size))  # flat, so the history is one product
+    u = np.empty((n_steps + 1,) + level)
+    u[0].reshape((m,) + shape)[...] = _initial_samples(u0, sub.nodes, shape)
+    # member-major increments, so each member's history is one product
+    du = np.zeros((m, n_steps, u[0].size // m))
     for n in range(1, n_steps + 1):
         b_row = rows[n - 1]
         bnn = b_row[n - 1]
-        rhs = bnn * u[n - 1]
+        prev = u[n - 1]
+        rhs = bnn * prev
         if ftab is not None:
             rhs += ftab[n - 1]
         if n > 1:
-            rhs -= (b_row[: n - 1] @ du[: n - 1]).reshape(shape)
+            rhs -= np.matmul(b_row[: n - 1], du[:, : n - 1]).reshape(level)
         if theta_s < 1.0:
-            explicit = laplacian_apply(sub, u[n - 1])
+            explicit = laplacian_apply(sub, prev)
             if decay is not None:
-                explicit -= decay[:, None] * u[n - 1]
+                explicit -= decay * prev
             rhs += (1.0 - theta_s) * explicit
         u[n] = kernels.step_solve(
             bnn + shift, s, rhs, code_l, vals_l[n - 1], code_r, vals_r[n - 1], c, c
         )
-        du[n - 1] = (u[n] - u[n - 1]).ravel()
-    return u
+        du[:, n - 1] = (u[n] - prev).reshape(m, -1)
+    u = u.reshape((n_steps + 1, m) + shape)
+    return u[:, 0] if members is None else u.swapaxes(0, 1)
 
 
-def solve_dirichlet_waveform(sub, weights, left_trace, right_trace, f=None, u0=None):
+def solve_dirichlet_waveform(sub, weights, left_trace, right_trace, f=None, u0=None,
+                             members=None):
     """Dirichlet half-step: imposed interface traces (None = physical boundary, g = 0)."""
     return solve_waveform(
-        sub, weights, ("dirichlet", left_trace), ("dirichlet", right_trace), f=f, u0=u0
+        sub, weights, ("dirichlet", left_trace), ("dirichlet", right_trace), f=f, u0=u0,
+        members=members,
     )
 
 
-def solve_neumann_waveform(sub, weights, left_flux, right_flux, f=None, u0=None):
+def solve_neumann_waveform(sub, weights, left_flux, right_flux, f=None, u0=None,
+                           members=None):
     """Neumann half-step: imposed outward-flux traces.
 
     A side given as None is a physical boundary, where a homogeneous Dirichlet
@@ -153,7 +183,7 @@ def solve_neumann_waveform(sub, weights, left_flux, right_flux, f=None, u0=None)
     """
     left = ("dirichlet", None) if left_flux is None else ("flux", left_flux)
     right = ("dirichlet", None) if right_flux is None else ("flux", right_flux)
-    return solve_waveform(sub, weights, left, right, f=f, u0=u0)
+    return solve_waveform(sub, weights, left, right, f=f, u0=u0, members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +297,7 @@ def solve_monolithic(partition: Partition1D, weights: CaputoWeights, f=None, u0=
 # 2D strip solves (two subdomains sharing a vertical interface)
 # ---------------------------------------------------------------------------
 
-def _solve_waveform_2d(sub: Subdomain2D, weights, side: str, kind: str, values, f, u0):
+def _solve_waveform_2d(sub: Subdomain2D, weights, side: str, kind: str, values, f, u0, members):
     """Strip solve as a batch of 1D problems, one per sine mode in y.
 
     The strip has homogeneous Dirichlet data on its y-boundary rows, a uniform
@@ -275,14 +305,17 @@ def _solve_waveform_2d(sub: Subdomain2D, weights, side: str, kind: str, values, 
     orthonormal DST-I over the ny-1 interior y nodes diagonalises the 5-point
     operator exactly: mode k is a 1D problem with the extra reaction
     coefficient kappa * lambda_k / dy**2, lambda_k = 4 sin(k pi / (2 ny))**2
-    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970).
+    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970).  ``members`` works
+    as in ``solve_waveform``: the interface rows and the field gain a leading
+    member axis, and all members' modes march together.
     """
     if side not in ("left", "right"):
         raise ValueError(f"interface side must be 'left' or 'right', got {side!r}")
     nx, ny = sub.nx, sub.ny
     n_steps = weights.n_steps
     theta_s = weights.implicit_fraction
-    vals = _expand_trace(values, (n_steps, ny + 1))
+    lead = () if members is None else (members,)
+    vals = _expand_trace(values, lead + (n_steps, ny + 1))
     xg, yg = np.meshgrid(sub.xs, sub.ys, indexing="ij")
     if callable(u0):
         u_init = np.broadcast_to(np.asarray(u0(xg, yg), dtype=float), xg.shape)
@@ -314,30 +347,31 @@ def _solve_waveform_2d(sub: Subdomain2D, weights, side: str, kind: str, values, 
         edge = (1.0 - theta_s) * sub.kappa / sub.dy**2
         f_hat[0] += edge * (np.outer(sine[0], u_init[:, 0]) + np.outer(sine[-1], u_init[:, -1]))
 
-    interface = (kind, vals[:, 1:-1] @ sine)
+    interface = (kind, vals[..., 1:-1] @ sine)
     left, right = (interface, None) if side == "left" else (None, interface)
     line = Subdomain1D(sub.x_left, sub.x_right, sub.kappa, sub.dx, sub.xs)
     u_hat = solve_waveform(
-        line, weights, left, right, f=f_hat, u0=sine @ u_init[:, 1:-1].T, decay=decay
+        line, weights, left, right, f=f_hat, u0=sine @ u_init[:, 1:-1].T, decay=decay,
+        members=members,
     )
 
     # physical boundary values stay zero after the initial level
-    out = np.zeros((n_steps + 1, nx + 1, ny + 1))
-    np.matmul(u_hat.transpose(0, 2, 1), sine, out=out[:, :, 1:-1])
-    out[0] = u_init
+    out = np.zeros(lead + (n_steps + 1, nx + 1, ny + 1))
+    np.matmul(np.swapaxes(u_hat, -1, -2), sine, out=out[..., 1:-1])
+    out[..., 0, :, :] = u_init
     if kind == "dirichlet":
-        out[1:, 0 if side == "left" else nx, 1:-1] = vals[:, 1:-1]
+        out[..., 1:, 0 if side == "left" else nx, 1:-1] = vals[..., 1:-1]
     return out
 
 
-def solve_dirichlet_waveform_2d(sub, weights, side, trace, f=None, u0=None):
+def solve_dirichlet_waveform_2d(sub, weights, side, trace, f=None, u0=None, members=None):
     """Dirichlet solve on a strip subdomain; ``trace`` has shape (N, ny+1)."""
-    return _solve_waveform_2d(sub, weights, side, "dirichlet", trace, f, u0)
+    return _solve_waveform_2d(sub, weights, side, "dirichlet", trace, f, u0, members)
 
 
-def solve_neumann_waveform_2d(sub, weights, side, flux, f=None, u0=None):
+def solve_neumann_waveform_2d(sub, weights, side, flux, f=None, u0=None, members=None):
     """Neumann solve on a strip subdomain; ``flux`` holds outward-flux rows (N, ny+1)."""
-    return _solve_waveform_2d(sub, weights, side, "flux", flux, f, u0)
+    return _solve_waveform_2d(sub, weights, side, "flux", flux, f, u0, members)
 
 
 def interface_flux_series_2d(fields, side: str, sub: Subdomain2D) -> np.ndarray:

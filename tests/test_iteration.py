@@ -58,18 +58,43 @@ def test_iterate_stops_on_the_sup_norm(mode, expected):
     # and twice as large on the second interface
     cfg = IterationConfig(order=0.5, horizon=1.0, n_steps=3, tolerance=0.2, mode=mode)
     h0 = np.array([[1.0] * 3, [2.0] * 3])
-    report, h, fields = iterate(cfg, lambda h: (h / 4, h / 4 - h, "f"), h0, [0.3, 0.4], 0.0)
+    (result,) = iterate(cfg, lambda h, th: (h / 4, h / 4 - h, (h / 4,)), h0, [[0.3, 0.4]], 0.0,
+                        keep_fields=True)
+    report = result.report
     np.testing.assert_array_equal(report.errors[:, 1], expected)
     np.testing.assert_array_equal(report.errors[:, 0], np.array(expected) / 2)
-    assert report.converged and fields == "f"
-    np.testing.assert_array_equal(h, h0 / 4 ** len(expected))
+    assert report.converged
+    np.testing.assert_array_equal(result.traces, h0 / 4 ** len(expected))
+    np.testing.assert_array_equal(result.fields, (result.traces,))
     np.testing.assert_array_equal(report.theta, [0.3, 0.4])
 
 
 def test_iterate_reports_max_iter_without_convergence():
     cfg = IterationConfig(order=0.5, horizon=1.0, n_steps=3, tolerance=1e-3, max_iter=4)
-    report, _, _ = iterate(cfg, lambda h: (h / 2, h / 2 - h, None), np.ones(3), 0.5, 0.0)
-    assert not report.converged and report.iterations == 4
+    (result,) = iterate(cfg, lambda h, th: (h / 2, h / 2 - h, ()), np.ones(3), [[0.5]], 0.0)
+    assert not result.report.converged and result.report.iterations == 4
+    assert result.fields is None
+
+
+def test_iterate_drops_each_member_at_its_own_stop():
+    # member i contracts by its weight; 0.5 and 0.25 meet the tolerance at
+    # sweeps 10 and 5, 0.75 runs to max_iter, and the sweep sees only the
+    # members still active
+    cfg = IterationConfig(order=0.5, horizon=1.0, n_steps=2, tolerance=1e-3, max_iter=12)
+    widths = []
+
+    def sweep(h, th):
+        widths.append(len(h))
+        return th[:, :, None] * h, (th[:, :, None] - 1.0) * h, ()
+
+    results = iterate(cfg, sweep, np.ones((1, 2)), [[0.5], [0.75], [0.25]], 0.0)
+    assert [r.report.iterations for r in results] == [10, 12, 5]
+    assert [r.report.converged for r in results] == [True, False, True]
+    assert widths == [3] * 5 + [2] * 5 + [1] * 2
+    for r, th in zip(results, (0.5, 0.75, 0.25)):
+        k = r.report.iterations
+        np.testing.assert_array_equal(r.traces, np.full((1, 2), th**k))
+        np.testing.assert_array_equal(r.report.errors[:, 0], th ** np.arange(1, k + 1))
 
 
 def _diverging(max_iter=1000):
@@ -91,10 +116,12 @@ def test_divergence_raises_naming_the_sweep():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("theta", [1.0, [0.25, 1.0]], ids=["diverging", "sweep-then-diverging"])
+@pytest.mark.parametrize("theta", [1.0, [0.25, 1.0], [1.0, 0.25]],
+                         ids=["diverging", "sweep-then-diverging", "diverging-then-sweep"])
 def test_cli_exits_2_on_divergence_and_writes_no_csv(tmp_path, capsys, theta):
     raw = _diverging()
-    raw["relaxation"]["theta"] = theta  # with 0.25 first, its CSV is written, then removed
+    # the members march in one batch, so a diverging member fails the whole run
+    raw["relaxation"]["theta"] = theta
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
