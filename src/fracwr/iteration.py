@@ -172,8 +172,10 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False)
             if converged[j] or k == cfg.max_iter:
                 report = IterationReport(errors=np.array(errors[i]), converged=bool(converged[j]),
                                          theta=thetas[i], wall_time=time.perf_counter() - t_start)
-                results[i] = RunResult(report=report, traces=h_new[j],
-                                       fields=tuple(u[j] for u in fields) if keep_fields else None)
+                # copies, so that a result does not hold the whole batch alive
+                results[i] = RunResult(report=report, traces=h_new[j].copy(),
+                                       fields=tuple(u[j].copy() for u in fields)
+                                       if keep_fields else None)
         active, h = active[~converged], h_new[~converged]
         if not len(active):
             break

@@ -5,6 +5,7 @@ errors, traces, stop and fields of a call with that member as ``theta``:
 a member's CSV must not depend on the other members of its sweep.
 """
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from fracwr.dnwr import DnwrConfig, run_dnwr
 from fracwr.geometry import build_partition, build_subdomain_2d
+from fracwr import harness
 from fracwr.harness import config_from_dict, run_experiment
 from fracwr.nnwr import Nnwr2dConfig, NnwrConfig, run_nnwr_1d, run_nnwr_2d
 from fracwr.solver import solve_dirichlet_waveform_2d, solve_waveform
@@ -70,6 +72,8 @@ def test_lockstep_members_equal_solo_runs(make, mode):
             assert np.array_equal(got.report.theta, ref.report.theta)
         assert got.traces.shape == alone.traces.shape
         assert all(np.array_equal(a, b) for a, b in zip(got.fields, solo.fields))
+        # each result owns its arrays, so it keeps no other member's alive
+        assert got.traces.base is None and all(u.base is None for u in got.fields)
         stops.append((got.report.converged, got.report.iterations))
     assert (False, cfg.max_iter) in stops
     assert any(conv and k < cfg.max_iter for conv, k in stops)
@@ -120,3 +124,20 @@ def test_member_csv_bytes_do_not_depend_on_companions(tmp_path):
         "lock_theta_0.1.csv", "lock_theta_0.5.csv", "lock_theta_optimal.csv"]
     with open(many[1], "rb") as a, open(one, "rb") as b:
         assert a.read() == b.read()
+
+
+def test_failed_write_removes_the_members_already_written(tmp_path, monkeypatch):
+    write = harness._write_csv
+    calls = []
+
+    def write_then_fail(path, rows):
+        calls.append(path)
+        # the second member's write breaks off after its header, on a bad row
+        return write(path, rows + [None] if len(calls) == 2 else rows)
+
+    monkeypatch.setattr(harness, "_write_csv", write_then_fail)
+    out = tmp_path / "out"
+    with pytest.raises(TypeError):
+        run_experiment(config_from_dict(_raw([0.1, 0.5])), str(out))
+    assert [os.path.basename(p) for p in calls] == ["lock_theta_0.1.csv", "lock_theta_0.5.csv"]
+    assert os.listdir(out) == []  # the first CSV is removed, and no .part is left

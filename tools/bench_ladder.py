@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 tools/bench_ladder.py --before DIR --after DIR [--repeats 5] [--out FILE]
+    python3 tools/bench_ladder.py --before DIR --after DIR [--out FILE]
 
 Each DIR is a checkout of the repository; its ``src`` goes on PYTHONPATH of
 every process started for it.  Before and after runs alternate, each in a
@@ -17,9 +17,10 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
 - L3: the six θ-list presets through ``python -m fracwr.cli``.
 - L4: the Tier-1 suite of each checkout (each runs its own tests).
 
-A repeat of an L1 or L2 case is the median of several calls after a
-warm-up call; L3 and L4 time whole processes.  Every figure is the median
-over the repeats, with the quartiles and the extremes.
+Every case runs ``REPEATS`` times on each side.  A repeat of an L1 or L2
+case is the median of several calls after a warm-up call; L3 and L4 time
+whole processes.  Every figure is the median over the repeats, with the
+quartiles and the extremes.
 """
 
 import argparse
@@ -35,6 +36,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPEATS = 5
 THETA_PRESETS = ("fig_dnwr_theta_sweep", "fig_dnwr_theta_sweep_wave", "fig_dnwr_hetero_grid",
                  "fig_nnwr_theta_sweep", "fig_nnwr_theta_sweep_wave", "fig_nnwr_unequal")
 IN_PROCESS = {  # case: (layer, calls per repeat)
@@ -166,28 +168,24 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--before")
     parser.add_argument("--after")
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--layers", default="L1,L2,L3,L4")
     parser.add_argument("--out")
     parser.add_argument("--case", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.case:
         return _run_case(args.case)
-    layers = args.layers.split(",")
-    cases = [(layer, c) for c, (layer, _) in IN_PROCESS.items() if layer in layers]
-    cases += [("L3", p) for p in THETA_PRESETS if "L3" in layers]
-    cases += [("L4", "tier1")] if "L4" in layers else []
+    cases = [(layer, c) for c, (layer, _) in IN_PROCESS.items()]
+    cases += [("L3", p) for p in THETA_PRESETS] + [("L4", "tier1")]
     results = []
     for layer, case in cases:
         times = {"before": [], "after": []}
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             for side in ("before", "after"):
                 times[side].append(_time(getattr(args, side), case))
         row = {"layer": layer, "case": case, **{k: _summary(v) for k, v in times.items()}}
         row["speedup"] = row["before"]["median_s"] / row["after"]["median_s"]
         print(json.dumps(row), file=sys.stderr)
         results.append(row)
-    doc = {"machine": _machine(), "repeats": args.repeats,
+    doc = {"machine": _machine(), "repeats": REPEATS,
            "before": _revision(args.before), "after": _revision(args.after), "results": results}
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
