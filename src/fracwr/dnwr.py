@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 from .geometry import Partition1D, interface_flux_series
 from .iteration import IterationConfig, iterate
-from .solver import solve_dirichlet_waveform, solve_monolithic, solve_neumann_waveform
+from .solver import (
+    solve_dirichlet_waveform,
+    solve_monolithic,
+    solve_neumann_waveform,
+    tabulate,
+)
 
 __all__ = ["DnwrConfig", "optimal_theta_dnwr", "run_dnwr"]
 
@@ -56,14 +61,16 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
     t_start = time.perf_counter()
     weights = cfg.build_weights()
     sub1, sub2 = cfg.partition.subdomains
-    f = None if cfg.error_mode else cfg.source
-    u0 = None if cfg.error_mode else cfg.initial_condition
+    (f1, u01), (f2, u02) = [
+        (None, None) if cfg.error_mode else
+        tabulate(weights, cfg.source, cfg.initial_condition, sub.nodes) for sub in (sub1, sub2)
+    ]
 
     def sweep(h, theta):
         m = len(h)
-        u1 = solve_dirichlet_waveform(sub1, weights, None, h, f=f, u0=u0, members=m)
+        u1 = solve_dirichlet_waveform(sub1, weights, None, h, f=f1, u0=u01, members=m)
         flux = interface_flux_series(u1[:, 1:], "right", sub1)
-        u2 = solve_neumann_waveform(sub2, weights, -flux, None, f=f, u0=u0, members=m)
+        u2 = solve_neumann_waveform(sub2, weights, -flux, None, f=f2, u0=u02, members=m)
         h_new = theta * u2[:, 1:, 0] + (1.0 - theta) * h
         return h_new, h_new - h, (u1, u2)
 

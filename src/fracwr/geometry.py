@@ -113,6 +113,8 @@ def laplacian_apply(sub: Subdomain1D, field_row) -> np.ndarray:
     """kappa * (u_{i-1} - 2 u_i + u_{i+1}) / dx**2 at interior nodes, 0 at ends.
 
     The stencil runs along the last axis, so a stack of rows is applied at once.
+    ``sub.kappa`` may also be a column with one coefficient per row, for the
+    lines of several subdomains that share the node count and ``dx``.
     """
     u = np.asarray(field_row, dtype=float)
     if u.shape[-1] != sub.n_nodes:

@@ -177,6 +177,7 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False)
                                        fields=tuple(u[j].copy() for u in fields)
                                        if keep_fields else None)
         active, h = active[~converged], h_new[~converged]
+        del fields  # so that the next sweep does not hold this one's fields while it runs
         if not len(active):
             break
     return results

@@ -1,10 +1,19 @@
 """Per-time-level tridiagonal solves through LAPACK ``dgtsv``.
 
-Each system is assembled with vectorized numpy and solved by
-``scipy.linalg.lapack.dgtsv``, which pivots.  A pinned Dirichlet row
-``u = g`` would then come back only to rounding accuracy, so known Dirichlet
-values are taken out of the system and set exactly.
+One time level of a march is one tridiagonal system: a stack of blocks laid
+end to end with zero couplings between them.  A block is one subdomain line
+of one sweep member, or one sine mode of a 2D strip, and carries its own
+``s``, ``c``, diagonal shift, width and end kinds, so blocks of mixed kinds
+and widths share one ``dgtsv`` call.  ``dgtsv`` pivots, and a block still
+solves bit for bit as it does alone: every product that crosses a zero
+coupling is a product with an exact zero.
+
+A Dirichlet end stays in the system as a decoupled identity row: its
+neighbour's coupling moves to the right-hand side, and the row returns
+``u = g`` exactly for the same reason.
 """
+
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -13,12 +22,13 @@ DIRICHLET = 0
 FLUX = 1
 
 
-def _gtsv(dl, d, du, b, overwrite=False):
+def _gtsv(dl, d, du, b, overwrite=False, overwrite_offdiagonals=None):
     if d.shape[0] == 1:  # dgtsv rejects empty off-diagonals
         if d[0] == 0.0:
             raise ArithmeticError("tridiagonal system is singular at row 1")
         return b / d
-    *_, x, info = dgtsv(dl, d, du, b, overwrite, overwrite, overwrite, overwrite)
+    off = overwrite if overwrite_offdiagonals is None else overwrite_offdiagonals
+    *_, x, info = dgtsv(dl, d, du, b, off, overwrite, off, overwrite)
     if info != 0:
         raise ArithmeticError(f"tridiagonal system is singular at row {info}")
     return x
@@ -33,64 +43,114 @@ def tridiag_solve(lower, diag, upper, rhs):
     return _gtsv(lower[1:], diag, upper[:-1], rhs)
 
 
-def step_solve(bnn, s, rhs, bc_left, val_left, bc_right, val_right, c_left, c_right):
-    """Solve one implicit time level of (bnn*I - s*D2_scaled) u = rhs.
+def _index(rows):
+    """The list ``rows`` as an integer, a basic slice when it is evenly spaced,
+    or an index array: the cheapest index for ``step_solve`` to apply."""
+    if len(rows) == 1:
+        return rows[0]
+    step = rows[1] - rows[0]
+    if step > 0 and all(b - a == step for a, b in zip(rows, rows[1:])):
+        return slice(rows[0], rows[-1] + 1, step)
+    return np.array(rows)
 
-    Interior rows carry diag = bnn + 2*s and off-diagonals -s, where
-    s = implicit_fraction * kappa / dx**2.  An end is either a Dirichlet node
-    (u = val, set exactly; its neighbour's row gains s*val on the right-hand
-    side) or a one-sided three-point outward-flux row
-    kappa * (3*u0 - 4*u1 + u2) / (2*dx) = val with c = kappa / (2*dx), whose
-    third entry is eliminated against the first interior row of the
-    unmodified ``rhs``.  ``rhs`` is not modified.
 
-    An ``rhs`` of shape (B, n) holds B independent systems that share ``s``,
-    the end kinds and ``c`` (the members of a relaxation sweep, the sine
-    modes of a 2D strip, or both); ``bnn`` and the end values are then
-    scalars or one value per system.  The systems are stacked block-diagonally, with
-    zero couplings between blocks, into a single ``dgtsv`` call.
+def _pick(values, ends):
+    """``values`` at the list ``ends``, a scalar for a single end as ``_index`` gives."""
+    return values[ends[0]] if len(ends) == 1 else values[ends]
+
+
+class Stack:
+    """The constant parts of a stacked level matrix, built once per march.
+
+    Block b spans ``widths[b]`` rows (at least 3).  Its interior rows are
+    (-s, bnn + shift + 2*s, -s), with s = implicit_fraction * kappa / dx**2.
+    Each end is DIRICHLET (``u = g``) or FLUX, a one-sided three-point
+    outward-flux row kappa * (3*u0 - 4*u1 + u2) / (2*dx) = g with
+    c = kappa / (2*dx), whose third entry is eliminated against the first
+    interior row.  ``s``, ``c``, ``left`` and ``right`` hold one value per
+    block, and ``shift`` one value per block or None for zero.
     """
-    n = rhs.shape[-1]
-    lo = 1 if bc_left == DIRICHLET else 0
-    hi = n - 1 if bc_right == DIRICHLET else n
-    shape = rhs.shape[:-1] + (hi - lo,)
-    # columns 0, 1, -2 and -1; plain integers for a single system keep its
-    # end updates on scalars, which is cheaper than on 0-d array views
-    if rhs.ndim == 1:
-        c0, c1, c2, c3 = 0, 1, -2, -1
-    else:
-        c0, c1, c2, c3 = np.s_[:, 0], np.s_[:, 1], np.s_[:, -2], np.s_[:, -1]
-    d0 = bnn + 2.0 * s
-    diag = np.empty(shape)
-    diag.T[...] = d0  # one value per system fills its whole block
-    # lower[.., i] couples row i+1 to row i and upper[.., i] row i to row i+1;
-    # the last slot of each block is the zero coupling to the next block
-    lower = np.empty(shape)
-    lower[...] = -s
-    lower[c3] = 0.0
-    upper = lower.copy()
-    b = rhs[..., lo:hi].copy()
-    u = np.empty(rhs.shape)
 
-    if bc_left == DIRICHLET:
-        u[c0] = val_left
-        b[c0] += s * val_left
-    else:
-        # row (3c, -4c, c) plus (c/s) times the first interior row
-        f = c_left / s
-        diag[c0] = 2.0 * c_left
-        upper[c0] = -4.0 * c_left + f * d0
-        b[c0] = val_left + f * rhs[c1]
+    def __init__(self, widths, s, c, left, right, shift=None):
+        # the index work runs on lists: a stack has few blocks
+        widths = np.asarray(widths).tolist()
+        s, c = np.asarray(s, dtype=float), np.asarray(c, dtype=float)
+        if min(widths) < 3:
+            raise ValueError("a block needs at least 3 rows")
+        n_blocks = len(widths)
+        first = list(accumulate(widths[:-1], initial=0))
+        self.size = first[-1] + widths[-1]
+        self.two_s = np.repeat(2.0 * s, widths)
+        self.shift = None if shift is None else np.repeat(shift, widths)
+        # lower[i] couples row i+1 to row i and upper[i] row i to row i+1;
+        # the couplings between blocks are zero
+        coupling = np.repeat(-s, widths)
+        self.lower, self.upper = coupling[1:].copy(), coupling[:-1]
+        between = [r - 1 for r in first[1:]]
+        self.lower[between] = self.upper[between] = 0.0
 
-    if bc_right == DIRICHLET:
-        u[c3] = val_right
-        b[c3] += s * val_right
-    else:
-        f = c_right / s
-        diag[c3] = 2.0 * c_right
-        lower[c2] = -4.0 * c_right + f * d0
-        b[c3] = val_right + f * rhs[c2]
+        # End e < n_blocks is the left end of block e, and the others the right
+        # ends, in the order of ``step_solve``'s ``ends``.  Per end: its row,
+        # its neighbour row and the slot of their couplings, which is the same
+        # both ways (``upper`` carries the left row's, ``lower`` the right's).
+        kinds = np.concatenate([left, right]).tolist()
+        if not set(kinds) <= {DIRICHLET, FLUX}:
+            raise ValueError(f"end kinds must be DIRICHLET or FLUX, got {kinds}")
+        rows = first + [f + w - 1 for f, w in zip(first, widths)]
+        nbrs = [r + 1 for r in first] + [r - 1 for r in rows[n_blocks:]]
+        slots = first + nbrs[n_blocks:]
+        s_end = np.concatenate([s, s])
+        dirichlet = [e for e, k in enumerate(kinds) if k == DIRICHLET]
+        self.lower[[slots[e] for e in dirichlet]] = 0.0
+        self.upper[[slots[e] for e in dirichlet]] = 0.0
+        # Dirichlet ends go in one pass, unless a 3-row block has two; then the
+        # left ends go first, as the right-hand side of such a row adds up
+        # s * g_left and then s * g_right
+        passes = [dirichlet]
+        if len({nbrs[e] for e in dirichlet}) < len(dirichlet):
+            passes = [[e for e in dirichlet if e < n_blocks],
+                      [e for e in dirichlet if e >= n_blocks]]
+        self.dirichlet = [(_index(p), _index([rows[e] for e in p]), _index([nbrs[e] for e in p]),
+                           _pick(s_end, p)) for p in passes if p]
+        # flux ends, one entry per side, as their couplings sit in one array per side
+        self.flux = []
+        for side, ends in enumerate((range(n_blocks), range(n_blocks, 2 * n_blocks))):
+            p = [e for e in ends if kinds[e] == FLUX]
+            if p:
+                cf = _pick(c, [e % n_blocks for e in p])
+                self.flux.append((side, _index(p), _index([rows[e] for e in p]),
+                                  _index([nbrs[e] for e in p]), -4.0 * cf, cf / _pick(s_end, p),
+                                  _index([slots[e] for e in p])))
+        fixed = sorted((rows[e], 1.0 if kinds[e] == DIRICHLET else 2.0 * float(c[e % n_blocks]))
+                       for e in range(2 * n_blocks))
+        self.fixed = _index([r for r, _ in fixed])
+        self.fixed_diag = np.array([d for _, d in fixed])
 
-    x = _gtsv(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1], b.ravel(), overwrite=True)
-    u[..., lo:hi] = x.reshape(shape)
-    return u
+
+def step_solve(bnn, stack, rhs, ends):
+    """Solve one implicit time level of the stacked system ``stack``.
+
+    ``bnn`` is the level's Caputo diagonal weight and ``rhs`` holds one value
+    per row.  ``ends`` holds the end values of the blocks, the left ends of
+    all blocks and then their right ends: the Dirichlet value or the outward
+    flux.  A Dirichlet end row returns its value exactly, and its neighbour's
+    row gains s * g on the right-hand side.  A flux row's eliminated entry
+    reads the unmodified ``rhs``.  ``rhs`` is not modified.
+    """
+    diag = stack.two_s + (bnn if stack.shift is None else bnn + stack.shift)
+    couplings = stack.upper, stack.lower
+    if stack.flux:  # flux rows change with bnn; otherwise dgtsv copies the constants
+        couplings = stack.upper.copy(), stack.lower.copy()
+    b = rhs.copy()
+    for at, rows, nbrs, s in stack.dirichlet:
+        g = ends[at]
+        b[rows] = g
+        b[nbrs] += s * g
+    for side, at, rows, nbrs, m4c, f, slots in stack.flux:
+        # row (3c, -4c, c) plus (c/s) times the neighbouring interior row,
+        # whose diagonal entry is still bnn + shift + 2*s
+        couplings[side][slots] = m4c + f * diag[nbrs]
+        b[rows] = ends[at] + f * rhs[nbrs]
+    diag[stack.fixed] = stack.fixed_diag
+    upper, lower = couplings
+    return _gtsv(lower, diag, upper, b, overwrite=True, overwrite_offdiagonals=bool(stack.flux))

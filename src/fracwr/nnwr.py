@@ -6,10 +6,13 @@ kappa_i d_n u_i + kappa_j d_n u_j per interface, (c) zero-data Neumann
 correction solves driven by that mismatch (physical boundaries keep a
 homogeneous Dirichlet condition), and (d) the relaxed trace update
 h <- h - theta * (psi_i + psi_j) per interface.  The solves of phases (a)
-and (c) are independent across subdomains, as in the paper; they run one
-after another in fixed subdomain order, so a rerun reproduces the iterates
-bit for bit.  Both drivers run their sweeps in the interface iteration of
-``fracwr.iteration``.
+and (c) are independent across subdomains, as in the paper.  In 1D each
+phase is one stacked march over all subdomains (and all members of a
+relaxation sweep), which gives every subdomain bit for bit the field of its
+own march, so a rerun reproduces the iterates bit for bit.  The two 2D
+strips march one after another.  Both drivers run their sweeps in the
+interface iteration of ``fracwr.iteration``; the source and the initial
+condition are tabulated once per run.
 """
 
 import math
@@ -26,6 +29,7 @@ from .solver import (
     solve_dirichlet_waveform_2d,
     solve_neumann_waveform,
     solve_neumann_waveform_2d,
+    tabulate,
 )
 
 __all__ = [
@@ -68,18 +72,17 @@ def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
     weights = cfg.build_weights()
     subs = cfg.partition.subdomains
     n_sub = len(subs)
-    f = None if cfg.error_mode else cfg.source
-    u0 = None if cfg.error_mode else cfg.initial_condition
+    f = u0 = None
+    if not cfg.error_mode:
+        f, u0 = zip(*(tabulate(weights, cfg.source, cfg.initial_condition, sub.nodes)
+                      for sub in subs))
 
     def sweep(h, thetas):
         m = len(h)
         # subdomain i lies between interfaces i - 1 and i; the outer ends have none
         traces = [None, *h.swapaxes(0, 1), None]
-        fields = [
-            solve_dirichlet_waveform(sub, weights, traces[i], traces[i + 1], f=f, u0=u0,
-                                     members=m)
-            for i, sub in enumerate(subs)
-        ]
+        fields = solve_dirichlet_waveform(subs, weights, traces[:-1], traces[1:], f=f, u0=u0,
+                                          members=m)
 
         mismatch = [
             interface_flux_series(fields[i][:, 1:], "right", subs[i])
@@ -88,10 +91,7 @@ def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
         ]
 
         fluxes = [None, *mismatch, None]
-        corrections = [
-            solve_neumann_waveform(sub, weights, fluxes[i], fluxes[i + 1], members=m)
-            for i, sub in enumerate(subs)
-        ]
+        corrections = solve_neumann_waveform(subs, weights, fluxes[:-1], fluxes[1:], members=m)
 
         updates = np.stack(
             [
@@ -131,15 +131,18 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
     one batch (one ``RunResult`` per member, as ``run_dnwr`` describes)."""
     t_start = time.perf_counter()
     weights = cfg.build_weights()
-    f = None if cfg.error_mode else cfg.source
-    u0 = None if cfg.error_mode else cfg.initial_condition
+    (f_left, u0_left), (f_right, u0_right) = [
+        (None, None) if cfg.error_mode else
+        tabulate(weights, cfg.source, cfg.initial_condition,
+                 *np.meshgrid(sub.xs, sub.ys, indexing="ij")) for sub in (cfg.left, cfg.right)
+    ]
 
     def sweep(h, theta):
         m = len(h)
-        u_left = solve_dirichlet_waveform_2d(cfg.left, weights, "right", h, f=f, u0=u0,
-                                             members=m)
-        u_right = solve_dirichlet_waveform_2d(cfg.right, weights, "left", h, f=f, u0=u0,
-                                              members=m)
+        u_left = solve_dirichlet_waveform_2d(cfg.left, weights, "right", h, f=f_left,
+                                             u0=u0_left, members=m)
+        u_right = solve_dirichlet_waveform_2d(cfg.right, weights, "left", h, f=f_right,
+                                              u0=u0_right, members=m)
         mismatch = interface_flux_series_2d(
             u_left[:, 1:], "right", cfg.left
         ) + interface_flux_series_2d(u_right[:, 1:], "left", cfg.right)

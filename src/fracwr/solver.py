@@ -18,7 +18,8 @@ eigenvalue, and all modes march together through one batched tridiagonal
 solve per time level.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .fractional_time import CaputoWeights
 from .geometry import Partition1D, Subdomain1D, Subdomain2D, laplacian_apply
 
 __all__ = [
+    "tabulate",
     "solve_waveform",
     "solve_dirichlet_waveform",
     "solve_neumann_waveform",
@@ -48,23 +50,23 @@ def _expand_trace(values, shape) -> np.ndarray:
     return arr
 
 
-def _initial_samples(u0, nodes, shape) -> np.ndarray:
+def _initial_samples(u0, grid, shape) -> np.ndarray:
     if u0 is None:
         return np.zeros(shape)
     if callable(u0):
-        return np.asarray(u0(nodes), dtype=float)
+        return np.broadcast_to(np.asarray(u0(*grid), dtype=float), shape)
     arr = np.asarray(u0, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"initial data has shape {arr.shape}, expected {shape}")
     return arr
 
 
-def _source_table(f, nodes, eval_times, shape) -> np.ndarray:
+def _source_table(f, grid, eval_times, shape) -> np.ndarray:
     n = len(eval_times)
     if f is None:
         return np.zeros((n,) + shape)
     if callable(f):
-        return np.array([np.broadcast_to(f(nodes, t), shape) for t in eval_times], dtype=float)
+        return np.array([np.broadcast_to(f(*grid, t), shape) for t in eval_times], dtype=float)
     arr = np.asarray(f, dtype=float)
     if arr.shape == shape:
         return np.broadcast_to(arr, (n,) + shape).copy()
@@ -73,16 +75,33 @@ def _source_table(f, nodes, eval_times, shape) -> np.ndarray:
     raise ValueError(f"source has shape {arr.shape}, expected {shape} or {(n,) + shape}")
 
 
+def tabulate(weights: CaputoWeights, f, u0, *grid):
+    """``f`` at every level's evaluation time and ``u0`` on the nodes ``grid``.
+
+    ``grid`` is the node array of a line, or the two coordinate arrays of a
+    lattice.  A driver calls this once per run and hands the tables to every
+    solve; None stays None.
+    """
+    shape = np.shape(grid[0])
+    return (None if f is None else _source_table(f, grid, weights.eval_times, shape),
+            None if u0 is None else _initial_samples(u0, grid, shape))
+
+
 def solve_waveform(
-    sub: Subdomain1D, weights: CaputoWeights, left, right, f=None, u0=None, decay=None,
-    members=None,
+    sub, weights: CaputoWeights, left, right, f=None, u0=None, decay=None, members=None,
 ):
-    """March one subdomain through all time levels with mixed end conditions.
+    """March subdomains through all time levels with mixed end conditions.
 
     ``left`` and ``right`` are ('dirichlet', values) or ('flux', values) where
     values is None, a scalar, or a length-N array of the imposed trace /
-    outward-normal flux at t_1..t_N.  Returns the field u[n, node] with row 0
-    holding the initial samples.
+    outward-normal flux at t_1..t_N; None stands for ('dirichlet', None).
+    Returns the field u[n, node] with row 0 holding the initial samples.
+
+    ``sub`` is one ``Subdomain1D`` or a sequence of them.  With a sequence,
+    ``left`` and ``right`` hold one end condition per subdomain, ``f`` and
+    ``u0`` are None, a callable, or one entry per subdomain, and the call
+    returns one field per subdomain, each bit for bit the field of a call
+    with that subdomain alone.
 
     With ``decay`` (shape (B,)) the call marches B independent problems at
     once, problem b solving D^nu u = kappa u_xx - decay[b] u + f with the
@@ -94,84 +113,135 @@ def solve_waveform(
     and ``decay`` but have their own end values, the members of a relaxation
     sweep.  Trace arrays then gain a leading member axis, (M, N) or
     (M, N, B), and so does the field, (M, N+1, n_nodes) or
-    (M, N+1, B, n_nodes).  Each member's history term is its own product of
-    the Caputo row with its increments (one stacked ``matmul`` over
-    member-major increments), so a member's field is bit for bit the one a
-    call without ``members`` gives.  Every time level is one
-    ``kernels.step_solve`` call over all members and modes.
+    (M, N+1, B, n_nodes).
+
+    Every time level is one ``kernels.step_solve`` call on a
+    ``kernels.Stack`` built once per call, whose blocks are the lines of
+    every subdomain, member and mode.  Each member's history term is its own
+    product of the Caputo row with its increments on one subdomain, of the
+    width a call without ``members`` uses, so the members and the subdomains
+    of a call do not change one another's bits.
     """
+    single = isinstance(sub, Subdomain1D)
+    subs = (sub,) if single else tuple(sub)
+    if single:
+        left, right, f, u0 = [left], [right], [f], [u0]
+    else:
+        f = [f] * len(subs) if f is None or callable(f) else f
+        u0 = [u0] * len(subs) if u0 is None or callable(u0) else u0
+        if not len(left) == len(right) == len(f) == len(u0) == len(subs):
+            raise ValueError("give one end condition, source and initial value per subdomain")
     n_steps = weights.n_steps
     theta_s = weights.implicit_fraction
     m = 1 if members is None else members
-    shape = (sub.n_nodes,) if decay is None else (len(decay), sub.n_nodes)
-    # each level stacks the systems of all members (and modes); a lone 1D
-    # system goes as a flat row, whose end updates kernels.step_solve runs on scalars
-    n_sys = m * (1 if decay is None else len(decay))
-    level = (n_sys, sub.n_nodes) if n_sys > 1 or decay is not None else shape
-    if decay is None:
-        shift = 0.0
-    else:
-        decay = np.tile(np.asarray(decay, dtype=float), m)[:, None]
-        shift = theta_s * decay[:, 0]
-    specs = []
-    for side in (left, right):
-        if side is None:
-            side = ("dirichlet", None)
-        kind, values = side
-        if kind not in ("dirichlet", "flux"):
-            raise ValueError(f"boundary kind must be 'dirichlet' or 'flux', got {kind!r}")
-        code = kernels.DIRICHLET if kind == "dirichlet" else kernels.FLUX
-        trace_shape = (n_steps,) + shape[:-1]
-        vals = _expand_trace(values, trace_shape if members is None else (m,) + trace_shape)
-        # one row of end values per level, across the stacked systems
-        vals = vals.reshape(m, n_steps, -1).swapaxes(0, 1).reshape((n_steps,) + level[:-1])
-        specs.append((code, vals))
-    (code_l, vals_l), (code_r, vals_r) = specs
-    if (code_l == kernels.FLUX or code_r == kernels.FLUX) and sub.n_nodes < 3:
-        raise ValueError("flux conditions need at least 3 nodes")
+    modes = () if decay is None else (len(decay),)
+    lines = m * (1 if decay is None else len(decay))  # blocks per subdomain
+    per_block = (lambda x: x) if lines == 1 else (lambda x: [v for v in x for _ in range(lines)])
 
-    s = theta_s * sub.kappa / sub.dx**2
-    c = sub.kappa / (2.0 * sub.dx)
-    rows = weights.rows
-    ftab = None
-    if f is not None:  # shared by the members
-        ftab = np.empty((n_steps,) + level)
-        ftab.reshape((n_steps, m) + shape)[...] = _source_table(
-            f, sub.nodes, weights.eval_times, shape)[:, None]
+    # subdomain i owns the columns bounds[i]:bounds[i+1] of a level, member by
+    # member, then mode by mode
+    bounds = list(accumulate([lines * s.n_nodes for s in subs], initial=0))
+    kinds = ([], [])
+    # one row of end values per level: the left ends of all blocks, then the right ends
+    vals = np.empty((n_steps, 2, len(subs) * lines))
+    for i, ends in enumerate(zip(left, right)):
+        for k, side in enumerate(ends):
+            kind, values = ("dirichlet", None) if side is None else side
+            if kind not in ("dirichlet", "flux"):
+                raise ValueError(f"boundary kind must be 'dirichlet' or 'flux', got {kind!r}")
+            kinds[k].append(kernels.DIRICHLET if kind == "dirichlet" else kernels.FLUX)
+            trace = _expand_trace(values, (() if members is None else (m,)) + (n_steps,) + modes)
+            vals[:, k, i * lines:(i + 1) * lines] = trace.reshape(m, n_steps, -1).swapaxes(
+                0, 1).reshape(n_steps, lines)
+    vals = vals.reshape(n_steps, -1)
+    if decay is not None:
+        decay = np.tile(np.asarray(decay, dtype=float), m * len(subs))
+    stack = kernels.Stack(
+        per_block([s.n_nodes for s in subs]),
+        per_block([theta_s * s.kappa / s.dx**2 for s in subs]),
+        per_block([s.kappa / (2.0 * s.dx) for s in subs]),
+        per_block(kinds[0]), per_block(kinds[1]),
+        None if decay is None else theta_s * decay,
+    )
+    if decay is not None:
+        decay = np.repeat(decay, per_block([s.n_nodes for s in subs]))
 
-    u = np.empty((n_steps + 1,) + level)
-    u[0].reshape((m,) + shape)[...] = _initial_samples(u0, sub.nodes, shape)
-    # member-major increments, so each member's history is one product
-    du = np.zeros((m, n_steps, u[0].size // m))
+    u = np.empty((n_steps + 1, stack.size))
+    for i, s in enumerate(subs):
+        shape = modes + (s.n_nodes,)
+        u[0, bounds[i]:bounds[i + 1]].reshape(m, -1)[...] = _initial_samples(
+            u0[i], (s.nodes,), shape).reshape(-1)
+    # one source table per subdomain; each level concatenates its rows for the members
+    sources = None
+    if any(fi is not None for fi in f):
+        sources = [_source_table(fi, (s.nodes,), weights.eval_times, modes + (s.n_nodes,))
+                   .reshape(n_steps, -1) for fi, s in zip(f, subs)]
+
+    # Consecutive subdomains on one grid (node count and dx) form a run.  A
+    # run's lines go through one Laplacian call with a coefficient per line,
+    # and its history products, one per member of each subdomain, through one
+    # stacked matmul over member-major increments: each product reads a
+    # contiguous (level, width) slab, as a call with one member of one
+    # subdomain does (a strided slab changes the bits of narrow products).
+    hist = np.empty(stack.size)
+    runs, i = [], 0
+    while i < len(subs):
+        s, j = subs[i], i + 1
+        while j < len(subs) and (subs[j].n_nodes, subs[j].dx) == (s.n_nodes, s.dx):
+            j += 1
+        rows = slice(bounds[i], bounds[j])
+        width = lines * s.n_nodes // m
+        if j > i + 1:
+            s = replace(s, kappa=np.repeat([t.kappa for t in subs[i:j]], lines)[:, None])
+        products = (bounds[j] - bounds[i]) // width
+        runs.append((rows, s, hist[rows].reshape(products, width),
+                     u[:, rows].reshape(n_steps + 1, products, width),
+                     np.empty((products, n_steps, width))))
+        i = j
+    explicit = np.empty(stack.size) if theta_s < 1.0 else None
     for n in range(1, n_steps + 1):
-        b_row = rows[n - 1]
+        b_row = weights.rows[n - 1]
         bnn = b_row[n - 1]
         prev = u[n - 1]
         rhs = bnn * prev
-        if ftab is not None:
-            rhs += ftab[n - 1]
+        if sources is not None:
+            rhs += np.concatenate([table[n - 1] for table in sources for _ in range(m)])
         if n > 1:
-            rhs -= np.matmul(b_row[: n - 1], du[:, : n - 1]).reshape(level)
-        if theta_s < 1.0:
-            explicit = laplacian_apply(sub, prev)
+            for _, _, out, _, increments in runs:
+                np.matmul(b_row[: n - 1], increments[:, : n - 1], out=out)
+            rhs -= hist
+        if explicit is not None:
+            for rows, s, *_ in runs:
+                explicit[rows] = laplacian_apply(s, prev[rows].reshape(-1, s.n_nodes)).ravel()
             if decay is not None:
                 explicit -= decay * prev
             rhs += (1.0 - theta_s) * explicit
-        u[n] = kernels.step_solve(
-            bnn + shift, s, rhs, code_l, vals_l[n - 1], code_r, vals_r[n - 1], c, c
-        )
-        du[:, n - 1] = (u[n] - prev).reshape(m, -1)
-    u = u.reshape((n_steps + 1, m) + shape)
-    return u[:, 0] if members is None else u.swapaxes(0, 1)
+        u[n] = kernels.step_solve(bnn, stack, rhs, vals[n - 1])
+        for _, _, _, field, increments in runs:
+            np.subtract(field[n], field[n - 1], out=increments[:, n - 1])
+
+    fields = []
+    for i, s in enumerate(subs):
+        field = u[:, bounds[i]:bounds[i + 1]].reshape((n_steps + 1, m) + modes + (s.n_nodes,))
+        fields.append(field[:, 0] if members is None else field.swapaxes(0, 1))
+    return fields[0] if single else fields
+
+
+def _ends(sub, side, left, right):
+    """The end conditions ``side(value)`` of one subdomain, or of each of a sequence."""
+    if isinstance(sub, Subdomain1D):
+        return side(left), side(right)
+    return [side(v) for v in left], [side(v) for v in right]
 
 
 def solve_dirichlet_waveform(sub, weights, left_trace, right_trace, f=None, u0=None,
                              members=None):
-    """Dirichlet half-step: imposed interface traces (None = physical boundary, g = 0)."""
-    return solve_waveform(
-        sub, weights, ("dirichlet", left_trace), ("dirichlet", right_trace), f=f, u0=u0,
-        members=members,
-    )
+    """Dirichlet half-step: imposed interface traces (None = physical boundary, g = 0).
+
+    With a sequence of subdomains the traces hold one entry per subdomain.
+    """
+    left, right = _ends(sub, lambda g: ("dirichlet", g), left_trace, right_trace)
+    return solve_waveform(sub, weights, left, right, f=f, u0=u0, members=members)
 
 
 def solve_neumann_waveform(sub, weights, left_flux, right_flux, f=None, u0=None,
@@ -179,10 +249,11 @@ def solve_neumann_waveform(sub, weights, left_flux, right_flux, f=None, u0=None,
     """Neumann half-step: imposed outward-flux traces.
 
     A side given as None is a physical boundary, where a homogeneous Dirichlet
-    condition replaces the flux condition.
+    condition replaces the flux condition.  With a sequence of subdomains the
+    fluxes hold one entry per subdomain.
     """
-    left = ("dirichlet", None) if left_flux is None else ("flux", left_flux)
-    right = ("dirichlet", None) if right_flux is None else ("flux", right_flux)
+    left, right = _ends(sub, lambda q: ("dirichlet", None) if q is None else ("flux", q),
+                        left_flux, right_flux)
     return solve_waveform(sub, weights, left, right, f=f, u0=u0, members=members)
 
 
@@ -242,9 +313,9 @@ def solve_monolithic(partition: Partition1D, weights: CaputoWeights, f=None, u0=
         sr = partition.subdomains[m + 1]
         ifc_coef.append((sl.kappa / (2.0 * sl.dx), sr.kappa / (2.0 * sr.dx)))
 
-    ftab = _source_table(f, nodes, weights.eval_times, (ntot,))
+    ftab = _source_table(f, (nodes,), weights.eval_times, (ntot,))
     u = np.zeros((n_steps + 1, ntot))
-    u[0] = _initial_samples(u0, nodes, (ntot,))
+    u[0] = _initial_samples(u0, (nodes,), (ntot,))
     du = np.zeros((n_steps, ntot))
 
     interior = np.ones(ntot, dtype=bool)
@@ -339,9 +410,8 @@ def _solve_waveform_2d(sub: Subdomain2D, weights, side: str, kind: str, values, 
     if f is not None or edge_source:
         f_hat = np.zeros((n_steps, ny - 1, nx + 1))
     if f is not None:
-        for n, t in enumerate(weights.eval_times):
-            fv = f(xg, yg, t) if callable(f) else f
-            f_hat[n] = sine @ np.broadcast_to(fv, xg.shape)[:, 1:-1].T
+        for n, fv in enumerate(_source_table(f, (xg, yg), weights.eval_times, xg.shape)):
+            f_hat[n] = sine @ fv[:, 1:-1].T
     if edge_source:
         # the explicit half of the first level reads u0 on the y-boundary rows
         edge = (1.0 - theta_s) * sub.kappa / sub.dy**2

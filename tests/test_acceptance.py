@@ -123,18 +123,16 @@ def test_criterion_04_wave_bound_domination():
 
 
 def test_criterion_05_nnwr_theta_behavior():
+    thetas = (0.25, 0.4, 0.6, 0.8)
     for order in (0.5, 1.5):
-        counts = {}
-        histories = {}
-        for theta in (0.25, 0.4, 0.6, 0.8):
-            part = build_partition((0, 16), [3.2, 6.4, 9.6, 12.8], 1.0, 0.02)
-            cfg = NnwrConfig(partition=part, order=order, horizon=4.0, n_steps=96,
-                             theta=theta, tolerance=1e-14, max_iter=40,
-                             mode="error_equation")
-            errs = run_nnwr_1d(cfg).report.sup_errors
-            histories[theta] = errs
-            counts[theta] = next((i + 1 for i, e in enumerate(errs) if e <= 1e-6),
-                                 math.inf)
+        # the four weights march as members of one batch, each bit for bit its solo run
+        part = build_partition((0, 16), [3.2, 6.4, 9.6, 12.8], 1.0, 0.02)
+        cfg = NnwrConfig(partition=part, order=order, horizon=4.0, n_steps=96,
+                         tolerance=1e-14, max_iter=40, mode="error_equation")
+        results = run_nnwr_1d(cfg, members=list(thetas))
+        histories = {theta: res.report.sup_errors for theta, res in zip(thetas, results)}
+        counts = {theta: next((i + 1 for i, e in enumerate(errs) if e <= 1e-6), math.inf)
+                  for theta, errs in histories.items()}
         assert all(counts[0.25] < counts[t] for t in (0.4, 0.6, 0.8)), counts
         useful = histories[0.25][histories[0.25] > 1e-12]
         dlog = np.diff(np.log(useful))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracwr import nnwr
 from fracwr.geometry import build_partition, build_subdomain_2d
 from fracwr.nnwr import (
     Nnwr2dConfig,
@@ -93,6 +94,25 @@ def test_wave_order_converges():
     res = run_nnwr_1d(cfg)
     assert res.report.converged
     assert res.report.iterations <= 4
+
+
+def test_each_phase_is_one_march_over_all_subdomains(monkeypatch):
+    # one Dirichlet march and one Neumann march per sweep, each over all five
+    # subdomains, whatever the subdomain count
+    calls = {"solve_dirichlet_waveform": [], "solve_neumann_waveform": []}
+    for name, seen in calls.items():
+        solve = getattr(nnwr, name)
+
+        def counted(sub, *args, _solve=solve, _seen=seen, **kwargs):
+            _seen.append(len(sub))
+            return _solve(sub, *args, **kwargs)
+
+        monkeypatch.setattr(nnwr, name, counted)
+    part = build_partition((0, 5), [1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 2.0, 1.0, 0.25], 0.125)
+    sweeps = 3
+    res = run_nnwr_1d(_config(partition=part, max_iter=sweeps, tolerance=1e-30))
+    assert res.report.iterations == sweeps
+    assert calls == {name: [5] * sweeps for name in calls}
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,47 @@ def test_trace_length_mismatch_rejected():
         solve_waveform(sub, _weights(0.5, n=16), ("robin", None), None)
 
 
+@pytest.mark.parametrize("order", [0.6, 1.5])
+def test_stacked_march_equals_one_subdomain_marches(order):
+    # unequal widths (a 3-node block among them), a run of two subdomains on
+    # one grid, and every end kind: physical Dirichlet, trace Dirichlet, and
+    # flux on both sides of a subdomain; three members and a source in time
+    subs = [build_subdomain(0.0, 1.0, 1.0, 0.125), build_subdomain(1.0, 1.25, 0.5, 0.125),
+            build_subdomain(1.25, 2.25, 2.0, 0.125), build_subdomain(2.25, 3.25, 0.3, 0.125)]
+    assert [s.n_nodes for s in subs] == [9, 3, 9, 9]
+    w = _weights(order, n=12, grading=1.0 if order > 1 else None)
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((6, 3, 12))
+    left = [None, ("flux", data[0]), ("dirichlet", data[1]), ("flux", data[2])]
+    right = [("dirichlet", data[3]), ("flux", data[4]), ("flux", data[5]), None]
+
+    def f(x, t):
+        return np.sin(x) * (1.0 + t)
+
+    def u0(x):
+        return np.cos(x)
+
+    stacked = solve_waveform(subs, w, left, right, f=f, u0=u0, members=3)
+    assert len(stacked) == len(subs)
+    for sub, lt, rt, field in zip(subs, left, right, stacked):
+        assert field.shape == (3, 13, sub.n_nodes)
+        alone = solve_waveform(sub, w, lt, rt, f=f, u0=u0, members=3)
+        assert np.array_equal(field, alone)
+        for j in range(3):
+            one = [None if side is None else (side[0], side[1][j]) for side in (lt, rt)]
+            assert np.array_equal(field[j], solve_waveform(sub, w, *one, f=f, u0=u0))
+
+
+def test_stacked_march_takes_one_entry_per_subdomain():
+    subs = [build_subdomain(0.0, 1.0, 1.0, 0.25), build_subdomain(1.0, 2.0, 1.0, 0.25)]
+    with pytest.raises(ValueError, match="per subdomain"):
+        solve_waveform(subs, _weights(0.5, n=4), [None], [None, None])
+    tables = [np.ones((4, 5)), np.full((4, 5), 2.0)]
+    u = solve_waveform(subs, _weights(0.5, n=4), [None, None], [None, None], f=tables)
+    alone = solve_waveform(subs[1], _weights(0.5, n=4), None, None, f=tables[1])
+    assert np.array_equal(u[1], alone)
+
+
 # ---------------------------------------------------------------------------
 # monolithic reference
 # ---------------------------------------------------------------------------

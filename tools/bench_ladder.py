@@ -1,4 +1,4 @@
-"""Before/after timings of the lock-step θ sweep, layer by layer, as one JSON file.
+"""Before/after timings of the stacked marches, layer by layer, as one JSON file.
 
 Usage, from the repository root:
 
@@ -8,13 +8,20 @@ Each DIR is a checkout of the repository; its ``src`` goes on PYTHONPATH of
 every process started for it.  Before and after runs alternate, each in a
 fresh interpreter, so that a drifting host hits both alike.  The cases:
 
-- L1: one subdomain march on the DNWR subdomains of the ``sweeps-1d``
+- L1, DNWR: one subdomain march on the DNWR subdomains of the ``sweeps-1d``
   workload at seed 1 (77 and 25 nodes, 64 steps): the Dirichlet solve on
   the left, the Neumann solve on the right, with 1 and with 8 members.  A
   checkout whose solvers have no member axis marches the 8 members one
   after another, as its θ sweeps do.
-- L2: one sweep of that DNWR config, with 1 member and with its 8.
-- L3: the six θ-list presets through ``python -m fracwr.cli``.
+- L1, NNWR-1D: one Dirichlet phase (with the source and the initial
+  condition, tabulated beforehand) and one Neumann phase over the 8 × 401
+  nodes of the ``sweeps-1d`` NNWR-1D config at seed 1 (32 steps).  A
+  checkout whose kernels have no ``Stack`` marches the 8 subdomains one after
+  another, as its NNWR sweeps do (8 calls); otherwise a phase is 1 call.
+- L2: one sweep of that DNWR config, with 1 member and with its 8, and one
+  sweep of that NNWR-1D config.
+- L3: the six θ-list presets, ``fig_nnwr_kappa`` and ``fig_nnwr_table2``
+  through ``python -m fracwr.cli``.
 - L4: the Tier-1 suite of each checkout (each runs its own tests).
 
 Every case runs ``REPEATS`` times on each side.  A repeat of an L1 or L2
@@ -37,39 +44,81 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 5
-THETA_PRESETS = ("fig_dnwr_theta_sweep", "fig_dnwr_theta_sweep_wave", "fig_dnwr_hetero_grid",
-                 "fig_nnwr_theta_sweep", "fig_nnwr_theta_sweep_wave", "fig_nnwr_unequal")
+PRESETS = ("fig_dnwr_theta_sweep", "fig_dnwr_theta_sweep_wave", "fig_dnwr_hetero_grid",
+           "fig_nnwr_theta_sweep", "fig_nnwr_theta_sweep_wave", "fig_nnwr_unequal",
+           "fig_nnwr_kappa", "fig_nnwr_table2")
 IN_PROCESS = {  # case: (layer, calls per repeat)
     "dnwr-dirichlet-1": ("L1", 30), "dnwr-dirichlet-8": ("L1", 30),
     "dnwr-neumann-1": ("L1", 30), "dnwr-neumann-8": ("L1", 30),
+    "nnwr1d-dirichlet-8x401": ("L1", 20), "nnwr1d-neumann-8x401": ("L1", 20),
     "dnwr-sweep-1": ("L2", 10), "dnwr-sweep-8": ("L2", 10),
+    "nnwr1d-sweep-8x401": ("L2", 10),
 }
+
+
+def _experiment(index):
+    """The ``sweeps-1d`` workload's config ``index`` at seed 1, validated."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+    from fracwr import harness
+
+    return harness.config_from_dict(workloads.make_configs("sweeps-1d", 1)[index])
 
 
 def _dnwr_setup():
     """The sweeps-1d DNWR config at seed 1, one sweep, and its eight weights."""
-    from dataclasses import replace
-
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    import workloads
     from fracwr import harness
     from fracwr.dnwr import DnwrConfig
 
-    raw = workloads.make_configs("sweeps-1d", 1)[0]
-    exp = harness.config_from_dict(raw)
+    exp = _experiment(0)
     cfg = DnwrConfig(partition=harness._build_geometry("dnwr", exp.geometry), order=exp.order,
                      horizon=exp.horizon, n_steps=exp.n_steps, tolerance=exp.tolerance,
                      max_iter=1)
-    return cfg, list(exp.thetas), replace
+    return cfg, list(exp.thetas)
+
+
+def _nnwr_case(kind):
+    """One NNWR-1D phase or sweep of the sweeps-1d config at seed 1."""
+    import numpy as np
+    from fracwr import harness, kernels, solver
+    from fracwr.nnwr import NnwrConfig, run_nnwr_1d
+
+    exp = _experiment(1)
+    part = harness._build_geometry("nnwr1d", exp.geometry)
+    cfg = NnwrConfig(partition=part, order=exp.order, horizon=exp.horizon, n_steps=exp.n_steps,
+                     grading=exp.grading, tolerance=exp.tolerance, max_iter=1, mode=exp.mode,
+                     source=harness.SOURCES[exp.source],
+                     initial_condition=harness.INITIAL_CONDITIONS[exp.initial_condition])
+    if kind == "nnwr1d-sweep":
+        return lambda: run_nnwr_1d(cfg)
+    weights = cfg.build_weights()
+    subs = part.subdomains
+    traces = [None, *np.random.default_rng(1).standard_normal((len(subs) - 1, cfg.n_steps)),
+              None]
+    if kind == "nnwr1d-dirichlet":
+        solve = solver.solve_dirichlet_waveform
+        source = harness.SOURCES[exp.source]
+        f = [np.array([source(s.nodes, t) for t in weights.eval_times]) for s in subs]
+        u0 = [harness.INITIAL_CONDITIONS[exp.initial_condition](s.nodes) for s in subs]
+    else:
+        solve, f, u0 = solver.solve_neumann_waveform, [None] * len(subs), [None] * len(subs)
+    if hasattr(kernels, "Stack"):
+        return lambda: solve(subs, weights, traces[:-1], traces[1:], f=f, u0=u0)
+    return lambda: [solve(s, weights, traces[i], traces[i + 1], f=f[i], u0=u0[i])
+                    for i, s in enumerate(subs)]
 
 
 def _case(name):
     """The callable that one call of ``name`` times, in this interpreter."""
+    from dataclasses import replace
+
     import numpy as np
     from fracwr import solver
     from fracwr.dnwr import run_dnwr
 
-    cfg, thetas, replace = _dnwr_setup()
+    if name.startswith("nnwr1d-"):
+        return _nnwr_case(name.rsplit("-", 1)[0])
+    cfg, thetas = _dnwr_setup()
     weights = cfg.build_weights()
     sub1, sub2 = cfg.partition.subdomains
     kind, width = name.rsplit("-", 1)
@@ -174,7 +223,7 @@ def main(argv=None):
     if args.case:
         return _run_case(args.case)
     cases = [(layer, c) for c, (layer, _) in IN_PROCESS.items()]
-    cases += [("L3", p) for p in THETA_PRESETS] + [("L4", "tier1")]
+    cases += [("L3", p) for p in PRESETS] + [("L4", "tier1")]
     results = []
     for layer, case in cases:
         times = {"before": [], "after": []}
