@@ -54,11 +54,6 @@ def _index(rows):
     return np.array(rows)
 
 
-def _pick(values, ends):
-    """``values`` at the list ``ends``, a scalar for a single end as ``_index`` gives."""
-    return values[ends[0]] if len(ends) == 1 else values[ends]
-
-
 class Stack:
     """The constant parts of a stacked level matrix, built once per march.
 
@@ -74,10 +69,10 @@ class Stack:
     def __init__(self, widths, s, c, left, right, shift=None):
         # the index work runs on lists: a stack has few blocks
         widths = np.asarray(widths).tolist()
-        s, c = np.asarray(s, dtype=float), np.asarray(c, dtype=float)
         if min(widths) < 3:
             raise ValueError("a block needs at least 3 rows")
-        n_blocks = len(widths)
+        s, c = np.asarray(s, dtype=float), np.asarray(c, dtype=float)
+        n = len(widths)
         first = list(accumulate(widths[:-1], initial=0))
         self.size = first[-1] + widths[-1]
         self.two_s = np.repeat(2.0 * s, widths)
@@ -89,42 +84,38 @@ class Stack:
         between = [r - 1 for r in first[1:]]
         self.lower[between] = self.upper[between] = 0.0
 
-        # End e < n_blocks is the left end of block e, and the others the right
-        # ends, in the order of ``step_solve``'s ``ends``.  Per end: its row,
-        # its neighbour row and the slot of their couplings, which is the same
-        # both ways (``upper`` carries the left row's, ``lower`` the right's).
+        # End e is the left end of block e for e < n and the right end of block
+        # e - n otherwise, as in ``step_solve``'s ``ends``.  Each end has its
+        # row, its neighbour row and one slot for the two couplings between
+        # them, in ``upper`` on the left and in ``lower`` on the right.
         kinds = np.concatenate([left, right]).tolist()
         if not set(kinds) <= {DIRICHLET, FLUX}:
             raise ValueError(f"end kinds must be DIRICHLET or FLUX, got {kinds}")
         rows = first + [f + w - 1 for f, w in zip(first, widths)]
-        nbrs = [r + 1 for r in first] + [r - 1 for r in rows[n_blocks:]]
-        slots = first + nbrs[n_blocks:]
-        s_end = np.concatenate([s, s])
+        nbrs = [r + 1 for r in rows[:n]] + [r - 1 for r in rows[n:]]
+        slots = rows[:n] + nbrs[n:]
+        s, c = np.concatenate([s, s]), np.concatenate([c, c])
         dirichlet = [e for e, k in enumerate(kinds) if k == DIRICHLET]
-        self.lower[[slots[e] for e in dirichlet]] = 0.0
-        self.upper[[slots[e] for e in dirichlet]] = 0.0
-        # Dirichlet ends go in one pass, unless a 3-row block has two; then the
-        # left ends go first, as the right-hand side of such a row adds up
-        # s * g_left and then s * g_right
+        self.lower[[slots[e] for e in dirichlet]] = self.upper[[slots[e] for e in dirichlet]] = 0.0
+        # one pass over the Dirichlet ends, or two when a 3-row block has two:
+        # its middle row adds s * g_left and then s * g_right
         passes = [dirichlet]
         if len({nbrs[e] for e in dirichlet}) < len(dirichlet):
-            passes = [[e for e in dirichlet if e < n_blocks],
-                      [e for e in dirichlet if e >= n_blocks]]
+            passes = [[e for e in dirichlet if e < n], [e for e in dirichlet if e >= n]]
         self.dirichlet = [(_index(p), _index([rows[e] for e in p]), _index([nbrs[e] for e in p]),
-                           _pick(s_end, p)) for p in passes if p]
-        # flux ends, one entry per side, as their couplings sit in one array per side
+                           s[_index(p)]) for p in passes if p]
+        # the flux ends of each side, as their couplings sit in one array per side
         self.flux = []
-        for side, ends in enumerate((range(n_blocks), range(n_blocks, 2 * n_blocks))):
+        for side, ends in enumerate((range(n), range(n, 2 * n))):
             p = [e for e in ends if kinds[e] == FLUX]
             if p:
-                cf = _pick(c, [e % n_blocks for e in p])
-                self.flux.append((side, _index(p), _index([rows[e] for e in p]),
-                                  _index([nbrs[e] for e in p]), -4.0 * cf, cf / _pick(s_end, p),
+                at = _index(p)
+                self.flux.append((side, at, _index([rows[e] for e in p]),
+                                  _index([nbrs[e] for e in p]), -4.0 * c[at], c[at] / s[at],
                                   _index([slots[e] for e in p])))
-        fixed = sorted((rows[e], 1.0 if kinds[e] == DIRICHLET else 2.0 * float(c[e % n_blocks]))
-                       for e in range(2 * n_blocks))
-        self.fixed = _index([r for r, _ in fixed])
-        self.fixed_diag = np.array([d for _, d in fixed])
+        diag = {rows[e]: 1.0 if k == DIRICHLET else 2.0 * c[e] for e, k in enumerate(kinds)}
+        self.fixed = _index(sorted(diag))
+        self.fixed_diag = np.array([diag[r] for r in sorted(diag)])
 
 
 def step_solve(bnn, stack, rhs, ends):

@@ -19,7 +19,7 @@ solve per time level.
 """
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -136,7 +136,7 @@ def solve_waveform(
     m = 1 if members is None else members
     modes = () if decay is None else (len(decay),)
     lines = m * (1 if decay is None else len(decay))  # blocks per subdomain
-    per_block = (lambda x: x) if lines == 1 else (lambda x: [v for v in x for _ in range(lines)])
+    per_block = lambda x: [v for v in x for _ in range(lines)]  # noqa: E731
 
     # subdomain i owns the columns bounds[i]:bounds[i+1] of a level, member by
     # member, then mode by mode
@@ -184,20 +184,18 @@ def solve_waveform(
     # contiguous (level, width) slab, as a call with one member of one
     # subdomain does (a strided slab changes the bits of narrow products).
     hist = np.empty(stack.size)
-    runs, i = [], 0
-    while i < len(subs):
-        s, j = subs[i], i + 1
-        while j < len(subs) and (subs[j].n_nodes, subs[j].dx) == (s.n_nodes, s.dx):
-            j += 1
-        rows = slice(bounds[i], bounds[j])
+    runs = []
+    for _, run in groupby(range(len(subs)), lambda i: (subs[i].n_nodes, subs[i].dx)):
+        i, *others = run
+        rows = slice(bounds[i], bounds[i + 1 + len(others)])
+        s = subs[i]
+        if others:
+            s = replace(s, kappa=np.repeat([subs[j].kappa for j in (i, *others)], lines)[:, None])
         width = lines * s.n_nodes // m
-        if j > i + 1:
-            s = replace(s, kappa=np.repeat([t.kappa for t in subs[i:j]], lines)[:, None])
-        products = (bounds[j] - bounds[i]) // width
+        products = (rows.stop - rows.start) // width
         runs.append((rows, s, hist[rows].reshape(products, width),
                      u[:, rows].reshape(n_steps + 1, products, width),
                      np.empty((products, n_steps, width))))
-        i = j
     explicit = np.empty(stack.size) if theta_s < 1.0 else None
     for n in range(1, n_steps + 1):
         b_row = weights.rows[n - 1]
