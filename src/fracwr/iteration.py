@@ -146,9 +146,11 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False)
     batch once its error meets the tolerance, or at ``max_iter``.
 
     A non-finite error raises ``ArithmeticError``: the iteration diverged.
-    The batch's tridiagonal solves carry a NaN across the zero couplings
-    between members, so the raise comes at the first sweep where any member
-    is non-finite, for every member.
+    The raise comes at the first sweep where any member is non-finite, for
+    every member.  In a marched sweep the batch's tridiagonal solves also
+    carry a NaN across the zero couplings between members; a sweep that
+    applies an assembled operator (DNWR in error-equation mode) keeps the
+    members' values apart.
 
     Returns one ``RunResult`` per member, with the traces and, under
     ``keep_fields``, the fields of the member's last sweep.

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from fracwr.dnwr import DnwrConfig, monolithic_reference, optimal_theta_dnwr, run_dnwr
+import fracwr.dnwr as dnwr
+from fracwr.dnwr import (DnwrConfig, monolithic_reference, optimal_theta_dnwr, run_dnwr,
+                         transfer_matrix)
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
 from fracwr.geometry import build_partition, interface_flux_series
 from fracwr.solver import solve_dirichlet_waveform, solve_neumann_waveform
+from fracwr.theory import DnwrBoundParams
 
 
 def test_optimal_theta_values():
@@ -55,6 +58,62 @@ def test_update_identity():
     u2 = solve_neumann_waveform(sub2, weights, -flux, None)
     expected = 0.37 * u2[1:, 0] + (1 - 0.37) * h0
     np.testing.assert_array_equal(res.traces, expected)
+
+
+@pytest.mark.parametrize("order", [0.5, 1.5])
+def test_iterates_past_the_switch_match_marched_half_steps(order, monkeypatch):
+    # after ceil(N/4) marched sweeps the driver applies the assembled matrix;
+    # its iterates must still be those of marching every half step by hand
+    part = build_partition((0, 2), [1.2], [1.0, 0.3], [0.1, 0.04])
+    cfg = _config(partition=part, order=order, n_steps=16, tolerance=1e-300, max_iter=10)
+    builds = []
+    monkeypatch.setattr(dnwr, "transfer_matrix",
+                        lambda *a, **kw: builds.append(a) or transfer_matrix(*a, **kw))
+    members = [0.2, "optimal", 0.7]
+    results = run_dnwr(cfg, members=members)
+    assert len(builds) == 1 and cfg.max_iter > 4  # the last 6 sweeps use the matrix
+    weights = cfg.build_weights()
+    sub1, sub2 = part.subdomains
+    for member, res in zip(members, results):
+        theta = cfg.resolve_theta(member)[0]
+        h, errs = np.ones(cfg.n_steps), []
+        for _ in range(cfg.max_iter):
+            u1 = solve_dirichlet_waveform(sub1, weights, None, h)
+            flux = interface_flux_series(u1[1:], "right", sub1)
+            u2 = solve_neumann_waveform(sub2, weights, -flux, None)
+            h = theta * u2[1:, 0] + (1 - theta) * h
+            errs.append(np.abs(h).max())
+        np.testing.assert_allclose(res.report.sup_errors, errs, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(res.traces, h, rtol=1e-12, atol=1e-15)
+
+
+def test_transfer_matrix_is_causal_and_independent_of_the_chunk():
+    part = build_partition((0, 2), [0.9], [1.0, 0.5], [0.05, 0.1])
+    weights = _config(partition=part, n_steps=21).build_weights()
+    s = transfer_matrix(part, weights)
+    assert s.shape == (21, 21)
+    assert np.all(np.triu(s, 1) == 0.0)
+    assert np.all(np.diag(s) != 0.0)
+    for chunk in (1, 5, 21):
+        assert np.array_equal(transfer_matrix(part, weights, chunk=chunk), s)
+
+
+def test_contraction_is_the_largest_diagonal_entry_of_the_transfer_matrix():
+    # the perfbench envelope breach (κ = (1, 0.2), breakpoint 1.42): the error
+    # shrinks by the constant max|diag(T)|, T = θS + (1-θ)I, which lies above
+    # the envelope's per-sweep factor 2·gain·(A-B)/A
+    part = build_partition((0, 2), [1.42], [1.0, 0.2], 0.02)
+    cfg = _config(partition=part, n_steps=64, theta="optimal", tolerance=1e-300, max_iter=24)
+    errs = run_dnwr(cfg).report.sup_errors
+    theta = cfg.resolve_theta()[0]
+    s = transfer_matrix(part, cfg.build_weights())
+    rate = np.abs(np.diag(theta * s + (1 - theta) * np.eye(64))).max()
+    np.testing.assert_allclose(errs[1:] / errs[:-1], rate, rtol=1e-12)
+    assert rate == pytest.approx(0.12904, abs=1e-5)
+    p = DnwrBoundParams(nu=0.25, a=1.42, b=0.58, kappa1=1.0, kappa2=0.2, horizon=1.0)
+    envelope = 2 * p.gain * (p.A - p.B) / p.A
+    assert envelope == pytest.approx(0.120, abs=1e-3)
+    assert rate > envelope
 
 
 def test_two_sweep_convergence_symmetric():

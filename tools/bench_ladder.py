@@ -1,4 +1,4 @@
-"""Before/after timings of the stacked marches, layer by layer, as one JSON file.
+"""Before/after timings of two checkouts, layer by layer, as one JSON file.
 
 Usage, from the repository root:
 
@@ -19,14 +19,19 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   checkout whose kernels have no ``Stack`` marches the 8 subdomains one after
   another, as its NNWR sweeps do (8 calls); otherwise a phase is 1 call.
 - L2: one sweep of that DNWR config, with 1 member and with its 8, and one
-  sweep of that NNWR-1D config.
+  sweep of that NNWR-1D config.  Also the whole θ run of that DNWR config:
+  its 8 members to its tolerance or ``max_iter``, as the workload runs them
+  (a one-sweep case never reaches the sweeps after the first ``ceil(N/4)``).
 - L3: the six θ-list presets, ``fig_nnwr_kappa`` and ``fig_nnwr_table2``
-  through ``python -m fracwr.cli``.
+  through ``python -m fracwr.cli``, timed as whole processes and, beside
+  that, as ``harness.run_experiment`` over the preset's configs in a fresh
+  interpreter after its imports (``in_process``): start-up is about 0.3 s,
+  more than a DNWR preset's run.
 - L4: the Tier-1 suite of each checkout (each runs its own tests).
 
 Every case runs ``REPEATS`` times on each side.  A repeat of an L1 or L2
 case is the median of several calls after a warm-up call; L3 and L4 time
-whole processes.  Every figure is the median over the repeats, with the
+whole processes, and an L3 repeat also one in-process run.  Every figure is the median over the repeats, with the
 quartiles and the extremes.
 """
 
@@ -51,7 +56,7 @@ IN_PROCESS = {  # case: (layer, calls per repeat)
     "dnwr-dirichlet-1": ("L1", 30), "dnwr-dirichlet-8": ("L1", 30),
     "dnwr-neumann-1": ("L1", 30), "dnwr-neumann-8": ("L1", 30),
     "nnwr1d-dirichlet-8x401": ("L1", 20), "nnwr1d-neumann-8x401": ("L1", 20),
-    "dnwr-sweep-1": ("L2", 10), "dnwr-sweep-8": ("L2", 10),
+    "dnwr-sweep-1": ("L2", 10), "dnwr-sweep-8": ("L2", 10), "dnwr-run-8": ("L2", 3),
     "nnwr1d-sweep-8x401": ("L2", 10),
 }
 
@@ -65,15 +70,15 @@ def _experiment(index):
     return harness.config_from_dict(workloads.make_configs("sweeps-1d", 1)[index])
 
 
-def _dnwr_setup():
-    """The sweeps-1d DNWR config at seed 1, one sweep, and its eight weights."""
+def _dnwr_setup(whole_run=False):
+    """The sweeps-1d DNWR config at seed 1, one sweep (or its ``max_iter``), and its eight weights."""
     from fracwr import harness
     from fracwr.dnwr import DnwrConfig
 
     exp = _experiment(0)
     cfg = DnwrConfig(partition=harness._build_geometry("dnwr", exp.geometry), order=exp.order,
                      horizon=exp.horizon, n_steps=exp.n_steps, tolerance=exp.tolerance,
-                     max_iter=1)
+                     max_iter=exp.max_iter if whole_run else 1)
     return cfg, list(exp.thetas)
 
 
@@ -118,13 +123,13 @@ def _case(name):
 
     if name.startswith("nnwr1d-"):
         return _nnwr_case(name.rsplit("-", 1)[0])
-    cfg, thetas = _dnwr_setup()
+    kind, width = name.rsplit("-", 1)
+    cfg, thetas = _dnwr_setup(whole_run=kind == "dnwr-run")
     weights = cfg.build_weights()
     sub1, sub2 = cfg.partition.subdomains
-    kind, width = name.rsplit("-", 1)
     m = int(width)
     batched = "members" in inspect.signature(solver.solve_waveform).parameters
-    if kind == "dnwr-sweep":
+    if kind in ("dnwr-sweep", "dnwr-run"):
         if m == 1:
             return lambda: run_dnwr(replace(cfg, theta="optimal"))
         if batched:
@@ -142,7 +147,21 @@ def _case(name):
     return lambda: [solve(h) for h in traces]
 
 
+def _run_preset(name):
+    """Print the seconds of ``harness.run_experiment`` over the configs of preset ``name``."""
+    from fracwr import harness
+
+    configs = harness.preset_config(name)
+    with tempfile.TemporaryDirectory(prefix="ladder-") as out:
+        t0 = time.perf_counter()
+        for cfg in configs:
+            harness.run_experiment(cfg, out)
+        print(json.dumps(time.perf_counter() - t0))
+
+
 def _run_case(name):
+    if name in PRESETS:
+        return _run_preset(name)
     fn = _case(name)
     fn()
     times = []
@@ -159,9 +178,12 @@ def _env(tree):
     return env
 
 
-def _time(tree, case):
-    """Seconds of one repeat of ``case`` against the checkout ``tree``."""
-    if case in IN_PROCESS:
+def _time(tree, case, in_process=False):
+    """Seconds of one repeat of ``case`` against the checkout ``tree``.
+
+    ``in_process`` times an L3 preset's run after the imports instead of its process.
+    """
+    if case in IN_PROCESS or in_process:
         out = subprocess.run([sys.executable, os.path.abspath(__file__), "--case", case],
                              env=_env(tree), capture_output=True, text=True, check=True)
         return json.loads(out.stdout.splitlines()[-1])
@@ -227,11 +249,18 @@ def main(argv=None):
     results = []
     for layer, case in cases:
         times = {"before": [], "after": []}
+        inner = {"before": [], "after": []}
         for _ in range(REPEATS):
             for side in ("before", "after"):
                 times[side].append(_time(getattr(args, side), case))
+                if layer == "L3":
+                    inner[side].append(_time(getattr(args, side), case, in_process=True))
         row = {"layer": layer, "case": case, **{k: _summary(v) for k, v in times.items()}}
         row["speedup"] = row["before"]["median_s"] / row["after"]["median_s"]
+        if layer == "L3":
+            row["in_process"] = {k: _summary(v) for k, v in inner.items()}
+            row["in_process"]["speedup"] = (row["in_process"]["before"]["median_s"]
+                                            / row["in_process"]["after"]["median_s"])
         print(json.dumps(row), file=sys.stderr)
         results.append(row)
     doc = {"machine": _machine(), "repeats": REPEATS,
