@@ -14,9 +14,9 @@ then, it builds ``S`` once and applies it in every later sweep.
 
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
-from dataclasses import dataclass
 
 from .geometry import Partition1D, interface_flux_series
 from .iteration import IterationConfig, iterate
@@ -83,8 +83,8 @@ def transfer_matrix(partition: Partition1D, weights, chunk: int = TRANSFER_CHUNK
     eye = np.eye(n)
     s = np.empty((n, n))
     for j in range(0, n, chunk):
-        s[:, j:j + chunk] = _half_steps(partition.subdomains, weights, eye[j:j + chunk])[1][
-            :, 1:, 0].T
+        _, u2 = _half_steps(partition.subdomains, weights, eye[j:j + chunk])
+        s[:, j:j + chunk] = u2[:, 1:, 0].T
     return s
 
 
@@ -110,18 +110,18 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
     ])
     # the sweeps marched before S takes over: a build costs about N/4 marched sweeps
     marched = -(-cfg.n_steps // 4) if cfg.error_mode else cfg.max_iter
-    done, op = 0, None
+    done, transfer = 0, None
 
     def sweep(h, theta):
-        nonlocal done, op
+        nonlocal done, transfer
         done += 1
         if done <= marched:
             fields = _half_steps(subs, weights, h, f, u0)
             g = fields[1][:, 1:, 0]
         else:
-            if op is None:
-                op = transfer_matrix(cfg.partition, weights)
-            g = np.array([op @ hj for hj in h])  # one product per member, as alone
+            if transfer is None:
+                transfer = transfer_matrix(cfg.partition, weights)
+            g = np.array([transfer @ hj for hj in h])  # one product per member, as alone
             fields = _half_steps(subs, weights, h) if keep_fields else ()
         h_new = theta * g + (1.0 - theta) * h
         return h_new, h_new - h, fields

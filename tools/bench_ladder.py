@@ -22,17 +22,18 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   sweep of that NNWR-1D config.  Also the whole θ run of that DNWR config:
   its 8 members to its tolerance or ``max_iter``, as the workload runs them
   (a one-sweep case never reaches the sweeps after the first ``ceil(N/4)``).
-- L3: the six θ-list presets, ``fig_nnwr_kappa`` and ``fig_nnwr_table2``
-  through ``python -m fracwr.cli``, timed as whole processes and, beside
-  that, as ``harness.run_experiment`` over the preset's configs in a fresh
-  interpreter after its imports (``in_process``): start-up is about 0.3 s,
-  more than a DNWR preset's run.
+- L3: the six θ-list presets, the two DNWR bounds presets,
+  ``fig_nnwr_kappa`` and ``fig_nnwr_table2`` through
+  ``python -m fracwr.cli``, timed as whole processes and, beside that
+  (``in_process``), as ``harness.run_experiment`` over the preset's configs
+  in a fresh interpreter after its imports: the start-up of a process takes
+  longer than the run of a DNWR preset.
 - L4: the Tier-1 suite of each checkout (each runs its own tests).
 
 Every case runs ``REPEATS`` times on each side.  A repeat of an L1 or L2
 case is the median of several calls after a warm-up call; L3 and L4 time
-whole processes, and an L3 repeat also one in-process run.  Every figure is the median over the repeats, with the
-quartiles and the extremes.
+whole processes, and an L3 repeat also one in-process run.  Every figure is
+the median over the repeats, with the quartiles and the extremes.
 """
 
 import argparse
@@ -50,8 +51,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 5
 PRESETS = ("fig_dnwr_theta_sweep", "fig_dnwr_theta_sweep_wave", "fig_dnwr_hetero_grid",
-           "fig_nnwr_theta_sweep", "fig_nnwr_theta_sweep_wave", "fig_nnwr_unequal",
-           "fig_nnwr_kappa", "fig_nnwr_table2")
+           "fig_dnwr_bounds_sub", "fig_dnwr_bounds_wave", "fig_nnwr_theta_sweep",
+           "fig_nnwr_theta_sweep_wave", "fig_nnwr_unequal", "fig_nnwr_kappa", "fig_nnwr_table2")
 IN_PROCESS = {  # case: (layer, calls per repeat)
     "dnwr-dirichlet-1": ("L1", 30), "dnwr-dirichlet-8": ("L1", 30),
     "dnwr-neumann-1": ("L1", 30), "dnwr-neumann-8": ("L1", 30),
@@ -71,7 +72,7 @@ def _experiment(index):
 
 
 def _dnwr_setup(whole_run=False):
-    """The sweeps-1d DNWR config at seed 1, one sweep (or its ``max_iter``), and its eight weights."""
+    """The sweeps-1d DNWR config at seed 1, one sweep or its whole run, and its eight weights."""
     from fracwr import harness
     from fracwr.dnwr import DnwrConfig
 
