@@ -36,10 +36,8 @@ from .nnwr import (
 )
 from .solver import (
     solve_dirichlet_waveform,
-    solve_dirichlet_waveform_2d,
     solve_monolithic,
     solve_neumann_waveform,
-    solve_neumann_waveform_2d,
 )
 from .theory import (
     DnwrBoundParams,

@@ -6,13 +6,21 @@ kappa_i d_n u_i + kappa_j d_n u_j per interface, (c) zero-data Neumann
 correction solves driven by that mismatch (physical boundaries keep a
 homogeneous Dirichlet condition), and (d) the relaxed trace update
 h <- h - theta * (psi_i + psi_j) per interface.  The solves of phases (a)
-and (c) are independent across subdomains, as in the paper.  In 1D each
-phase is one stacked march over all subdomains (and all members of a
-relaxation sweep), which gives every subdomain bit for bit the field of its
-own march, so a rerun reproduces the iterates bit for bit.  The two 2D
-strips march one after another.  Both drivers run their sweeps in the
-interface iteration of ``fracwr.iteration``; the source and the initial
-condition are tabulated once per run.
+and (c) are independent across subdomains, as in the paper.  Each phase is
+one stacked march over all subdomains (and all members of a relaxation
+sweep), which gives every subdomain bit for bit the field of its own march,
+so a rerun reproduces the iterates bit for bit.
+
+The 2D strip runs the same sweep in sine-mode space.  Its y-boundary rows
+are homogeneous Dirichlet, dy is uniform and both strips share the interface
+lattice, so the orthonormal DST-I over the interior y nodes diagonalises the
+whole sweep: mode k is the 1D sweep over the two strips' x-lines with the
+extra reaction coefficient kappa * lambda_k / dy**2, lambda_k =
+4 sin(k pi / (2 ny))**2 (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970),
+and each phase marches both strips and all modes at once.  Both drivers run
+their sweeps in the interface iteration of ``fracwr.iteration``; the source
+and the initial condition are tabulated once per run (in 2D, and moved into
+mode space).
 """
 
 import math
@@ -21,16 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Partition1D, Subdomain2D, interface_flux_series
+from .geometry import Partition1D, Subdomain1D, Subdomain2D, interface_flux_series
 from .iteration import IterationConfig, iterate
-from .solver import (
-    interface_flux_series_2d,
-    solve_dirichlet_waveform,
-    solve_dirichlet_waveform_2d,
-    solve_neumann_waveform,
-    solve_neumann_waveform_2d,
-    tabulate,
-)
+from .solver import solve_dirichlet_waveform, solve_neumann_waveform, tabulate
 
 __all__ = [
     "NnwrConfig",
@@ -65,44 +66,53 @@ class NnwrConfig(IterationConfig):
         return [optimal_theta_nnwr(a, b) for a, b in zip(kappas, kappas[1:])]
 
 
+def _sweep(subs, weights, h, thetas, f, u0, decay=None):
+    """One sweep over the line subdomains ``subs``: the trace update and the Dirichlet fields.
+
+    ``h`` stacks each member's interface traces, (members, interfaces, N),
+    with a trailing mode axis when ``decay`` gives the lines a reaction term
+    (as in ``solve_waveform``).  ``thetas`` holds each member's interface
+    weights, (members, interfaces), with a trailing axis of length 1 for the
+    mode axis.
+    """
+    m = len(h)
+    # subdomain i lies between interfaces i - 1 and i; the outer ends have none
+    traces = [None, *h.swapaxes(0, 1), None]
+    fields = solve_dirichlet_waveform(subs, weights, traces[:-1], traces[1:], f=f, u0=u0,
+                                      decay=decay, members=m)
+
+    mismatch = [
+        interface_flux_series(fields[i][:, 1:], "right", subs[i])
+        + interface_flux_series(fields[i + 1][:, 1:], "left", subs[i + 1])
+        for i in range(len(subs) - 1)
+    ]
+
+    fluxes = [None, *mismatch, None]
+    corrections = solve_neumann_waveform(subs, weights, fluxes[:-1], fluxes[1:], decay=decay,
+                                         members=m)
+
+    update = np.stack([thetas[:, i, None] * (corrections[i][:, 1:, ..., -1]
+                                             + corrections[i + 1][:, 1:, ..., 0])
+                       for i in range(len(subs) - 1)], axis=1)
+    return update, fields
+
+
 def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
     """Run the iteration with ``cfg.theta``, or with each of ``members`` in
     one batch (one ``RunResult`` per member, as ``run_dnwr`` describes)."""
     t_start = time.perf_counter()
     weights = cfg.build_weights()
     subs = cfg.partition.subdomains
-    n_sub = len(subs)
     f = u0 = None
     if not cfg.error_mode:
         f, u0 = zip(*(tabulate(weights, cfg.source, cfg.initial_condition, sub.nodes)
                       for sub in subs))
 
     def sweep(h, thetas):
-        m = len(h)
-        # subdomain i lies between interfaces i - 1 and i; the outer ends have none
-        traces = [None, *h.swapaxes(0, 1), None]
-        fields = solve_dirichlet_waveform(subs, weights, traces[:-1], traces[1:], f=f, u0=u0,
-                                          members=m)
+        update, fields = _sweep(subs, weights, h, thetas, f, u0)
+        return h - update, update, tuple(fields)
 
-        mismatch = [
-            interface_flux_series(fields[i][:, 1:], "right", subs[i])
-            + interface_flux_series(fields[i + 1][:, 1:], "left", subs[i + 1])
-            for i in range(n_sub - 1)
-        ]
-
-        fluxes = [None, *mismatch, None]
-        corrections = solve_neumann_waveform(subs, weights, fluxes[:-1], fluxes[1:], members=m)
-
-        updates = np.stack(
-            [
-                thetas[:, i, None] * (corrections[i][:, 1:, -1] + corrections[i + 1][:, 1:, 0])
-                for i in range(n_sub - 1)
-            ],
-            axis=1,
-        )
-        return h - updates, updates, tuple(fields)
-
-    h0 = cfg.initial_traces((n_sub - 1, cfg.n_steps))
+    h0 = cfg.initial_traces((len(subs) - 1, cfg.n_steps))
     results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, keep_fields)
     return results if members is not None else results[0]
 
@@ -126,33 +136,59 @@ class Nnwr2dConfig(IterationConfig):
         return [optimal_theta_nnwr(self.left.kappa, self.right.kappa)]
 
 
+def _mode_data(sub, weights, f, u0, sine):
+    """A strip's source and initial tables (``tabulate``) as mode tables, x nodes last."""
+    f_hat = None if f is None else sine @ np.swapaxes(f[..., 1:-1], -1, -2)
+    if u0 is None:
+        return f_hat, None
+    if weights.implicit_fraction < 1.0:
+        # the explicit half of the first level reads u0 on the y-boundary rows, which no mode holds
+        f_hat = np.zeros((weights.n_steps, sub.ny - 1, sub.nx + 1)) if f_hat is None else f_hat
+        f_hat[0] += (1.0 - weights.implicit_fraction) * sub.kappa / sub.dy**2 * (
+            np.outer(sine[0], u0[:, 0]) + np.outer(sine[-1], u0[:, -1]))
+    return f_hat, sine @ u0[:, 1:-1].T
+
+
 def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
     """Run the iteration with ``cfg.theta``, or with each of ``members`` in
-    one batch (one ``RunResult`` per member, as ``run_dnwr`` describes)."""
+    one batch (one ``RunResult`` per member, as ``run_dnwr`` describes).
+
+    The iterate is the lattice trace (N, ny+1); a sweep moves its interior
+    rows into mode space, runs the 1D sweep there and moves the update back,
+    whose y-boundary entries stay zero.  Under ``keep_fields`` the lattice
+    Dirichlet fields are rebuilt from the modes.
+    """
     t_start = time.perf_counter()
     weights = cfg.build_weights()
-    (f_left, u0_left), (f_right, u0_right) = [
-        (None, None) if cfg.error_mode else
-        tabulate(weights, cfg.source, cfg.initial_condition,
-                 *np.meshgrid(sub.xs, sub.ys, indexing="ij")) for sub in (cfg.left, cfg.right)
-    ]
+    strips = (cfg.left, cfg.right)
+    ny = cfg.left.ny
+    # the transform matrix is symmetric and its own inverse
+    k = np.arange(1, ny)
+    sine = np.sqrt(2.0 / ny) * np.sin(np.pi * np.outer(k, k) / ny)
+    decay = [s.kappa * (2.0 * np.sin(0.5 * np.pi * k / ny) / s.dy) ** 2 for s in strips]
+    lines = [Subdomain1D(s.x_left, s.x_right, s.kappa, s.dx, s.xs) for s in strips]
+    u0 = f_hat = u0_hat = (None, None)
+    if not cfg.error_mode:
+        f, u0 = zip(*(tabulate(weights, cfg.source, cfg.initial_condition,
+                               *np.meshgrid(s.xs, s.ys, indexing="ij")) for s in strips))
+        f_hat, u0_hat = zip(*(_mode_data(s, weights, fs, us, sine)
+                              for s, fs, us in zip(strips, f, u0)))
 
-    def sweep(h, theta):
-        m = len(h)
-        u_left = solve_dirichlet_waveform_2d(cfg.left, weights, "right", h, f=f_left,
-                                             u0=u0_left, members=m)
-        u_right = solve_dirichlet_waveform_2d(cfg.right, weights, "left", h, f=f_right,
-                                              u0=u0_right, members=m)
-        mismatch = interface_flux_series_2d(
-            u_left[:, 1:], "right", cfg.left
-        ) + interface_flux_series_2d(u_right[:, 1:], "left", cfg.right)
+    def sweep(h, thetas):
+        update_hat, fields = _sweep(lines, weights, (h[..., 1:-1] @ sine)[:, None],
+                                    thetas[..., None], f_hat, u0_hat, decay)
+        update = np.zeros_like(h)
+        update[..., 1:-1] = update_hat[:, 0] @ sine
+        lattice = []  # the Dirichlet fields: u0 at level 0, then the trace on the interface
+        for u_hat, start, column in zip(fields if keep_fields else (), u0, (-1, 0)):
+            u = np.zeros(u_hat.shape[:2] + (u_hat.shape[-1], ny + 1))
+            np.matmul(np.swapaxes(u_hat, -1, -2), sine, out=u[..., 1:-1])
+            u[:, 0] = 0.0 if start is None else start
+            u[:, 1:, column, 1:-1] = h[..., 1:-1]
+            lattice.append(u)
+        return h - update, update, tuple(lattice)
 
-        psi_left = solve_neumann_waveform_2d(cfg.left, weights, "right", mismatch, members=m)
-        psi_right = solve_neumann_waveform_2d(cfg.right, weights, "left", mismatch, members=m)
-        update = theta[:, :, None] * (psi_left[:, 1:, -1, :] + psi_right[:, 1:, 0, :])
-        return h - update, update, (u_left, u_right)
-
-    h0 = cfg.initial_traces((cfg.n_steps, cfg.left.ny + 1))
+    h0 = cfg.initial_traces((cfg.n_steps, ny + 1))
     if np.isscalar(cfg.initial_guess):
         h0[:, 0] = h0[:, -1] = 0.0  # trace endpoints sit on the outer boundary
     results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, keep_fields)

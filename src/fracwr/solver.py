@@ -12,10 +12,9 @@ whole-domain reference solver couples subdomains through the identical
 one-sided flux-balance row the substructuring iterations use, so a converged
 iteration and the monolithic solve agree to solver precision.
 
-A 2D strip solve is a batch of such 1D solves: a sine transform in y turns
-the 5-point operator into one x-problem per y-mode, shifted by that mode's
-eigenvalue, and all modes march together through one batched tridiagonal
-solve per time level.
+The march also takes a reaction term per line, which is how a 2D strip is
+solved: a sine transform in y turns the 5-point operator into one x-problem
+per y-mode, shifted by that mode's eigenvalue (``nnwr.run_nnwr_2d``).
 """
 
 from dataclasses import dataclass, replace
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .fractional_time import CaputoWeights
-from .geometry import Partition1D, Subdomain1D, Subdomain2D, laplacian_apply
+from .geometry import Partition1D, Subdomain1D, laplacian_apply
 
 __all__ = [
     "tabulate",
@@ -34,8 +33,6 @@ __all__ = [
     "solve_neumann_waveform",
     "MonolithicSolution",
     "solve_monolithic",
-    "solve_dirichlet_waveform_2d",
-    "solve_neumann_waveform_2d",
 ]
 
 
@@ -105,9 +102,11 @@ def solve_waveform(
 
     With ``decay`` (shape (B,)) the call marches B independent problems at
     once, problem b solving D^nu u = kappa u_xx - decay[b] u + f with the
-    reaction term split between levels like the Laplacian.  Then ``u0`` and
-    a time-independent ``f`` have shape (B, n_nodes), a time table ``f``
-    (N, B, n_nodes), trace arrays (N, B), and the field (N+1, B, n_nodes).
+    reaction term split between levels like the Laplacian; with a sequence
+    of subdomains ``decay`` may also hold one such row per subdomain.  Then
+    ``u0`` and a time-independent ``f`` have shape (B, n_nodes), a time table
+    ``f`` (N, B, n_nodes), trace arrays (N, B), and the field
+    (N+1, B, n_nodes).
 
     With ``members`` = M the call marches M problems that share ``f``, ``u0``
     and ``decay`` but have their own end values, the members of a relaxation
@@ -134,8 +133,11 @@ def solve_waveform(
     n_steps = weights.n_steps
     theta_s = weights.implicit_fraction
     m = 1 if members is None else members
-    modes = () if decay is None else (len(decay),)
-    lines = m * (1 if decay is None else len(decay))  # blocks per subdomain
+    if decay is not None:
+        decay = np.asarray(decay, dtype=float)
+        decay = np.broadcast_to(decay, (len(subs), decay.shape[-1]))  # a row per subdomain
+    modes = () if decay is None else decay.shape[1:]
+    lines = m * (1 if decay is None else decay.shape[1])  # blocks per subdomain
     per_block = lambda x: [v for v in x for _ in range(lines)]  # noqa: E731
 
     # subdomain i owns the columns bounds[i]:bounds[i+1] of a level, member by
@@ -155,7 +157,7 @@ def solve_waveform(
                 0, 1).reshape(n_steps, lines)
     vals = vals.reshape(n_steps, -1)
     if decay is not None:
-        decay = np.tile(np.asarray(decay, dtype=float), m * len(subs))
+        decay = np.concatenate([np.tile(row, m) for row in decay])
     stack = kernels.Stack(
         per_block([s.n_nodes for s in subs]),
         per_block([theta_s * s.kappa / s.dx**2 for s in subs]),
@@ -233,17 +235,17 @@ def _ends(sub, side, left, right):
 
 
 def solve_dirichlet_waveform(sub, weights, left_trace, right_trace, f=None, u0=None,
-                             members=None):
+                             decay=None, members=None):
     """Dirichlet half-step: imposed interface traces (None = physical boundary, g = 0).
 
     With a sequence of subdomains the traces hold one entry per subdomain.
     """
     left, right = _ends(sub, lambda g: ("dirichlet", g), left_trace, right_trace)
-    return solve_waveform(sub, weights, left, right, f=f, u0=u0, members=members)
+    return solve_waveform(sub, weights, left, right, f=f, u0=u0, decay=decay, members=members)
 
 
 def solve_neumann_waveform(sub, weights, left_flux, right_flux, f=None, u0=None,
-                           members=None):
+                           decay=None, members=None):
     """Neumann half-step: imposed outward-flux traces.
 
     A side given as None is a physical boundary, where a homogeneous Dirichlet
@@ -252,7 +254,7 @@ def solve_neumann_waveform(sub, weights, left_flux, right_flux, f=None, u0=None,
     """
     left, right = _ends(sub, lambda q: ("dirichlet", None) if q is None else ("flux", q),
                         left_flux, right_flux)
-    return solve_waveform(sub, weights, left, right, f=f, u0=u0, members=members)
+    return solve_waveform(sub, weights, left, right, f=f, u0=u0, decay=decay, members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -360,94 +362,3 @@ def solve_monolithic(partition: Partition1D, weights: CaputoWeights, f=None, u0=
         u[n, 1:-1] = kernels.tridiag_solve(lower[1:-1], diag[1:-1], upper[1:-1], rhs[1:-1])
         du[n - 1] = u[n] - u[n - 1]
     return MonolithicSolution(field=u, nodes=nodes, interface_indices=ifc)
-
-
-# ---------------------------------------------------------------------------
-# 2D strip solves (two subdomains sharing a vertical interface)
-# ---------------------------------------------------------------------------
-
-def _solve_waveform_2d(sub: Subdomain2D, weights, side: str, kind: str, values, f, u0, members):
-    """Strip solve as a batch of 1D problems, one per sine mode in y.
-
-    The strip has homogeneous Dirichlet data on its y-boundary rows, a uniform
-    dy, one kappa and an interface condition that acts along x alone, so the
-    orthonormal DST-I over the ny-1 interior y nodes diagonalises the 5-point
-    operator exactly: mode k is a 1D problem with the extra reaction
-    coefficient kappa * lambda_k / dy**2, lambda_k = 4 sin(k pi / (2 ny))**2
-    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970).  ``members`` works
-    as in ``solve_waveform``: the interface rows and the field gain a leading
-    member axis, and all members' modes march together.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"interface side must be 'left' or 'right', got {side!r}")
-    nx, ny = sub.nx, sub.ny
-    n_steps = weights.n_steps
-    theta_s = weights.implicit_fraction
-    lead = () if members is None else (members,)
-    vals = _expand_trace(values, lead + (n_steps, ny + 1))
-    xg, yg = np.meshgrid(sub.xs, sub.ys, indexing="ij")
-    if callable(u0):
-        u_init = np.broadcast_to(np.asarray(u0(xg, yg), dtype=float), xg.shape)
-    elif u0 is None:
-        u_init = np.zeros(xg.shape)
-    else:
-        u_init = np.asarray(u0, dtype=float)
-        if u_init.size != xg.size:
-            raise ValueError("initial data does not match the lattice")
-        u_init = u_init.reshape(xg.shape)
-
-    # the transform matrix is symmetric and its own inverse
-    k = np.arange(1, ny)
-    sine = np.sqrt(2.0 / ny) * np.sin(np.pi * np.outer(k, k) / ny)
-    decay = sub.kappa * (2.0 * np.sin(0.5 * np.pi * k / ny) / sub.dy) ** 2
-
-    # mode tables have the x nodes last, as the 1D march stores its fields;
-    # the source table is built only when there is a source
-    edge_source = theta_s < 1.0 and u0 is not None
-    f_hat = None
-    if f is not None or edge_source:
-        f_hat = np.zeros((n_steps, ny - 1, nx + 1))
-    if f is not None:
-        for n, fv in enumerate(_source_table(f, (xg, yg), weights.eval_times, xg.shape)):
-            f_hat[n] = sine @ fv[:, 1:-1].T
-    if edge_source:
-        # the explicit half of the first level reads u0 on the y-boundary rows
-        edge = (1.0 - theta_s) * sub.kappa / sub.dy**2
-        f_hat[0] += edge * (np.outer(sine[0], u_init[:, 0]) + np.outer(sine[-1], u_init[:, -1]))
-
-    interface = (kind, vals[..., 1:-1] @ sine)
-    left, right = (interface, None) if side == "left" else (None, interface)
-    line = Subdomain1D(sub.x_left, sub.x_right, sub.kappa, sub.dx, sub.xs)
-    u_hat = solve_waveform(
-        line, weights, left, right, f=f_hat, u0=sine @ u_init[:, 1:-1].T, decay=decay,
-        members=members,
-    )
-
-    # physical boundary values stay zero after the initial level
-    out = np.zeros(lead + (n_steps + 1, nx + 1, ny + 1))
-    np.matmul(np.swapaxes(u_hat, -1, -2), sine, out=out[..., 1:-1])
-    out[..., 0, :, :] = u_init
-    if kind == "dirichlet":
-        out[..., 1:, 0 if side == "left" else nx, 1:-1] = vals[..., 1:-1]
-    return out
-
-
-def solve_dirichlet_waveform_2d(sub, weights, side, trace, f=None, u0=None, members=None):
-    """Dirichlet solve on a strip subdomain; ``trace`` has shape (N, ny+1)."""
-    return _solve_waveform_2d(sub, weights, side, "dirichlet", trace, f, u0, members)
-
-
-def solve_neumann_waveform_2d(sub, weights, side, flux, f=None, u0=None, members=None):
-    """Neumann solve on a strip subdomain; ``flux`` holds outward-flux rows (N, ny+1)."""
-    return _solve_waveform_2d(sub, weights, side, "flux", flux, f, u0, members)
-
-
-def interface_flux_series_2d(fields, side: str, sub: Subdomain2D) -> np.ndarray:
-    """Outward flux kappa * d_n u along the interface column, per time level."""
-    u = np.asarray(fields, dtype=float)
-    c = sub.kappa / (2.0 * sub.dx)
-    if side == "right":
-        return c * (3.0 * u[..., -1, :] - 4.0 * u[..., -2, :] + u[..., -3, :])
-    if side == "left":
-        return c * (3.0 * u[..., 0, :] - 4.0 * u[..., 1, :] + u[..., 2, :])
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")

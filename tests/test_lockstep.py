@@ -16,7 +16,7 @@ from fracwr.geometry import build_partition, build_subdomain_2d
 from fracwr import harness
 from fracwr.harness import config_from_dict, run_experiment
 from fracwr.nnwr import Nnwr2dConfig, NnwrConfig, run_nnwr_1d, run_nnwr_2d
-from fracwr.solver import solve_dirichlet_waveform_2d, solve_waveform
+from fracwr.solver import solve_waveform
 
 
 def _source_1d(x, t):
@@ -100,10 +100,6 @@ def test_member_axis_shapes():
         solo = solve_waveform(sub, w, None, ("dirichlet", h[j]), f=_source_1d,
                               u0=np.ones(sub.n_nodes))
         assert np.array_equal(u[j], solo)
-    cfg2d, _ = _nnwr2d("forced")
-    g = np.ones((2, cfg2d.n_steps, cfg2d.left.ny + 1))
-    u2 = solve_dirichlet_waveform_2d(cfg2d.left, cfg2d.build_weights(), "right", g, members=2)
-    assert u2.shape == (2, cfg2d.n_steps + 1, cfg2d.left.nx + 1, cfg2d.left.ny + 1)
 
 
 def _raw(theta):

@@ -98,7 +98,8 @@ def test_wave_order_converges():
 
 def test_each_phase_is_one_march_over_all_subdomains(monkeypatch):
     # one Dirichlet march and one Neumann march per sweep, each over all five
-    # subdomains, whatever the subdomain count
+    # subdomains, whatever the subdomain count; in 2D each phase marches the
+    # x-lines of both strips (with all their sine modes) at once
     calls = {"solve_dirichlet_waveform": [], "solve_neumann_waveform": []}
     for name, seen in calls.items():
         solve = getattr(nnwr, name)
@@ -110,9 +111,13 @@ def test_each_phase_is_one_march_over_all_subdomains(monkeypatch):
         monkeypatch.setattr(nnwr, name, counted)
     part = build_partition((0, 5), [1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 2.0, 1.0, 0.25], 0.125)
     sweeps = 3
-    res = run_nnwr_1d(_config(partition=part, max_iter=sweeps, tolerance=1e-30))
-    assert res.report.iterations == sweeps
-    assert calls == {name: [5] * sweeps for name in calls}
+    runs = [(lambda: run_nnwr_1d(_config(partition=part, max_iter=sweeps, tolerance=1e-30)), 5),
+            (lambda: run_nnwr_2d(_config_2d(max_iter=sweeps, tolerance=1e-30)), 2)]
+    for run, lines in runs:
+        for seen in calls.values():
+            seen.clear()
+        assert run().report.iterations == sweeps
+        assert calls == {name: [lines] * sweeps for name in calls}
 
 
 # ---------------------------------------------------------------------------

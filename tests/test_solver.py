@@ -7,13 +7,11 @@ from scipy.sparse.linalg import spsolve
 
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
 from fracwr.geometry import build_partition, build_subdomain, build_subdomain_2d
+from fracwr.nnwr import Nnwr2dConfig, run_nnwr_2d
 from fracwr.solver import (
-    interface_flux_series_2d,
     solve_dirichlet_waveform,
-    solve_dirichlet_waveform_2d,
     solve_monolithic,
     solve_neumann_waveform,
-    solve_neumann_waveform_2d,
     solve_waveform,
 )
 
@@ -182,6 +180,22 @@ def test_stacked_march_equals_one_subdomain_marches(order):
             one = [None if side is None else (side[0], side[1][j]) for side in (lt, rt)]
             assert np.array_equal(field[j], solve_waveform(sub, w, *one, f=f, u0=u0))
 
+    # two lines on one grid with a decay row each, as the two strips of a 2D
+    # sweep march their sine modes: mode tables for the data, traces per mode
+    lines = [subs[0], subs[2]]
+    decay = np.array([[0.5, 3.0, 40.0], [7.0, 0.25, 1.5]])
+    tables = rng.standard_normal((2, 12, 3, 9))
+    starts = rng.standard_normal((2, 3, 9))
+    ends = rng.standard_normal((2, 2, 2, 12, 3))  # line, side, member, level, mode
+    left, right = [("flux", ends[0, 0]), ("dirichlet", ends[1, 0])], [("dirichlet", ends[0, 1]),
+                                                                       None]
+    stacked = solve_waveform(lines, w, left, right, f=tables, u0=starts, decay=decay, members=2)
+    for i, field in enumerate(stacked):
+        assert field.shape == (2, 13, 3, 9)
+        alone = solve_waveform(lines[i], w, left[i], right[i], f=tables[i], u0=starts[i],
+                               decay=decay[i], members=2)
+        assert np.array_equal(field, alone)
+
 
 def test_stacked_march_takes_one_entry_per_subdomain():
     subs = [build_subdomain(0.0, 1.0, 1.0, 0.25), build_subdomain(1.0, 2.0, 1.0, 0.25)]
@@ -267,38 +281,6 @@ def test_monolithic_heterogeneous_steps():
 # 2D strip solves
 # ---------------------------------------------------------------------------
 
-def test_2d_zero_data():
-    sub = build_subdomain_2d(0.0, 0.5, -1.0, 1.0, 1.0, 0.1, 0.2)
-    w = _weights(0.5, n=6)
-    assert np.all(solve_dirichlet_waveform_2d(sub, w, "right", None) == 0.0)
-    assert np.all(solve_neumann_waveform_2d(sub, w, "left", None) == 0.0)
-
-
-@pytest.mark.parametrize("half_width, tol", [(5.0, 1e-6), (8.0, 1e-8)])
-def test_2d_reduces_to_1d_mid_strip(half_width, tol):
-    # y-independent trace: mid-strip rows match the 1D solution up to the
-    # y-boundary tail, which shrinks rapidly with the strip half-width
-    sub2 = build_subdomain_2d(0.0, 1.0, -half_width, half_width, 1.0, 0.05, 0.2)
-    w = _weights(0.5, n=16)
-    trace = np.ones((16, sub2.ny + 1))
-    trace[:, 0] = trace[:, -1] = 0.0
-    u2 = solve_dirichlet_waveform_2d(sub2, w, "right", trace)
-    sub1 = build_subdomain(0.0, 1.0, 1.0, 0.05)
-    u1 = solve_dirichlet_waveform(sub1, w, None, np.ones(16))
-    mid = sub2.ny // 2
-    assert np.abs(u2[:, :, mid] - u1).max() < tol
-
-
-def test_2d_initial_condition_sampling():
-    sub = build_subdomain_2d(0.0, 2.0, -5.0, 5.0, 1.0, 0.1, 0.5)
-    w = _weights(0.5, n=4)
-    g = lambda x, y: x * (2 - x) * np.exp(-10 * y**2)
-    u = solve_dirichlet_waveform_2d(sub, w, "right", None, u0=g)
-    xg, yg = np.meshgrid(sub.xs, sub.ys, indexing="ij")
-    np.testing.assert_allclose(u[0], g(xg, yg))
-    assert np.isfinite(u).all()
-
-
 def _sparse_strip_reference(sub, weights, side, kind, values, f, u0):
     """The strip solve assembled as one sparse 5-point system per time level.
 
@@ -350,26 +332,31 @@ def _sparse_strip_reference(sub, weights, side, kind, values, f, u0):
 
 
 @pytest.mark.parametrize("order", [0.5, 1.0, 1.5])
-@pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("kind", ["dirichlet", "flux"])
-def test_2d_matches_sparse_five_point_reference(kind, side, order):
-    sub = build_subdomain_2d(0.0, 0.7, -1.0, 1.2, 1.3, 0.1, 0.2)
-    w = _weights(order, n=12)
-    values = np.random.default_rng(7).standard_normal((12, sub.ny + 1))
-    u0 = lambda x, y: np.cos(x) * (1.0 + y) + 0.3  # nonzero on every boundary row
-    f = lambda x, y, t: np.sin(3.0 * x + y) * (1.0 + t)
-    solve = solve_dirichlet_waveform_2d if kind == "dirichlet" else solve_neumann_waveform_2d
-    got = solve(sub, w, side, values, f=f, u0=u0)
-    ref = _sparse_strip_reference(sub, w, side, kind, values, f, u0)
-    assert got.shape == ref.shape
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+def test_2d_matches_sparse_five_point_reference(order):
+    # one forced sweep of the strip pair against the same sweep built from
+    # sparse 5-point solves on the lattice: unequal kappa and dx per strip,
+    # data nonzero on every boundary row, a guess with nonzero endpoints
+    left = build_subdomain_2d(0.0, 0.7, -1.0, 1.2, 1.3, 0.1, 0.2)
+    right = build_subdomain_2d(0.7, 1.5, -1.0, 1.2, 0.4, 0.05, 0.2)
+    guess = np.random.default_rng(7).standard_normal((12, left.ny + 1))
+    u0 = lambda x, y: np.cos(x) * (1.0 + y) + 0.3  # noqa: E731
+    f = lambda x, y, t: np.sin(3.0 * x + y) * (1.0 + t)  # noqa: E731
+    cfg = Nnwr2dConfig(left=left, right=right, order=order, horizon=1.0, n_steps=12, theta=0.3,
+                       max_iter=1, mode="forced", initial_guess=guess, source=f,
+                       initial_condition=u0)
+    res = run_nnwr_2d(cfg, keep_fields=True)
 
-
-def test_2d_flux_series_orientation():
-    sub = build_subdomain_2d(0.0, 1.0, -1.0, 1.0, 2.0, 0.1, 0.25)
-    xg, _ = np.meshgrid(sub.xs, sub.ys, indexing="ij")
-    field = xg[None, :, :] ** 2
-    flux_r = interface_flux_series_2d(field, "right", sub)
-    flux_l = interface_flux_series_2d(field, "left", sub)
-    np.testing.assert_allclose(flux_r, 2.0 * 2.0, rtol=1e-9)
-    np.testing.assert_allclose(flux_l, 0.0, atol=1e-9)
+    w = cfg.build_weights()
+    zero = lambda x, *_: 0.0 * x  # noqa: E731
+    u_left = _sparse_strip_reference(left, w, "right", "dirichlet", guess, f, u0)
+    u_right = _sparse_strip_reference(right, w, "left", "dirichlet", guess, f, u0)
+    c_left, c_right = left.kappa / (2.0 * left.dx), right.kappa / (2.0 * right.dx)
+    mismatch = (c_left * (3.0 * u_left[1:, -1] - 4.0 * u_left[1:, -2] + u_left[1:, -3])
+                + c_right * (3.0 * u_right[1:, 0] - 4.0 * u_right[1:, 1] + u_right[1:, 2]))
+    psi_left = _sparse_strip_reference(left, w, "right", "flux", mismatch, zero, zero)
+    psi_right = _sparse_strip_reference(right, w, "left", "flux", mismatch, zero, zero)
+    update = 0.3 * (psi_left[1:, -1] + psi_right[1:, 0])
+    update[:, [0, -1]] = 0.0  # the trace endpoints sit on the outer boundary
+    for got, ref in zip((res.traces, *res.fields), (guess - update, u_left, u_right)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

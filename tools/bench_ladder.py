@@ -22,8 +22,9 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   sweep of that NNWR-1D config.  Also the whole θ run of that DNWR config:
   its 8 members to its tolerance or ``max_iter``, as the workload runs them
   (a one-sweep case never reaches the sweeps after the first ``ceil(N/4)``).
+  And one NNWR-2D sweep of the ``nnwr2d-strip`` workload's config at seed 1.
 - L3: the six θ-list presets, the two DNWR bounds presets,
-  ``fig_nnwr_kappa`` and ``fig_nnwr_table2`` through
+  ``fig_nnwr_kappa``, ``fig_nnwr_table2``, ``fig_2d`` and ``fig_2d_wave`` through
   ``python -m fracwr.cli``, timed as whole processes and, beside that
   (``in_process``), as ``harness.run_experiment`` over the preset's configs
   in a fresh interpreter after its imports: the start-up of a process takes
@@ -33,7 +34,10 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
 Every case runs ``REPEATS`` times on each side.  A repeat of an L1 or L2
 case is the median of several calls after a warm-up call; L3 and L4 time
 whole processes, and an L3 repeat also one in-process run.  Every figure is
-the median over the repeats, with the quartiles and the extremes.
+the median over the repeats, with the quartiles and the extremes.  A row
+(and an L3 row's ``in_process`` part) reads ``"no_change": true`` when the
+before and after interquartile ranges overlap: its speed-up is then within
+the spread of the repeats.
 """
 
 import argparse
@@ -52,23 +56,37 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 5
 PRESETS = ("fig_dnwr_theta_sweep", "fig_dnwr_theta_sweep_wave", "fig_dnwr_hetero_grid",
            "fig_dnwr_bounds_sub", "fig_dnwr_bounds_wave", "fig_nnwr_theta_sweep",
-           "fig_nnwr_theta_sweep_wave", "fig_nnwr_unequal", "fig_nnwr_kappa", "fig_nnwr_table2")
+           "fig_nnwr_theta_sweep_wave", "fig_nnwr_unequal", "fig_nnwr_kappa", "fig_nnwr_table2",
+           "fig_2d", "fig_2d_wave")
 IN_PROCESS = {  # case: (layer, calls per repeat)
     "dnwr-dirichlet-1": ("L1", 30), "dnwr-dirichlet-8": ("L1", 30),
     "dnwr-neumann-1": ("L1", 30), "dnwr-neumann-8": ("L1", 30),
     "nnwr1d-dirichlet-8x401": ("L1", 20), "nnwr1d-neumann-8x401": ("L1", 20),
     "dnwr-sweep-1": ("L2", 10), "dnwr-sweep-8": ("L2", 10), "dnwr-run-8": ("L2", 3),
-    "nnwr1d-sweep-8x401": ("L2", 10),
+    "nnwr1d-sweep-8x401": ("L2", 10), "nnwr2d-sweep": ("L2", 10),
 }
 
 
-def _experiment(index):
-    """The ``sweeps-1d`` workload's config ``index`` at seed 1, validated."""
+def _experiment(index, workload="sweeps-1d"):
+    """The config ``index`` of ``workload`` at seed 1, validated."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
     from fracwr import harness
 
-    return harness.config_from_dict(workloads.make_configs("sweeps-1d", 1)[index])
+    return harness.config_from_dict(workloads.make_configs(workload, 1)[index])
+
+
+def _nnwr2d_sweep():
+    """One NNWR-2D sweep of the nnwr2d-strip config at seed 1."""
+    from fracwr import harness
+    from fracwr.nnwr import Nnwr2dConfig, run_nnwr_2d
+
+    exp = _experiment(0, "nnwr2d-strip")
+    left, right = harness._build_geometry("nnwr2d", exp.geometry)
+    cfg = Nnwr2dConfig(left=left, right=right, order=exp.order, horizon=exp.horizon,
+                       n_steps=exp.n_steps, grading=exp.grading, tolerance=exp.tolerance,
+                       max_iter=1)
+    return lambda: run_nnwr_2d(cfg)
 
 
 def _dnwr_setup(whole_run=False):
@@ -122,6 +140,8 @@ def _case(name):
     from fracwr import solver
     from fracwr.dnwr import run_dnwr
 
+    if name == "nnwr2d-sweep":
+        return _nnwr2d_sweep()
     if name.startswith("nnwr1d-"):
         return _nnwr_case(name.rsplit("-", 1)[0])
     kind, width = name.rsplit("-", 1)
@@ -204,6 +224,13 @@ def _summary(times):
     return {"median_s": med, "q1_s": q1, "q3_s": q3, "min_s": min(times), "max_s": max(times)}
 
 
+def _compare(before, after):
+    """The two sides' summaries, the speed-up of the medians, and whether the quartiles overlap."""
+    b, a = _summary(before), _summary(after)
+    return {"before": b, "after": a, "speedup": b["median_s"] / a["median_s"],
+            "no_change": b["q1_s"] <= a["q3_s"] and a["q1_s"] <= b["q3_s"]}
+
+
 def _revision(tree):
     digest, lines = hashlib.sha256(), 0
     src = os.path.join(tree, "src", "fracwr")
@@ -256,12 +283,9 @@ def main(argv=None):
                 times[side].append(_time(getattr(args, side), case))
                 if layer == "L3":
                     inner[side].append(_time(getattr(args, side), case, in_process=True))
-        row = {"layer": layer, "case": case, **{k: _summary(v) for k, v in times.items()}}
-        row["speedup"] = row["before"]["median_s"] / row["after"]["median_s"]
+        row = {"layer": layer, "case": case, **_compare(times["before"], times["after"])}
         if layer == "L3":
-            row["in_process"] = {k: _summary(v) for k, v in inner.items()}
-            row["in_process"]["speedup"] = (row["in_process"]["before"]["median_s"]
-                                            / row["in_process"]["after"]["median_s"])
+            row["in_process"] = _compare(inner["before"], inner["after"])
         print(json.dumps(row), file=sys.stderr)
         results.append(row)
     doc = {"machine": _machine(), "repeats": REPEATS,
