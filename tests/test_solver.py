@@ -278,7 +278,7 @@ def test_monolithic_heterogeneous_steps():
 
 
 # ---------------------------------------------------------------------------
-# 2D strip solves
+# the 2D strip sweep against sparse 5-point solves
 # ---------------------------------------------------------------------------
 
 def _sparse_strip_reference(sub, weights, side, kind, values, f, u0):
