@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -331,11 +332,15 @@ def _sparse_strip_reference(sub, weights, side, kind, values, f, u0):
     return u.reshape(n_steps + 1, nx + 1, ny + 1)
 
 
-@pytest.mark.parametrize("order", [0.5, 1.0, 1.5])
-def test_2d_matches_sparse_five_point_reference(order):
-    # one forced sweep of the strip pair against the same sweep built from
-    # sparse 5-point solves on the lattice: unequal kappa and dx per strip,
-    # data nonzero on every boundary row, a guess with nonzero endpoints
+@functools.lru_cache(maxsize=None)
+def _sweep_and_reference(order):
+    """One forced ``run_nnwr_2d`` sweep and the same sweep built from sparse solves.
+
+    Unequal kappa and dx per strip, data nonzero on every boundary row and a
+    guess with nonzero endpoints.  Returns the guess, the sweep's result and
+    the reference Dirichlet fields and interface flux-solve traces per strip,
+    keyed by the side of the strip that faces the interface.
+    """
     left = build_subdomain_2d(0.0, 0.7, -1.0, 1.2, 1.3, 0.1, 0.2)
     right = build_subdomain_2d(0.7, 1.5, -1.0, 1.2, 0.4, 0.05, 0.2)
     guess = np.random.default_rng(7).standard_normal((12, left.ny + 1))
@@ -355,8 +360,27 @@ def test_2d_matches_sparse_five_point_reference(order):
                 + c_right * (3.0 * u_right[1:, 0] - 4.0 * u_right[1:, 1] + u_right[1:, 2]))
     psi_left = _sparse_strip_reference(left, w, "right", "flux", mismatch, zero, zero)
     psi_right = _sparse_strip_reference(right, w, "left", "flux", mismatch, zero, zero)
-    update = 0.3 * (psi_left[1:, -1] + psi_right[1:, 0])
-    update[:, [0, -1]] = 0.0  # the trace endpoints sit on the outer boundary
-    for got, ref in zip((res.traces, *res.fields), (guess - update, u_left, u_right)):
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    fields = {"right": u_left, "left": u_right}
+    psis = {"right": 0.3 * psi_left[1:, -1], "left": 0.3 * psi_right[1:, 0]}
+    for psi in psis.values():
+        psi[:, [0, -1]] = 0.0  # the trace endpoints sit on the outer boundary
+    return guess, res, fields, psis
+
+
+@pytest.mark.parametrize("order", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("kind", ["dirichlet", "flux"])
+def test_2d_matches_sparse_five_point_reference(kind, side, order):
+    # one forced sweep of the strip pair against the same sweep built from
+    # sparse 5-point solves; each case checks the solve of the strip whose
+    # interface is on ``side``: its Dirichlet field, or its flux solve's share
+    # of the trace update (the other strip's share taken from the reference)
+    guess, res, fields, psis = _sweep_and_reference(order)
+    if kind == "dirichlet":
+        got, ref = res.fields[0 if side == "right" else 1], fields[side]
+    else:
+        other = "left" if side == "right" else "right"
+        got, ref = guess - res.traces - psis[other], psis[side]
+        assert res.traces.shape == guess.shape
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
