@@ -20,10 +20,8 @@ from .fractional_time import (
 from .geometry import (
     Partition1D,
     Subdomain1D,
-    Subdomain2D,
     build_partition,
     build_subdomain,
-    build_subdomain_2d,
     laplacian_apply,
 )
 from .iteration import IterationReport, RunResult

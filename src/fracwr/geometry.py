@@ -6,7 +6,8 @@ coefficient and grid step, so neighbors may be resolved differently.  Fluxes
 are one-sided second-order three-point derivatives signed as outward-normal
 values, the same stencil the solvers use to impose Neumann data, which keeps
 the substructuring coupling and the monolithic reference discretization in
-exact agreement.
+exact agreement.  The 2D strip is a two-subdomain partition along x times
+one uniform y lattice (``axis_nodes``) that both subdomains share.
 """
 
 import math
@@ -17,10 +18,9 @@ import numpy as np
 __all__ = [
     "Subdomain1D",
     "Partition1D",
-    "Subdomain2D",
     "build_subdomain",
     "build_partition",
-    "build_subdomain_2d",
+    "axis_nodes",
     "laplacian_apply",
     "interface_flux_series",
 ]
@@ -55,7 +55,7 @@ def build_subdomain(x_left: float, x_right: float, kappa: float, dx: float) -> S
         raise ValueError(f"empty interval [{x_left}, {x_right}]")
     if not kappa > 0.0:
         raise ValueError(f"diffusion coefficient must be positive, got {kappa}")
-    nodes = _axis_nodes(x_left, x_right, dx, minimum_cells=2)
+    nodes = axis_nodes(x_left, x_right, dx)
     return Subdomain1D(x_left, x_right, kappa, (x_right - x_left) / (len(nodes) - 1), nodes)
 
 
@@ -137,50 +137,14 @@ def interface_flux_series(fields, side: str, sub: Subdomain1D) -> np.ndarray:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-@dataclass(frozen=True)
-class Subdomain2D:
-    x_left: float
-    x_right: float
-    y_bottom: float
-    y_top: float
-    kappa: float
-    dx: float
-    dy: float
-    xs: np.ndarray
-    ys: np.ndarray
-
-    @property
-    def nx(self) -> int:
-        return len(self.xs) - 1
-
-    @property
-    def ny(self) -> int:
-        return len(self.ys) - 1
-
-    @property
-    def scaled_length(self) -> float:
-        return (self.x_right - self.x_left) / math.sqrt(self.kappa)
-
-
-def build_subdomain_2d(x_left, x_right, y_bottom, y_top, kappa, dx, dy) -> Subdomain2D:
-    if not (x_left < x_right and y_bottom < y_top):
-        raise ValueError("empty rectangle")
-    if not kappa > 0.0:
-        raise ValueError(f"diffusion coefficient must be positive, got {kappa}")
-    xs = _axis_nodes(x_left, x_right, dx, minimum_cells=2)
-    ys = _axis_nodes(y_bottom, y_top, dy, minimum_cells=2)
-    return Subdomain2D(
-        x_left, x_right, y_bottom, y_top, kappa,
-        (x_right - x_left) / (len(xs) - 1), (y_top - y_bottom) / (len(ys) - 1),
-        xs, ys,
-    )
-
-
-def _axis_nodes(lo, hi, step, minimum_cells):
+def axis_nodes(lo, hi, step):
+    """The nodes of [lo, hi] at spacing ``step``, which must tile it in at least two cells."""
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
     cells = (hi - lo) / step
     if not math.isfinite(cells):
         raise ValueError(f"step {step} gives a non-finite cell count on [{lo}, {hi}]")
     n = int(round(cells))
-    if n < minimum_cells or abs(cells - n) > _DIV_TOL * max(1.0, cells):
+    if n < 2 or abs(cells - n) > _DIV_TOL * max(1.0, cells):
         raise ValueError(f"step {step} does not tile [{lo}, {hi}]")
     return np.linspace(lo, hi, n + 1)

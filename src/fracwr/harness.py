@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dnwr import DnwrConfig, run_dnwr
-from .geometry import build_partition, build_subdomain_2d
+from .geometry import axis_nodes, build_partition
 from .iteration import IterationConfig
 from .nnwr import Nnwr2dConfig, NnwrConfig, run_nnwr_1d, run_nnwr_2d
 from .solver import solve_monolithic
@@ -293,13 +293,11 @@ def _validate(raw) -> ExperimentConfig:
 
 
 def _build_geometry(algorithm, geo):
-    """The strip's two subdomains for nnwr2d, else the 1D partition."""
+    """The 1D partition; for nnwr2d the strip's two subdomains along x, y lattice checked."""
     if algorithm == "nnwr2d":
-        dom, split, (y0, y1) = geo["domain"], geo["split"], geo["y_extent"]
-        kap, dx, dy = float(geo["kappa"]), float(geo["dx"]), float(geo["dy"])
-        return (build_subdomain_2d(dom[0], split, y0, y1, kap, dx, dy),
-                build_subdomain_2d(split, dom[1], y0, y1, kap, dx, dy))
-    return build_partition(geo["domain"], geo.get("breakpoints", []), geo["kappa"], geo["dx"])
+        axis_nodes(*geo["y_extent"], geo["dy"])
+    breaks = [geo["split"]] if algorithm == "nnwr2d" else geo.get("breakpoints", [])
+    return build_partition(geo["domain"], breaks, geo["kappa"], geo["dx"])
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -357,44 +355,40 @@ def _run_members(cfg: ExperimentConfig, out_dir, paths):
     geometry = _build_geometry(cfg.algorithm, cfg.geometry)
     names = [os.path.join(out_dir, f"{cfg.stem}_{_tag(m)}.csv") for m in cfg.thetas]
 
+    lengths = tuple(s.length for s in geometry.subdomains)
+    kappas = geometry.kappas
+    ics = INITIAL_CONDITIONS_2D if cfg.algorithm == "nnwr2d" else INITIAL_CONDITIONS
+    ic = ics[cfg.initial_condition]
+
     # Each branch builds the run's config and the envelope bound(k); the
     # drivers are looked up here, at call time.
+    if cfg.algorithm == "monolithic":
+        solve_monolithic(geometry, IterationConfig(**common).build_weights(), f=source, u0=ic)
+        rows = [(0, m, 0.0, None, 0.0, cfg.order) for m in range(len(lengths) - 1)]
+        paths.extend(_write_csv(name, rows) for name in names)
+        return
     if cfg.algorithm == "nnwr2d":
-        left, right = geometry
         run_cfg = Nnwr2dConfig(
-            left=left, right=right,
+            partition=geometry, y_extent=tuple(cfg.geometry["y_extent"]), dy=cfg.geometry["dy"],
             source=None if source is None else (lambda x, y, t: source(x, t)),
-            initial_condition=INITIAL_CONDITIONS_2D[cfg.initial_condition], **common,
+            initial_condition=ic, **common,
         )
         run = run_nnwr_2d
-        params = Nnwr2dBoundParams(nu=nu, a=left.x_right - left.x_left,
-                                   b=right.x_right - right.x_left, kappa=left.kappa,
+        params = Nnwr2dBoundParams(nu=nu, a=lengths[0], b=lengths[1], kappa=kappas[0],
                                    horizon=cfg.horizon)
         bound = lambda k: nnwr2d_error_bound(params, k)  # noqa: E731
+    elif cfg.algorithm == "dnwr":
+        run_cfg = DnwrConfig(partition=geometry, source=source, initial_condition=ic, **common)
+        run = run_dnwr
+        params = DnwrBoundParams(nu=nu, a=lengths[0], b=lengths[1], kappa1=kappas[0],
+                                 kappa2=kappas[1], horizon=cfg.horizon)
+        regime = "sub" if cfg.order <= 1.0 else "wave"
+        bound = lambda k: dnwr_error_bound(params, k, regime)  # noqa: E731
     else:
-        lengths = tuple(s.length for s in geometry.subdomains)
-        kappas = geometry.kappas
-        ic = INITIAL_CONDITIONS[cfg.initial_condition]
-        if cfg.algorithm == "monolithic":
-            solve_monolithic(geometry, IterationConfig(**common).build_weights(), f=source, u0=ic)
-            rows = [(0, m, 0.0, None, 0.0, cfg.order) for m in range(len(lengths) - 1)]
-            paths.extend(_write_csv(name, rows) for name in names)
-            return
-        if cfg.algorithm == "dnwr":
-            run_cfg = DnwrConfig(partition=geometry, source=source, initial_condition=ic,
-                                 **common)
-            run = run_dnwr
-            params = DnwrBoundParams(nu=nu, a=lengths[0], b=lengths[1], kappa1=kappas[0],
-                                     kappa2=kappas[1], horizon=cfg.horizon)
-            regime = "sub" if cfg.order <= 1.0 else "wave"
-            bound = lambda k: dnwr_error_bound(params, k, regime)  # noqa: E731
-        else:
-            run_cfg = NnwrConfig(partition=geometry, source=source, initial_condition=ic,
-                                 **common)
-            run = run_nnwr_1d
-            params = NnwrBoundParams(nu=nu, lengths=lengths, kappas=kappas,
-                                     horizon=cfg.horizon)
-            bound = lambda k: nnwr_error_bound(params, k)  # noqa: E731
+        run_cfg = NnwrConfig(partition=geometry, source=source, initial_condition=ic, **common)
+        run = run_nnwr_1d
+        params = NnwrBoundParams(nu=nu, lengths=lengths, kappas=kappas, horizon=cfg.horizon)
+        bound = lambda k: nnwr_error_bound(params, k)  # noqa: E731
 
     # more members march in one batch; a lone one takes the plain call,
     # which returns its RunResult itself

@@ -11,16 +11,16 @@ one stacked march over all subdomains (and all members of a relaxation
 sweep), which gives every subdomain bit for bit the field of its own march,
 so a rerun reproduces the iterates bit for bit.
 
-The 2D strip runs the same sweep in sine-mode space.  Its y-boundary rows
-are homogeneous Dirichlet, dy is uniform and both strips share the interface
-lattice, so the orthonormal DST-I over the interior y nodes diagonalises the
-whole sweep: mode k is the 1D sweep over the two strips' x-lines with the
-extra reaction coefficient kappa * lambda_k / dy**2, lambda_k =
-4 sin(k pi / (2 ny))**2 (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970),
-and each phase marches both strips and all modes at once.  Both drivers run
-their sweeps in the interface iteration of ``fracwr.iteration``; the source
-and the initial condition are tabulated once per run (in 2D, and moved into
-mode space).
+The 2D strip is a two-subdomain 1D partition times one uniform y lattice
+(``Nnwr2dConfig``), and it runs the same sweep in sine-mode space.  Its
+y-boundary rows are homogeneous Dirichlet, so the orthonormal DST-I over the
+interior y nodes diagonalises the whole sweep: mode k is the 1D sweep over
+the partition with the extra reaction coefficient kappa * lambda_k / dy**2,
+lambda_k = 4 sin(k pi / (2 ny))**2 (Buzbee, Golub & Nielson, SIAM J. Numer.
+Anal. 1970), and each phase marches both strips and all modes at once.
+Both drivers run their sweeps in the interface iteration of
+``fracwr.iteration``; the source and the initial condition are tabulated
+once per run (in 2D, and moved into mode space).
 """
 
 import math
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Partition1D, Subdomain1D, Subdomain2D, interface_flux_series
+from .geometry import Partition1D, axis_nodes, interface_flux_series
 from .iteration import IterationConfig, iterate
 from .solver import solve_dirichlet_waveform, solve_neumann_waveform, tabulate
 
@@ -118,33 +118,29 @@ def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
 
 
 @dataclass(frozen=True, kw_only=True)
-class Nnwr2dConfig(IterationConfig):
-    left: Subdomain2D
-    right: Subdomain2D
+class Nnwr2dConfig(NnwrConfig):
+    """The strip: ``partition`` holds its two subdomains along x, and the
+    y lattice of ``y_extent`` at spacing ``dy`` is shared by both."""
+    y_extent: tuple
+    dy: float
     max_iter: int = 30
 
     def __post_init__(self):
         super().__post_init__()
-        if abs(self.left.x_right - self.right.x_left) > 1e-12:
-            raise ValueError("subdomains do not share a vertical interface")
-        l, r = self.left, self.right
-        if l.ny != r.ny or max(abs(l.y_bottom - r.y_bottom), abs(l.y_top - r.y_top)) > 1e-12:
-            raise ValueError("subdomains must share the interface lattice")
-        self.resolve_theta()
-
-    def optimal_theta(self):
-        return [optimal_theta_nnwr(self.left.kappa, self.right.kappa)]
+        if self.partition.n_subdomains != 2:
+            raise ValueError("the 2D strip needs exactly two subdomains")
+        axis_nodes(*self.y_extent, self.dy)
 
 
-def _mode_data(sub, weights, f, u0, sine):
+def _mode_data(sub, dy, weights, f, u0, sine):
     """A strip's source and initial tables (``tabulate``) as mode tables, x nodes last."""
     f_hat = None if f is None else sine @ np.swapaxes(f[..., 1:-1], -1, -2)
     if u0 is None:
         return f_hat, None
     if weights.implicit_fraction < 1.0:
         # the explicit half of the first level reads u0 on the y-boundary rows, which no mode holds
-        f_hat = np.zeros((weights.n_steps, sub.ny - 1, sub.nx + 1)) if f_hat is None else f_hat
-        f_hat[0] += (1.0 - weights.implicit_fraction) * sub.kappa / sub.dy**2 * (
+        f_hat = np.zeros((weights.n_steps, len(sine), sub.n_nodes)) if f_hat is None else f_hat
+        f_hat[0] += (1.0 - weights.implicit_fraction) * sub.kappa / dy**2 * (
             np.outer(sine[0], u0[:, 0]) + np.outer(sine[-1], u0[:, -1]))
     return f_hat, sine @ u0[:, 1:-1].T
 
@@ -160,22 +156,23 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
     """
     t_start = time.perf_counter()
     weights = cfg.build_weights()
-    strips = (cfg.left, cfg.right)
-    ny = cfg.left.ny
+    strips = cfg.partition.subdomains
+    ys = axis_nodes(*cfg.y_extent, cfg.dy)
+    ny = len(ys) - 1
+    dy = float(ys[-1] - ys[0]) / ny
     # the transform matrix is symmetric and its own inverse
     k = np.arange(1, ny)
     sine = np.sqrt(2.0 / ny) * np.sin(np.pi * np.outer(k, k) / ny)
-    decay = [s.kappa * (2.0 * np.sin(0.5 * np.pi * k / ny) / s.dy) ** 2 for s in strips]
-    lines = [Subdomain1D(s.x_left, s.x_right, s.kappa, s.dx, s.xs) for s in strips]
+    decay = [s.kappa * (2.0 * np.sin(0.5 * np.pi * k / ny) / dy) ** 2 for s in strips]
     u0 = f_hat = u0_hat = (None, None)
     if not cfg.error_mode:
         f, u0 = zip(*(tabulate(weights, cfg.source, cfg.initial_condition,
-                               *np.meshgrid(s.xs, s.ys, indexing="ij")) for s in strips))
-        f_hat, u0_hat = zip(*(_mode_data(s, weights, fs, us, sine)
+                               *np.meshgrid(s.nodes, ys, indexing="ij")) for s in strips))
+        f_hat, u0_hat = zip(*(_mode_data(s, dy, weights, fs, us, sine)
                               for s, fs, us in zip(strips, f, u0)))
 
     def sweep(h, thetas):
-        update_hat, fields = _sweep(lines, weights, (h[..., 1:-1] @ sine)[:, None],
+        update_hat, fields = _sweep(strips, weights, (h[..., 1:-1] @ sine)[:, None],
                                     thetas[..., None], f_hat, u0_hat, decay)
         update = np.zeros_like(h)
         update[..., 1:-1] = update_hat[:, 0] @ sine

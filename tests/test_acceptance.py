@@ -20,7 +20,6 @@ from fracwr import (
     NnwrConfig,
     Nnwr2dConfig,
     build_partition,
-    build_subdomain_2d,
     run_dnwr,
     run_nnwr_1d,
     run_nnwr_2d,
@@ -241,10 +240,9 @@ def test_criterion_10_mwright_accuracy():
 
 
 def test_criterion_11_nnwr_2d_bound_domination():
-    left = build_subdomain_2d(0.0, 0.5, -5.0, 5.0, 1.0, 0.02, 0.2)
-    right = build_subdomain_2d(0.5, 2.0, -5.0, 5.0, 1.0, 0.02, 0.2)
-    cfg = Nnwr2dConfig(left=left, right=right, order=0.5, horizon=1.0, n_steps=64,
-                       theta=0.25, tolerance=1e-12, max_iter=6, mode="error_equation")
+    cfg = Nnwr2dConfig(partition=build_partition((0, 2), [0.5], 1.0, 0.02), y_extent=(-5.0, 5.0),
+                       dy=0.2, order=0.5, horizon=1.0, n_steps=64, theta=0.25,
+                       tolerance=1e-12, max_iter=6, mode="error_equation")
     res = run_nnwr_2d(cfg)
     assert res.report.wall_time < 300.0
     p = Nnwr2dBoundParams(nu=0.25, a=0.5, b=1.5, kappa=1.0, horizon=1.0)

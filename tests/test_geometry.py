@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from fracwr.geometry import (
+    axis_nodes,
     build_partition,
     build_subdomain,
-    build_subdomain_2d,
     interface_flux_series,
     laplacian_apply,
 )
+from fracwr.nnwr import Nnwr2dConfig
+
+
+def _strip(dy, y_extent=(-1.0, 1.0)):
+    return Nnwr2dConfig(partition=build_partition((0, 2), [0.5], 1.0, 0.1), y_extent=y_extent,
+                        dy=dy, order=0.5, horizon=1.0, n_steps=4)
 
 
 def test_partition_five_subdomains():
@@ -47,11 +53,19 @@ def test_partition_rejects():
 
 @pytest.mark.parametrize("build", [
     lambda: build_subdomain(0.0, 1e308, 1.0, 0.02),
-    lambda: build_subdomain_2d(0.0, 1e308, -1.0, 1.0, 1.0, 0.02, 0.5),
-    lambda: build_subdomain_2d(0.0, 1.0, -1e308, 1e308, 1.0, 0.5, 0.5),
-], ids=["1d", "2d-x", "2d-y"])
+    lambda: _strip(0.5, y_extent=(-1e308, 1e308)),
+], ids=["1d", "2d-y"])
 def test_non_finite_cell_count_is_a_value_error(build):
     with pytest.raises(ValueError, match="non-finite cell count"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_partition((0, 2), [1.0], 1.0, 0.0),
+    lambda: _strip(0.0),
+], ids=["partition-dx", "2d-dy"])
+def test_zero_step_is_a_value_error(build):
+    with pytest.raises(ValueError, match="positive and finite"):
         build()
 
 
@@ -105,9 +119,14 @@ def test_heterogeneous_steps_accepted():
 
 
 def test_subdomain_2d_lattice():
-    sub = build_subdomain_2d(0.0, 0.5, -5.0, 5.0, 1.0, 0.02, 0.2)
-    assert sub.nx == 25 and sub.ny == 50
-    assert sub.xs[0] == 0.0 and sub.xs[-1] == 0.5
-    assert sub.ys[0] == -5.0 and sub.ys[-1] == 5.0
+    # the strip's left subdomain times its y lattice, as fig_2d builds them
+    sub = build_partition((0, 2), [0.5], 1.0, 0.02).subdomains[0]
+    ys = axis_nodes(-5.0, 5.0, 0.2)
+    assert sub.n_nodes == 26 and len(ys) == 51
+    assert sub.nodes[0] == 0.0 and sub.nodes[-1] == 0.5
+    assert ys[0] == -5.0 and ys[-1] == 5.0
+    assert (ys[-1] - ys[0]) / 50 == (5.0 - -5.0) / 50
     with pytest.raises(ValueError):
-        build_subdomain_2d(0.0, 0.5, -5.0, 5.0, 1.0, 0.3, 0.2)
+        build_partition((0, 2), [0.5], 1.0, 0.3)
+    with pytest.raises(ValueError, match="does not tile"):
+        axis_nodes(-5.0, 5.0, 0.3)

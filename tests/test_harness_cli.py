@@ -376,6 +376,23 @@ def test_overflowing_domain_is_a_config_error(tmp_path, algorithm):
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
+# The strip's y lattice is checked at validation, though the run builds it.
+@pytest.mark.parametrize("y_extent, dy, match", [
+    ([-2.0, 2.0], 0.3, "does not tile"),
+    ([-1e308, 1e308], 0.5, "non-finite cell count"),
+], ids=["dy-does-not-tile", "overflowing-y-extent"])
+def test_nnwr2d_y_lattice_is_a_config_error(tmp_path, y_extent, dy, match):
+    raw = _minimal_dnwr(algorithm="nnwr2d")
+    raw["geometry"] = {"domain": [0.0, 2.0], "split": 0.5, "y_extent": y_extent,
+                       "kappa": 1.0, "dx": 0.1, "dy": dy}
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(raw)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 # Bad values for any key or list entry.  No small positive number is in the
 # pool: validation builds the mesh, and a tiny step would make a huge one.
 BAD_VALUES = (None, "x", True, [], {}, math.nan, math.inf, -math.inf, 0, -1, -0.5, 1e308,

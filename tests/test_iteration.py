@@ -6,7 +6,7 @@ import pytest
 
 from fracwr.cli import main
 from fracwr.dnwr import DnwrConfig, run_dnwr
-from fracwr.geometry import build_partition, build_subdomain_2d
+from fracwr.geometry import build_partition
 from fracwr.harness import config_from_dict, run_experiment
 from fracwr.iteration import IterationConfig, iterate
 from fracwr.nnwr import Nnwr2dConfig, NnwrConfig, run_nnwr_1d
@@ -23,9 +23,8 @@ def _nnwr(**over):
 
 
 def _nnwr2d(**over):
-    return Nnwr2dConfig(left=build_subdomain_2d(0.0, 0.5, -1.0, 1.0, 1.0, 0.1, 0.5),
-                        right=build_subdomain_2d(0.5, 2.0, -1.0, 1.0, 1.0, 0.1, 0.5),
-                        order=0.5, horizon=1.0, n_steps=4, **over)
+    return Nnwr2dConfig(partition=build_partition((0, 2), [0.5], 1.0, 0.1),
+                        y_extent=(-1.0, 1.0), dy=0.5, order=0.5, horizon=1.0, n_steps=4, **over)
 
 
 @pytest.mark.parametrize("make", [_dnwr, _nnwr, _nnwr2d], ids=["dnwr", "nnwr1d", "nnwr2d"])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fracwr.dnwr import DnwrConfig, run_dnwr
-from fracwr.geometry import build_partition, build_subdomain_2d
+from fracwr.geometry import build_partition
 from fracwr import harness
 from fracwr.harness import config_from_dict, run_experiment
 from fracwr.nnwr import Nnwr2dConfig, NnwrConfig, run_nnwr_1d, run_nnwr_2d
@@ -43,9 +43,8 @@ def _nnwr2d(mode):
     extra = {} if mode == "error_equation" else {
         "source": lambda x, y, t: np.sin(np.pi * x / 2.0) * np.cos(y),
         "initial_condition": lambda x, y: x * (2.0 - x) * np.exp(-y**2)}
-    left = build_subdomain_2d(0.0, 0.75, -1.0, 1.0, 1.0, 0.125, 0.25)
-    right = build_subdomain_2d(0.75, 2.0, -1.0, 1.0, 1.0, 0.125, 0.25)
-    return Nnwr2dConfig(left=left, right=right, order=0.5, horizon=1.0, n_steps=8,
+    return Nnwr2dConfig(partition=build_partition((0, 2), [0.75], 1.0, 0.125),
+                        y_extent=(-1.0, 1.0), dy=0.25, order=0.5, horizon=1.0, n_steps=8,
                         tolerance=1e-9, max_iter=7, mode=mode, **extra), run_nnwr_2d
 
 

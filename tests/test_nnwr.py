@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracwr import nnwr
-from fracwr.geometry import build_partition, build_subdomain_2d
+from fracwr.geometry import axis_nodes, build_partition
 from fracwr.nnwr import (
     Nnwr2dConfig,
     NnwrConfig,
@@ -126,8 +126,9 @@ def test_each_phase_is_one_march_over_all_subdomains(monkeypatch):
 
 def _config_2d(**overrides):
     base = dict(
-        left=build_subdomain_2d(0.0, 0.5, -2.0, 2.0, 1.0, 0.05, 0.25),
-        right=build_subdomain_2d(0.5, 2.0, -2.0, 2.0, 1.0, 0.05, 0.25),
+        partition=build_partition((0, 2), [0.5], 1.0, 0.05),
+        y_extent=(-2.0, 2.0),
+        dy=0.25,
         order=0.5,
         horizon=1.0,
         n_steps=12,
@@ -141,18 +142,10 @@ def _config_2d(**overrides):
 
 
 def test_2d_config_validation():
-    bad_right = build_subdomain_2d(0.6, 2.0, -2.0, 2.0, 1.0, 0.05, 0.25)
-    with pytest.raises(ValueError):
-        _config_2d(right=bad_right)
-    bad_lattice = build_subdomain_2d(0.5, 2.0, -2.0, 2.0, 1.0, 0.05, 0.5)
-    with pytest.raises(ValueError):
-        _config_2d(right=bad_lattice)
-
-
-def test_2d_config_rejects_offset_y_lattice():
-    shifted = build_subdomain_2d(0.5, 2.0, -1.0, 3.0, 1.0, 0.05, 0.25)  # same ny and dy
-    with pytest.raises(ValueError, match="interface lattice"):
-        _config_2d(right=shifted)
+    with pytest.raises(ValueError, match="exactly two subdomains"):
+        _config_2d(partition=build_partition((0, 2), [0.5, 1.0], 1.0, 0.05))
+    with pytest.raises(ValueError, match="does not tile"):
+        _config_2d(dy=0.3)
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.25, 1.5])
@@ -176,16 +169,14 @@ def test_2d_matches_1d_at_mid_strip(sweeps):
     # y-independent guess: the trace iterate at the mid row reproduces the 1D
     # iterate; the strip must be wide enough that the heavy-tailed influence
     # of the truncated y-boundary stays below the comparison tolerance
-    left = build_subdomain_2d(0.0, 0.5, -12.0, 12.0, 1.0, 0.05, 0.25)
-    right = build_subdomain_2d(0.5, 2.0, -12.0, 12.0, 1.0, 0.05, 0.25)
-    cfg = _config_2d(left=left, right=right, max_iter=sweeps, tolerance=1e-30)
+    cfg = _config_2d(y_extent=(-12.0, 12.0), max_iter=sweeps, tolerance=1e-30)
     res2d = run_nnwr_2d(cfg)
     part = build_partition((0, 2), [0.5], 1.0, 0.05)
     cfg1d = NnwrConfig(partition=part, order=0.5, horizon=1.0, n_steps=12,
                        theta=0.25, tolerance=1e-30, max_iter=sweeps,
                        mode="error_equation")
     res1d = run_nnwr_1d(cfg1d)
-    mid = left.ny // 2
+    mid = len(axis_nodes(-12.0, 12.0, 0.25)) // 2
     assert np.abs(res2d.traces[:, mid] - res1d.traces[0]).max() < 1e-6
 
 
@@ -195,7 +186,8 @@ def test_2d_forced_run_starts_each_side_from_the_initial_condition():
                      initial_condition=g, tolerance=1e-9, max_iter=15)
     res = run_nnwr_2d(cfg, keep_fields=True)
     assert res.report.converged
-    for sub, u in zip((cfg.left, cfg.right), res.fields):
-        xg, yg = np.meshgrid(sub.xs, sub.ys, indexing="ij")
+    ys = axis_nodes(*cfg.y_extent, cfg.dy)
+    for sub, u in zip(cfg.partition.subdomains, res.fields):
+        xg, yg = np.meshgrid(sub.nodes, ys, indexing="ij")
         np.testing.assert_array_equal(u[0], g(xg, yg))
         assert np.isfinite(u).all()

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
-from fracwr.geometry import build_partition, build_subdomain, build_subdomain_2d
+from fracwr.geometry import axis_nodes, build_partition, build_subdomain
 from fracwr.nnwr import Nnwr2dConfig, run_nnwr_2d
 from fracwr.solver import (
     solve_dirichlet_waveform,
@@ -282,17 +282,19 @@ def test_monolithic_heterogeneous_steps():
 # the 2D strip sweep against sparse 5-point solves
 # ---------------------------------------------------------------------------
 
-def _sparse_strip_reference(sub, weights, side, kind, values, f, u0):
-    """The strip solve assembled as one sparse 5-point system per time level.
+def _sparse_strip_reference(sub, ys, weights, side, kind, values, f, u0):
+    """The solve on ``sub`` times the y lattice ``ys``, assembled as one
+    sparse 5-point system per time level.
 
     Outer boundary nodes are identity rows with zero data, interface nodes
     (corners excluded) carry the trace or the one-sided outward-flux row, and
     interior rows hold the time-stepping equation with the Laplacian split
     between levels by the scheme's implicit fraction.
     """
-    nx, ny, n_steps = sub.nx, sub.ny, weights.n_steps
+    nx, ny, n_steps = sub.n_nodes - 1, len(ys) - 1, weights.n_steps
+    dy = (ys[-1] - ys[0]) / ny
     theta = weights.implicit_fraction
-    xg, yg = np.meshgrid(sub.xs, sub.ys, indexing="ij")
+    xg, yg = np.meshgrid(sub.nodes, ys, indexing="ij")
     ids = np.arange(xg.size).reshape(xg.shape)
     inner = np.zeros(xg.shape, dtype=bool)
     inner[1:-1, 1:-1] = True
@@ -303,7 +305,7 @@ def _sparse_strip_reference(sub, weights, side, kind, values, f, u0):
 
     lap = sub.kappa * (
         sp.kron(second_difference(nx, sub.dx), sp.identity(ny + 1))
-        + sp.kron(sp.identity(nx + 1), second_difference(ny, sub.dy))
+        + sp.kron(sp.identity(nx + 1), second_difference(ny, dy))
     )
     lap = (sp.diags(inner.astype(float)) @ lap).tocsr()  # interior rows only
 
@@ -341,25 +343,26 @@ def _sweep_and_reference(order):
     the reference Dirichlet fields and interface flux-solve traces per strip,
     keyed by the side of the strip that faces the interface.
     """
-    left = build_subdomain_2d(0.0, 0.7, -1.0, 1.2, 1.3, 0.1, 0.2)
-    right = build_subdomain_2d(0.7, 1.5, -1.0, 1.2, 0.4, 0.05, 0.2)
-    guess = np.random.default_rng(7).standard_normal((12, left.ny + 1))
+    part = build_partition((0.0, 1.5), [0.7], [1.3, 0.4], [0.1, 0.05])
+    left, right = part.subdomains
+    ys = axis_nodes(-1.0, 1.2, 0.2)
+    guess = np.random.default_rng(7).standard_normal((12, len(ys)))
     u0 = lambda x, y: np.cos(x) * (1.0 + y) + 0.3  # noqa: E731
     f = lambda x, y, t: np.sin(3.0 * x + y) * (1.0 + t)  # noqa: E731
-    cfg = Nnwr2dConfig(left=left, right=right, order=order, horizon=1.0, n_steps=12, theta=0.3,
-                       max_iter=1, mode="forced", initial_guess=guess, source=f,
-                       initial_condition=u0)
+    cfg = Nnwr2dConfig(partition=part, y_extent=(-1.0, 1.2), dy=0.2, order=order, horizon=1.0,
+                       n_steps=12, theta=0.3, max_iter=1, mode="forced", initial_guess=guess,
+                       source=f, initial_condition=u0)
     res = run_nnwr_2d(cfg, keep_fields=True)
 
     w = cfg.build_weights()
     zero = lambda x, *_: 0.0 * x  # noqa: E731
-    u_left = _sparse_strip_reference(left, w, "right", "dirichlet", guess, f, u0)
-    u_right = _sparse_strip_reference(right, w, "left", "dirichlet", guess, f, u0)
+    u_left = _sparse_strip_reference(left, ys, w, "right", "dirichlet", guess, f, u0)
+    u_right = _sparse_strip_reference(right, ys, w, "left", "dirichlet", guess, f, u0)
     c_left, c_right = left.kappa / (2.0 * left.dx), right.kappa / (2.0 * right.dx)
     mismatch = (c_left * (3.0 * u_left[1:, -1] - 4.0 * u_left[1:, -2] + u_left[1:, -3])
                 + c_right * (3.0 * u_right[1:, 0] - 4.0 * u_right[1:, 1] + u_right[1:, 2]))
-    psi_left = _sparse_strip_reference(left, w, "right", "flux", mismatch, zero, zero)
-    psi_right = _sparse_strip_reference(right, w, "left", "flux", mismatch, zero, zero)
+    psi_left = _sparse_strip_reference(left, ys, w, "right", "flux", mismatch, zero, zero)
+    psi_right = _sparse_strip_reference(right, ys, w, "left", "flux", mismatch, zero, zero)
     fields = {"right": u_left, "left": u_right}
     psis = {"right": 0.3 * psi_left[1:, -1], "left": 0.3 * psi_right[1:, 0]}
     for psi in psis.values():

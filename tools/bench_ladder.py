@@ -10,19 +10,19 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
 
 - L1, DNWR: one subdomain march on the DNWR subdomains of the ``sweeps-1d``
   workload at seed 1 (77 and 25 nodes, 64 steps): the Dirichlet solve on
-  the left, the Neumann solve on the right, with 1 and with 8 members.  A
-  checkout whose solvers have no member axis marches the 8 members one
-  after another, as its θ sweeps do.
+  the left, the Neumann solve on the right, with 1 and with 8 members.
 - L1, NNWR-1D: one Dirichlet phase (with the source and the initial
   condition, tabulated beforehand) and one Neumann phase over the 8 × 401
-  nodes of the ``sweeps-1d`` NNWR-1D config at seed 1 (32 steps).  A
-  checkout whose kernels have no ``Stack`` marches the 8 subdomains one after
-  another, as its NNWR sweeps do (8 calls); otherwise a phase is 1 call.
+  nodes of the ``sweeps-1d`` NNWR-1D config at seed 1 (32 steps), each one
+  stacked march.
 - L2: one sweep of that DNWR config, with 1 member and with its 8, and one
   sweep of that NNWR-1D config.  Also the whole θ run of that DNWR config:
   its 8 members to its tolerance or ``max_iter``, as the workload runs them
   (a one-sweep case never reaches the sweeps after the first ``ceil(N/4)``).
-  And one NNWR-2D sweep of the ``nnwr2d-strip`` workload's config at seed 1.
+  And one NNWR-2D sweep: ``harness.run_experiment`` on the ``nnwr2d-strip``
+  workload's config at seed 1 with ``run.max_iter`` 1 (its CSV and bound
+  included), which reads the same on any checkout whatever its 2D config
+  classes look like.
 - L3: the six θ-list presets, the two DNWR bounds presets,
   ``fig_nnwr_kappa``, ``fig_nnwr_table2``, ``fig_2d`` and ``fig_2d_wave`` through
   ``python -m fracwr.cli``, timed as whole processes and, beside that
@@ -31,18 +31,20 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   longer than the run of a DNWR preset.
 - L4: the Tier-1 suite of each checkout (each runs its own tests).
 
-Every case runs ``REPEATS`` times on each side.  A repeat of an L1 or L2
-case is the median of several calls after a warm-up call; L3 and L4 time
-whole processes, and an L3 repeat also one in-process run.  Every figure is
-the median over the repeats, with the quartiles and the extremes.  A row
-(and an L3 row's ``in_process`` part) reads ``"no_change": true`` when the
-before and after interquartile ranges overlap: its speed-up is then within
-the spread of the repeats.
+Every case runs ``REPEATS`` times on each side, and each repeat is a pair:
+one run per side, with the side that goes first alternating from repeat to
+repeat.  A repeat of an L1 or L2 case is the median of several calls after
+a warm-up call; L3 and L4 time whole processes, and an L3 repeat also one
+in-process run.  Every figure is the median over the repeats, with the
+quartiles and the extremes.  ``wins`` counts the pairs in which "after" was
+faster.  A row (and an L3 row's ``in_process`` part) reads
+``"no_change": false`` only when "after" won every pair or none and the
+before and after interquartile ranges are separate; otherwise its speed-up
+is within the spread of the repeats.
 """
 
 import argparse
 import hashlib
-import inspect
 import json
 import os
 import platform
@@ -67,26 +69,30 @@ IN_PROCESS = {  # case: (layer, calls per repeat)
 }
 
 
-def _experiment(index, workload="sweeps-1d"):
-    """The config ``index`` of ``workload`` at seed 1, validated."""
+def _raw(index, workload="sweeps-1d"):
+    """The raw JSON config ``index`` of ``workload`` at seed 1."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
+
+    return workloads.make_configs(workload, 1)[index]
+
+
+def _experiment(index, workload="sweeps-1d"):
+    """The config ``index`` of ``workload`` at seed 1, validated."""
     from fracwr import harness
 
-    return harness.config_from_dict(workloads.make_configs(workload, 1)[index])
+    return harness.config_from_dict(_raw(index, workload))
 
 
 def _nnwr2d_sweep():
-    """One NNWR-2D sweep of the nnwr2d-strip config at seed 1."""
+    """One NNWR-2D sweep of the nnwr2d-strip config at seed 1, as the harness runs it."""
     from fracwr import harness
-    from fracwr.nnwr import Nnwr2dConfig, run_nnwr_2d
 
-    exp = _experiment(0, "nnwr2d-strip")
-    left, right = harness._build_geometry("nnwr2d", exp.geometry)
-    cfg = Nnwr2dConfig(left=left, right=right, order=exp.order, horizon=exp.horizon,
-                       n_steps=exp.n_steps, grading=exp.grading, tolerance=exp.tolerance,
-                       max_iter=1)
-    return lambda: run_nnwr_2d(cfg)
+    raw = _raw(0, "nnwr2d-strip")
+    raw["run"]["max_iter"] = 1
+    exp = harness.config_from_dict(raw)
+    out = tempfile.TemporaryDirectory(prefix="ladder-")  # removed when the process ends
+    return lambda: harness.run_experiment(exp, out.name)
 
 
 def _dnwr_setup(whole_run=False):
@@ -104,7 +110,7 @@ def _dnwr_setup(whole_run=False):
 def _nnwr_case(kind):
     """One NNWR-1D phase or sweep of the sweeps-1d config at seed 1."""
     import numpy as np
-    from fracwr import harness, kernels, solver
+    from fracwr import harness, solver
     from fracwr.nnwr import NnwrConfig, run_nnwr_1d
 
     exp = _experiment(1)
@@ -126,10 +132,7 @@ def _nnwr_case(kind):
         u0 = [harness.INITIAL_CONDITIONS[exp.initial_condition](s.nodes) for s in subs]
     else:
         solve, f, u0 = solver.solve_neumann_waveform, [None] * len(subs), [None] * len(subs)
-    if hasattr(kernels, "Stack"):
-        return lambda: solve(subs, weights, traces[:-1], traces[1:], f=f, u0=u0)
-    return lambda: [solve(s, weights, traces[i], traces[i + 1], f=f[i], u0=u0[i])
-                    for i, s in enumerate(subs)]
+    return lambda: solve(subs, weights, traces[:-1], traces[1:], f=f, u0=u0)
 
 
 def _case(name):
@@ -149,13 +152,10 @@ def _case(name):
     weights = cfg.build_weights()
     sub1, sub2 = cfg.partition.subdomains
     m = int(width)
-    batched = "members" in inspect.signature(solver.solve_waveform).parameters
     if kind in ("dnwr-sweep", "dnwr-run"):
         if m == 1:
             return lambda: run_dnwr(replace(cfg, theta="optimal"))
-        if batched:
-            return lambda: run_dnwr(cfg, members=thetas)
-        return lambda: [run_dnwr(replace(cfg, theta=t)) for t in thetas]
+        return lambda: run_dnwr(cfg, members=thetas)
     traces = np.random.default_rng(1).standard_normal((m, cfg.n_steps))
     if kind == "dnwr-dirichlet":
         solve = lambda h, **kw: solver.solve_dirichlet_waveform(sub1, weights, None, h, **kw)  # noqa: E731
@@ -163,9 +163,7 @@ def _case(name):
         solve = lambda h, **kw: solver.solve_neumann_waveform(sub2, weights, h, None, **kw)  # noqa: E731
     if m == 1:
         return lambda: solve(traces[0])
-    if batched:
-        return lambda: solve(traces, members=m)
-    return lambda: [solve(h) for h in traces]
+    return lambda: solve(traces, members=m)
 
 
 def _run_preset(name):
@@ -225,10 +223,13 @@ def _summary(times):
 
 
 def _compare(before, after):
-    """The two sides' summaries, the speed-up of the medians, and whether the quartiles overlap."""
+    """The two sides' summaries, the speed-up of the medians, the paired wins of
+    "after", and whether the change is within the spread of the repeats."""
     b, a = _summary(before), _summary(after)
-    return {"before": b, "after": a, "speedup": b["median_s"] / a["median_s"],
-            "no_change": b["q1_s"] <= a["q3_s"] and a["q1_s"] <= b["q3_s"]}
+    wins = sum(t_after < t_before for t_before, t_after in zip(before, after))
+    overlap = b["q1_s"] <= a["q3_s"] and a["q1_s"] <= b["q3_s"]
+    return {"before": b, "after": a, "speedup": b["median_s"] / a["median_s"], "wins": wins,
+            "no_change": overlap or 0 < wins < len(before)}
 
 
 def _revision(tree):
@@ -278,8 +279,8 @@ def main(argv=None):
     for layer, case in cases:
         times = {"before": [], "after": []}
         inner = {"before": [], "after": []}
-        for _ in range(REPEATS):
-            for side in ("before", "after"):
+        for r in range(REPEATS):  # one pair per repeat; the side that goes first alternates
+            for side in ("before", "after") if r % 2 == 0 else ("after", "before"):
                 times[side].append(_time(getattr(args, side), case))
                 if layer == "L3":
                     inner[side].append(_time(getattr(args, side), case, in_process=True))
