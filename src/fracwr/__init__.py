@@ -12,8 +12,6 @@ from .fractional_time import (
     TimeMesh,
     build_graded_mesh,
     caputo_apply,
-    caputo_l1_weights,
-    caputo_wave_weights,
     caputo_weights,
     default_grading,
 )

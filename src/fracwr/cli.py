@@ -43,7 +43,7 @@ def _build_parser():
 def _seed_check() -> int:
     """Fast self-check of the numerical oracles; prints one line per check."""
     from . import theory
-    from .fractional_time import build_graded_mesh, caputo_apply, caputo_l1_weights
+    from .fractional_time import build_graded_mesh, caputo_apply, caputo_weights
 
     failures = 0
 
@@ -65,7 +65,7 @@ def _seed_check() -> int:
     err = max(abs(theory.mwright(0.5, x) - math.exp(-x * x / 4) / math.sqrt(math.pi)) for x in xs)
     check("M-Wright closed form at order 1/2", err < 1e-8)
     mesh = build_graded_mesh(1.0, 24, 3.0)
-    w = caputo_l1_weights(mesh, 0.5)
+    w = caputo_weights(mesh, 0.5)
     t = mesh.points
     rel = max(
         abs(caputo_apply(w, t[: n + 1]) - t[n] ** 0.5 / math.gamma(1.5))

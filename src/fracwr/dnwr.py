@@ -12,7 +12,6 @@ run marches its first ``ceil(N/4)`` sweeps; if any member is still active
 then, it builds ``S`` once and applies it in every later sweep.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -20,31 +19,14 @@ import numpy as np
 
 from .geometry import Partition1D, interface_flux_series
 from .iteration import IterationConfig, iterate
-from .solver import (
-    solve_dirichlet_waveform,
-    solve_monolithic,
-    solve_neumann_waveform,
-    tabulate,
-)
+from .solver import solve_dirichlet_waveform, solve_neumann_waveform, tabulate
+from .theory import optimal_theta_dnwr
 
 __all__ = ["DnwrConfig", "optimal_theta_dnwr", "run_dnwr", "transfer_matrix"]
 
 # Impulse columns marched as one batch when ``S`` is built: a wider batch
 # raises the peak memory of a run and saves no time.
 TRANSFER_CHUNK = 16
-
-
-def optimal_theta_dnwr(kappa1: float, kappa2: float) -> float:
-    """Relaxation weight 1 / (1 + sqrt(kappa1/kappa2)).
-
-    Gives two-sweep convergence for equal scaled lengths and the superlinear
-    estimates otherwise.  The convention with the roles of the coefficients
-    swapped, sqrt(kappa1)/(sqrt(kappa1)+sqrt(kappa2)), equals
-    ``optimal_theta_dnwr(kappa2, kappa1)``.
-    """
-    if not (kappa1 > 0.0 and kappa2 > 0.0):
-        raise ValueError(f"diffusion coefficients must be positive, got {kappa1}, {kappa2}")
-    return 1.0 / (1.0 + math.sqrt(kappa1 / kappa2))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -129,11 +111,3 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
     results = iterate(cfg, sweep, cfg.initial_traces((cfg.n_steps,)),
                       cfg.member_thetas(members), t_start, keep_fields)
     return results if members is not None else results[0]
-
-
-def monolithic_reference(cfg: DnwrConfig):
-    """Whole-domain solve with the configured data, for forced-mode checks."""
-    weights = cfg.build_weights()
-    return solve_monolithic(
-        cfg.partition, weights, f=cfg.source, u0=cfg.initial_condition
-    )

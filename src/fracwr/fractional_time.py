@@ -1,10 +1,12 @@
 """Time meshes and discrete Caputo-derivative convolution weights.
 
-Three schemes cover the full order range 2*nu in (0, 2):
+One builder, ``caputo_weights``, covers the full order range 2*nu in (0, 2)
+with three schemes:
 
 * ``l1``        -- orders in (0, 1), piecewise-linear quadrature on a possibly
                    graded mesh t_n = T * (n/N)**r; exact on linear functions.
-* ``classical`` -- order exactly 1, plain backward Euler differences.
+* ``classical`` -- order exactly 1, plain backward Euler differences: the L1
+                   rows at order 1, which are 1/dt on the diagonal bit for bit.
 * ``wave``      -- orders in (1, 2) on a uniform mesh, built from the
                    coefficient sequence a_j = (j+1)**(2-a) - j**(2-a) acting on
                    first-difference velocities with zero initial velocity
@@ -17,6 +19,7 @@ Constants are therefore annihilated exactly by construction.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +29,6 @@ __all__ = [
     "CaputoWeights",
     "build_graded_mesh",
     "default_grading",
-    "caputo_l1_weights",
-    "caputo_classical_weights",
-    "caputo_wave_weights",
     "caputo_weights",
     "caputo_apply",
 ]
@@ -68,12 +68,12 @@ def default_grading(order: float) -> float:
 
 def build_graded_mesh(horizon: float, n_steps: int, grading: float = 1.0) -> TimeMesh:
     """Mesh with t_n = T * (n/N)**r; r = 1 gives uniform spacing."""
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if grading < 1.0:
-        raise ValueError(f"grading exponent must be >= 1, got {grading}")
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    if not (grading >= 1.0 and math.isfinite(grading)):
+        raise ValueError(f"grading exponent must be finite and >= 1, got {grading}")
     n = np.arange(n_steps + 1, dtype=float)
     points = horizon * (n / n_steps) ** grading
     points[-1] = horizon
@@ -139,65 +139,44 @@ def _l1_rows(points: np.ndarray, alpha: float) -> np.ndarray:
     return rows
 
 
-def caputo_l1_weights(mesh: TimeMesh, order: float) -> CaputoWeights:
-    """L1 weights for orders in (0, 1)."""
-    if not 0.0 < order < 1.0:
-        raise ValueError(f"L1 scheme needs order in (0, 1), got {order}")
-    rows = _l1_rows(mesh.points, order)
-    return CaputoWeights(order=float(order), rows=rows, scheme="l1", mesh=mesh)
-
-
-def caputo_classical_weights(mesh: TimeMesh) -> CaputoWeights:
-    """Backward-Euler weights for order exactly 1 (normal diffusion)."""
-    n = mesh.n_steps
-    rows = np.zeros((n, n))
-    np.fill_diagonal(rows, 1.0 / mesh.spacings)
-    return CaputoWeights(order=1.0, rows=rows, scheme="classical", mesh=mesh)
-
-
 def wave_coefficients(order: float, count: int) -> np.ndarray:
     """a_j = (j+1)**(2-a) - j**(2-a), positive and strictly decreasing."""
     j = np.arange(count, dtype=float)
     return (j + 1.0) ** (2.0 - order) - j ** (2.0 - order)
 
 
-def caputo_wave_weights(dt: float, order: float, n_steps: int) -> CaputoWeights:
-    """Weights for orders in (1, 2) on a uniform mesh, zero initial velocity.
+def _wave_rows(mesh: TimeMesh, order: float) -> np.ndarray:
+    """Rows of the wave scheme on a uniform mesh, zero initial velocity.
 
     With velocities V^j = (u^j - u^{j-1})/dt and V^0 = 0, the operator is
     (dt**(1-a)/Gamma(3-a)) * [a_0 V^n + sum_{j<n} (a_{n-j} - a_{n-j-1}) V^j],
     an approximation of the Caputo derivative at t_{n-1/2}.
     """
-    if not 1.0 < order < 2.0:
-        raise ValueError(f"wave scheme needs order in (1, 2), got {order}")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    n_steps = mesh.n_steps
     a = wave_coefficients(order, n_steps + 1)
-    coef = dt ** (-order) / math.gamma(3.0 - order)
+    coef = (mesh.horizon / n_steps) ** (-order) / math.gamma(3.0 - order)
     rows = np.zeros((n_steps, n_steps))
     for n in range(1, n_steps + 1):
         rows[n - 1, n - 1] = coef * a[0]
         if n > 1:
             j = np.arange(1, n)
             rows[n - 1, : n - 1] = coef * (a[n - j] - a[n - j - 1])
-    mesh = build_graded_mesh(dt * n_steps, n_steps, 1.0)
-    return CaputoWeights(order=float(order), rows=rows, scheme="wave", mesh=mesh)
+    return rows
 
 
 def caputo_weights(mesh: TimeMesh, order: float) -> CaputoWeights:
-    """Dispatch on the order: L1, backward Euler, or the wave scheme."""
+    """The weights of ``order`` on ``mesh``: L1 below 1, backward Euler at 1,
+    the wave scheme above 1 (which needs a uniform mesh)."""
     if not 0.0 < order < 2.0:
         raise ValueError(f"order must lie in (0, 2), got {order}")
-    if order < 1.0:
-        return caputo_l1_weights(mesh, order)
-    if order == 1.0:
-        return caputo_classical_weights(mesh)
-    if not mesh.is_uniform:
+    if order <= 1.0:
+        rows = _l1_rows(mesh.points, order)
+        scheme = "l1" if order < 1.0 else "classical"
+    elif mesh.is_uniform:
+        rows, scheme = _wave_rows(mesh, order), "wave"
+    else:
         raise ValueError("the wave scheme supports uniform meshes only")
-    w = caputo_wave_weights(mesh.horizon / mesh.n_steps, order, mesh.n_steps)
-    return CaputoWeights(order=w.order, rows=w.rows, scheme="wave", mesh=mesh)
+    return CaputoWeights(order=float(order), rows=rows, scheme=scheme, mesh=mesh)
 
 
 def caputo_apply(weights: CaputoWeights, history) -> float:

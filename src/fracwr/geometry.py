@@ -72,10 +72,6 @@ class Partition1D:
         return tuple(s.x_right for s in self.subdomains[:-1])
 
     @property
-    def domain(self) -> tuple:
-        return (self.subdomains[0].x_left, self.subdomains[-1].x_right)
-
-    @property
     def kappas(self) -> tuple:
         return tuple(s.kappa for s in self.subdomains)
 

@@ -63,8 +63,8 @@ from .theory import (
     nnwr_error_bound,
 )
 
-__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run_experiment",
-           "remove_outputs", "PRESETS", "preset_config", "CSV_HEADER"]
+__all__ = ["ExperimentConfig", "ConfigError", "config_from_dict", "parse_config",
+           "run_experiment", "remove_outputs", "PRESETS", "preset_config", "CSV_HEADER"]
 
 CSV_HEADER = "k,interface_id,error_sup,bound,theta,two_nu"
 
@@ -138,7 +138,8 @@ def _interval(x) -> bool:
     return isinstance(x, list) and len(x) == 2 and all(map(_number, x)) and x[0] < x[1]
 
 
-def _validate(raw) -> ExperimentConfig:
+def config_from_dict(raw) -> ExperimentConfig:
+    """Validate a parsed experiment description; every violation is reported at once."""
     errs = []
     ok = _check_keys(raw, {"algorithm", "geometry", "time", "relaxation", "run", "output"},
                      {"algorithm", "geometry", "time", "relaxation", "run"}, "config", errs)
@@ -307,11 +308,7 @@ def parse_config(path) -> ExperimentConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"not valid JSON: {exc}"]) from exc
-    return _validate(raw)
-
-
-def config_from_dict(raw) -> ExperimentConfig:
-    return _validate(raw)
+    return config_from_dict(raw)
 
 
 # ---------------------------------------------------------------------------

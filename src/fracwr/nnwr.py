@@ -23,7 +23,6 @@ Both drivers run their sweeps in the interface iteration of
 once per run (in 2D, and moved into mode space).
 """
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ import numpy as np
 from .geometry import Partition1D, axis_nodes, interface_flux_series
 from .iteration import IterationConfig, iterate
 from .solver import solve_dirichlet_waveform, solve_neumann_waveform, tabulate
+from .theory import optimal_theta_nnwr
 
 __all__ = [
     "NnwrConfig",
@@ -40,14 +40,6 @@ __all__ = [
     "run_nnwr_1d",
     "run_nnwr_2d",
 ]
-
-
-def optimal_theta_nnwr(kappa_left: float, kappa_right: float) -> float:
-    """Interface weight 1 / (2 + sqrt(ki/kj) + sqrt(kj/ki)); 1/4 for equal kappa."""
-    if not (kappa_left > 0.0 and kappa_right > 0.0):
-        raise ValueError("diffusion coefficients must be positive")
-    r = math.sqrt(kappa_left / kappa_right)
-    return 1.0 / (2.0 + r + 1.0 / r)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -20,6 +20,8 @@ import numpy as np
 
 __all__ = [
     "BoundNotApplicableError",
+    "optimal_theta_dnwr",
+    "optimal_theta_nnwr",
     "mwright_phase",
     "mwright",
     "invlap_exp",
@@ -47,6 +49,52 @@ class BoundNotApplicableError(ValueError):
     """Raised when a convergence estimate is queried outside its validity range."""
 
 
+def optimal_theta_dnwr(kappa1: float, kappa2: float) -> float:
+    """Relaxation weight 1 / (1 + sqrt(kappa1/kappa2)).
+
+    Gives two-sweep convergence for equal scaled lengths and the superlinear
+    estimates otherwise.  The convention with the roles of the coefficients
+    swapped, sqrt(kappa1)/(sqrt(kappa1)+sqrt(kappa2)), equals
+    ``optimal_theta_dnwr(kappa2, kappa1)``.
+    """
+    if not (kappa1 > 0.0 and kappa2 > 0.0):
+        raise ValueError(f"diffusion coefficients must be positive, got {kappa1}, {kappa2}")
+    return 1.0 / (1.0 + math.sqrt(kappa1 / kappa2))
+
+
+def optimal_theta_nnwr(kappa_left: float, kappa_right: float) -> float:
+    """Interface weight 1 / (2 + sqrt(ki/kj) + sqrt(kj/ki)); 1/4 for equal kappa."""
+    if not (kappa_left > 0.0 and kappa_right > 0.0):
+        raise ValueError("diffusion coefficients must be positive")
+    r = math.sqrt(kappa_left / kappa_right)
+    return 1.0 / (2.0 + r + 1.0 / r)
+
+
+# ---------------------------------------------------------------------------
+# The rates and the shifted root every envelope is written in
+# ---------------------------------------------------------------------------
+
+def _rate(alpha: float, t: float = 1.0) -> float:
+    """Kernel rate (1-a) * (a/t)^(a/(1-a)); at t = 1 it is (1-a) * a^(a/(1-a))."""
+    return (1.0 - alpha) * (alpha / t) ** (alpha / (1.0 - alpha))
+
+
+def _window_rate(alpha: float, t: float, length: float) -> float:
+    """(1-a) * (a/t)^(a/(1-a)) * length^(1/(1-a)): the exponent of a window-mass bound."""
+    return _rate(alpha, t) * length ** (1.0 / (1.0 - alpha))
+
+
+def _scaled_rate(alpha: float, length: float, horizon: float) -> float:
+    """(1-a) * a^(a/(1-a)) * (length / T^a)^(1/(1-a)): a rate in scaled length."""
+    return _rate(alpha) * (length / horizon**alpha) ** (1.0 / (1.0 - alpha))
+
+
+def _shifted_root(x: float, k: int, alpha: float) -> float:
+    """((x + k)^c - k^c)^(1/(c(1-a))) with c = floor(1/(1-a))."""
+    c = math.floor(1.0 / (1.0 - alpha))
+    return ((x + k) ** c - float(k) ** c) ** (1.0 / (c * (1.0 - alpha)))
+
+
 # ---------------------------------------------------------------------------
 # M-Wright function via its real integral representation
 # ---------------------------------------------------------------------------
@@ -70,7 +118,7 @@ def mwright_phase(alpha: float, phi: float) -> float:
     if phi < 0.0 or phi > math.pi:
         raise ValueError(f"phi must lie in [0, pi], got {phi}")
     if phi == 0.0:
-        return (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
+        return _rate(alpha)
     if phi == math.pi:
         return math.inf
     lu = _phase_log(alpha, phi)
@@ -132,9 +180,7 @@ def exp_kernel_mass_bound(alpha: float, l: float, t: float) -> float:
         raise ValueError(f"need l >= 0 and t > 0, got l={l}, t={t}")
     if l == 0.0:
         return 1.0
-    return math.exp(
-        -(1.0 - alpha) * (alpha / t) ** (alpha / (1.0 - alpha)) * l ** (1.0 / (1.0 - alpha))
-    )
+    return math.exp(-_window_rate(alpha, t, l))
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +280,6 @@ _SERIES_TOL = 1e-18
 _SERIES_MAX = 2000
 
 
-def _c_exponent(nu: float) -> int:
-    return math.floor(1.0 / (1.0 - nu))
-
-
 def cosech_power_mass(alpha: float, l: float, k: int, t: float) -> float:
     """Integral over (0, t) of the inverse transform of cosech^k(l * s^a)."""
     total = 0.0
@@ -251,9 +293,8 @@ def cosech_power_mass(alpha: float, l: float, k: int, t: float) -> float:
 
 def cosech_power_mass_bound(alpha: float, l: float, k: int, t: float) -> float:
     """(2 / (1 - e^{-A1*B1}))^k * e^{-A1 * k^{1/(1-a)}} with the standard A1, B1."""
-    a1 = (1.0 - alpha) * (alpha / t) ** (alpha / (1.0 - alpha)) * l ** (1.0 / (1.0 - alpha))
-    c = _c_exponent(alpha)
-    b1 = ((2.0 + k) ** c - float(k) ** c) ** (1.0 / (c * (1.0 - alpha)))
+    a1 = _window_rate(alpha, t, l)
+    b1 = _shifted_root(2.0, k, alpha)
     return (2.0 / -math.expm1(-a1 * b1)) ** k * math.exp(-a1 * k ** (1.0 / (1.0 - alpha)))
 
 
@@ -281,11 +322,9 @@ def sinh_ratio_power_mass(alpha: float, l1: float, l2: float, k: int, t: float) 
 
 def sinh_ratio_power_mass_bound(alpha, l1, l2, k, t) -> float:
     """((1 + e^{-A2}) / (1 - e^{-B2*C2}))^k * e^{-B2 * k^{1/(1-a)}}."""
-    scale = (1.0 - alpha) * (alpha / t) ** (alpha / (1.0 - alpha))
-    b2 = scale * l1 ** (1.0 / (1.0 - alpha))
-    a2 = scale * (2.0 * l2 - 2.0 * l1) ** (1.0 / (1.0 - alpha))
-    c = _c_exponent(alpha)
-    c2 = ((2.0 * l2 / l1 + k) ** c - float(k) ** c) ** (1.0 / (c * (1.0 - alpha)))
+    b2 = _window_rate(alpha, t, l1)
+    a2 = _window_rate(alpha, t, 2.0 * l2 - 2.0 * l1)
+    c2 = _shifted_root(2.0 * l2 / l1, k, alpha)
     return ((1.0 + math.exp(-a2)) / -math.expm1(-b2 * c2)) ** k * math.exp(
         -b2 * k ** (1.0 / (1.0 - alpha))
     )
@@ -304,9 +343,8 @@ def geometric_exp_mass(alpha: float, l1: float, l2: float, t: float) -> float:
 
 def geometric_exp_mass_bound(alpha: float, l1: float, l2: float, t: float) -> float:
     """[1 + t^a * Gamma(2-a) / (l2 * Lam^{1-a})] * exp(-Lam * (l1/t^a)^{1/(1-a)})."""
-    lam = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
-    front = 1.0 + t**alpha * math.gamma(2.0 - alpha) / (l2 * lam ** (1.0 - alpha))
-    return front * math.exp(-lam * (l1 / t**alpha) ** (1.0 / (1.0 - alpha)))
+    front = 1.0 + t**alpha * math.gamma(2.0 - alpha) / (l2 * _rate(alpha) ** (1.0 - alpha))
+    return front * math.exp(-_scaled_rate(alpha, l1, t))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +377,7 @@ class DnwrBoundParams:
     @property
     def theta(self) -> float:
         """Relaxation weight cancelling the instantaneous interface response."""
-        return 1.0 / (1.0 + math.sqrt(self.kappa1 / self.kappa2))
+        return optimal_theta_dnwr(self.kappa1, self.kappa2)
 
     @property
     def gain(self) -> float:
@@ -355,35 +393,11 @@ class DnwrBoundParams:
 
     @property
     def mu1(self) -> float:
-        """Superlinear rate constant of the sub-diffusion estimate."""
-        nu = self.nu
-        d = min(self.A, self.B)
-        return (1.0 - nu) * nu ** (nu / (1.0 - nu)) * (d / self.horizon**nu) ** (
-            1.0 / (1.0 - nu)
-        )
-
-    @property
-    def mu2(self) -> float:
-        """Superlinear rate constant of the diffusion-wave estimate."""
-        return self.mu1
+        """Superlinear rate constant of both estimates."""
+        return _scaled_rate(self.nu, min(self.A, self.B), self.horizon)
 
     def delta(self) -> float:
-        nu = self.nu
-        gap = 2.0 * abs(self.A - self.B)
-        return (1.0 - nu) * nu ** (nu / (1.0 - nu)) * (gap / self.horizon**nu) ** (
-            1.0 / (1.0 - nu)
-        )
-
-    def beta1(self, k: int) -> float:
-        nu = self.nu
-        c = _c_exponent(nu)
-        ratio = 2.0 * max(self.A, self.B) / min(self.A, self.B)
-        return ((ratio + k) ** c - float(k) ** c) ** (1.0 / (c * (1.0 - nu)))
-
-    def beta2(self, k: int) -> float:
-        nu = self.nu
-        c = _c_exponent(nu)
-        return ((2.0 + k) ** c - float(k) ** c) ** (1.0 / (c * (1.0 - nu)))
+        return _scaled_rate(self.nu, 2.0 * abs(self.A - self.B), self.horizon)
 
 
 def dnwr_error_bound(params: DnwrBoundParams, k: int, regime: str) -> float:
@@ -417,11 +431,11 @@ def dnwr_error_bound(params: DnwrBoundParams, k: int, regime: str) -> float:
         if not 0.5 < nu < 1.0:
             raise BoundNotApplicableError(f"wave estimate needs 1/2 < nu < 1, got {nu}")
         p = 1.0 / (1.0 - nu)
-        mu2 = params.mu2
-        den1 = -math.expm1(-mu2 * params.beta1(k))
-        den2 = -math.expm1(-mu2 * params.beta2(k))
+        mu = params.mu1
+        den1 = -math.expm1(-mu * _shifted_root(2.0 * max(A, B) / min(A, B), k, nu))
+        den2 = -math.expm1(-mu * _shifted_root(2.0, k, nu))
         front = 2.0 * gain * (1.0 + math.exp(-params.delta())) / (den1 * den2)
-        return front**k * math.exp(-2.0 * mu2 * k**p)
+        return front**k * math.exp(-2.0 * mu * k**p)
     raise ValueError(f"regime must be 'sub' or 'wave', got {regime!r}")
 
 
@@ -468,12 +482,11 @@ class NnwrBoundParams:
         iteration dynamics.  ``mu`` itself belongs only to the final
         window-escape factor exp(-mu (2k)^(1/(1-nu))).
         """
-        nu = self.nu
-        return (1.0 - nu) * nu ** (nu / (1.0 - nu))
+        return _rate(self.nu)
 
     @property
     def mu(self) -> float:
-        return self.rate * (self.h_min / self.horizon**self.nu) ** (1.0 / (1.0 - self.nu))
+        return _scaled_rate(self.nu, self.h_min, self.horizon)
 
     @property
     def damping(self) -> float:
@@ -483,9 +496,8 @@ class NnwrBoundParams:
         )
 
     def thetas(self) -> np.ndarray:
-        ks = np.array(self.kappas)
-        r = np.sqrt(ks[:-1] / ks[1:])
-        return 1.0 / (2.0 + r + 1.0 / r)
+        ks = self.kappas
+        return np.array([optimal_theta_nnwr(a, b) for a, b in zip(ks, ks[1:])])
 
     def _q(self, x: float) -> float:
         base = x - self.h_min
@@ -493,8 +505,7 @@ class NnwrBoundParams:
             raise BoundNotApplicableError(
                 f"weight exponent has negative base {base}; geometry outside estimate range"
             )
-        nu = self.nu
-        return self.rate * (max(base, 0.0) / self.horizon**nu) ** (1.0 / (1.0 - nu))
+        return _scaled_rate(self.nu, max(base, 0.0), self.horizon)
 
     def weight_sums(self) -> np.ndarray:
         """c_i = sum of the interface-i weight bounds W_{i,i}, W_{i,i+-1}, W_{i,i+-2}."""
@@ -591,8 +602,7 @@ class Nnwr2dBoundParams:
 
     @property
     def rate_p(self) -> float:
-        nu = self.nu
-        return (1.0 - nu) * (nu / self.horizon) ** (nu / (1.0 - nu))
+        return _rate(self.nu, self.horizon)
 
     @property
     def rate_e(self) -> float:
@@ -616,15 +626,11 @@ def nnwr2d_error_bound(params: Nnwr2dBoundParams, k: int) -> float:
         raise BoundNotApplicableError(
             f"wave-case estimate starts beyond k={k} for this geometry"
         )
-    p = 1.0 / (1.0 - nu)
-    c = _c_exponent(nu)
     big, small = max(params.A, params.B), min(params.A, params.B)
-    f = ((2.0 * big / small + k) ** c - float(k) ** c) ** (1.0 / (c * (1.0 - nu)))
-    h = ((2.0 + k) ** c - float(k) ** c) ** (1.0 / (c * (1.0 - nu)))
+    f = _shifted_root(2.0 * big / small, k, nu)
+    h = _shifted_root(2.0, k, nu)
     pe = params.rate_p * params.rate_e
-    gap = params.rate_p * (2.0 * abs(params.B - params.A)) ** p
+    gap = _window_rate(nu, params.horizon, 2.0 * abs(params.B - params.A))
     num = (1.0 + math.exp(-gap)) ** 2
-    den = (-math.expm1(-params.rate_p * params.rate_e * f)) * (
-        -math.expm1(-params.rate_p * params.rate_e * h)
-    )
-    return (num / den) ** k * math.exp(-2.0 * pe * k**p)
+    den = (-math.expm1(-pe * f)) * (-math.expm1(-pe * h))
+    return (num / den) ** k * math.exp(-2.0 * pe * k ** (1.0 / (1.0 - nu)))

@@ -23,8 +23,8 @@ from fracwr import (
     run_dnwr,
     run_nnwr_1d,
     run_nnwr_2d,
+    solve_monolithic,
 )
-from fracwr.dnwr import monolithic_reference
 from fracwr.harness import config_from_dict, run_experiment, table2_kappas
 from fracwr.theory import (
     DnwrBoundParams,
@@ -189,7 +189,8 @@ def test_criterion_08_monolithic_agreement():
                          mode="forced", source=source)
         res = run_dnwr(cfg, keep_fields=True)
         assert res.report.converged
-        mono = monolithic_reference(cfg)
+        mono = solve_monolithic(cfg.partition, cfg.build_weights(), f=cfg.source,
+                                u0=cfg.initial_condition)
         u1, u2 = res.fields
         glued = np.concatenate([u1, u2[:, 1:]], axis=1)
         assert np.abs(glued - mono.field).max() <= 1e-8, order

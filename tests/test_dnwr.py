@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import fracwr.dnwr as dnwr
-from fracwr.dnwr import (DnwrConfig, monolithic_reference, optimal_theta_dnwr, run_dnwr,
-                         transfer_matrix)
+from fracwr.dnwr import DnwrConfig, optimal_theta_dnwr, run_dnwr, transfer_matrix
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
 from fracwr.geometry import build_partition, interface_flux_series
-from fracwr.solver import solve_dirichlet_waveform, solve_neumann_waveform
+from fracwr.solver import solve_dirichlet_waveform, solve_monolithic, solve_neumann_waveform
 from fracwr.theory import DnwrBoundParams
 
 
@@ -157,7 +156,8 @@ def test_forced_mode_converges_to_monolithic_trace():
                   theta="optimal", mode="forced", tolerance=1e-11, max_iter=60, source=f)
     res = run_dnwr(cfg)
     assert res.report.converged
-    mono = monolithic_reference(cfg)
+    mono = solve_monolithic(cfg.partition, cfg.build_weights(), f=cfg.source,
+                            u0=cfg.initial_condition)
     assert np.abs(res.traces - mono.interface_traces()[0]).max() <= 1e-9
 
 
@@ -167,7 +167,9 @@ def test_fixed_point_invariance_any_theta():
     for theta in (0.3, 0.7):
         cfg = _config(partition=build_partition((0, 2), [1.5], [1.0, 0.25], 0.02),
                       theta=theta, mode="forced", tolerance=1e-30, max_iter=1, source=f)
-        trace = monolithic_reference(cfg).interface_traces()[0]
+        mono = solve_monolithic(cfg.partition, cfg.build_weights(), f=cfg.source,
+                                u0=cfg.initial_condition)
+        trace = mono.interface_traces()[0]
         cfg2 = _config(partition=cfg.partition, theta=theta, mode="forced",
                        tolerance=1e-30, max_iter=1, source=f, initial_guess=trace)
         res = run_dnwr(cfg2)
@@ -229,7 +231,8 @@ def test_heterogeneous_grid_coupling():
                   tolerance=1e-11, max_iter=60, source=f)
     res = run_dnwr(cfg)
     assert res.report.converged
-    mono = monolithic_reference(cfg)
+    mono = solve_monolithic(cfg.partition, cfg.build_weights(), f=cfg.source,
+                            u0=cfg.initial_condition)
     assert np.abs(res.traces - mono.interface_traces()[0]).max() <= 1e-9
 
 

@@ -7,9 +7,6 @@ from fracwr.fractional_time import (
     CaputoWeights,
     build_graded_mesh,
     caputo_apply,
-    caputo_classical_weights,
-    caputo_l1_weights,
-    caputo_wave_weights,
     caputo_weights,
     default_grading,
     wave_coefficients,
@@ -43,16 +40,26 @@ def test_default_grading_rule():
     assert default_grading(1.5) == 1.0
 
 
-@pytest.mark.parametrize("bad", [(0.0, 4, 1.0), (1.0, 0, 1.0), (1.0, 4, 0.5)])
+@pytest.mark.parametrize("bad", [
+    (0.0, 4, 1.0), (1.0, 0, 1.0), (1.0, 4, 0.5),
+    (math.inf, 4, 1.0), (math.nan, 4, 1.0), (1.0, 2.5, 1.0), (1.0, 4.0, 1.0), (1.0, True, 1.0),
+    (1.0, 4, math.inf), (1.0, 4, math.nan),
+])
 def test_graded_mesh_rejects(bad):
     with pytest.raises(ValueError):
         build_graded_mesh(*bad)
 
 
+def test_graded_mesh_takes_numpy_integer_steps():
+    mesh = build_graded_mesh(1.0, np.int64(4), 2.0)
+    assert mesh.n_steps == 4
+    assert np.array_equal(mesh.points, build_graded_mesh(1.0, 4, 2.0).points)
+
+
 def test_l1_single_interval():
     mesh = build_graded_mesh(0.7, 1, 1.0)
     for alpha in (0.25, 0.5, 0.75):
-        w = caputo_l1_weights(mesh, alpha)
+        w = caputo_weights(mesh, alpha)
         expected = 0.7 ** (-alpha) / math.gamma(2.0 - alpha)
         # operator on (u0, u1) is (u1 - u0) * dt**(-alpha) / Gamma(2-alpha)
         assert caputo_apply(w, [1.0, 3.5]) == pytest.approx(2.5 * expected, rel=1e-14)
@@ -63,7 +70,7 @@ def test_l1_single_interval():
 def test_l1_exact_on_linear(alpha, grading):
     r = default_grading(alpha) if grading == "optimal" else grading
     mesh = build_graded_mesh(2.0, 64, r)
-    w = caputo_l1_weights(mesh, alpha)
+    w = caputo_weights(mesh, alpha)
     t = mesh.points
     for n in range(1, 65):
         got = caputo_apply(w, 2.0 * t[: n + 1])
@@ -74,7 +81,7 @@ def test_l1_exact_on_linear(alpha, grading):
 @pytest.mark.parametrize("alpha", [0.2, 0.6])
 def test_l1_annihilates_constants(alpha):
     mesh = build_graded_mesh(1.0, 32, 3.0)
-    w = caputo_l1_weights(mesh, alpha)
+    w = caputo_weights(mesh, alpha)
     for n in (1, 7, 32):
         assert caputo_apply(w, np.full(n + 1, 4.2)) == 0.0
 
@@ -82,22 +89,28 @@ def test_l1_annihilates_constants(alpha):
 def test_l1_diagonal_positive():
     mesh = build_graded_mesh(1.0, 48, 5.0)
     for alpha in (0.1, 0.5, 0.9):
-        assert np.all(caputo_l1_weights(mesh, alpha).diagonal > 0)
+        assert np.all(caputo_weights(mesh, alpha).diagonal > 0)
 
 
 def test_l1_rejects_bad_order():
     mesh = build_graded_mesh(1.0, 4, 1.0)
-    for alpha in (0.0, 1.0, 1.5):
+    for alpha in (0.0, 2.0, math.nan):
         with pytest.raises(ValueError):
-            caputo_l1_weights(mesh, alpha)
+            caputo_weights(mesh, alpha)
 
 
 def test_classical_weights_are_backward_euler():
+    # the L1 rows at order 1 are the backward-Euler rows bit for bit
     mesh = build_graded_mesh(1.0, 5, 2.0)
-    w = caputo_classical_weights(mesh)
+    w = caputo_weights(mesh, 1.0)
     dt = mesh.spacings
-    np.testing.assert_allclose(w.diagonal, 1.0 / dt)
+    assert w.scheme == "classical"
+    assert np.array_equal(w.rows, np.diag(1.0 / dt))
     assert caputo_apply(w, [0.0, 0.3, 0.5]) == pytest.approx(0.2 / dt[1])
+    for grading in (1.0, 2.0, 3.0):
+        for n in (1, 7, 64, 96):
+            mesh = build_graded_mesh(1.3, n, grading)
+            assert np.array_equal(caputo_weights(mesh, 1.0).rows, np.diag(1.0 / mesh.spacings))
 
 
 def test_wave_coefficients_basic():
@@ -109,7 +122,7 @@ def test_wave_coefficients_basic():
 
 
 def test_wave_diag_positive_constants_annihilated():
-    w = caputo_wave_weights(0.1, 1.5, 10)
+    w = caputo_weights(build_graded_mesh(10 * 0.1, 10), 1.5)
     assert np.all(w.diagonal > 0)
     for n in (1, 4, 10):
         assert caputo_apply(w, np.full(n + 1, -2.3)) == 0.0
@@ -121,7 +134,7 @@ def test_wave_quadratic_accuracy_order(alpha):
     # at the half-point evaluation time; observed order must reach 3 - alpha
     errs = []
     for n in (32, 64, 128):
-        w = caputo_wave_weights(1.0 / n, alpha, n)
+        w = caputo_weights(build_graded_mesh(n * (1.0 / n), n), alpha)
         got = caputo_apply(w, w.mesh.points**2)
         exact = 2.0 * w.eval_times[-1] ** (2 - alpha) / math.gamma(3 - alpha)
         errs.append(abs(got - exact))
@@ -130,10 +143,6 @@ def test_wave_quadratic_accuracy_order(alpha):
 
 
 def test_wave_rejects():
-    with pytest.raises(ValueError):
-        caputo_wave_weights(0.1, 0.9, 4)
-    with pytest.raises(ValueError):
-        caputo_wave_weights(-0.1, 1.5, 4)
     graded = build_graded_mesh(1.0, 8, 2.0)
     with pytest.raises(ValueError):
         caputo_weights(graded, 1.5)
@@ -150,7 +159,7 @@ def test_dispatch_by_order():
 
 def test_apply_is_linear_and_checks_length():
     mesh = build_graded_mesh(1.0, 6, 2.0)
-    w = caputo_l1_weights(mesh, 0.4)
+    w = caputo_weights(mesh, 0.4)
     hist = np.array([0.0, 0.1, 0.7, 0.2])
     assert caputo_apply(w, 3.0 * hist) == pytest.approx(3.0 * caputo_apply(w, hist), rel=1e-14)
     assert caputo_apply(w, np.zeros(4)) == 0.0
