@@ -9,6 +9,7 @@ Invoked with no arguments, prints usage and exits 1.
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -100,8 +101,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 
-    from .harness import (ConfigError, PRESETS, parse_config, preset_config, remove_outputs,
-                          run_experiment)
+    from .harness import PRESETS, parse_config, preset_config, remove_outputs, run_experiment
 
     if args.list_presets:
         for name in sorted(PRESETS):
@@ -109,33 +109,20 @@ def main(argv=None) -> int:
         return 0
     if args.seed_check:
         return _seed_check()
-    if not (args.tol is None or math.isfinite(args.tol) and args.tol > 0) or (
-            args.max_iter is not None and args.max_iter < 1):
-        print("error: --tol and --max-iter must be positive", file=sys.stderr)
-        return 1
     if bool(args.config) == bool(args.preset):
         print("error: exactly one of --config or --preset is required", file=sys.stderr)
         print(USAGE, end="", file=sys.stderr)
         return 1
 
     try:
-        if args.config:
-            configs = [parse_config(args.config)]
-        else:
-            configs = preset_config(args.preset)
-    except (ConfigError, OSError) as exc:
+        configs = [parse_config(args.config)] if args.config else preset_config(args.preset)
+        # an override is checked like the config value it replaces
+        overrides = {k: v for k, v in dict(tolerance=args.tol, max_iter=args.max_iter).items()
+                     if v is not None}
+        configs = [replace(c, run=replace(c.run, **overrides)) for c in configs]
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if args.tol is not None or args.max_iter is not None:
-        from dataclasses import replace
-
-        overrides = {}
-        if args.tol is not None:
-            overrides["tolerance"] = args.tol
-        if args.max_iter is not None:
-            overrides["max_iter"] = args.max_iter
-        configs = [replace(c, **overrides) for c in configs]
 
     written = []
     try:

@@ -77,6 +77,8 @@ def build_graded_mesh(horizon: float, n_steps: int, grading: float = 1.0) -> Tim
     n = np.arange(n_steps + 1, dtype=float)
     points = horizon * (n / n_steps) ** grading
     points[-1] = horizon
+    if not np.all(np.diff(points) > 0.0):  # a steep grading underflows the first levels to 0
+        raise ValueError(f"grading {grading} makes some of the {n_steps} time steps zero")
     return TimeMesh(points=points, grading=float(grading), horizon=float(horizon))
 
 

@@ -7,11 +7,11 @@ per relaxation weight with the exact header
     k,interface_id,error_sup,bound,theta,two_nu
 
 where ``bound`` is the paper's closed-form estimate when one applies (error
-equations with every interface at its optimal weight) and blank otherwise;
-it is a reference, not a guarantee, and the DNWR diffusion-wave errors
-exceed it.  ``theta`` is the weight of the row's interface.  Floats are written
-with 17 significant digits so identical configurations produce byte-identical
-files.
+equations with every interface at its optimal weight, a value within double
+range) and blank otherwise; it is a reference, not a guarantee, and the DNWR
+diffusion-wave errors exceed it.  ``theta`` is the weight of the row's
+interface.  Floats are written with 17 significant digits so identical
+configurations produce byte-identical files.
 
 Config schema (all keys required unless noted):
 
@@ -19,7 +19,7 @@ Config schema (all keys required unless noted):
       "algorithm": "dnwr" | "nnwr1d" | "nnwr2d" | "monolithic",
       "geometry": {
         "domain": [x0, x1],
-        "breakpoints": [...],          # dnwr: 1 entry; nnwr1d: >= 1; absent for nnwr2d
+        "breakpoints": [...],          # dnwr: 1 entry; nnwr1d, monolithic: >= 1; not nnwr2d
         "kappa": number | [...],       # per subdomain (scalar for nnwr2d)
         "dx": number | [...],
         "split": number,               # nnwr2d only: interface abscissa
@@ -27,7 +27,7 @@ Config schema (all keys required unless noted):
         "dy": number                   # nnwr2d only
       },
       "time": {"order": 2nu in (0,2), "horizon": T, "steps": N,
-               "grading": "auto" | r >= 1},        # optional; r = 1 for order > 1
+               "grading": "auto" | r >= 1},  # optional; r = 1 for order > 1; t_n must rise
       "relaxation": {"theta": "optimal" | number | [sweep...]},
       "run": {"tolerance": tol, "max_iter": n, "mode": "error_equation" | "forced",
               "initial_guess": "unit" | number,
@@ -44,12 +44,12 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dnwr import DnwrConfig, run_dnwr
-from .geometry import axis_nodes, build_partition
+from .geometry import build_partition
 from .iteration import IterationConfig
 from .nnwr import Nnwr2dConfig, NnwrConfig, run_nnwr_1d, run_nnwr_2d
 from .solver import solve_monolithic
@@ -93,19 +93,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated experiment: the driver config it runs (``NnwrConfig`` for
+    ``monolithic``), whose ``theta`` is the first sweep member, and its file stem."""
+
     algorithm: str
-    geometry: dict
-    order: float
-    horizon: float
-    n_steps: int
-    grading: object
+    run: IterationConfig
     thetas: tuple  # sweep members: floats and/or "optimal"
-    tolerance: float
-    max_iter: int
-    mode: str
-    initial_guess: object
-    source: str = "zero"
-    initial_condition: str = "zero"
     stem: str = "run"
 
 
@@ -167,8 +160,8 @@ def config_from_dict(raw) -> ExperimentConfig:
                 errs.append("geometry.breakpoints: expected a list of numbers")
             elif algorithm == "dnwr" and len(breaks) != 1:
                 errs.append("geometry.breakpoints: dnwr needs exactly one breakpoint")
-            elif algorithm == "nnwr1d" and not breaks:
-                errs.append("geometry.breakpoints: nnwr1d needs at least one breakpoint")
+            elif algorithm in ("nnwr1d", "monolithic") and not breaks:
+                errs.append(f"geometry.breakpoints: {algorithm} needs at least one breakpoint")
             elif any(not dom[0] < b < dom[1] for b in breaks):
                 errs.append("geometry.breakpoints: must lie strictly inside the domain")
         elif algorithm == "nnwr2d":
@@ -268,37 +261,32 @@ def config_from_dict(raw) -> ExperimentConfig:
             errs.append("output.stem: each CSV name <stem>_<tag>.csv must encode to at most "
                         "250 bytes")
 
-    if not errs:  # the values are well formed; check that they tile
+    if not errs:  # the values are well formed; build what the driver runs, then its mesh
+        ics = INITIAL_CONDITIONS_2D if algorithm == "nnwr2d" else INITIAL_CONDITIONS
+        source = SOURCES[run.get("source", "zero")]
+        ig = run.get("initial_guess", "unit")
+        common = dict(
+            order=float(tm["order"]), horizon=float(tm["horizon"]), n_steps=int(tm["steps"]),
+            grading=tm.get("grading", "auto"), tolerance=float(run["tolerance"]),
+            max_iter=int(run["max_iter"]), mode=mode, theta=thetas[0],
+            initial_guess=1.0 if ig == "unit" else float(ig), source=source,
+            initial_condition=ics[run.get("initial_condition", "zero")])
+        if algorithm == "nnwr2d":
+            common.update(y_extent=tuple(geo["y_extent"]), dy=geo["dy"],
+                          source=None if source is None else (lambda x, y, t: source(x, t)))
+        breaks = [geo["split"]] if algorithm == "nnwr2d" else geo["breakpoints"]
+        config_class = {"dnwr": DnwrConfig, "nnwr2d": Nnwr2dConfig}.get(algorithm, NnwrConfig)
+        where = "geometry"
         try:
-            _build_geometry(algorithm, geo)
+            run_cfg = config_class(partition=build_partition(geo["domain"], breaks, geo["kappa"],
+                                                             geo["dx"]), **common)
+            where = "time.grading"
+            run_cfg.time_mesh()
         except ValueError as exc:
-            errs.append(f"geometry: {exc}")
+            errs.append(f"{where}: {exc}")
     if errs:
         raise ConfigError(errs)
-    return ExperimentConfig(
-        algorithm=algorithm,
-        geometry=dict(geo),
-        order=float(tm["order"]),
-        horizon=float(tm["horizon"]),
-        n_steps=int(tm["steps"]),
-        grading=tm.get("grading", "auto"),
-        thetas=thetas,
-        tolerance=float(run["tolerance"]),
-        max_iter=int(run["max_iter"]),
-        mode=mode,
-        initial_guess=run.get("initial_guess", "unit"),
-        source=run.get("source", "zero"),
-        initial_condition=run.get("initial_condition", "zero"),
-        stem=stem,
-    )
-
-
-def _build_geometry(algorithm, geo):
-    """The 1D partition; for nnwr2d the strip's two subdomains along x, y lattice checked."""
-    if algorithm == "nnwr2d":
-        axis_nodes(*geo["y_extent"], geo["dy"])
-    breaks = [geo["split"]] if algorithm == "nnwr2d" else geo.get("breakpoints", [])
-    return build_partition(geo["domain"], breaks, geo["kappa"], geo["dx"])
+    return ExperimentConfig(algorithm=algorithm, run=run_cfg, thetas=thetas, stem=stem)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -342,64 +330,48 @@ def _tag(member) -> str:
 
 def _run_members(cfg: ExperimentConfig, out_dir, paths):
     """Run every sweep member in one driver call, appending each CSV path written."""
-    source = SOURCES[cfg.source]
-    common = dict(
-        order=cfg.order, horizon=cfg.horizon, n_steps=cfg.n_steps, tolerance=cfg.tolerance,
-        max_iter=cfg.max_iter, mode=cfg.mode, grading=cfg.grading, theta=cfg.thetas[0],
-        initial_guess=1.0 if cfg.initial_guess == "unit" else float(cfg.initial_guess),
-    )
-    nu = cfg.order / 2.0
-    geometry = _build_geometry(cfg.algorithm, cfg.geometry)
+    run_cfg = cfg.run
     names = [os.path.join(out_dir, f"{cfg.stem}_{_tag(m)}.csv") for m in cfg.thetas]
+    nu = run_cfg.order / 2.0
+    lengths = tuple(s.length for s in run_cfg.partition.subdomains)
+    kappas = run_cfg.partition.kappas
 
-    lengths = tuple(s.length for s in geometry.subdomains)
-    kappas = geometry.kappas
-    ics = INITIAL_CONDITIONS_2D if cfg.algorithm == "nnwr2d" else INITIAL_CONDITIONS
-    ic = ics[cfg.initial_condition]
-
-    # Each branch builds the run's config and the envelope bound(k); the
-    # drivers are looked up here, at call time.
+    # Each branch picks the driver and the envelope bound(k); the drivers
+    # are looked up here, at call time.
     if cfg.algorithm == "monolithic":
-        solve_monolithic(geometry, IterationConfig(**common).build_weights(), f=source, u0=ic)
-        rows = [(0, m, 0.0, None, 0.0, cfg.order) for m in range(len(lengths) - 1)]
+        solve_monolithic(run_cfg.partition, run_cfg.build_weights(), f=run_cfg.source,
+                         u0=run_cfg.initial_condition)
+        rows = [(0, m, 0.0, None, 0.0, run_cfg.order) for m in range(len(lengths) - 1)]
         paths.extend(_write_csv(name, rows) for name in names)
         return
     if cfg.algorithm == "nnwr2d":
-        run_cfg = Nnwr2dConfig(
-            partition=geometry, y_extent=tuple(cfg.geometry["y_extent"]), dy=cfg.geometry["dy"],
-            source=None if source is None else (lambda x, y, t: source(x, t)),
-            initial_condition=ic, **common,
-        )
-        run = run_nnwr_2d
+        driver = run_nnwr_2d
         params = Nnwr2dBoundParams(nu=nu, a=lengths[0], b=lengths[1], kappa=kappas[0],
-                                   horizon=cfg.horizon)
+                                   horizon=run_cfg.horizon)
         bound = lambda k: nnwr2d_error_bound(params, k)  # noqa: E731
     elif cfg.algorithm == "dnwr":
-        run_cfg = DnwrConfig(partition=geometry, source=source, initial_condition=ic, **common)
-        run = run_dnwr
+        driver = run_dnwr
         params = DnwrBoundParams(nu=nu, a=lengths[0], b=lengths[1], kappa1=kappas[0],
-                                 kappa2=kappas[1], horizon=cfg.horizon)
-        regime = "sub" if cfg.order <= 1.0 else "wave"
-        bound = lambda k: dnwr_error_bound(params, k, regime)  # noqa: E731
+                                 kappa2=kappas[1], horizon=run_cfg.horizon)
+        bound = lambda k: dnwr_error_bound(params, k)  # noqa: E731
     else:
-        run_cfg = NnwrConfig(partition=geometry, source=source, initial_condition=ic, **common)
-        run = run_nnwr_1d
-        params = NnwrBoundParams(nu=nu, lengths=lengths, kappas=kappas, horizon=cfg.horizon)
+        driver = run_nnwr_1d
+        params = NnwrBoundParams(nu=nu, lengths=lengths, kappas=kappas, horizon=run_cfg.horizon)
         bound = lambda k: nnwr_error_bound(params, k)  # noqa: E731
 
     # more members march in one batch; a lone one takes the plain call,
     # which returns its RunResult itself
-    results = run(run_cfg, members=cfg.thetas) if len(cfg.thetas) > 1 else [run(run_cfg)]
+    results = driver(run_cfg, members=cfg.thetas) if len(cfg.thetas) > 1 else [driver(run_cfg)]
     optimal = run_cfg.optimal_theta()
     for name, result in zip(names, results):
         report = result.report
         # the envelope applies to error equations with every interface at its optimum
-        enveloped = cfg.mode == "error_equation" and all(
+        enveloped = run_cfg.error_mode and all(
             math.isclose(t, o) for t, o in zip(report.theta, optimal))
         rows = []
         for k, errors in enumerate(report.errors, start=1):
             b = _bound_or_none(bound, k) if enveloped else None
-            rows.extend((k, m, float(e), b, float(report.theta[m]), cfg.order)
+            rows.extend((k, m, float(e), b, float(report.theta[m]), run_cfg.order)
                         for m, e in enumerate(errors))
         paths.append(_write_csv(name, rows))
 

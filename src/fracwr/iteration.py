@@ -117,10 +117,14 @@ class IterationConfig:
             raise ValueError(f"members must be a non-empty sequence, got {members!r}")
         return np.array([self.resolve_theta(m) for m in members])
 
-    def build_weights(self):
-        """Caputo weights on the configured (graded) time mesh."""
+    def time_mesh(self):
+        """The configured (graded) time mesh."""
         r = default_grading(self.order) if self.grading == "auto" else float(self.grading)
-        return caputo_weights(build_graded_mesh(self.horizon, self.n_steps, r), self.order)
+        return build_graded_mesh(self.horizon, self.n_steps, r)
+
+    def build_weights(self):
+        """Caputo weights on ``time_mesh()``."""
+        return caputo_weights(self.time_mesh(), self.order)
 
     def initial_traces(self, shape) -> np.ndarray:
         """The first trace iterate: the guess broadcast to, or checked against, ``shape``."""

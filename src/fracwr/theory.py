@@ -13,6 +13,7 @@ A = a/sqrt(kappa_1), B = b/sqrt(kappa_2) in which all estimates are stated.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -86,13 +87,34 @@ def _window_rate(alpha: float, t: float, length: float) -> float:
 
 def _scaled_rate(alpha: float, length: float, horizon: float) -> float:
     """(1-a) * a^(a/(1-a)) * (length / T^a)^(1/(1-a)): a rate in scaled length."""
-    return _rate(alpha) * (length / horizon**alpha) ** (1.0 / (1.0 - alpha))
+    # in Python floats, where an overflow raises (numpy scalars would warn and give inf)
+    return _rate(alpha) * (float(length) / horizon**alpha) ** (1.0 / (1.0 - alpha))
 
 
 def _shifted_root(x: float, k: int, alpha: float) -> float:
     """((x + k)^c - k^c)^(1/(c(1-a))) with c = floor(1/(1-a))."""
     c = math.floor(1.0 / (1.0 - alpha))
     return ((x + k) ** c - float(k) ** c) ** (1.0 / (c * (1.0 - alpha)))
+
+
+def _envelope(bound):
+    """The envelope ``bound(params, k)`` of sweeps k >= 1, extended by 1 at k = 0.
+
+    It raises ``BoundNotApplicableError`` where the estimate leaves double
+    precision (near order 2).
+    """
+    @functools.wraps(bound)
+    def checked(params, k):
+        if k < 0:
+            raise ValueError(f"iteration index must be >= 0, got {k}")
+        try:
+            value = 1.0 if k == 0 else bound(params, k)
+            if math.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+        raise BoundNotApplicableError(f"the estimate at k={k} overflows double precision")
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +209,20 @@ def exp_kernel_mass_bound(alpha: float, l: float, t: float) -> float:
 # Fixed-Talbot numerical Bromwich inversion (test oracle)
 # ---------------------------------------------------------------------------
 
-def talbot_invert(transform, t: float, contour_size: int = 32) -> float:
+_TALBOT_NODES = 32  # M, the nodes of the fixed-Talbot contour
+
+
+def talbot_invert(transform, t: float) -> float:
     """Evaluate the Bromwich integral of ``transform`` at time t > 0.
 
-    Fixed-Talbot contour (Abate & Valko): M nodes on the deformed contour
+    Fixed-Talbot contour (Abate & Valko): M = 32 nodes on the deformed contour
     s_k = (r/t) * theta_k * (cot(theta_k) + i) with r = 2M/5.  Accurate to
     roughly 1e-8 .. 1e-12 for the smooth, branch-cut kernels used here; fails
     loudly on non-finite evaluations.
     """
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
-    m = int(contour_size)
+    m = _TALBOT_NODES
     r = 0.4 * m
     total = 0.0 + 0.0j
     s0 = r / t
@@ -256,7 +281,7 @@ class PositivityReport:
         object.__setattr__(self, "min_value", float(np.min(self.values)))
 
 
-def kernel_positivity_check(kind, alpha, l1, l2, t_grid, contour_size=32) -> PositivityReport:
+def kernel_positivity_check(kind, alpha, l1, l2, t_grid) -> PositivityReport:
     """Numerically invert a sinh ('phi') or cosh ('psi') ratio on a time grid.
 
     The inverted kernels are nonnegative for alpha <= 1/2; the report's
@@ -268,7 +293,7 @@ def kernel_positivity_check(kind, alpha, l1, l2, t_grid, contour_size=32) -> Pos
         raise ValueError(f"positivity range is alpha in (0, 1/2], got {alpha}")
     fhat = _ratio_transform(kind, alpha, l1, l2)
     times = np.asarray(t_grid, dtype=float)
-    values = np.array([talbot_invert(fhat, t, contour_size) for t in times])
+    values = np.array([talbot_invert(fhat, t) for t in times])
     return PositivityReport(kind, alpha, l1, l2, times, values)
 
 
@@ -400,43 +425,33 @@ class DnwrBoundParams:
         return _scaled_rate(self.nu, 2.0 * abs(self.A - self.B), self.horizon)
 
 
-def dnwr_error_bound(params: DnwrBoundParams, k: int, regime: str) -> float:
+@_envelope
+def dnwr_error_bound(params: DnwrBoundParams, k: int) -> float:
     """Envelope for ||error at sweep k|| / ||initial error|| at the optimal weight.
 
-    regime 'sub' covers orders 2*nu <= 1 (for unequal scaled lengths the
-    shrinking side uses the one-step estimate, the growing side the
-    even-sweep estimate, extended to odd k by the preceding even value);
-    regime 'wave' covers 1 < 2*nu < 2.
+    The order picks the estimate: the sub-diffusion one for 2*nu <= 1 (for
+    unequal scaled lengths the shrinking side uses the one-step estimate, the
+    growing side the even-sweep estimate, extended to odd k by the preceding
+    even value), the diffusion-wave one for 1 < 2*nu < 2.
     """
-    if k < 0:
-        raise ValueError(f"iteration index must be >= 0, got {k}")
-    if k == 0:
-        return 1.0
     nu, gain = params.nu, params.gain
-    A, B = params.A, params.B
-    if regime == "sub":
-        if not 0.0 < nu <= 0.5:
-            raise BoundNotApplicableError(f"sub-diffusion estimate needs nu <= 1/2, got {nu}")
+    if not 0.0 < nu < 1.0:
+        raise BoundNotApplicableError(f"estimate needs 0 < nu < 1, got {nu}")
+    A, B, mu, p = params.A, params.B, params.mu1, 1.0 / (1.0 - nu)
+    if nu <= 0.5:
         if A == B:
             return 0.0
-        p = 1.0 / (1.0 - nu)
         if A > B:
-            return (2.0 * gain * (A - B) / A) ** k * math.exp(-params.mu1 * k**p)
+            return (2.0 * gain * (A - B) / A) ** k * math.exp(-mu * k**p)
         m = 2 * (k // 2)
         if m == 0:
             return 1.0
-        front = 2.0 * math.sqrt(2.0) * gain / -math.expm1(-2.0 * params.mu1)
-        return front**m * math.exp(-params.mu1 * m**p)
-    if regime == "wave":
-        if not 0.5 < nu < 1.0:
-            raise BoundNotApplicableError(f"wave estimate needs 1/2 < nu < 1, got {nu}")
-        p = 1.0 / (1.0 - nu)
-        mu = params.mu1
-        den1 = -math.expm1(-mu * _shifted_root(2.0 * max(A, B) / min(A, B), k, nu))
-        den2 = -math.expm1(-mu * _shifted_root(2.0, k, nu))
-        front = 2.0 * gain * (1.0 + math.exp(-params.delta())) / (den1 * den2)
-        return front**k * math.exp(-2.0 * mu * k**p)
-    raise ValueError(f"regime must be 'sub' or 'wave', got {regime!r}")
+        front = 2.0 * math.sqrt(2.0) * gain / -math.expm1(-2.0 * mu)
+        return front**m * math.exp(-mu * m**p)
+    den1 = -math.expm1(-mu * _shifted_root(2.0 * max(A, B) / min(A, B), k, nu))
+    den2 = -math.expm1(-mu * _shifted_root(2.0, k, nu))
+    front = 2.0 * gain * (1.0 + math.exp(-params.delta())) / (den1 * den2)
+    return front**k * math.exp(-2.0 * mu * k**p)
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +579,9 @@ class NnwrBoundParams:
         return float(np.max(self.thetas() * self.weight_sums()))
 
 
+@_envelope
 def nnwr_error_bound(params: NnwrBoundParams, k: int) -> float:
     """c^k * exp(-mu * (2k)^(1/(1-nu))) at the optimal per-interface weights."""
-    if k < 0:
-        raise ValueError(f"iteration index must be >= 0, got {k}")
-    if k == 0:
-        return 1.0
     nu = params.nu
     if not 0.0 < nu < 1.0:
         raise BoundNotApplicableError(f"estimate needs 0 < nu < 1, got {nu}")
@@ -614,11 +626,8 @@ class Nnwr2dBoundParams:
         return nu ** (1.0 - nu) * t**nu / ((1.0 - nu) ** (1.0 - nu) * nu**nu)
 
 
+@_envelope
 def nnwr2d_error_bound(params: Nnwr2dBoundParams, k: int) -> float:
-    if k < 0:
-        raise ValueError(f"iteration index must be >= 0, got {k}")
-    if k == 0:
-        return 1.0
     nu = params.nu
     if not 0.0 < nu < 1.0:
         raise BoundNotApplicableError(f"estimate needs 0 < nu < 1, got {nu}")

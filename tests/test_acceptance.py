@@ -87,7 +87,7 @@ def test_criterion_03_subdiffusion_bound_domination():
         errs = res.report.sup_errors
         p = DnwrBoundParams(nu=order / 2, a=1.5, b=0.5, kappa1=1.0, kappa2=0.25, horizon=1.0)
         for k, err in enumerate(errs, start=1):
-            bound = dnwr_error_bound(p, k, "sub")
+            bound = dnwr_error_bound(p, k)
             assert err <= bound * SLACK + FLOOR, (order, k, err, bound)
     _ok(3, "measured errors below the sub-diffusion envelope for k = 1..10, "
            "orders 0.2/0.5/0.8")
@@ -111,7 +111,7 @@ def test_criterion_04_wave_bound_domination():
             errs = run_dnwr(cfg).report.sup_errors
             p = DnwrBoundParams(nu=order / 2, a=a, b=b, kappa1=k1, kappa2=k2, horizon=1.0)
             for k, err in enumerate(errs, start=1):
-                bound = dnwr_error_bound(p, k, "wave")
+                bound = dnwr_error_bound(p, k)
                 if err > bound * SLACK + FLOOR:
                     collisions.append((order, a, k, err, bound))
     if collisions:

@@ -44,6 +44,7 @@ def test_default_grading_rule():
     (0.0, 4, 1.0), (1.0, 0, 1.0), (1.0, 4, 0.5),
     (math.inf, 4, 1.0), (math.nan, 4, 1.0), (1.0, 2.5, 1.0), (1.0, 4.0, 1.0), (1.0, True, 1.0),
     (1.0, 4, math.inf), (1.0, 4, math.nan),
+    (1.0, 64, 199.0), (1.0, 8, 1e6),  # the first levels underflow to t = 0
 ])
 def test_graded_mesh_rejects(bad):
     with pytest.raises(ValueError):

@@ -42,7 +42,7 @@ def test_parse_minimal_config(tmp_path):
     cfg = parse_config(path)
     assert cfg.algorithm == "dnwr"
     assert cfg.thetas == (0.5,)
-    assert cfg.grading == "auto"
+    assert cfg.run.grading == "auto"
 
 
 def test_reject_theta_out_of_range():
@@ -109,7 +109,7 @@ def test_bound_column_matches_direct_evaluation(tmp_path):
     p = DnwrBoundParams(nu=0.25, a=1.5, b=0.5, kappa1=1.0, kappa2=0.25, horizon=1.0)
     for line in open(path).read().splitlines()[1:]:
         k, _, _, bound, _, _ = line.split(",")
-        assert float(bound) == pytest.approx(dnwr_error_bound(p, int(k), "sub"), rel=1e-15)
+        assert float(bound) == pytest.approx(dnwr_error_bound(p, int(k)), rel=1e-15)
 
 
 def test_bound_blank_for_suboptimal_theta(tmp_path):
@@ -150,7 +150,7 @@ def test_preset_registry():
     assert "fig_dnwr_theta_sweep" in PRESETS
     for name in PRESETS:
         for cfg in preset_config(name):
-            assert cfg.n_steps >= 1
+            assert cfg.run.n_steps >= 1
     with pytest.raises(ConfigError):
         preset_config("fig_unknown")
 
@@ -349,7 +349,11 @@ def test_nnwr2d_rejects_breakpoints(tmp_path):
 @pytest.mark.parametrize("algorithm, time, breakpoints, match", [
     ("dnwr", {"order": 1.5, "grading": 2.0}, [1.0], "time.grading"),
     ("nnwr1d", {}, [], "geometry.breakpoints"),
-], ids=["graded-wave-mesh", "nnwr1d-without-interfaces"])
+    ("monolithic", {}, [], "geometry.breakpoints"),
+    ("dnwr", {"order": 0.01, "steps": 64, "grading": "auto"}, [1.0], "time.grading"),
+    ("dnwr", {"grading": 1e6}, [1.0], "time.grading"),
+], ids=["graded-wave-mesh", "nnwr1d-without-interfaces", "monolithic-without-interfaces",
+        "auto-grading-collapses-mesh", "steep-grading-collapses-mesh"])
 def test_unrunnable_combinations_are_config_errors(tmp_path, algorithm, time, breakpoints, match):
     raw = _minimal_dnwr(algorithm=algorithm)
     raw["time"].update(time)
@@ -360,6 +364,31 @@ def test_unrunnable_combinations_are_config_errors(tmp_path, algorithm, time, br
     path.write_text(json.dumps(raw))
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+NEAR_ORDER_TWO = {
+    "dnwr": {"domain": [0.0, 2.0], "breakpoints": [1.5], "kappa": [1.0, 0.25], "dx": 0.01},
+    "nnwr1d": {"domain": [0.0, 4.0], "breakpoints": [1.5, 2.5], "kappa": [1.0, 0.25, 2.0],
+               "dx": 0.05},
+    "nnwr2d": {"domain": [0.0, 2.0], "split": 0.5, "y_extent": [-2.0, 2.0], "kappa": 1.0,
+               "dx": 0.05, "dy": 0.5},
+}
+
+
+# Near order 2 an envelope can leave double precision: its rows' bound is blank.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("order", [1.995, 1.999, 1.9999])
+@pytest.mark.parametrize("algorithm", sorted(NEAR_ORDER_TWO))
+def test_bound_near_order_two_is_finite_or_blank(tmp_path, algorithm, order):
+    raw = _minimal_dnwr(algorithm=algorithm, geometry=NEAR_ORDER_TWO[algorithm],
+                        time={"order": order, "horizon": 1.0, "steps": 64},
+                        relaxation={"theta": "optimal"})
+    raw["run"]["max_iter"] = 10
+    (path,) = run_experiment(config_from_dict(raw), str(tmp_path))
+    text = open(path).read()
+    assert "nan" not in text and "inf" not in text
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert rows and all(row[3] == "" or math.isfinite(float(row[3])) for row in rows)
 
 
 @pytest.mark.parametrize("algorithm", ["dnwr", "nnwr2d"])

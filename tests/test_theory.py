@@ -228,18 +228,18 @@ def test_dnwr_symbols():
 
 def test_dnwr_bound_values():
     p = _params(0.25)
-    assert dnwr_error_bound(p, 0, "sub") == 1.0
+    assert dnwr_error_bound(p, 0) == 1.0
     # frozen: 2*gain*(A-B)/A * exp(-mu1) with gain = sqrt(kappa1/kappa2)*theta
     expected = (2 * (2 / 3) * (0.5 / 1.5)) * math.exp(-0.4724703937105774)
-    assert dnwr_error_bound(p, 1, "sub") == pytest.approx(expected, rel=1e-12)
+    assert dnwr_error_bound(p, 1) == pytest.approx(expected, rel=1e-12)
 
 
 def test_dnwr_bound_swapped_orientation_even_sweeps():
     p = DnwrBoundParams(nu=0.25, a=0.5, b=1.5, kappa1=0.25, kappa2=1.0, horizon=1.0)
     assert p.A < p.B
-    assert dnwr_error_bound(p, 1, "sub") == 1.0  # preceding even sweep is 0
-    v2 = dnwr_error_bound(p, 2, "sub")
-    assert dnwr_error_bound(p, 3, "sub") == v2
+    assert dnwr_error_bound(p, 1) == 1.0  # preceding even sweep is 0
+    v2 = dnwr_error_bound(p, 2)
+    assert dnwr_error_bound(p, 3) == v2
     front = 2 * math.sqrt(2) * p.gain / -math.expm1(-2 * p.mu1)
     assert v2 == pytest.approx(front**2 * math.exp(-p.mu1 * 2 ** (4 / 3)), rel=1e-12)
 
@@ -247,26 +247,23 @@ def test_dnwr_bound_swapped_orientation_even_sweeps():
 def test_dnwr_bound_equal_lengths_vanishes():
     p = DnwrBoundParams(nu=0.25, a=1.0, b=2.0, kappa1=1.0, kappa2=4.0, horizon=1.0)
     assert p.A == p.B
-    assert dnwr_error_bound(p, 3, "sub") == 0.0
+    assert dnwr_error_bound(p, 3) == 0.0
 
 
 def test_dnwr_bound_decreasing_beyond_first():
     p = _params(0.25)
-    vals = [dnwr_error_bound(p, k, "sub") for k in range(1, 12)]
+    vals = [dnwr_error_bound(p, k) for k in range(1, 12)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     pw = _params(0.75)
-    wvals = [dnwr_error_bound(pw, k, "wave") for k in range(2, 10)]
+    wvals = [dnwr_error_bound(pw, k) for k in range(2, 10)]
     assert all(a >= b for a, b in zip(wvals, wvals[1:]))
     assert all(a > b for a, b in zip(wvals, wvals[1:]) if a > 1e-300)
 
 
 def test_dnwr_bound_regime_guards():
-    with pytest.raises(BoundNotApplicableError):
-        dnwr_error_bound(_params(0.75), 1, "sub")
-    with pytest.raises(BoundNotApplicableError):
-        dnwr_error_bound(_params(0.25), 1, "wave")
-    with pytest.raises(ValueError):
-        dnwr_error_bound(_params(0.25), 1, "bogus")
+    for nu in (0.0, 1.0):  # the order picks the estimate; these orders have none
+        with pytest.raises(BoundNotApplicableError):
+            dnwr_error_bound(_params(nu), 1)
 
 
 def test_dnwr_wave_bound_duplicate_evaluation():
@@ -285,7 +282,7 @@ def test_dnwr_wave_bound_duplicate_evaluation():
         front = 2 * gain * (1 + math.exp(-delta))
         front /= (1 - math.exp(-mu2 * b1)) * (1 - math.exp(-mu2 * b2))
         expected = front**k * math.exp(-2 * mu2 * k ** (1 / (1 - nu)))
-        assert dnwr_error_bound(p, k, "wave") == pytest.approx(expected, rel=1e-12)
+        assert dnwr_error_bound(p, k) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -97,39 +97,31 @@ def _nnwr2d_sweep():
 
 def _dnwr_setup(whole_run=False):
     """The sweeps-1d DNWR config at seed 1, one sweep or its whole run, and its eight weights."""
-    from fracwr import harness
-    from fracwr.dnwr import DnwrConfig
+    from dataclasses import replace
 
     exp = _experiment(0)
-    cfg = DnwrConfig(partition=harness._build_geometry("dnwr", exp.geometry), order=exp.order,
-                     horizon=exp.horizon, n_steps=exp.n_steps, tolerance=exp.tolerance,
-                     max_iter=exp.max_iter if whole_run else 1)
-    return cfg, list(exp.thetas)
+    return (exp.run if whole_run else replace(exp.run, max_iter=1)), list(exp.thetas)
 
 
 def _nnwr_case(kind):
     """One NNWR-1D phase or sweep of the sweeps-1d config at seed 1."""
-    import numpy as np
-    from fracwr import harness, solver
-    from fracwr.nnwr import NnwrConfig, run_nnwr_1d
+    from dataclasses import replace
 
-    exp = _experiment(1)
-    part = harness._build_geometry("nnwr1d", exp.geometry)
-    cfg = NnwrConfig(partition=part, order=exp.order, horizon=exp.horizon, n_steps=exp.n_steps,
-                     grading=exp.grading, tolerance=exp.tolerance, max_iter=1, mode=exp.mode,
-                     source=harness.SOURCES[exp.source],
-                     initial_condition=harness.INITIAL_CONDITIONS[exp.initial_condition])
+    import numpy as np
+    from fracwr import solver
+    from fracwr.nnwr import run_nnwr_1d
+
+    cfg = replace(_experiment(1).run, max_iter=1)
     if kind == "nnwr1d-sweep":
         return lambda: run_nnwr_1d(cfg)
     weights = cfg.build_weights()
-    subs = part.subdomains
+    subs = cfg.partition.subdomains
     traces = [None, *np.random.default_rng(1).standard_normal((len(subs) - 1, cfg.n_steps)),
               None]
     if kind == "nnwr1d-dirichlet":
         solve = solver.solve_dirichlet_waveform
-        source = harness.SOURCES[exp.source]
-        f = [np.array([source(s.nodes, t) for t in weights.eval_times]) for s in subs]
-        u0 = [harness.INITIAL_CONDITIONS[exp.initial_condition](s.nodes) for s in subs]
+        f = [np.array([cfg.source(s.nodes, t) for t in weights.eval_times]) for s in subs]
+        u0 = [cfg.initial_condition(s.nodes) for s in subs]
     else:
         solve, f, u0 = solver.solve_neumann_waveform, [None] * len(subs), [None] * len(subs)
     return lambda: solve(subs, weights, traces[:-1], traces[1:], f=f, u0=u0)
