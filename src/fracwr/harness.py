@@ -93,7 +93,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment: the driver config it runs (``NnwrConfig`` for
+    """A validated experiment: the solver config it runs (``NnwrConfig`` for
     ``monolithic``), whose ``theta`` is the first sweep member, and its file stem."""
 
     algorithm: str
@@ -261,7 +261,7 @@ def config_from_dict(raw) -> ExperimentConfig:
             errs.append("output.stem: each CSV name <stem>_<tag>.csv must encode to at most "
                         "250 bytes")
 
-    if not errs:  # the values are well formed; build what the driver runs, then its mesh
+    if not errs:  # the values are well formed; build the solver config, then its mesh
         ics = INITIAL_CONDITIONS_2D if algorithm == "nnwr2d" else INITIAL_CONDITIONS
         source = SOURCES[run.get("source", "zero")]
         ig = run.get("initial_guess", "unit")
