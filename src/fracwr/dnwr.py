@@ -53,20 +53,20 @@ def _half_steps(subs, weights, h, f=(None, None), u0=(None, None)):
     return u1, u2
 
 
-def transfer_matrix(partition: Partition1D, weights, chunk: int = TRANSFER_CHUNK) -> np.ndarray:
+def transfer_matrix(partition: Partition1D, weights) -> np.ndarray:
     """The matrix ``S`` of the error-equation sweep ``h -> theta*S h + (1-theta)*h``.
 
     Column j is the Neumann solve's interface trace answering a unit trace at
-    level j with zero data.  The columns march ``chunk`` at a time as the
-    members of one batch, so ``S`` does not depend on ``chunk``.  No level
-    answers a later impulse, so ``S`` is lower triangular.
+    level j with zero data.  The columns march ``TRANSFER_CHUNK`` at a time
+    as the members of one batch, so ``S`` does not depend on the chunk size.
+    No level answers a later impulse, so ``S`` is lower triangular.
     """
     n = weights.n_steps
     eye = np.eye(n)
     s = np.empty((n, n))
-    for j in range(0, n, chunk):
-        _, u2 = _half_steps(partition.subdomains, weights, eye[j:j + chunk])
-        s[:, j:j + chunk] = u2[:, 1:, 0].T
+    for j in range(0, n, TRANSFER_CHUNK):
+        _, u2 = _half_steps(partition.subdomains, weights, eye[j:j + TRANSFER_CHUNK])
+        s[:, j:j + TRANSFER_CHUNK] = u2[:, 1:, 0].T
     return s
 
 

@@ -56,7 +56,10 @@ def build_subdomain(x_left: float, x_right: float, kappa: float, dx: float) -> S
     if not kappa > 0.0:
         raise ValueError(f"diffusion coefficient must be positive, got {kappa}")
     nodes = axis_nodes(x_left, x_right, dx)
-    return Subdomain1D(x_left, x_right, kappa, (x_right - x_left) / (len(nodes) - 1), nodes)
+    dx = (x_right - x_left) / (len(nodes) - 1)
+    if not math.isfinite(kappa / dx / dx):  # then kappa / (2 * dx) is finite too
+        raise ValueError(f"kappa {kappa} at step {dx} gives a non-finite stencil coefficient")
+    return Subdomain1D(x_left, x_right, kappa, dx, nodes)
 
 
 @dataclass(frozen=True)

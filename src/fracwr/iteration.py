@@ -166,9 +166,11 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False)
     errors = [[] for _ in thetas]
     results = [None] * len(thetas)
     for k in range(1, cfg.max_iter + 1):
-        h_new, change, fields = sweep(h, thetas[active])
-        err = np.abs((h_new if cfg.error_mode else change).reshape(len(active), n_ifc, -1))
-        err = err.max(axis=2)
+        # an overflow shows as the non-finite error checked below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_new, change, fields = sweep(h, thetas[active])
+            err = np.abs((h_new if cfg.error_mode else change).reshape(len(active), n_ifc, -1))
+            err = err.max(axis=2)
         if not np.all(np.isfinite(err)):
             raise ArithmeticError(f"the iteration diverged: sweep {k} has interface errors "
                                   f"{err.tolist()}")

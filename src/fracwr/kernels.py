@@ -10,7 +10,9 @@ coupling is a product with an exact zero.
 
 A Dirichlet end stays in the system as a decoupled identity row: its
 neighbour's coupling moves to the right-hand side, and the row returns
-``u = g`` exactly for the same reason.
+``u = g`` exactly for the same reason.  A flux end's three-point row is
+condensed to two entries here alone; the monolithic reference in ``solver``
+solves its flux rows uncondensed.
 """
 
 from itertools import accumulate
@@ -20,27 +22,6 @@ from scipy.linalg.lapack import dgtsv
 
 DIRICHLET = 0
 FLUX = 1
-
-
-def _gtsv(dl, d, du, b, overwrite=False, overwrite_offdiagonals=None):
-    if d.shape[0] == 1:  # dgtsv rejects empty off-diagonals
-        if d[0] == 0.0:
-            raise ArithmeticError("tridiagonal system is singular at row 1")
-        return b / d
-    off = overwrite if overwrite_offdiagonals is None else overwrite_offdiagonals
-    *_, x, info = dgtsv(dl, d, du, b, off, overwrite, off, overwrite)
-    if info != 0:
-        raise ArithmeticError(f"tridiagonal system is singular at row {info}")
-    return x
-
-
-def tridiag_solve(lower, diag, upper, rhs):
-    """Solve a tridiagonal system; raises ArithmeticError if it is singular.
-
-    ``lower[i]`` multiplies x[i-1] in row i (lower[0] unused) and ``upper[i]``
-    multiplies x[i+1] (upper[-1] unused).  The inputs are not modified.
-    """
-    return _gtsv(lower[1:], diag, upper[:-1], rhs)
 
 
 def _index(rows):
@@ -144,4 +125,8 @@ def step_solve(bnn, stack, rhs, ends):
         b[rows] = ends[at] + f * rhs[nbrs]
     diag[stack.fixed] = stack.fixed_diag
     upper, lower = couplings
-    return _gtsv(lower, diag, upper, b, overwrite=True, overwrite_offdiagonals=bool(stack.flux))
+    flux = bool(stack.flux)  # only then are the couplings copies that dgtsv may overwrite
+    *_, x, info = dgtsv(lower, diag, upper, b, flux, True, flux, True)
+    if info != 0:
+        raise ArithmeticError(f"tridiagonal system is singular at row {info}")
+    return x

@@ -10,7 +10,9 @@ for the sub-diffusion and classical schemes and averaged between levels for
 the wave scheme (whose Caputo weights refer to the half point).  A monolithic
 whole-domain reference solver couples subdomains through the identical
 one-sided flux-balance row the substructuring iterations use, so a converged
-iteration and the monolithic solve agree to solver precision.
+iteration and the monolithic solve agree to solver precision.  It solves that
+row as written, in a five-band system per level, so it shares neither the
+condensed rows of ``kernels`` nor their LAPACK path with the march it judges.
 
 The march also takes a reaction term per line, which is how a 2D strip is
 solved: a sine transform in y turns the 5-point operator into one x-problem
@@ -21,6 +23,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate, groupby
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from . import kernels
 from .fractional_time import CaputoWeights
@@ -286,79 +289,52 @@ def _global_grid(partition: Partition1D):
 def solve_monolithic(partition: Partition1D, weights: CaputoWeights, f=None, u0=None):
     """Single global solve with interface rows matching the iteration coupling.
 
-    At every interface node the PDE row is replaced by the algebraic balance
-    of one-sided outward fluxes from both neighbors, which is exactly the
-    fixed-point condition of the substructuring iterations.
+    At every interface node g the PDE row is replaced by the balance of the
+    one-sided outward fluxes of both neighbours,
+    c_l (u[g-2] - 4 u[g-1] + 3 u[g]) + c_r (3 u[g] - 4 u[g+1] + u[g+2]) = 0 with
+    c = kappa / (2 dx) of each side, which is exactly the fixed-point
+    condition of the substructuring iterations.  Each level is the five-band
+    system as written, solved by ``scipy.linalg.solve_banded`` (LAPACK
+    ``gbsv``), not condensed to the tridiagonal form of ``kernels``.
     """
     nodes, ifc = _global_grid(partition)
     ntot = len(nodes)
     n_steps = weights.n_steps
     theta_s = weights.implicit_fraction
 
-    s_arr = np.empty(ntot)
-    kap = np.empty(ntot)
-    dxs = np.empty(ntot)
+    # kappa / dx**2 per node; an interface node's row is rebuilt below
+    lap = np.empty(ntot)
     pos = 0
     for sub in partition.subdomains:
-        hi = pos + sub.n_nodes
-        s_arr[pos:hi] = theta_s * sub.kappa / sub.dx**2
-        kap[pos:hi] = sub.kappa
-        dxs[pos:hi] = sub.dx
-        pos = hi - 1
-    # interface nodes keep the left subdomain's values in the arrays above;
-    # their rows are rebuilt from both sides below.
-    ifc_coef = []
-    for m, g in enumerate(ifc):
-        sl = partition.subdomains[m]
-        sr = partition.subdomains[m + 1]
-        ifc_coef.append((sl.kappa / (2.0 * sl.dx), sr.kappa / (2.0 * sr.dx)))
+        lap[pos:pos + sub.n_nodes] = sub.kappa / sub.dx**2
+        pos += sub.n_nodes - 1
+    s = theta_s * lap
+    # band[2 - k, i + k] multiplies u[i + k] in row i, the layout of solve_banded;
+    # the PDE rows are (-s, bnn + 2s, -s), and only their diagonal changes per level
+    band = np.zeros((5, ntot))
+    band[3, :-2] = band[1, 2:] = -s[1:-1]
+    for g, left, right in zip(ifc, partition.subdomains, partition.subdomains[1:]):
+        cl, cr = left.kappa / (2.0 * left.dx), right.kappa / (2.0 * right.dx)
+        band[[4, 3, 2, 1, 0], range(g - 2, g + 3)] = cl, -4.0 * cl, 3.0 * (cl + cr), -4.0 * cr, cr
+    pde = np.setdiff1d(np.arange(1, ntot - 1), ifc)
 
     ftab = _source_table(f, (nodes,), weights.eval_times, (ntot,))
     u = np.zeros((n_steps + 1, ntot))
     u[0] = _initial_samples(u0, (nodes,), (ntot,))
     du = np.zeros((n_steps, ntot))
-
-    interior = np.ones(ntot, dtype=bool)
-    interior[0] = interior[-1] = False
-    for g in ifc:
-        interior[g] = False
-
-    lap_prev = np.zeros(ntot)
     for n in range(1, n_steps + 1):
         b_row = weights.rows[n - 1]
         bnn = b_row[n - 1]
-        rhs = bnn * u[n - 1] + ftab[n - 1]
+        prev = u[n - 1]
+        rhs = bnn * prev + ftab[n - 1]
         if n > 1:
             rhs -= b_row[: n - 1] @ du[: n - 1]
         if theta_s < 1.0:
-            lap_prev[1:-1] = (
-                kap[1:-1] * (u[n - 1, :-2] - 2.0 * u[n - 1, 1:-1] + u[n - 1, 2:]) / dxs[1:-1] ** 2
-            )
-            lap_prev[~interior] = 0.0
-            rhs = rhs + (1.0 - theta_s) * lap_prev
-
-        lower = -s_arr.copy()
-        diag = bnn + 2.0 * s_arr
-        upper = -s_arr.copy()
-        for (cl, cr), g in zip(ifc_coef, ifc):
-            row_lm = -4.0 * cl
-            row_c = 3.0 * cl + 3.0 * cr
-            row_rp = -4.0 * cr
-            r_val = 0.0
-            fac = cl / lower[g - 1]
-            row_lm -= fac * diag[g - 1]
-            row_c -= fac * upper[g - 1]
-            r_val -= fac * rhs[g - 1]
-            fac = cr / upper[g + 1]
-            row_rp -= fac * diag[g + 1]
-            row_c -= fac * lower[g + 1]
-            r_val -= fac * rhs[g + 1]
-            lower[g] = row_lm
-            diag[g] = row_c
-            upper[g] = row_rp
-            rhs[g] = r_val
+            rhs[1:-1] += (1.0 - theta_s) * lap[1:-1] * (prev[:-2] - 2.0 * prev[1:-1] + prev[2:])
+        rhs[list(ifc)] = 0.0
+        band[2, pde] = bnn + 2.0 * s[pde]
         # physical ends: homogeneous Dirichlet, so only the rows between them
         # are solved and u[n] keeps its zero end values
-        u[n, 1:-1] = kernels.tridiag_solve(lower[1:-1], diag[1:-1], upper[1:-1], rhs[1:-1])
+        u[n, 1:-1] = solve_banded((2, 2), band[:, 1:-1], rhs[1:-1])
         du[n - 1] = u[n] - u[n - 1]
     return MonolithicSolution(field=u, nodes=nodes, interface_indices=ifc)

@@ -86,7 +86,7 @@ def test_iterates_past_the_switch_match_marched_half_steps(order, monkeypatch):
         np.testing.assert_allclose(res.traces, h, rtol=1e-12, atol=1e-15)
 
 
-def test_transfer_matrix_is_causal_and_independent_of_the_chunk():
+def test_transfer_matrix_is_causal_and_independent_of_the_chunk(monkeypatch):
     part = build_partition((0, 2), [0.9], [1.0, 0.5], [0.05, 0.1])
     weights = _config(partition=part, n_steps=21).build_weights()
     s = transfer_matrix(part, weights)
@@ -94,7 +94,8 @@ def test_transfer_matrix_is_causal_and_independent_of_the_chunk():
     assert np.all(np.triu(s, 1) == 0.0)
     assert np.all(np.diag(s) != 0.0)
     for chunk in (1, 5, 21):
-        assert np.array_equal(transfer_matrix(part, weights, chunk=chunk), s)
+        monkeypatch.setattr("fracwr.dnwr.TRANSFER_CHUNK", chunk)
+        assert np.array_equal(transfer_matrix(part, weights), s)
 
 
 def test_contraction_is_the_largest_diagonal_entry_of_the_transfer_matrix():

@@ -405,6 +405,39 @@ def test_overflowing_domain_is_a_config_error(tmp_path, algorithm):
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
+# A coefficient whose stencil entry kappa / dx**2, kappa / (2 dx) or, on the
+# strip, kappa / dy**2 overflows cannot run: a config error.
+INFINITE_STENCIL = {
+    "dnwr": {"domain": [0.0, 2.0], "breakpoints": [1.0], "kappa": [1e308, 1.0], "dx": 0.1},
+    "nnwr1d": {"domain": [0.0, 3.0], "breakpoints": [1.0, 2.0], "kappa": 1e308, "dx": 0.1},
+    "nnwr2d": {"domain": [0.0, 2.0], "split": 0.5, "y_extent": [-2.0, 2.0], "kappa": 1e308,
+               "dx": 0.1, "dy": 0.5},
+    "nnwr2d-dy": {"domain": [0.0, 2.0], "split": 1.0, "y_extent": [-2.0, 2.0], "kappa": 1e306,
+                  "dx": 0.5, "dy": 0.004},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFINITE_STENCIL))
+def test_infinite_stencil_coefficient_is_a_config_error(tmp_path, case):
+    raw = _minimal_dnwr(algorithm=case.split("-")[0], geometry=INFINITE_STENCIL[case])
+    with pytest.raises(ConfigError, match="geometry: .* non-finite stencil coefficient"):
+        config_from_dict(raw)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+# Finite but extreme data still run, and fail as numerics.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_finite_kappa_fails_as_numerics(tmp_path, capsys):
+    geometry = dict(INFINITE_STENCIL["dnwr"], kappa=[1e300, 1.0])
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_minimal_dnwr(geometry=geometry)))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "diverged: sweep 2 " in capsys.readouterr().err
+
+
 # The strip's y lattice is checked at validation, though the run builds it.
 @pytest.mark.parametrize("y_extent, dy, match", [
     ([-2.0, 2.0], 0.3, "does not tile"),

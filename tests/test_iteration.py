@@ -129,6 +129,28 @@ def test_cli_exits_2_on_divergence_and_writes_no_csv(tmp_path, capsys, theta):
     assert list(out.iterdir()) == []
 
 
+# One small geometry per algorithm, for runs that must fail in their first sweep.
+GEOMETRIES = {
+    "dnwr": {"domain": [0.0, 2.0], "breakpoints": [1.5], "kappa": [1.0, 0.25], "dx": 0.1},
+    "nnwr1d": _diverging()["geometry"],
+    "nnwr2d": {"domain": [0.0, 2.0], "split": 0.5, "y_extent": [-2.0, 2.0], "kappa": 1.0,
+               "dx": 0.1, "dy": 0.5},
+}
+
+
+# A guess that overflows in the first sweep is reported as a divergence, with
+# no numpy warning ahead of it.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("algorithm", sorted(GEOMETRIES))
+def test_overflowing_initial_guess_diverges_without_warnings(tmp_path, algorithm):
+    raw = _diverging()
+    raw.update(algorithm=algorithm, geometry=GEOMETRIES[algorithm],
+               relaxation={"theta": "optimal"})
+    raw["run"]["initial_guess"] = 1e308
+    with pytest.raises(ArithmeticError, match="diverged: sweep 1 "):
+        run_experiment(config_from_dict(raw), str(tmp_path))
+
+
 def test_theta_column_is_per_interface(tmp_path):
     raw = _diverging(max_iter=3)
     raw["geometry"]["kappa"] = [1.0, 4.0, 4.0]

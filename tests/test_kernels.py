@@ -4,42 +4,14 @@ import pytest
 from fracwr import kernels
 
 
-def _random_system(n, rng, dominant=True):
-    lower = -rng.random(n)
-    upper = -rng.random(n)
-    diag = rng.random(n) + 0.1
-    if dominant:
-        diag += np.abs(lower) + np.abs(upper)
-    rhs = rng.standard_normal(n)
-    return lower, diag, upper, rhs
-
-
-def _dense(lower, diag, upper):
-    n = len(diag)
-    a = np.diag(diag)
-    a += np.diag(lower[1:], -1)
-    a += np.diag(upper[:-1], 1)
-    return a
-
-
-@pytest.mark.parametrize("n", [3, 17, 300])
-def test_tridiag_matches_dense_solve(n):
-    rng = np.random.default_rng(n)
-    lower, diag, upper, rhs = _random_system(n, rng)
-    x = kernels.tridiag_solve(lower, diag, upper, rhs)
-    expected = np.linalg.solve(_dense(lower, diag, upper), rhs)
-    np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-12)
-
-
 def test_tridiag_singular_system_raises():
-    # rows (1, 1) and (1, 1): elimination leaves an exact zero pivot
-    lower = np.array([0.0, 1.0])
-    diag = np.array([1.0, 1.0])
-    upper = np.array([1.0, 0.0])
-    with pytest.raises(ArithmeticError, match="singular"):
-        kernels.tridiag_solve(lower, diag, upper, np.array([1.0, 2.0]))
-    with pytest.raises(ArithmeticError, match="singular"):
-        kernels.tridiag_solve(np.zeros(1), np.zeros(1), np.zeros(1), np.ones(1))
+    # a 3-row block between two Dirichlet ends whose shift cancels the middle
+    # row's diagonal: the decoupled ends leave that row all zero
+    s, bnn = 0.5, 1.0
+    stack = kernels.Stack([3], [s], [1.0], [kernels.DIRICHLET], [kernels.DIRICHLET],
+                          [-(bnn + 2.0 * s)])
+    with pytest.raises(ArithmeticError, match="singular at row 2"):
+        kernels.step_solve(bnn, stack, np.ones(3), np.zeros(2))
 
 
 def _dense_level(bnn, s, c, n, kinds, ends, rhs):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,18 +68,22 @@ def test_superlinear_at_optimal_weight():
 
 
 def test_fixed_point_from_monolithic_traces():
-    part = build_partition((0, 16), [3.5, 5.5, 10, 12], [0.25, 1.0, 0.25, 4.0, 1.0], 0.1)
-    cfg = _config(partition=part, horizon=2.0, n_steps=20, mode="forced",
-                  source=lambda x, t: np.sin(np.pi * x / 16),
-                  initial_condition=lambda x: x * (16 - x) / 64,
-                  max_iter=1, tolerance=1e-30)
-    mono = solve_monolithic(cfg.partition, cfg.build_weights(), f=cfg.source,
-                            u0=cfg.initial_condition)
-    cfg2 = _config(partition=part, horizon=2.0, n_steps=20, mode="forced",
-                   source=cfg.source, initial_condition=cfg.initial_condition,
-                   max_iter=1, tolerance=1e-30, initial_guess=mono.interface_traces())
-    res = run_nnwr_1d(cfg2)
-    assert res.report.errors[0].max() <= 1e-12
+    # the second partition's two-cell subdomains put an interface row's c_l
+    # term on the physical end and on the previous interface
+    cases = [
+        (build_partition((0, 16), [3.5, 5.5, 10, 12], [0.25, 1.0, 0.25, 4.0, 1.0], 0.1), 0.5,
+         lambda x, t: np.sin(np.pi * x / 16), lambda x: x * (16 - x) / 64),
+        *[(build_partition((0, 0.4), [0.1, 0.2], [1.0, 2.0, 0.5], 0.05), order,
+           lambda x, t: np.sin(np.pi * x / 0.4), lambda x: x * (0.4 - x) / 0.04)
+          for order in (0.5, 1.5)],
+    ]
+    for part, order, source, initial in cases:
+        cfg = _config(partition=part, order=order, horizon=2.0, n_steps=20, mode="forced",
+                      source=source, initial_condition=initial, max_iter=1, tolerance=1e-30)
+        mono = solve_monolithic(cfg.partition, cfg.build_weights(), f=cfg.source,
+                                u0=cfg.initial_condition)
+        res = run_nnwr_1d(replace(cfg, initial_guess=mono.interface_traces()))
+        assert res.report.errors[0].max() <= 1e-12
 
 
 def test_two_subdomain_case_runs():
