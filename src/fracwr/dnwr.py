@@ -6,10 +6,14 @@ outward flux with flipped sign to the right subdomain's Neumann solve, and
 relaxes the trace toward the Neumann solution's interface values.  The
 sweeps run in the interface iteration of ``fracwr.iteration``.
 
-In error-equation mode a sweep is linear, ``h -> theta*S h + (1-theta)*h``
-with a lower-triangular matrix ``S`` that does not depend on ``theta``.  A
-run marches its first ``ceil(N/4)`` sweeps; if any member is still active
-then, it builds ``S`` once and applies it in every later sweep.
+The Neumann trace is affine in the Dirichlet trace, ``g = S h + c``, with a
+lower-triangular matrix ``S`` that does not depend on ``theta`` (``c`` = 0 in
+error-equation mode); a sweep is ``h -> theta*g + (1-theta)*h``.  On a
+uniform time mesh ``S`` is Toeplitz, one impulse march builds it, and every
+sweep is a product.  On a graded mesh an error-equation run marches its first
+``ceil(N/4)`` sweeps; if any member is still active then, it builds ``S``
+from N impulses and applies it in every later sweep.  A forced run on a
+graded mesh marches every sweep.
 """
 
 import time
@@ -18,15 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Partition1D, interface_flux_series
-from .iteration import IterationConfig, iterate
+from .iteration import AffineSweep, IterationConfig, iterate, transfer_operator
 from .solver import solve_dirichlet_waveform, solve_neumann_waveform, tabulate
 from .theory import optimal_theta_dnwr
 
 __all__ = ["DnwrConfig", "optimal_theta_dnwr", "run_dnwr", "transfer_matrix"]
-
-# Impulse columns marched as one batch when ``S`` is built: a wider batch
-# raises the peak memory of a run and saves no time.
-TRANSFER_CHUNK = 16
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -53,21 +53,24 @@ def _half_steps(subs, weights, h, f=(None, None), u0=(None, None)):
     return u1, u2
 
 
+def _affine(subs, weights, f=(None, None), u0=(None, None)) -> AffineSweep:
+    """The Neumann interface trace ``g`` of the traces ``h`` (members, N), one position."""
+    def march(h, data):
+        fields = _half_steps(subs, weights, h, *((f, u0) if data else ()))
+        return fields[1][:, 1:, 0], fields
+
+    return AffineSweep(march=march, layout=lambda h: h[:, None], shape=(weights.n_steps,),
+                       graded=True)
+
+
 def transfer_matrix(partition: Partition1D, weights) -> np.ndarray:
     """The matrix ``S`` of the error-equation sweep ``h -> theta*S h + (1-theta)*h``.
 
     Column j is the Neumann solve's interface trace answering a unit trace at
-    level j with zero data.  The columns march ``TRANSFER_CHUNK`` at a time
-    as the members of one batch, so ``S`` does not depend on the chunk size.
-    No level answers a later impulse, so ``S`` is lower triangular.
+    level j with zero data (``iteration.transfer_operator``).  No level
+    answers a later impulse, so ``S`` is lower triangular.
     """
-    n = weights.n_steps
-    eye = np.eye(n)
-    s = np.empty((n, n))
-    for j in range(0, n, TRANSFER_CHUNK):
-        _, u2 = _half_steps(partition.subdomains, weights, eye[j:j + TRANSFER_CHUNK])
-        s[:, j:j + TRANSFER_CHUNK] = u2[:, 1:, 0].T
-    return s
+    return transfer_operator(_affine(partition.subdomains, weights))[0, 0]
 
 
 def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
@@ -78,10 +81,10 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
     one batch and the call returns one ``RunResult`` per member, in order,
     each bit for bit the result of a run with that member as ``cfg.theta``.
 
-    In error-equation mode every sweep after the first ``ceil(N/4)`` is the
-    product of ``transfer_matrix`` with each member's trace; under
-    ``keep_fields`` such a sweep also marches the trace it starts from, for
-    the fields.
+    A sweep's ``g`` is marched or, where ``fracwr.iteration`` assembles ``S``
+    (see the module docstring), the product of ``S`` with each member's trace
+    (plus ``c``); under ``keep_fields`` such a sweep also marches the trace it
+    starts from, for the fields.
     """
     t_start = time.perf_counter()
     weights = cfg.build_weights()
@@ -90,24 +93,12 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
         (None, None) if cfg.error_mode else
         tabulate(weights, cfg.source, cfg.initial_condition, sub.nodes) for sub in subs
     ])
-    # the sweeps marched before S takes over: a build costs about N/4 marched sweeps
-    marched = -(-cfg.n_steps // 4) if cfg.error_mode else cfg.max_iter
-    done, transfer = 0, None
 
-    def sweep(h, theta):
-        nonlocal done, transfer
-        done += 1
-        if done <= marched:
-            fields = _half_steps(subs, weights, h, f, u0)
-            g = fields[1][:, 1:, 0]
-        else:
-            if transfer is None:
-                transfer = transfer_matrix(cfg.partition, weights)
-            g = np.array([transfer @ hj for hj in h])  # one product per member, as alone
-            fields = _half_steps(subs, weights, h) if keep_fields else ()
+    def sweep(h, theta, part):
+        g, fields = part(h)
         h_new = theta * g + (1.0 - theta) * h
         return h_new, h_new - h, fields
 
-    results = iterate(cfg, sweep, cfg.initial_traces((cfg.n_steps,)),
-                      cfg.member_thetas(members), t_start, keep_fields)
+    results = iterate(cfg, sweep, cfg.initial_traces((cfg.n_steps,)), cfg.member_thetas(members),
+                      t_start, keep_fields, _affine(subs, weights, f, u0))
     return results if members is not None else results[0]

@@ -57,7 +57,8 @@ def build_subdomain(x_left: float, x_right: float, kappa: float, dx: float) -> S
         raise ValueError(f"diffusion coefficient must be positive, got {kappa}")
     nodes = axis_nodes(x_left, x_right, dx)
     dx = (x_right - x_left) / (len(nodes) - 1)
-    if not math.isfinite(kappa / dx / dx):  # then kappa / (2 * dx) is finite too
+    dx2 = dx * dx  # inf where the solvers' dx**2 raises OverflowError
+    if not (math.isfinite(dx2) and math.isfinite(kappa / dx2)):  # then kappa / (2 dx) is too
         raise ValueError(f"kappa {kappa} at step {dx} gives a non-finite stencil coefficient")
     return Subdomain1D(x_left, x_right, kappa, dx, nodes)
 

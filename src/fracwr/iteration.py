@@ -9,18 +9,45 @@ until the sup norm of the interface error meets the tolerance, for every
 member of a relaxation-weight sweep at once.  In
 ``error_equation`` mode all problem data are zero, so the trace iterate is
 itself the error; ``forced`` mode stops on the size of the last update.
+
+Every driver's sweep is a relaxation of a part that is affine in the traces,
+``x -> T x + c`` (``AffineSweep``), and the loop decides when that part is
+marched and when it is a product with an assembled ``T``.  ``T`` is block
+lower triangular in time, and its blocks couple positions (interfaces or
+sine modes) at most ``reach`` apart.  On a uniform time mesh every Caputo row
+is a shift of the first (L1 and wave alike; Lubich, Numer. Math. 1988), so
+``T`` is block Toeplitz: one impulse at the first level per group of
+positions ``2 reach + 1`` apart gives all of it (``toeplitz_operator``), and
+every sweep is a product.  On a graded mesh the part stays marched, except
+where a driver lets the error-equation run build ``T`` from an impulse at
+every level (``transfer_operator``) after the ``ceil(N/4)`` sweeps that such
+a build costs.
 """
 
 import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
 from .fractional_time import build_graded_mesh, caputo_weights, default_grading
 
-__all__ = ["IterationConfig", "IterationReport", "RunResult", "iterate"]
+__all__ = [
+    "AffineSweep",
+    "IterationConfig",
+    "IterationReport",
+    "RunResult",
+    "apply_operator",
+    "iterate",
+    "toeplitz_operator",
+    "transfer_operator",
+]
+
+# Impulse columns marched as one batch when ``transfer_operator`` builds T: a
+# wider batch raises the peak memory of a run and saves no time.
+TRANSFER_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -136,7 +163,134 @@ class IterationConfig:
         return h.copy()
 
 
-def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False) -> list:
+@dataclass(frozen=True)
+class AffineSweep:
+    """The part of a driver's sweep that is affine in the traces, ``x -> T x + c``.
+
+    ``march(x, data)`` marches it for traces ``x`` of shape (members,) +
+    ``shape``, with the problem data or (``data=False``) without them, and
+    returns ``(y, fields)`` with ``y`` shaped like ``x``.  ``layout(x)`` views
+    such an array as (members, positions, N); a position answers no trace
+    more than ``reach`` positions away.  With ``graded`` an error-equation run
+    on a graded mesh builds ``T`` too (``transfer_operator``).
+    """
+
+    march: object
+    layout: object
+    shape: tuple
+    reach: int = 0
+    graded: bool = False
+
+    @property
+    def extent(self) -> tuple:
+        """(positions, N) of one member."""
+        return self.layout(np.zeros((1,) + self.shape)).shape[1:]
+
+
+def _impulses(affine, starts):
+    """The responses (len(starts), positions, N) to unit traces, one member per
+    (group, level) of ``starts``; a group is every ``2 reach + 1``-th position."""
+    x = np.zeros((len(starts),) + affine.shape)
+    layout = affine.layout(x)
+    for member, (group, level) in zip(layout, starts):
+        member[group::2 * affine.reach + 1, level] = 1.0
+    return affine.layout(affine.march(x, False)[0])
+
+
+def _answers(positions, reach, group):
+    """(position, offset index) of each position that answers the impulse group
+    ``group``: its one source lies ``offset index - reach`` positions away."""
+    width = 2 * reach + 1
+    for q in range(positions):
+        d = (group - q + reach) % width
+        if 0 <= q + d - reach < positions:
+            yield q, d
+
+
+def toeplitz_operator(affine, mesh) -> np.ndarray:
+    """``T`` on a uniform ``mesh`` as blocks (positions, 2 reach + 1, N, N).
+
+    Block ``[q, d]`` maps the trace at position ``q + d - reach`` to position
+    ``q``; it is the lower-triangular Toeplitz matrix of the response to a
+    unit trace at the first level.  The ``min(positions, 2 reach + 1)``
+    impulse groups march one after another, one member each.
+    """
+    if not mesh.is_uniform:
+        raise ValueError("a Toeplitz operator needs a uniform time mesh")
+    positions, n = affine.extent
+    width = 2 * affine.reach + 1
+    columns = np.zeros((positions, width, n))
+    for group in range(min(positions, width)):
+        (y,) = _impulses(affine, [(group, 0)])
+        for q, d in _answers(positions, affine.reach, group):
+            columns[q, d] = y[q]
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    return np.where(lag >= 0, columns[..., np.maximum(lag, 0)], 0.0)
+
+
+def transfer_operator(affine) -> np.ndarray:
+    """``T`` on any mesh, in the blocks of ``toeplitz_operator``.
+
+    Column j of a block answers a unit trace at level j.  The columns of an
+    impulse group march ``TRANSFER_CHUNK`` levels at a time as the members
+    of one batch, so ``T`` does not depend on the chunk size.
+    """
+    positions, n = affine.extent
+    width = 2 * affine.reach + 1
+    blocks = np.zeros((positions, width, n, n))
+    for group in range(min(positions, width)):
+        for j in range(0, n, TRANSFER_CHUNK):
+            levels = range(j, min(n, j + TRANSFER_CHUNK))
+            y = _impulses(affine, [(group, level) for level in levels])
+            for q, d in _answers(positions, affine.reach, group):
+                blocks[q, d, :, levels.start:levels.stop] = y[:, q].T
+    return blocks
+
+
+def apply_operator(blocks, c, x) -> np.ndarray:
+    """``T x + c`` for one member's traces ``x`` (positions, N); ``c`` may be None."""
+    reach = blocks.shape[1] // 2
+    y = np.empty_like(x)
+    for q in range(len(x)):
+        y[q] = reduce(np.add, [blocks[q, d] @ x[q + d - reach] for d in range(2 * reach + 1)
+                               if 0 <= q + d - reach < len(x)])
+    return y if c is None else y + c
+
+
+def _affine_part(cfg, affine, keep_fields):
+    """``part(k, x)``: the affine part of sweep k at the traces ``x``, marched or,
+    by the rule of the module docstring, the product with ``T`` plus ``c``
+    (one more march, with the data and zero traces).  The rule reads the
+    mesh and N alone and each member's product is its own, so a member's
+    bits do not depend on its companions.  Under ``keep_fields`` a product
+    sweep also marches ``x`` for the fields.
+    """
+    mesh = cfg.time_mesh()
+    if mesh.is_uniform:
+        first, build = 1, partial(toeplitz_operator, affine, mesh)
+    elif affine.graded and cfg.error_mode:
+        first, build = -(-cfg.n_steps // 4) + 1, partial(transfer_operator, affine)
+    else:
+        first = None
+    operator = []
+
+    def part(k, x):
+        if first is None or k < first:
+            return affine.march(x, True)
+        if not operator:
+            c = None if cfg.error_mode else affine.layout(
+                affine.march(np.zeros((1,) + affine.shape), True)[0])[0]
+            operator.extend((build(), c))
+        y = np.empty_like(x)
+        for xm, ym in zip(affine.layout(x), affine.layout(y)):
+            ym[...] = apply_operator(*operator, xm)
+        return y, affine.march(x, True)[1] if keep_fields else ()
+
+    return part
+
+
+def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False,
+            affine=None) -> list:
     """Apply ``sweep`` from ``h0`` until each member's interface error meets the tolerance.
 
     The members of a sweep march in lock-step: ``thetas`` holds one row of
@@ -149,12 +303,15 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False)
     stacked along its first axis, one block per weight.  A member leaves the
     batch once its error meets the tolerance, or at ``max_iter``.
 
+    With ``affine`` (an ``AffineSweep``) the call is ``sweep(h, theta, part)``,
+    and the sweep gets its affine part as ``part(x) -> (y, fields)``, marched
+    or as a product with the assembled operator (``_affine_part``).
+
     A non-finite error raises ``ArithmeticError``: the iteration diverged.
     The raise comes at the first sweep where any member is non-finite, for
     every member.  In a marched sweep the batch's tridiagonal solves also
     carry a NaN across the zero couplings between members; a sweep that
-    applies an assembled operator (DNWR in error-equation mode) keeps the
-    members' values apart.
+    applies an assembled operator keeps the members' values apart.
 
     Returns one ``RunResult`` per member, with the traces and, under
     ``keep_fields``, the fields of the member's last sweep.
@@ -165,10 +322,12 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False)
     h = np.repeat(h0[None], len(thetas), axis=0)
     errors = [[] for _ in thetas]
     results = [None] * len(thetas)
+    part = None if affine is None else _affine_part(cfg, affine, keep_fields)
     for k in range(1, cfg.max_iter + 1):
         # an overflow shows as the non-finite error checked below, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            h_new, change, fields = sweep(h, thetas[active])
+            h_new, change, fields = (sweep(h, thetas[active]) if part is None else
+                                     sweep(h, thetas[active], partial(part, k)))
             err = np.abs((h_new if cfg.error_mode else change).reshape(len(active), n_ifc, -1))
             err = err.max(axis=2)
         if not np.all(np.isfinite(err)):

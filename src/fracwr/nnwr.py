@@ -5,11 +5,18 @@ current interface traces, (b) assembly of the outward-flux mismatch
 kappa_i d_n u_i + kappa_j d_n u_j per interface, (c) zero-data Neumann
 correction solves driven by that mismatch (physical boundaries keep a
 homogeneous Dirichlet condition), and (d) the relaxed trace update
-h <- h - theta * (psi_i + psi_j) per interface.  The solves of phases (a)
-and (c) are independent across subdomains, as in the paper.  Each phase is
-one stacked march over all subdomains (and all members of a relaxation
-sweep), which gives every subdomain bit for bit the field of its own march,
-so a rerun reproduces the iterates bit for bit.
+h <- h - theta * psi per interface, psi = psi_i + psi_j the sum of the two
+corrections there.  The solves of phases (a) and (c) are independent across
+subdomains, as in the paper.  Each phase is one stacked march over all
+subdomains (and all members of a relaxation sweep), which gives every
+subdomain bit for bit the field of its own march, so a rerun reproduces the
+iterates bit for bit.
+
+Phases (a)-(c) map the traces to psi affinely, and psi at an interface reads
+the traces of the two interfaces on each side and no further.  On a uniform
+time mesh ``fracwr.iteration`` assembles that map once, from five impulse
+marches (block-banded Toeplitz), and every sweep is a product; on a graded
+mesh every sweep marches.
 
 The 2D strip is a two-subdomain 1D partition times one uniform y lattice
 (``Nnwr2dConfig``), and it runs the same sweep in sine-mode space.  Its
@@ -18,9 +25,11 @@ interior y nodes diagonalises the whole sweep: mode k is the 1D sweep over
 the partition with the extra reaction coefficient kappa * lambda_k / dy**2,
 lambda_k = 4 sin(k pi / (2 ny))**2 (Buzbee, Golub & Nielson, SIAM J. Numer.
 Anal. 1970), and each phase marches both strips and all modes at once.
-Both drivers run their sweeps in the interface iteration of
-``fracwr.iteration``; the source and the initial condition are tabulated
-once per run (in 2D, and moved into mode space).
+The modes do not couple, so on a uniform mesh one impulse in every mode
+gives the whole map, with the modes as its positions.  Both drivers run
+their sweeps in the interface iteration of ``fracwr.iteration``; the source
+and the initial condition are tabulated once per run (in 2D, and moved into
+mode space).
 """
 
 import time
@@ -29,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Partition1D, axis_nodes, build_subdomain, interface_flux_series
-from .iteration import IterationConfig, iterate
+from .iteration import AffineSweep, IterationConfig, iterate
 from .solver import solve_dirichlet_waveform, solve_neumann_waveform, tabulate
 from .theory import optimal_theta_nnwr
 
@@ -58,14 +67,12 @@ class NnwrConfig(IterationConfig):
         return [optimal_theta_nnwr(a, b) for a, b in zip(kappas, kappas[1:])]
 
 
-def _sweep(subs, weights, h, thetas, f, u0, decay=None):
-    """One sweep over the line subdomains ``subs``: the trace update and the Dirichlet fields.
+def _sweep(subs, weights, h, f, u0, decay=None):
+    """Phases (a)-(c) of one sweep over the line subdomains ``subs``: psi and the Dirichlet fields.
 
     ``h`` stacks each member's interface traces, (members, interfaces, N),
     with a trailing mode axis when ``decay`` gives the lines a reaction term
-    (as in ``solve_waveform``).  ``thetas`` holds each member's interface
-    weights, (members, interfaces), with a trailing axis of length 1 for the
-    mode axis.
+    (as in ``solve_waveform``); psi has the shape of ``h``.
     """
     m = len(h)
     # subdomain i lies between interfaces i - 1 and i; the outer ends have none
@@ -83,10 +90,27 @@ def _sweep(subs, weights, h, thetas, f, u0, decay=None):
     corrections = solve_neumann_waveform(subs, weights, fluxes[:-1], fluxes[1:], decay=decay,
                                          members=m)
 
-    update = np.stack([thetas[:, i, None] * (corrections[i][:, 1:, ..., -1]
-                                             + corrections[i + 1][:, 1:, ..., 0])
-                       for i in range(len(subs) - 1)], axis=1)
-    return update, fields
+    psi = np.stack([corrections[i][:, 1:, ..., -1] + corrections[i + 1][:, 1:, ..., 0]
+                    for i in range(len(subs) - 1)], axis=1)
+    return psi, tuple(fields)
+
+
+def _affine(subs, weights, f, u0, shape, layout=lambda x: x, reach=2, decay=None):
+    """``_sweep``'s psi as the affine part of a sweep (``iteration.AffineSweep``)."""
+    def march(x, data):
+        return _sweep(subs, weights, x, *((f, u0) if data else (None, None)), decay)
+
+    return AffineSweep(march=march, layout=layout, shape=shape, reach=reach)
+
+
+def _affine_1d(cfg, weights):
+    """The affine part of an NNWR-1D sweep: psi per interface, (members, interfaces, N)."""
+    subs = cfg.partition.subdomains
+    f = u0 = None
+    if not cfg.error_mode:
+        f, u0 = zip(*(tabulate(weights, cfg.source, cfg.initial_condition, sub.nodes)
+                      for sub in subs))
+    return _affine(subs, weights, f, u0, (len(subs) - 1, cfg.n_steps))
 
 
 def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
@@ -94,18 +118,15 @@ def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
     one batch (one ``RunResult`` per member, as ``run_dnwr`` describes)."""
     t_start = time.perf_counter()
     weights = cfg.build_weights()
-    subs = cfg.partition.subdomains
-    f = u0 = None
-    if not cfg.error_mode:
-        f, u0 = zip(*(tabulate(weights, cfg.source, cfg.initial_condition, sub.nodes)
-                      for sub in subs))
 
-    def sweep(h, thetas):
-        update, fields = _sweep(subs, weights, h, thetas, f, u0)
-        return h - update, update, tuple(fields)
+    def sweep(h, thetas, part):
+        psi, fields = part(h)
+        update = thetas[:, :, None] * psi
+        return h - update, update, fields
 
-    h0 = cfg.initial_traces((len(subs) - 1, cfg.n_steps))
-    results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, keep_fields)
+    h0 = cfg.initial_traces((cfg.partition.n_subdomains - 1, cfg.n_steps))
+    results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, keep_fields,
+                      _affine_1d(cfg, weights))
     return results if members is not None else results[0]
 
 
@@ -165,11 +186,14 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
         f_hat, u0_hat = zip(*(_mode_data(s, dy, weights, fs, us, sine)
                               for s, fs, us in zip(strips, f, u0)))
 
-    def sweep(h, thetas):
-        update_hat, fields = _sweep(strips, weights, (h[..., 1:-1] @ sine)[:, None],
-                                    thetas[..., None], f_hat, u0_hat, decay)
+    # the modes are the positions of the affine part, each with its own Toeplitz block
+    affine = _affine(strips, weights, f_hat, u0_hat, (1, cfg.n_steps, ny - 1),
+                     lambda x: x[:, 0].swapaxes(1, 2), 0, decay)
+
+    def sweep(h, thetas, part):
+        psi_hat, fields = part((h[..., 1:-1] @ sine)[:, None])
         update = np.zeros_like(h)
-        update[..., 1:-1] = update_hat[:, 0] @ sine
+        update[..., 1:-1] = (thetas[:, :, None, None] * psi_hat)[:, 0] @ sine
         lattice = []  # the Dirichlet fields: u0 at level 0, then the trace on the interface
         for u_hat, start, column in zip(fields if keep_fields else (), u0, (-1, 0)):
             u = np.zeros(u_hat.shape[:2] + (u_hat.shape[-1], ny + 1))
@@ -182,5 +206,6 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
     h0 = cfg.initial_traces((cfg.n_steps, ny + 1))
     if np.isscalar(cfg.initial_guess):
         h0[:, 0] = h0[:, -1] = 0.0  # trace endpoints sit on the outer boundary
-    results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, keep_fields)
+    results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, keep_fields,
+                      affine)
     return results if members is not None else results[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import fracwr.dnwr as dnwr
+import fracwr.iteration as iteration
 from fracwr.dnwr import DnwrConfig, optimal_theta_dnwr, run_dnwr, transfer_matrix
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
 from fracwr.geometry import build_partition, interface_flux_series
@@ -61,16 +61,21 @@ def test_update_identity():
 
 @pytest.mark.parametrize("order", [0.5, 1.5])
 def test_iterates_past_the_switch_match_marched_half_steps(order, monkeypatch):
-    # after ceil(N/4) marched sweeps the driver applies the assembled matrix;
-    # its iterates must still be those of marching every half step by hand
+    # the driver applies the assembled matrix: on the graded mesh (order 0.5)
+    # after ceil(N/4) marched sweeps, on the uniform one (order 1.5) from the
+    # first sweep; its iterates must still be those of marching every half
+    # step by hand
     part = build_partition((0, 2), [1.2], [1.0, 0.3], [0.1, 0.04])
     cfg = _config(partition=part, order=order, n_steps=16, tolerance=1e-300, max_iter=10)
     builds = []
-    monkeypatch.setattr(dnwr, "transfer_matrix",
-                        lambda *a, **kw: builds.append(a) or transfer_matrix(*a, **kw))
+    for name in ("toeplitz_operator", "transfer_operator"):
+        monkeypatch.setattr(iteration, name, lambda *a, name=name, build=getattr(iteration, name):
+                            builds.append(name) or build(*a))
     members = [0.2, "optimal", 0.7]
     results = run_dnwr(cfg, members=members)
-    assert len(builds) == 1 and cfg.max_iter > 4  # the last 6 sweeps use the matrix
+    # the last 6 sweeps, or all 10, use the matrix
+    assert builds == ["transfer_operator" if order < 1 else "toeplitz_operator"]
+    assert cfg.max_iter > 4
     weights = cfg.build_weights()
     sub1, sub2 = part.subdomains
     for member, res in zip(members, results):
@@ -94,7 +99,7 @@ def test_transfer_matrix_is_causal_and_independent_of_the_chunk(monkeypatch):
     assert np.all(np.triu(s, 1) == 0.0)
     assert np.all(np.diag(s) != 0.0)
     for chunk in (1, 5, 21):
-        monkeypatch.setattr("fracwr.dnwr.TRANSFER_CHUNK", chunk)
+        monkeypatch.setattr("fracwr.iteration.TRANSFER_CHUNK", chunk)
         assert np.array_equal(transfer_matrix(part, weights), s)
 
 

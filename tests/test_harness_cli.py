@@ -409,6 +409,9 @@ def test_overflowing_domain_is_a_config_error(tmp_path, algorithm):
 # strip, kappa / dy**2 overflows cannot run: a config error.
 INFINITE_STENCIL = {
     "dnwr": {"domain": [0.0, 2.0], "breakpoints": [1.0], "kappa": [1e308, 1.0], "dx": 0.1},
+    # kappa / dx**2 is about 0 here, but dx**2 itself overflows
+    "dnwr-huge-dx": {"domain": [0.0, 1e200], "breakpoints": [5e199], "kappa": 1.0,
+                     "dx": 2.5e199},
     "nnwr1d": {"domain": [0.0, 3.0], "breakpoints": [1.0, 2.0], "kappa": 1e308, "dx": 0.1},
     "nnwr2d": {"domain": [0.0, 2.0], "split": 0.5, "y_extent": [-2.0, 2.0], "kappa": 1e308,
                "dx": 0.1, "dy": 0.5},

@@ -1,0 +1,214 @@
+"""The assembled sweep operator of ``fracwr.iteration`` on uniform time meshes.
+
+On a uniform mesh every driver's sweep is a product with an operator built
+from a few impulse marches.  Its iterates must be those of marching every
+sweep, and a member's bits must not depend on its companions.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import fracwr.iteration as iteration
+from fracwr.dnwr import DnwrConfig, _affine as dnwr_affine, run_dnwr, transfer_matrix
+from fracwr.geometry import build_partition, interface_flux_series
+from fracwr.iteration import toeplitz_operator, transfer_operator
+from fracwr.nnwr import Nnwr2dConfig, NnwrConfig, _affine_1d, run_nnwr_1d, run_nnwr_2d
+from fracwr.solver import solve_dirichlet_waveform, solve_neumann_waveform
+
+
+def _source(x, t):
+    return np.sin(np.pi * x / 3.0) * (1.0 + t)
+
+
+def _forced(mode):
+    return {} if mode == "error_equation" else {
+        "source": _source, "initial_condition": lambda x: x * (3.0 - x)}
+
+
+def _dnwr(order=1.5, mode="error_equation"):
+    return DnwrConfig(partition=build_partition((0, 2), [1.2], [1.0, 0.3], [0.1, 0.04]),
+                      order=order, horizon=1.0, n_steps=16, grading=1.0, tolerance=1e-300,
+                      max_iter=10, mode=mode, **_forced(mode))
+
+
+def _nnwr(order=1.5, mode="error_equation"):
+    # seven subdomains, so that some interfaces lie more than two apart
+    part = build_partition((0, 3), [0.5, 1.0, 1.25, 1.75, 2.25, 2.5],
+                           [1.0, 0.5, 2.0, 1.0, 0.25, 1.0, 0.5], 0.125)
+    return NnwrConfig(partition=part, order=order, horizon=1.0, n_steps=12, grading=1.0,
+                      tolerance=1e-300, max_iter=8, mode=mode, **_forced(mode))
+
+
+def _nnwr2d(mode="error_equation"):
+    extra = {} if mode == "error_equation" else {
+        "source": lambda x, y, t: np.sin(np.pi * x / 2.0) * np.cos(y),
+        "initial_condition": lambda x, y: x * (2.0 - x) * np.exp(-y**2)}
+    return Nnwr2dConfig(partition=build_partition((0, 2), [0.75], [1.0, 0.5], 0.125),
+                        y_extent=(-1.0, 1.0), dy=0.25, order=1.5, horizon=1.0, n_steps=8,
+                        tolerance=1e-300, max_iter=6, mode=mode, **extra)
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    for name in ("toeplitz_operator", "transfer_operator"):
+        monkeypatch.setattr(iteration, name, lambda *a, name=name, build=getattr(iteration, name):
+                            builds.append(name) or build(*a))
+    return builds
+
+
+@pytest.mark.parametrize("order", [0.6, 1.0, 1.5], ids=["l1", "classical", "wave"])
+def test_toeplitz_build_equals_the_full_impulse_build(order):
+    cfg = _dnwr(order)
+    weights = cfg.build_weights()
+    s = transfer_matrix(cfg.partition, weights)
+    t = toeplitz_operator(dnwr_affine(cfg.partition.subdomains, weights), weights.mesh)
+    assert t.shape == (1, 1, 16, 16)
+    assert np.abs(t[0, 0] - s).max() <= 1e-14 * np.abs(s).max()
+
+    cfg = _nnwr(order)
+    weights = cfg.build_weights()
+    affine = _affine_1d(cfg, weights)
+    full = transfer_operator(affine)
+    t = toeplitz_operator(affine, weights.mesh)
+    assert t.shape == full.shape == (6, 5, 12, 12)
+    assert np.abs(t - full).max() <= 1e-14 * np.abs(full).max()
+
+
+def test_toeplitz_build_is_refused_on_a_graded_mesh():
+    cfg = replace(_dnwr(0.5), grading="auto")
+    weights = cfg.build_weights()
+    with pytest.raises(ValueError, match="uniform"):
+        toeplitz_operator(dnwr_affine(cfg.partition.subdomains, weights), weights.mesh)
+    cfg = replace(_nnwr(0.5), grading=2.0)
+    weights = cfg.build_weights()
+    with pytest.raises(ValueError, match="uniform"):
+        toeplitz_operator(_affine_1d(cfg, weights), weights.mesh)
+
+
+def test_nnwr_operator_is_zero_outside_the_band():
+    # with a reach as wide as the partition each impulse group has one
+    # source, so every block is the response to one interface alone
+    cfg = _nnwr(0.6)
+    weights = cfg.build_weights()
+    affine = _affine_1d(cfg, weights)
+    wide = replace(affine, reach=5)
+    for blocks in (transfer_operator(wide), toeplitz_operator(wide, weights.mesh)):
+        assert blocks.shape == (6, 11, 12, 12)
+        for q in range(6):
+            for offset in range(-5, 6):
+                block = blocks[q, offset + 5]
+                if abs(offset) > 2 or not 0 <= q + offset < 6:
+                    assert np.all(block == 0.0)
+                else:
+                    assert np.all(np.diag(block) != 0.0)
+    # the banded build holds the same blocks
+    band = transfer_operator(affine)
+    np.testing.assert_array_equal(band, transfer_operator(wide)[:, 3:8])
+
+
+def _dnwr_by_hand(cfg, theta):
+    weights = cfg.build_weights()
+    sub1, sub2 = cfg.partition.subdomains
+    data = {"f": cfg.source, "u0": cfg.initial_condition}
+    h, errs = np.ones(cfg.n_steps), []
+    for _ in range(cfg.max_iter):
+        u1 = solve_dirichlet_waveform(sub1, weights, None, h, **data)
+        flux = interface_flux_series(u1[1:], "right", sub1)
+        u2 = solve_neumann_waveform(sub2, weights, -flux, None, **data)
+        h_new = theta * u2[1:, 0] + (1 - theta) * h
+        errs.append([np.abs(h_new if cfg.error_mode else h_new - h).max()])
+        h = h_new
+    return np.array(errs), h
+
+
+def _nnwr_by_hand(cfg, theta):
+    weights = cfg.build_weights()
+    subs = cfg.partition.subdomains
+    data = {"f": cfg.source, "u0": cfg.initial_condition}
+    h, errs = np.ones((len(subs) - 1, cfg.n_steps)), []
+    for _ in range(cfg.max_iter):
+        traces = [None, *h, None]
+        u = [solve_dirichlet_waveform(s, weights, a, b, **data)
+             for s, a, b in zip(subs, traces[:-1], traces[1:])]
+        fluxes = [None] + [interface_flux_series(u[i][1:], "right", subs[i])
+                           + interface_flux_series(u[i + 1][1:], "left", subs[i + 1])
+                           for i in range(len(subs) - 1)] + [None]
+        c = [solve_neumann_waveform(s, weights, a, b)
+             for s, a, b in zip(subs, fluxes[:-1], fluxes[1:])]
+        update = theta[:, None] * np.array([c[i][1:, -1] + c[i + 1][1:, 0]
+                                            for i in range(len(subs) - 1)])
+        errs.append(np.abs(h - update if cfg.error_mode else update).max(axis=1))
+        h = h - update
+    return np.array(errs), h
+
+
+@pytest.mark.parametrize("mode", ["error_equation", "forced"])
+@pytest.mark.parametrize("driver", ["dnwr", "nnwr1d"])
+def test_uniform_iterates_match_sweeps_marched_by_hand(driver, mode, monkeypatch):
+    make, run, by_hand = {"dnwr": (_dnwr, run_dnwr, _dnwr_by_hand),
+                          "nnwr1d": (_nnwr, run_nnwr_1d, _nnwr_by_hand)}[driver]
+    cfg = make(mode=mode)
+    builds = _count_builds(monkeypatch)
+    members = [0.2, "optimal", 0.7]
+    results = run(cfg, members=members)
+    assert builds == ["toeplitz_operator"]  # one build, before the first sweep
+    for member, res in zip(members, results):
+        errs, h = by_hand(cfg, cfg.resolve_theta(member))
+        assert res.report.iterations == cfg.max_iter
+        # a forced update is a difference of O(1) traces: absolute digits
+        atol = 1e-15 if cfg.error_mode else 1e-13
+        np.testing.assert_allclose(res.report.errors, errs, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(res.traces, h, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["error_equation", "forced"])
+def test_uniform_2d_iterates_match_marched_sweeps(mode, monkeypatch):
+    # the reference run marches every sweep in mode space
+    cfg = _nnwr2d(mode)
+    members = [0.2, "optimal"]
+    builds = _count_builds(monkeypatch)
+    results = run_nnwr_2d(cfg, members=members)
+    assert builds == ["toeplitz_operator"]
+    monkeypatch.setattr(iteration, "_affine_part",
+                        lambda cfg, affine, keep_fields: lambda k, x: affine.march(x, True))
+    marched = run_nnwr_2d(cfg, members=members)
+    assert builds == ["toeplitz_operator"]
+    atol = 1e-15 if cfg.error_mode else 1e-13
+    for res, ref in zip(results, marched):
+        assert res.report.iterations == ref.report.iterations == cfg.max_iter
+        np.testing.assert_allclose(res.report.errors, ref.report.errors, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(res.traces, ref.traces, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["error_equation", "forced"])
+@pytest.mark.parametrize("make, run", [(_dnwr, run_dnwr), (_nnwr, run_nnwr_1d),
+                                       (_nnwr2d, run_nnwr_2d)], ids=["dnwr", "nnwr1d", "nnwr2d"])
+def test_product_sweeps_of_a_member_are_the_same_alone_and_in_a_batch(make, run, mode):
+    cfg = replace(make(mode=mode), tolerance=1e-9)
+    members = [0.1, "optimal", 0.6]
+    batch = run(cfg, members=members)
+    for member, got in zip(members, batch):
+        alone = run(replace(cfg, theta=member))
+        assert np.array_equal(got.report.errors, alone.report.errors)
+        assert np.array_equal(got.traces, alone.traces)
+        assert got.report.converged == alone.report.converged
+
+
+@pytest.mark.parametrize("driver", ["dnwr", "nnwr1d"])
+def test_kept_fields_of_a_product_sweep_march_the_trace_it_starts_from(driver):
+    make, run = {"dnwr": (_dnwr, run_dnwr), "nnwr1d": (_nnwr, run_nnwr_1d)}[driver]
+    cfg = replace(make(mode="forced"), theta="optimal", max_iter=4)
+    res = run(cfg, keep_fields=True)
+    start = run(replace(cfg, max_iter=3)).traces  # the trace sweep 4 starts from
+    weights = cfg.build_weights()
+    subs = cfg.partition.subdomains
+    traces = [None, start, None] if driver == "dnwr" else [None, *start, None]
+    assert len(res.fields) == len(subs)
+    for sub, a, b, u in zip(subs, traces[:-1], traces[1:], res.fields):
+        expected = solve_dirichlet_waveform(sub, weights, a, b, f=cfg.source,
+                                            u0=cfg.initial_condition)
+        assert np.array_equal(u, expected)
+        if driver == "dnwr":
+            break  # the second DNWR field is the Neumann solve's

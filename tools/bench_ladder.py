@@ -17,12 +17,19 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   stacked march.
 - L2: one sweep of that DNWR config, with 1 member and with its 8, and one
   sweep of that NNWR-1D config.  Also the whole θ run of that DNWR config:
-  its 8 members to its tolerance or ``max_iter``, as the workload runs them
-  (a one-sweep case never reaches the sweeps after the first ``ceil(N/4)``).
-  And one NNWR-2D sweep: ``harness.run_experiment`` on the ``nnwr2d-strip``
+  its 8 members to its tolerance or ``max_iter``, as the workload runs them.
+  That DNWR mesh is graded, so only the whole run reaches the assembled
+  operator, which takes over after the first ``ceil(N/4)`` sweeps.  The
+  NNWR-1D mesh is uniform, so its one-sweep run is the Toeplitz build plus
+  one product.  And one NNWR-2D sweep: ``harness.run_experiment`` on the ``nnwr2d-strip``
   workload's config at seed 1 with ``run.max_iter`` 1 (its CSV and bound
   included), which reads the same on any checkout whatever its 2D config
   classes look like.
+- L2, operator: the Toeplitz build of ``fracwr.iteration`` for that NNWR-1D
+  config (five impulse marches) and one product sweep with it (one member,
+  random traces), and the Toeplitz build for the DNWR config of
+  ``fig_dnwr_theta_sweep_wave`` (one impulse march; 64 steps, order 1.5).
+  A checkout without the operator path reports ``null`` for them.
 - L3: the six θ-list presets, the two DNWR bounds presets,
   ``fig_nnwr_kappa``, ``fig_nnwr_table2``, ``fig_2d`` and ``fig_2d_wave`` through
   ``python -m fracwr.cli``, timed as whole processes and, beside that
@@ -66,6 +73,8 @@ IN_PROCESS = {  # case: (layer, calls per repeat)
     "nnwr1d-dirichlet-8x401": ("L1", 20), "nnwr1d-neumann-8x401": ("L1", 20),
     "dnwr-sweep-1": ("L2", 10), "dnwr-sweep-8": ("L2", 10), "dnwr-run-8": ("L2", 3),
     "nnwr1d-sweep-8x401": ("L2", 10), "nnwr2d-sweep": ("L2", 10),
+    "nnwr1d-build-8x401": ("L2", 5), "nnwr1d-product-8x401": ("L2", 200),
+    "dnwr-build-wave": ("L2", 10),
 }
 
 
@@ -127,6 +136,29 @@ def _nnwr_case(kind):
     return lambda: solve(subs, weights, traces[:-1], traces[1:], f=f, u0=u0)
 
 
+def _operator_case(name):
+    """One Toeplitz build or product sweep, or None on a checkout without them."""
+    import numpy as np
+    from fracwr import dnwr, harness, iteration, nnwr
+
+    if not hasattr(iteration, "toeplitz_operator"):
+        return None
+    if name == "dnwr-build-wave":
+        cfg = harness.preset_config("fig_dnwr_theta_sweep_wave")[0].run
+        weights = cfg.build_weights()
+        affine = dnwr._affine(cfg.partition.subdomains, weights)
+    else:
+        cfg = _experiment(1).run
+        weights = cfg.build_weights()
+        affine = nnwr._affine_1d(cfg, weights)
+    build = lambda: iteration.toeplitz_operator(affine, weights.mesh)  # noqa: E731
+    if "build" in name:
+        return build
+    blocks = build()
+    h = np.random.default_rng(1).standard_normal(affine.extent)
+    return lambda: iteration.apply_operator(blocks, None, h)
+
+
 def _case(name):
     """The callable that one call of ``name`` times, in this interpreter."""
     from dataclasses import replace
@@ -135,6 +167,8 @@ def _case(name):
     from fracwr import solver
     from fracwr.dnwr import run_dnwr
 
+    if "build" in name or "product" in name:
+        return _operator_case(name)
     if name == "nnwr2d-sweep":
         return _nnwr2d_sweep()
     if name.startswith("nnwr1d-"):
@@ -174,6 +208,9 @@ def _run_case(name):
     if name in PRESETS:
         return _run_preset(name)
     fn = _case(name)
+    if fn is None:
+        print(json.dumps(None))
+        return None
     fn()
     times = []
     for _ in range(IN_PROCESS[name][1]):
@@ -276,7 +313,11 @@ def main(argv=None):
                 times[side].append(_time(getattr(args, side), case))
                 if layer == "L3":
                     inner[side].append(_time(getattr(args, side), case, in_process=True))
-        row = {"layer": layer, "case": case, **_compare(times["before"], times["after"])}
+        if None in times["before"]:  # a case the "before" checkout cannot run
+            row = {"layer": layer, "case": case, "before": None,
+                   "after": _summary(times["after"])}
+        else:
+            row = {"layer": layer, "case": case, **_compare(times["before"], times["after"])}
         if layer == "L3":
             row["in_process"] = _compare(inner["before"], inner["after"])
         print(json.dumps(row), file=sys.stderr)
