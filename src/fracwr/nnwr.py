@@ -188,7 +188,7 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
 
     # the modes are the positions of the affine part, each with its own Toeplitz block
     affine = _affine(strips, weights, f_hat, u0_hat, (1, cfg.n_steps, ny - 1),
-                     lambda x: x[:, 0].swapaxes(1, 2), 0, decay)
+                     layout=lambda x: x[:, 0].swapaxes(1, 2), reach=0, decay=decay)
 
     def sweep(h, thetas, part):
         psi_hat, fields = part((h[..., 1:-1] @ sine)[:, None])
