@@ -9,11 +9,12 @@ sweeps run in the interface iteration of ``fracwr.iteration``.
 The Neumann trace is affine in the Dirichlet trace, ``g = S h + c``, with a
 lower-triangular matrix ``S`` that does not depend on ``theta`` (``c`` = 0 in
 error-equation mode); a sweep is ``h -> theta*g + (1-theta)*h``.  On a
-uniform time mesh ``S`` is Toeplitz, one impulse march builds it, and every
-sweep is a product.  On a graded mesh an error-equation run marches its first
-``ceil(N/4)`` sweeps; if any member is still active then, it builds ``S``
-from N impulses and applies it in every later sweep.  A forced run on a
-graded mesh marches every sweep.
+uniform time mesh ``S`` is Toeplitz and one impulse march builds it; on a
+graded mesh an error-equation run builds it from N impulses, about the cost
+of ``ceil(N/4)`` one-member sweeps.  A run whose ``max_iter`` exceeds the
+build's cost builds ``S`` before its first sweep and applies it in every
+sweep; any other run, and every forced run on a graded mesh, marches every
+sweep.
 """
 
 import time

@@ -11,17 +11,17 @@ member of a relaxation-weight sweep at once.  In
 itself the error; ``forced`` mode stops on the size of the last update.
 
 Every driver's sweep is a relaxation of a part that is affine in the traces,
-``x -> T x + c`` (``AffineSweep``), and the loop decides when that part is
-marched and when it is a product with an assembled ``T``.  ``T`` is block
-lower triangular in time, and its blocks couple positions (interfaces or
-sine modes) at most ``reach`` apart.  On a uniform time mesh every Caputo row
-is a shift of the first (L1 and wave alike; Lubich, Numer. Math. 1988), so
-``T`` is block Toeplitz: one impulse at the first level per group of
-positions ``2 reach + 1`` apart gives all of it (``toeplitz_operator``), and
-every sweep is a product.  On a graded mesh the part stays marched, except
-where a driver lets the error-equation run build ``T`` from an impulse at
-every level (``transfer_operator``) after the ``ceil(N/4)`` sweeps that such
-a build costs.
+``x -> T x + c`` (``AffineSweep``), and the loop decides, once before the
+first sweep, whether that part is marched in every sweep or is a product
+with an assembled ``T`` in every sweep.  ``T`` is block lower triangular in
+time, and its blocks couple positions (interfaces or sine modes) at most
+``reach`` apart.  On a uniform time mesh every Caputo row is a shift of the
+first (L1 and wave alike; Lubich, Numer. Math. 1988), so ``T`` is block
+Toeplitz: one impulse at the first level per group of positions
+``2 reach + 1`` apart gives all of it (``toeplitz_operator``).  On a graded
+mesh a driver may let an error-equation run build ``T`` from an impulse at
+every level (``transfer_operator``).  ``T`` is built only where ``max_iter``
+exceeds the build's cost (``_affine_part``).
 """
 
 import math
@@ -233,7 +233,8 @@ def transfer_operator(affine) -> np.ndarray:
 
     Column j of a block answers a unit trace at level j.  The columns of an
     impulse group march ``TRANSFER_CHUNK`` levels at a time as the members
-    of one batch, so ``T`` does not depend on the chunk size.
+    of one batch, so ``T`` does not depend on the chunk size.  A chunk's
+    marches start at its first level: the levels before it are zero.
     """
     positions, n = affine.extent
     width = 2 * affine.reach + 1
@@ -258,32 +259,33 @@ def apply_operator(blocks, c, x) -> np.ndarray:
 
 
 def _affine_part(cfg, affine, keep_fields):
-    """``part(k, x)``: the affine part of sweep k at the traces ``x``, marched or,
-    by the rule of the module docstring, the product with ``T`` plus ``c``
-    (one more march, with the data and zero traces).  The rule reads the
-    mesh and N alone and each member's product is its own, so a member's
-    bits do not depend on its companions.  Under ``keep_fields`` a product
-    sweep also marches ``x`` for the fields.
+    """``part(x)``: the affine part of a sweep at the traces ``x``, marched, or
+    the product with ``T`` plus ``c`` (one more march, with the data and zero
+    traces) where ``max_iter`` exceeds the build's cost in one-member sweeps:
+    ``min(positions, 2 reach + 1)`` impulse marches on a uniform mesh, plus
+    one for ``c`` in forced mode, or ``ceil(N/4)`` for ``transfer_operator``.
+    The rule reads config values alone and each member's product is its own,
+    so a member's bits do not depend on its companions.  Under
+    ``keep_fields`` a product sweep also marches ``x`` for the fields.
     """
     mesh = cfg.time_mesh()
     if mesh.is_uniform:
-        first, build = 1, partial(toeplitz_operator, affine, mesh)
+        cost = min(affine.extent[0], 2 * affine.reach + 1) + (not cfg.error_mode)
+        build = partial(toeplitz_operator, affine, mesh)
     elif affine.graded and cfg.error_mode:
-        first, build = -(-cfg.n_steps // 4) + 1, partial(transfer_operator, affine)
+        cost, build = -(-cfg.n_steps // 4), partial(transfer_operator, affine)
     else:
-        first = None
-    operator = []
+        cost = math.inf
+    if cfg.max_iter <= cost:
+        return lambda x: affine.march(x, True)
+    c = None if cfg.error_mode else affine.layout(
+        affine.march(np.zeros((1,) + affine.shape), True)[0])[0]
+    blocks = build()
 
-    def part(k, x):
-        if first is None or k < first:
-            return affine.march(x, True)
-        if not operator:
-            c = None if cfg.error_mode else affine.layout(
-                affine.march(np.zeros((1,) + affine.shape), True)[0])[0]
-            operator.extend((build(), c))
+    def part(x):
         y = np.empty_like(x)
         for xm, ym in zip(affine.layout(x), affine.layout(y)):
-            ym[...] = apply_operator(*operator, xm)
+            ym[...] = apply_operator(blocks, c, xm)
         return y, affine.march(x, True)[1] if keep_fields else ()
 
     return part
@@ -304,8 +306,9 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False,
     batch once its error meets the tolerance, or at ``max_iter``.
 
     With ``affine`` (an ``AffineSweep``) the call is ``sweep(h, theta, part)``,
-    and the sweep gets its affine part as ``part(x) -> (y, fields)``, marched
-    or as a product with the assembled operator (``_affine_part``).
+    and the sweep gets its affine part as ``part(x) -> (y, fields)``: marched
+    in every sweep, or in every sweep a product with the operator assembled
+    before the first (``_affine_part``).
 
     A non-finite error raises ``ArithmeticError``: the iteration diverged.
     The raise comes at the first sweep where any member is non-finite, for
@@ -327,7 +330,7 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False,
         # an overflow shows as the non-finite error checked below, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             h_new, change, fields = (sweep(h, thetas[active]) if part is None else
-                                     sweep(h, thetas[active], partial(part, k)))
+                                     sweep(h, thetas[active], part))
             err = np.abs((h_new if cfg.error_mode else change).reshape(len(active), n_ifc, -1))
             err = err.max(axis=2)
         if not np.all(np.isfinite(err)):

@@ -122,7 +122,9 @@ def solve_waveform(
     every subdomain, member and mode.  Each member's history term is its own
     product of the Caputo row with its increments on one subdomain, of the
     width a call without ``members`` uses, so the members and the subdomains
-    of a call do not change one another's bits.
+    of a call do not change one another's bits.  Without ``f`` and ``u0``
+    the field is zero before the first level with a nonzero end value, and
+    the march starts there.
     """
     single = isinstance(sub, Subdomain1D)
     subs = (sub,) if single else tuple(sub)
@@ -201,8 +203,16 @@ def solve_waveform(
         runs.append((rows, s, hist[rows].reshape(products, width),
                      u[:, rows].reshape(n_steps + 1, products, width),
                      np.empty((products, n_steps, width))))
+    # without data the levels before the first nonzero end value are zero: they
+    # are written, and the history products keep their length, so bits match
+    first = 1
+    if sources is None and all(ui is None for ui in u0):
+        first = next((n for n, row in enumerate(vals.any(axis=1), 1) if row), n_steps + 1)
+        u[1:first] = 0.0
+        for *_, increments in runs:
+            increments[:, : first - 1] = 0.0
     explicit = np.empty(stack.size) if theta_s < 1.0 else None
-    for n in range(1, n_steps + 1):
+    for n in range(first, n_steps + 1):
         b_row = weights.rows[n - 1]
         bnn = b_row[n - 1]
         prev = u[n - 1]

@@ -61,10 +61,10 @@ def test_update_identity():
 
 @pytest.mark.parametrize("order", [0.5, 1.5])
 def test_iterates_past_the_switch_match_marched_half_steps(order, monkeypatch):
-    # the driver applies the assembled matrix: on the graded mesh (order 0.5)
-    # after ceil(N/4) marched sweeps, on the uniform one (order 1.5) from the
-    # first sweep; its iterates must still be those of marching every half
-    # step by hand
+    # the driver applies the assembled matrix from the first sweep, on the
+    # graded mesh (order 0.5) because max_iter 10 exceeds ceil(N/4) = 4 and
+    # on the uniform one (order 1.5) because it exceeds one impulse march;
+    # its iterates must still be those of marching every half step by hand
     part = build_partition((0, 2), [1.2], [1.0, 0.3], [0.1, 0.04])
     cfg = _config(partition=part, order=order, n_steps=16, tolerance=1e-300, max_iter=10)
     builds = []
@@ -73,7 +73,7 @@ def test_iterates_past_the_switch_match_marched_half_steps(order, monkeypatch):
                             builds.append(name) or build(*a))
     members = [0.2, "optimal", 0.7]
     results = run_dnwr(cfg, members=members)
-    # the last 6 sweeps, or all 10, use the matrix
+    # all 10 sweeps use the matrix
     assert builds == ["transfer_operator" if order < 1 else "toeplitz_operator"]
     assert cfg.max_iter > 4
     weights = cfg.build_weights()

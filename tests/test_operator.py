@@ -58,6 +58,41 @@ def _count_builds(monkeypatch):
     return builds
 
 
+def _graded_dnwr(mode="error_equation"):
+    return DnwrConfig(partition=build_partition((0, 2), [1.2], [1.0, 0.3], [0.2, 0.1]),
+                      order=0.5, horizon=1.0, n_steps=64, tolerance=1e-300, max_iter=20,
+                      mode=mode, **_forced(mode))
+
+
+# the cost of a build in one-member sweeps: min(positions, 2 reach + 1)
+# impulse marches on a uniform mesh, plus one for c in forced mode, and
+# ceil(N/4) for an error-equation DNWR run on a graded mesh
+@pytest.mark.parametrize("make, mode, run, built, cost", [
+    (_dnwr, "error_equation", run_dnwr, "toeplitz_operator", 1),
+    (_dnwr, "forced", run_dnwr, "toeplitz_operator", 2),
+    (_nnwr, "error_equation", run_nnwr_1d, "toeplitz_operator", 5),
+    (_nnwr, "forced", run_nnwr_1d, "toeplitz_operator", 6),
+    (_graded_dnwr, "error_equation", run_dnwr, "transfer_operator", 16),
+], ids=["dnwr", "dnwr-forced", "nnwr1d", "nnwr1d-forced", "dnwr-graded"])
+def test_an_operator_is_built_only_when_max_iter_exceeds_its_cost(make, mode, run, built,
+                                                                   cost, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    marched = run(replace(make(mode=mode), max_iter=cost))
+    assert builds == []
+    product = run(replace(make(mode=mode), max_iter=cost + 1))
+    assert builds == [built]
+    assert marched.report.iterations == cost and product.report.iterations == cost + 1
+    np.testing.assert_allclose(product.report.errors[:cost], marched.report.errors,
+                               rtol=1e-11, atol=1e-13)
+
+
+def test_graded_forced_dnwr_and_graded_nnwr_march_every_sweep(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    run_dnwr(replace(_graded_dnwr("forced"), max_iter=20))
+    run_nnwr_1d(replace(_nnwr(0.5), grading=2.0, max_iter=10))
+    assert builds == []
+
+
 @pytest.mark.parametrize("order", [0.6, 1.0, 1.5], ids=["l1", "classical", "wave"])
 def test_toeplitz_build_equals_the_full_impulse_build(order):
     cfg = _dnwr(order)
@@ -172,7 +207,7 @@ def test_uniform_2d_iterates_match_marched_sweeps(mode, monkeypatch):
     results = run_nnwr_2d(cfg, members=members)
     assert builds == ["toeplitz_operator"]
     monkeypatch.setattr(iteration, "_affine_part",
-                        lambda cfg, affine, keep_fields: lambda k, x: affine.march(x, True))
+                        lambda cfg, affine, keep_fields: lambda x: affine.march(x, True))
     marched = run_nnwr_2d(cfg, members=members)
     assert builds == ["toeplitz_operator"]
     atol = 1e-15 if cfg.error_mode else 1e-13

@@ -18,18 +18,22 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
 - L2: one sweep of that DNWR config, with 1 member and with its 8, and one
   sweep of that NNWR-1D config.  Also the whole θ run of that DNWR config:
   its 8 members to its tolerance or ``max_iter``, as the workload runs them.
-  That DNWR mesh is graded, so only the whole run reaches the assembled
-  operator, which takes over after the first ``ceil(N/4)`` sweeps.  The
-  NNWR-1D mesh is uniform, so its one-sweep run is the Toeplitz build plus
-  one product.  And one NNWR-2D sweep: ``harness.run_experiment`` on the ``nnwr2d-strip``
+  That DNWR mesh is graded; the whole run's ``max_iter`` 60 exceeds
+  ``ceil(N/4)`` = 16, so it builds the assembled operator before its first
+  sweep and applies it in every sweep, while a one-sweep run marches.  The
+  NNWR-1D mesh is uniform, but one sweep does not repay its Toeplitz build
+  (six marches in forced mode), so its one-sweep run marches too.  And one
+  NNWR-2D sweep: ``harness.run_experiment`` on the ``nnwr2d-strip``
   workload's config at seed 1 with ``run.max_iter`` 1 (its CSV and bound
   included), which reads the same on any checkout whatever its 2D config
   classes look like.
 - L2, operator: the Toeplitz build of ``fracwr.iteration`` for that NNWR-1D
   config (five impulse marches) and one product sweep with it (one member,
-  random traces), and the Toeplitz build for the DNWR config of
-  ``fig_dnwr_theta_sweep_wave`` (one impulse march; 64 steps, order 1.5).
-  A checkout without the operator path reports ``null`` for them.
+  random traces), the Toeplitz build for the DNWR config of
+  ``fig_dnwr_theta_sweep_wave`` (one impulse march; 64 steps, order 1.5),
+  and the graded build (``transfer_operator``, 64 impulses) for that
+  ``sweeps-1d`` DNWR config.  A checkout without the operator path reports
+  ``null`` for them.
 - L3: the six θ-list presets, the two DNWR bounds presets,
   ``fig_nnwr_kappa``, ``fig_nnwr_table2``, ``fig_2d`` and ``fig_2d_wave`` through
   ``python -m fracwr.cli``, timed as whole processes and, beside that
@@ -74,7 +78,7 @@ IN_PROCESS = {  # case: (layer, calls per repeat)
     "dnwr-sweep-1": ("L2", 10), "dnwr-sweep-8": ("L2", 10), "dnwr-run-8": ("L2", 3),
     "nnwr1d-sweep-8x401": ("L2", 10), "nnwr2d-sweep": ("L2", 10),
     "nnwr1d-build-8x401": ("L2", 5), "nnwr1d-product-8x401": ("L2", 200),
-    "dnwr-build-wave": ("L2", 10),
+    "dnwr-build-wave": ("L2", 10), "dnwr-build-graded": ("L2", 10),
 }
 
 
@@ -137,12 +141,16 @@ def _nnwr_case(kind):
 
 
 def _operator_case(name):
-    """One Toeplitz build or product sweep, or None on a checkout without them."""
+    """One operator build or product sweep, or None on a checkout without them."""
     import numpy as np
     from fracwr import dnwr, harness, iteration, nnwr
 
     if not hasattr(iteration, "toeplitz_operator"):
         return None
+    if name == "dnwr-build-graded":
+        cfg = _experiment(0).run
+        affine = dnwr._affine(cfg.partition.subdomains, cfg.build_weights())
+        return lambda: iteration.transfer_operator(affine)
     if name == "dnwr-build-wave":
         cfg = harness.preset_config("fig_dnwr_theta_sweep_wave")[0].run
         weights = cfg.build_weights()
