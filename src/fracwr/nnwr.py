@@ -14,9 +14,11 @@ iterates bit for bit.
 
 Phases (a)-(c) map the traces to psi affinely, and psi at an interface reads
 the traces of the two interfaces on each side and no further.  On a uniform
-time mesh ``fracwr.iteration`` assembles that map once, from five impulse
-marches (block-banded Toeplitz), and every sweep is a product; on a graded
-mesh every sweep marches.
+time mesh ``fracwr.iteration`` assembles that map once (block-banded
+Toeplitz), from at most five impulse sweeps, and every sweep is a product; on
+a graded mesh every sweep marches.  An impulse at interface i reaches
+subdomains i and i+1 in phase (a) and i-1 ... i+2 in phase (c), and a march
+without data leaves out the subdomains whose end values are all zero.
 
 The 2D strip is a two-subdomain 1D partition times one uniform y lattice
 (``Nnwr2dConfig``), and it runs the same sweep in sine-mode space.  Its

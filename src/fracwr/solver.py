@@ -124,7 +124,9 @@ def solve_waveform(
     width a call without ``members`` uses, so the members and the subdomains
     of a call do not change one another's bits.  Without ``f`` and ``u0``
     the field is zero before the first level with a nonzero end value, and
-    the march starts there.
+    the march starts there; a subdomain whose end values are zero at every
+    level, for every member and mode, stays out of the stack, and its field
+    is ``np.zeros``.
     """
     single = isinstance(sub, Subdomain1D)
     subs = (sub,) if single else tuple(sub)
@@ -145,12 +147,9 @@ def solve_waveform(
     lines = m * (1 if decay is None else decay.shape[1])  # blocks per subdomain
     per_block = lambda x: [v for v in x for _ in range(lines)]  # noqa: E731
 
-    # subdomain i owns the columns bounds[i]:bounds[i+1] of a level, member by
-    # member, then mode by mode
-    bounds = list(accumulate([lines * s.n_nodes for s in subs], initial=0))
     kinds = ([], [])
     # one row of end values per level: the left ends of all blocks, then the right ends
-    vals = np.empty((n_steps, 2, len(subs) * lines))
+    vals = np.empty((n_steps, 2, len(subs), lines))
     for i, ends in enumerate(zip(left, right)):
         for k, side in enumerate(ends):
             kind, values = ("dirichlet", None) if side is None else side
@@ -158,9 +157,22 @@ def solve_waveform(
                 raise ValueError(f"boundary kind must be 'dirichlet' or 'flux', got {kind!r}")
             kinds[k].append(kernels.DIRICHLET if kind == "dirichlet" else kernels.FLUX)
             trace = _expand_trace(values, (() if members is None else (m,)) + (n_steps,) + modes)
-            vals[:, k, i * lines:(i + 1) * lines] = trace.reshape(m, n_steps, -1).swapaxes(
-                0, 1).reshape(n_steps, lines)
-    vals = vals.reshape(n_steps, -1)
+            vals[:, k, i] = trace.reshape(m, n_steps, -1).swapaxes(0, 1).reshape(n_steps, lines)
+    # without data a subdomain whose end values are all zero has the zero field,
+    # and only the subdomains ``live`` enter the stack
+    live = range(len(subs))
+    if all(fi is None for fi in f) and all(ui is None for ui in u0):
+        live = np.flatnonzero(vals.any(axis=(0, 1, 3))).tolist()
+    fields = [None if i in live else np.zeros((() if members is None else (m,)) + (n_steps + 1,)
+                                              + modes + (s.n_nodes,)) for i, s in enumerate(subs)]
+    if not live:
+        return fields[0] if single else fields
+    subs, f, u0 = ([x[i] for i in live] for x in (subs, f, u0))
+    kinds = tuple([side[i] for i in live] for side in kinds)
+    vals, decay = vals[:, :, live].reshape(n_steps, -1), None if decay is None else decay[live]
+    # subdomain i owns the columns bounds[i]:bounds[i+1] of a level, member by
+    # member, then mode by mode
+    bounds = list(accumulate([lines * s.n_nodes for s in subs], initial=0))
     if decay is not None:
         decay = np.concatenate([np.tile(row, m) for row in decay])
     stack = kernels.Stack(
@@ -233,10 +245,9 @@ def solve_waveform(
         for _, _, _, field, increments in runs:
             np.subtract(field[n], field[n - 1], out=increments[:, n - 1])
 
-    fields = []
-    for i, s in enumerate(subs):
-        field = u[:, bounds[i]:bounds[i + 1]].reshape((n_steps + 1, m) + modes + (s.n_nodes,))
-        fields.append(field[:, 0] if members is None else field.swapaxes(0, 1))
+    for j, (i, s) in enumerate(zip(live, subs)):
+        field = u[:, bounds[j]:bounds[j + 1]].reshape((n_steps + 1, m) + modes + (s.n_nodes,))
+        fields[i] = field[:, 0] if members is None else field.swapaxes(0, 1)
     return fields[0] if single else fields
 
 

@@ -5,12 +5,15 @@ from a few impulse marches.  Its iterates must be those of marching every
 sweep, and a member's bits must not depend on its companions.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fracwr.iteration as iteration
+import fracwr.nnwr as nnwr
+from fracwr import kernels
 from fracwr.dnwr import DnwrConfig, _affine as dnwr_affine, run_dnwr, transfer_matrix
 from fracwr.geometry import build_partition, interface_flux_series
 from fracwr.iteration import toeplitz_operator, transfer_operator
@@ -141,6 +144,52 @@ def test_nnwr_operator_is_zero_outside_the_band():
     # the banded build holds the same blocks
     band = transfer_operator(affine)
     np.testing.assert_array_equal(band, transfer_operator(wide)[:, 3:8])
+
+
+def test_nnwr_impulse_marches_stack_only_the_subdomains_they_reach(monkeypatch):
+    # the eight subdomains and kappas of the sweeps-1d NNWR-1D config, at
+    # dx 0.25.  Five impulse groups of the seven interfaces (0 and 5, 1 and 6,
+    # 2, 3, 4) reach subdomains i and i+1 of each interface i in the Dirichlet
+    # phase, 4 + 4 + 2 + 2 + 2 = 14 blocks, and i-1 ... i+2 in the Neumann
+    # phase, 7 + 7 + 4 + 4 + 4 = 26; the other subdomains are not marched.
+    # Their zero fields must give the operator of the full path, bit for bit
+    half = [4.0 ** (-i) for i in range(4)]
+    part = build_partition((0, 16), [2.0 * i for i in range(1, 8)], half + half[::-1], 0.25)
+    cfg = NnwrConfig(partition=part, order=1.53, horizon=4.0, n_steps=16, grading=1.0,
+                     max_iter=40, mode="forced", source=_source,
+                     initial_condition=lambda x: x * (16.0 - x))
+    weights = cfg.build_weights()
+
+    blocks, state = Counter(), {"phase": None, "full": False}
+    stack = kernels.Stack
+
+    def count(widths, *args):
+        blocks[state["phase"]] += len(widths)
+        return stack(widths, *args)
+
+    monkeypatch.setattr(kernels, "Stack", count)
+    for name in ("solve_dirichlet_waveform", "solve_neumann_waveform"):
+        def solve(subs, *args, phase=name.split("_")[1], march=getattr(nnwr, name), u0=None,
+                  **kw):
+            state["phase"] = phase
+            if state["full"] and u0 is None:  # zero initial data: the full path
+                u0 = [np.zeros(s.n_nodes) for s in subs]
+            return march(subs, *args, u0=u0, **kw)
+
+        monkeypatch.setattr(nnwr, name, solve)
+
+    def build(full):
+        state["full"] = full
+        blocks.clear()
+        return toeplitz_operator(_affine_1d(cfg, weights), weights.mesh), dict(blocks)
+
+    skipped, counts = build(full=False)
+    assert counts == {"dirichlet": 14, "neumann": 26}
+    full, counts = build(full=True)
+    assert counts == {"dirichlet": 40, "neumann": 40}
+    assert skipped.shape == (7, 5, 16, 16)
+    assert np.array_equal(skipped, full)
+    assert np.array_equal(np.signbit(skipped), np.signbit(full))
 
 
 def _dnwr_by_hand(cfg, theta):

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from fracwr import kernels
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
 from fracwr.geometry import axis_nodes, build_partition, build_subdomain
 from fracwr.nnwr import Nnwr2dConfig, run_nnwr_2d
@@ -230,6 +231,54 @@ def test_march_without_data_writes_its_zero_lead_in(order):
                               decay=decay, members=8)
         assert np.all(skipped[:, :7] == 0.0)
         assert np.array_equal(skipped, full)
+
+
+@pytest.mark.parametrize("modes", [0, 2], ids=["lines", "decay-rows"])
+def test_march_without_data_skips_its_zero_subdomains(modes, monkeypatch):
+    # five subdomains on two grids (9 and 5 nodes); the two that march are
+    # 0 and 2, on one grid, with a skipped subdomain of the other grid between
+    # them.  Subdomain 0's only nonzero end value is at the last level, and
+    # subdomain 2's ends are nonzero for member 1 alone.  The other three have
+    # zero ends (one of them a -0.0) and must come back as exact +0.0 fields
+    # without entering the stack.  Each marched field must match bit for bit
+    # the march that zero initial data send down the full path
+    a, b = 0.125, 0.25
+    subs = [build_subdomain(0.0, 1.0, 1.0, a), build_subdomain(1.0, 2.0, 0.5, b),
+            build_subdomain(2.0, 3.0, 2.0, a), build_subdomain(3.0, 4.0, 0.3, a),
+            build_subdomain(4.0, 5.0, 1.5, b)]
+    assert [s.n_nodes for s in subs] == [9, 5, 9, 9, 5]
+    mode = () if not modes else (modes,)
+    decay = None if not modes else np.linspace(0.5, 40.0, 5 * modes).reshape(5, modes)
+    w = _weights(1.5, n=12, grading=1.0)
+    rng = np.random.default_rng(11)
+    zero = lambda: np.zeros((3, 12) + mode)  # noqa: E731
+    last, member = zero(), zero()
+    last[2, -1] = 1.0
+    member[1] = rng.standard_normal((12,) + mode)
+    negative = zero()
+    negative[0, 5] = -0.0
+    left = [("dirichlet", last), ("flux", negative), ("dirichlet", member), None,
+            ("dirichlet", 0.0)]
+    right = [("flux", zero()), ("dirichlet", zero()), ("flux", 2.0 * member), ("flux", None),
+             None]
+
+    widths = []
+    stack = kernels.Stack
+    monkeypatch.setattr(kernels, "Stack", lambda *a: widths.append(list(a[0])) or stack(*a))
+    skipped = solve_waveform(subs, w, left, right, decay=decay, members=3)
+    lines = 3 * max(modes, 1)
+    assert widths == [[9] * (2 * lines)]
+    full = solve_waveform(subs, w, left, right, u0=[np.zeros(mode + (s.n_nodes,)) for s in subs],
+                          decay=decay, members=3)
+    assert widths[1] == [n for s in subs for n in [s.n_nodes] * lines]
+
+    for i, (sub, field) in enumerate(zip(subs, skipped)):
+        assert field.shape == (3, 13) + mode + (sub.n_nodes,)
+        assert np.array_equal(field, full[i])
+        if i not in (0, 2):
+            assert not np.any(field) and not np.any(np.signbit(field))
+    assert np.all(skipped[0][:, :12] == 0.0) and np.any(skipped[0][2, 12] != 0.0)
+    assert not np.any(skipped[2][[0, 2]]) and np.all(skipped[2][1, 1:, ..., 0] != 0.0)
 
 
 def test_stacked_march_takes_one_entry_per_subdomain():

@@ -8,6 +8,14 @@ Each DIR is a checkout of the repository; its ``src`` goes on PYTHONPATH of
 every process started for it.  Before and after runs alternate, each in a
 fresh interpreter, so that a drifting host hits both alike.  The cases:
 
+- L0: one ``kernels.step_solve`` call at each stacked shape the benchmark
+  workloads use, captured from a real march at seed 1 (its middle level):
+  the 8 × 401 rows of one member of the ``sweeps-1d`` NNWR-1D config (its
+  Neumann phase, random fluxes), 16 members of 77 and of 25 rows (the DNWR
+  subdomains of ``sweeps-1d``, Dirichlet and Neumann, as one chunk of the
+  graded transfer build marches them), and the 49 sine modes × (26 + 76)
+  rows of the ``nnwr2d-strip`` strips (the Neumann phase of its first
+  sweep).
 - L1, DNWR: one subdomain march on the DNWR subdomains of the ``sweeps-1d``
   workload at seed 1 (77 and 25 nodes, 64 steps): the Dirichlet solve on
   the left, the Neumann solve on the right, with 1 and with 8 members.
@@ -28,7 +36,9 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   included), which reads the same on any checkout whatever its 2D config
   classes look like.
 - L2, operator: the Toeplitz build of ``fracwr.iteration`` for that NNWR-1D
-  config (five impulse marches) and one product sweep with it (one member,
+  config (five impulse sweeps, whose ten marches stack the 14 Dirichlet and
+  26 Neumann subdomain lines the impulses reach, of 40 each; a checkout that
+  marches every subdomain stacks all 80) and one product sweep with it (one member,
   random traces), the Toeplitz build for the DNWR config of
   ``fig_dnwr_theta_sweep_wave`` (one impulse march; 64 steps, order 1.5),
   and the graded build (``transfer_operator``, 64 impulses) for that
@@ -72,6 +82,8 @@ PRESETS = ("fig_dnwr_theta_sweep", "fig_dnwr_theta_sweep_wave", "fig_dnwr_hetero
            "fig_nnwr_theta_sweep_wave", "fig_nnwr_unequal", "fig_nnwr_kappa", "fig_nnwr_table2",
            "fig_2d", "fig_2d_wave")
 IN_PROCESS = {  # case: (layer, calls per repeat)
+    "step-8x401": ("L0", 500), "step-16x77": ("L0", 500), "step-16x25": ("L0", 500),
+    "step-49x26+49x76": ("L0", 500),
     "dnwr-dirichlet-1": ("L1", 30), "dnwr-dirichlet-8": ("L1", 30),
     "dnwr-neumann-1": ("L1", 30), "dnwr-neumann-8": ("L1", 30),
     "nnwr1d-dirichlet-8x401": ("L1", 20), "nnwr1d-neumann-8x401": ("L1", 20),
@@ -167,6 +179,26 @@ def _operator_case(name):
     return lambda: iteration.apply_operator(blocks, None, h)
 
 
+def _step_case(name):
+    """One ``kernels.step_solve`` call of the march behind ``name``, at its middle level."""
+    from fracwr import kernels
+
+    march = {"step-8x401": lambda: _nnwr_case("nnwr1d-neumann"),
+             "step-16x77": lambda: _case("dnwr-dirichlet-16"),
+             "step-16x25": lambda: _case("dnwr-neumann-16"),
+             "step-49x26+49x76": _nnwr2d_sweep}[name]()
+    calls, solve = [], kernels.step_solve
+    kernels.step_solve = lambda *args: calls.append(args) or solve(*args)
+    try:
+        march()
+    finally:
+        kernels.step_solve = solve
+    if name == "step-49x26+49x76":
+        calls = calls[len(calls) // 2:]  # the Neumann phase
+    args = calls[len(calls) // 2]
+    return lambda: solve(*args)
+
+
 def _case(name):
     """The callable that one call of ``name`` times, in this interpreter."""
     from dataclasses import replace
@@ -175,6 +207,8 @@ def _case(name):
     from fracwr import solver
     from fracwr.dnwr import run_dnwr
 
+    if name.startswith("step-"):
+        return _step_case(name)
     if "build" in name or "product" in name:
         return _operator_case(name)
     if name == "nnwr2d-sweep":
