@@ -9,9 +9,9 @@ every process started for it.  Before and after runs alternate, each in a
 fresh interpreter, so that a drifting host hits both alike.  The cases:
 
 - L0: one ``kernels.step_solve`` call at each stacked shape the benchmark
-  workloads use, captured from a real march at seed 1 (its middle level):
-  the 8 × 401 rows of one member of the ``sweeps-1d`` NNWR-1D config (its
-  Neumann phase, random fluxes), 16 members of 77 and of 25 rows (the DNWR
+  workloads use, the last level of a real march at seed 1: the 8 × 401
+  rows of one member of the ``sweeps-1d`` NNWR-1D config (its Neumann
+  phase, random fluxes), 16 members of 77 and of 25 rows (the DNWR
   subdomains of ``sweeps-1d``, Dirichlet and Neumann, as one chunk of the
   graded transfer build marches them), and the 49 sine modes × (26 + 76)
   rows of the ``nnwr2d-strip`` strips (the Neumann phase of its first
@@ -180,7 +180,7 @@ def _operator_case(name):
 
 
 def _step_case(name):
-    """One ``kernels.step_solve`` call of the march behind ``name``, at its middle level."""
+    """The last ``kernels.step_solve`` call of the march behind ``name``, to be timed again."""
     from fracwr import kernels
 
     march = {"step-8x401": lambda: _nnwr_case("nnwr1d-neumann"),
@@ -193,9 +193,7 @@ def _step_case(name):
         march()
     finally:
         kernels.step_solve = solve
-    if name == "step-49x26+49x76":
-        calls = calls[len(calls) // 2:]  # the Neumann phase
-    args = calls[len(calls) // 2]
+    args = calls[-1]
     return lambda: solve(*args)
 
 
