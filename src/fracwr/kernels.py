@@ -1,4 +1,4 @@
-"""Per-time-level tridiagonal solves through LAPACK ``dgtsv``.
+"""Per-time-level tridiagonal solves through LAPACK ``dgtsv`` or ``dgttrf``/``dgttrs``.
 
 One time level of a march is one tridiagonal system: a stack of blocks laid
 end to end with zero couplings between them.  A block is one subdomain line
@@ -13,12 +13,17 @@ neighbour's coupling moves to the right-hand side, and the row returns
 ``u = g`` exactly for the same reason.  A flux end's three-point row is
 condensed to two entries here alone; the monolithic reference in ``solver``
 solves its flux rows uncondensed.
+
+A level matrix depends on the level only through its Caputo diagonal weight
+``bnn``, the same at every level of a uniform mesh.  Its ``dgttrf`` factors,
+kept on the ``Stack``, solve every level with that ``bnn`` by ``dgttrs``,
+which makes ``dgtsv``'s operations on the same operands in the same order.
 """
 
 from itertools import accumulate
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 DIRICHLET = 0
 FLUX = 1
@@ -45,6 +50,8 @@ class Stack:
     c = kappa / (2*dx), whose third entry is eliminated against the first
     interior row.  ``s``, ``c``, ``left`` and ``right`` hold one value per
     block, and ``shift`` one value per block or None for zero.
+    ``scratch`` holds a level's diagonal and, with flux rows, its couplings;
+    ``lu`` is None or (bnn, the ``dgttrf`` factors at bnn, in arrays of their own).
     """
 
     def __init__(self, widths, s, c, left, right, shift=None):
@@ -97,9 +104,11 @@ class Stack:
         diag = {rows[e]: 1.0 if k == DIRICHLET else 2.0 * c[e] for e, k in enumerate(kinds)}
         self.fixed = _index(sorted(diag))
         self.fixed_diag = np.array([diag[r] for r in sorted(diag)])
+        self.scratch = np.empty(self.size), np.empty(self.size - 1), np.empty(self.size - 1)
+        self.lu = None
 
 
-def step_solve(bnn, stack, rhs, ends):
+def step_solve(bnn, stack, rhs, ends, factor=False, out=None):
     """Solve one implicit time level of the stacked system ``stack``.
 
     ``bnn`` is the level's Caputo diagonal weight and ``rhs`` holds one value
@@ -107,26 +116,42 @@ def step_solve(bnn, stack, rhs, ends):
     all blocks and then their right ends: the Dirichlet value or the outward
     flux.  A Dirichlet end row returns its value exactly, and its neighbour's
     row gains s * g on the right-hand side.  A flux row's eliminated entry
-    reads the unmodified ``rhs``.  ``rhs`` is not modified.
+    reads the unmodified ``rhs``.  ``rhs`` is not modified; the solution goes
+    to ``out`` (contiguous, not ``rhs``) when given.  ``factor`` replaces the
+    factors on ``stack`` by this level's.  A level whose ``bnn`` is exactly
+    the factors' solves by ``dgttrs`` on them, any other by ``dgtsv``.
     """
-    diag = stack.two_s + (bnn if stack.shift is None else bnn + stack.shift)
-    couplings = stack.upper, stack.lower
-    if stack.flux:  # flux rows change with bnn; otherwise dgtsv copies the constants
-        couplings = stack.upper.copy(), stack.lower.copy()
-    b = rhs.copy()
+    b = np.empty_like(rhs) if out is None else out
+    b[:] = rhs
     for at, rows, nbrs, s in stack.dirichlet:
         g = ends[at]
         b[rows] = g
         b[nbrs] += s * g
     for side, at, rows, nbrs, m4c, f, slots in stack.flux:
-        # row (3c, -4c, c) plus (c/s) times the neighbouring interior row,
-        # whose diagonal entry is still bnn + shift + 2*s
-        couplings[side][slots] = m4c + f * diag[nbrs]
         b[rows] = ends[at] + f * rhs[nbrs]
-    diag[stack.fixed] = stack.fixed_diag
-    upper, lower = couplings
-    flux = bool(stack.flux)  # only then are the couplings copies that dgtsv may overwrite
-    *_, x, info = dgtsv(lower, diag, upper, b, flux, True, flux, True)
+    if not factor and stack.lu is not None and stack.lu[0] == bnn:
+        x, info = dgttrs(*stack.lu[1], b, overwrite_b=True)
+    else:
+        diag, upper, lower = stack.scratch
+        shifted = bnn if stack.shift is None else np.add(bnn, stack.shift, out=diag)
+        np.add(stack.two_s, shifted, out=diag)
+        if stack.flux:  # flux rows change with bnn; otherwise dgtsv copies the constants
+            upper[:], lower[:] = stack.upper, stack.lower
+        else:
+            upper, lower = stack.upper, stack.lower
+        for side, at, rows, nbrs, m4c, f, slots in stack.flux:
+            # row (3c, -4c, c) plus (c/s) times the neighbouring interior row,
+            # whose diagonal entry is still bnn + shift + 2*s
+            (upper, lower)[side][slots] = m4c + f * diag[nbrs]
+        diag[stack.fixed] = stack.fixed_diag
+        if factor:  # the factors get arrays of their own; a singular matrix keeps none
+            *lu, info = dgttrf(lower, diag, upper)
+            if info == 0:
+                stack.lu = bnn, lu
+                x, info = dgttrs(*lu, b, overwrite_b=True)
+        else:
+            flux = bool(stack.flux)  # only then are the couplings scratch that dgtsv may overwrite
+            *_, x, info = dgtsv(lower, diag, upper, b, flux, True, flux, True)
     if info != 0:
         raise ArithmeticError(f"tridiagonal system is singular at row {info}")
     return x

@@ -7,12 +7,15 @@ Each solve marches the fully discrete fractional diffusion equation
 over all time levels at once, given Dirichlet traces or outward-flux traces
 on the interface ends.  The spatial operator is evaluated implicitly at t_n
 for the sub-diffusion and classical schemes and averaged between levels for
-the wave scheme (whose Caputo weights refer to the half point).  A monolithic
-whole-domain reference solver couples subdomains through the identical
-one-sided flux-balance row the substructuring iterations use, so a converged
-iteration and the monolithic solve agree to solver precision.  It solves that
-row as written, in a five-band system per level, so it shares neither the
-condensed rows of ``kernels`` nor their LAPACK path with the march it judges.
+the wave scheme (whose Caputo weights refer to the half point).  A march
+factors its level matrix once for each run of levels with equal Caputo
+diagonal weights, so once on a uniform mesh, and forms every level in
+buffers allocated once.  A monolithic whole-domain reference solver couples
+subdomains through the identical one-sided flux-balance row the
+substructuring iterations use, so a converged iteration and the monolithic
+solve agree to solver precision.  It solves that row as written, in a
+five-band system per level, so it shares neither the condensed rows of
+``kernels`` nor their LAPACK path with the march it judges.
 
 The march also takes a reaction term per line, which is how a 2D strip is
 solved: a sine transform in y turns the 5-point operator into one x-problem
@@ -119,10 +122,11 @@ def solve_waveform(
 
     Every time level is one ``kernels.step_solve`` call on a
     ``kernels.Stack`` built once per call, whose blocks are the lines of
-    every subdomain, member and mode.  Each member's history term is its own
-    product of the Caputo row with its increments on one subdomain, of the
-    width a call without ``members`` uses, so the members and the subdomains
-    of a call do not change one another's bits.  Without ``f`` and ``u0``
+    every subdomain, member and mode; the matrix of a run of levels with
+    equal diagonal weights is factored once.  Each member's history term is
+    its own product of the Caputo row with its increments on one subdomain,
+    of the width a call without ``members`` uses, so the members and the
+    subdomains of a call do not change one another's bits.  Without ``f`` and ``u0``
     the field is zero before the first level with a nonzero end value, and
     the march starts there; a subdomain whose end values are zero at every
     level, for every member and mode, stays out of the stack, and its field
@@ -223,25 +227,34 @@ def solve_waveform(
         u[1:first] = 0.0
         for *_, increments in runs:
             increments[:, : first - 1] = 0.0
-    explicit = np.empty(stack.size) if theta_s < 1.0 else None
+    # the levels reuse these buffers; ``added`` gives each member its subdomain's source row
+    rhs, explicit, reaction = np.empty((3, stack.size))
+    added = [(rhs[bounds[j]:bounds[j + 1]].reshape(m, -1), table)
+             for j, table in enumerate(sources or ())]
+    diagonal = weights.diagonal.tolist()
     for n in range(first, n_steps + 1):
         b_row = weights.rows[n - 1]
         bnn = b_row[n - 1]
         prev = u[n - 1]
-        rhs = bnn * prev
-        if sources is not None:
-            rhs += np.concatenate([table[n - 1] for table in sources for _ in range(m)])
+        np.multiply(bnn, prev, out=rhs)
+        for member_rows, table in added:
+            member_rows += table[n - 1]
         if n > 1:
             for _, _, out, _, increments in runs:
                 np.matmul(b_row[: n - 1], increments[:, : n - 1], out=out)
             rhs -= hist
-        if explicit is not None:
+        if theta_s < 1.0:
             for rows, s, *_ in runs:
-                explicit[rows] = laplacian_apply(s, prev[rows].reshape(-1, s.n_nodes)).ravel()
+                laplacian_apply(s, prev[rows].reshape(-1, s.n_nodes),
+                                out=explicit[rows].reshape(-1, s.n_nodes))
             if decay is not None:
-                explicit -= decay * prev
-            rhs += (1.0 - theta_s) * explicit
-        u[n] = kernels.step_solve(bnn, stack, rhs, vals[n - 1])
+                explicit -= np.multiply(decay, prev, out=reaction)
+            explicit *= 1.0 - theta_s
+            rhs += explicit
+        # a run of equal diagonal weights factors at its first level; the rest reuse the factors
+        d = diagonal[n - 1]
+        factor = n < n_steps and diagonal[n] == d and (n == first or diagonal[n - 2] != d)
+        kernels.step_solve(bnn, stack, rhs, vals[n - 1], factor=factor, out=u[n])
         for _, _, _, field, increments in runs:
             np.subtract(field[n], field[n - 1], out=increments[:, n - 1])
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fracwr import kernels
+from fracwr.fractional_time import build_graded_mesh, caputo_weights
 
 
 def test_tridiag_singular_system_raises():
@@ -12,6 +13,10 @@ def test_tridiag_singular_system_raises():
                           [-(bnn + 2.0 * s)])
     with pytest.raises(ArithmeticError, match="singular at row 2"):
         kernels.step_solve(bnn, stack, np.ones(3), np.zeros(2))
+    # a singular matrix keeps no factors
+    with pytest.raises(ArithmeticError, match="singular at row 2"):
+        kernels.step_solve(bnn, stack, np.ones(3), np.zeros(2), factor=True)
+    assert stack.lu is None
 
 
 def _dense_level(bnn, s, c, n, kinds, ends, rhs):
@@ -114,3 +119,114 @@ def test_stack_rejects_short_blocks_and_unknown_kinds():
         kernels.Stack([2], [1.0], [1.0], [0], [0])
     with pytest.raises(ValueError, match="end kinds"):
         kernels.Stack([3], [1.0], [1.0], [2], [0])
+
+
+D, F = kernels.DIRICHLET, kernels.FLUX
+# (widths, s, c, left end kinds, right end kinds, shift, bnn) of the factored-level cases
+FACTOR_CASES = {
+    "dirichlet": ([12], [0.7], [0.35], [D], [D], None, 3.0),
+    "flux": ([12], [0.7], [0.35], [F], [F], None, 3.0),
+    # block 0 ends in a flux row whose condensed coupling, (c/s) * bnn - 2c,
+    # outgrows the diagonal above it when c > s, so the elimination swaps the
+    # two rows; block 1 opens with a Dirichlet identity row
+    "pivoting-flux-beside-identity": ([6, 5], [0.5, 0.5], [1.0, 1.0], [D, D], [F, D], None, 1e4),
+    "three-rows-two-dirichlet": ([3, 5], [0.7, 1.3], [0.35, 0.5], [D, F], [D, D], None, 3.0),
+    "decay-shift": ([7, 9], [0.7, 1.3], [0.35, 0.5], [F, D], [D, F], [0.3, 2.0], 3.0),
+}
+
+
+def _stack(case):
+    return kernels.Stack(*FACTOR_CASES[case][:-1])
+
+
+def _level(stack, seed):
+    """A right-hand side and end values with a few signed zeros."""
+    rng = np.random.default_rng(seed)
+    rhs, ends = rng.standard_normal(stack.size), rng.standard_normal(len(stack.fixed_diag))
+    rhs[::4], ends[::3] = -0.0, -0.0
+    return rhs, ends
+
+
+def _fresh(bnn, case, rhs, ends):
+    """The level solved by ``dgtsv`` on a stack that holds no factors."""
+    return kernels.step_solve(bnn, _stack(case), rhs, ends)
+
+
+def _counting(monkeypatch):
+    """Count the calls of each LAPACK routine ``kernels`` makes."""
+    calls = {"dgtsv": 0, "dgttrf": 0, "dgttrs": 0}
+    for name in calls:
+        routine = getattr(kernels, name)
+
+        def counted(*args, _name=name, _routine=routine, **kw):
+            calls[_name] += 1
+            return _routine(*args, **kw)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+def _same_bits(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("case", FACTOR_CASES)
+def test_factored_level_equals_a_fresh_dgtsv_solve(case, monkeypatch):
+    bnn = FACTOR_CASES[case][-1]
+    stack = _stack(case)
+    levels = [_level(stack, seed) for seed in (0, 1)]
+    fresh = [_fresh(bnn, case, *level) for level in levels]
+    calls = _counting(monkeypatch)
+    assert _same_bits(kernels.step_solve(bnn, stack, *levels[0], factor=True), fresh[0])
+    assert calls == {"dgtsv": 0, "dgttrf": 1, "dgttrs": 1}
+    # a later level with that bnn solves by substitution on the stored factors
+    assert _same_bits(kernels.step_solve(bnn, stack, *levels[1]), fresh[1])
+    assert calls == {"dgtsv": 0, "dgttrf": 1, "dgttrs": 2}
+    if case == "pivoting-flux-beside-identity":
+        pivots = stack.lu[1][-1]
+        assert np.any(pivots != np.arange(1, stack.size + 1))
+        assert fresh[1][6] == levels[1][1][1]  # the identity row returns its g
+
+
+@pytest.mark.parametrize("order", [0.5, 1.0])
+@pytest.mark.parametrize("case", FACTOR_CASES)
+def test_levels_between_factored_ones_leave_the_factors_intact(case, order, monkeypatch):
+    # on a uniform mesh of 10 steps over horizon 1 the rounding of t_n - t_{n-1}
+    # gives the diagonal weights A, A, A, B, A at levels 5 to 9; a level with
+    # another bnn solves by dgtsv, and a later A level must still find the A
+    # factors as they were
+    w = caputo_weights(build_graded_mesh(1.0, 10, 1.0), order)
+    a, b = w.diagonal[[4, 7]]
+    assert a == w.diagonal[5] == w.diagonal[8] and a != b
+    stack = _stack(case)
+    sequence = [(a, True), (a, False), (b, False), (a, False)]
+    levels = [_level(stack, seed) for seed in range(len(sequence))]
+    fresh = [_fresh(bnn, case, *level) for (bnn, _), level in zip(sequence, levels)]
+    calls = _counting(monkeypatch)
+    for (bnn, factor), level, x in zip(sequence, levels, fresh):
+        assert _same_bits(kernels.step_solve(bnn, stack, *level, factor=factor), x)
+    assert calls == {"dgtsv": 1, "dgttrf": 1, "dgttrs": 3}
+
+
+def test_a_repeated_call_takes_the_same_lapack_path(monkeypatch):
+    stack = _stack("flux")
+    rhs, ends = _level(stack, 3)
+    calls = _counting(monkeypatch)
+    for _ in range(2):
+        kernels.step_solve(3.0, stack, rhs, ends)
+    assert calls == {"dgtsv": 2, "dgttrf": 0, "dgttrs": 0}
+    for _ in range(2):
+        kernels.step_solve(3.0, stack, rhs, ends, factor=True)
+    assert calls == {"dgtsv": 2, "dgttrf": 2, "dgttrs": 2}
+
+
+@pytest.mark.parametrize("factor", [False, True])
+def test_solution_lands_in_out_and_rhs_is_unchanged(factor):
+    stack = _stack("decay-shift")
+    rhs, ends = _level(stack, 2)
+    before = rhs.copy()
+    out = np.full(stack.size, np.nan)
+    x = kernels.step_solve(3.0, stack, rhs, ends, factor=factor, out=out)
+    assert x is out or np.shares_memory(x, out)
+    assert _same_bits(out, _fresh(3.0, "decay-shift", rhs, ends))
+    assert _same_bits(rhs, before)

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy.sparse.linalg import spsolve
 
 from fracwr import kernels
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
-from fracwr.geometry import axis_nodes, build_partition, build_subdomain
+from fracwr.geometry import axis_nodes, build_partition, build_subdomain, laplacian_apply
 from fracwr.nnwr import Nnwr2dConfig, run_nnwr_2d
 from fracwr.solver import (
     solve_dirichlet_waveform,
@@ -279,6 +281,60 @@ def test_march_without_data_skips_its_zero_subdomains(modes, monkeypatch):
             assert not np.any(field) and not np.any(np.signbit(field))
     assert np.all(skipped[0][:, :12] == 0.0) and np.any(skipped[0][2, 12] != 0.0)
     assert not np.any(skipped[2][[0, 2]]) and np.all(skipped[2][1, 1:, ..., 0] != 0.0)
+
+
+def _counted(calls, name, routine, *args, **kwargs):
+    calls.append(name)
+    return routine(*args, **kwargs)
+
+
+@pytest.mark.parametrize("order, n", [(1.5, 12), (0.5, 10), (1.0, 10)])
+def test_factored_march_equals_the_march_that_never_factors(order, n, monkeypatch):
+    # on a uniform mesh the wave scheme's diagonal weight is the same at every
+    # level, so the march factors one level matrix and solves every level on
+    # it; at orders 0.5 and 1.0 over 10 steps the rounding of the steps splits
+    # the diagonal into runs, and only the runs longer than one level factor.
+    # Two grids, three members, a decay row per subdomain and mixed ends
+    subs = [build_subdomain(0.0, 1.0, 1.0, 0.125), build_subdomain(1.0, 2.0, 0.5, 0.25),
+            build_subdomain(2.0, 3.0, 2.0, 0.125)]
+    w = _weights(order, n=n, grading=1.0)
+    rng = np.random.default_rng(13)
+    data = rng.standard_normal((5, 3, n, 2))
+    left = [None, ("flux", data[0]), ("dirichlet", data[1])]
+    right = [("flux", data[2]), ("dirichlet", data[3]), ("flux", data[4])]
+    decay = np.array([[0.5, 3.0], [40.0, 0.25], [1.5, 7.0]])
+
+    def march():
+        return solve_waveform(subs, w, left, right, f=lambda x, t: np.sin(x) * (1.0 + t),
+                              u0=np.cos, decay=decay, members=3)
+
+    calls = []
+    for name in ("dgtsv", "dgttrf", "dgttrs"):
+        monkeypatch.setattr(kernels, name,
+                            functools.partial(_counted, calls, name, getattr(kernels, name)))
+    factored = march()
+    runs = [len(list(run)) for _, run in itertools.groupby(w.diagonal)]
+    assert (order > 1) == (runs == [n])
+    assert calls.count("dgttrf") == sum(r > 1 for r in runs)
+    assert calls.count("dgttrs") == sum(r for r in runs if r > 1)
+    assert calls.count("dgtsv") == sum(r == 1 for r in runs)
+    solve = kernels.step_solve
+    monkeypatch.setattr(kernels, "step_solve", lambda *a, factor, **kw: solve(*a, **kw))
+    calls.clear()
+    for a, b in zip(factored, march()):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    assert calls == ["dgtsv"] * n
+
+
+def test_laplacian_apply_into_out_equals_the_allocating_call():
+    # one kappa per row, as a run of subdomains on one grid applies it
+    sub = replace(build_subdomain(0.0, 1.0, 1.0, 0.125), kappa=np.array([[0.5], [1.0], [3.0]]))
+    rows = np.random.default_rng(17).standard_normal((3, 9))
+    rows[:, ::4] = -0.0
+    out = np.full((3, 9), np.nan)
+    assert laplacian_apply(sub, rows, out=out) is out
+    fresh = laplacian_apply(sub, rows)
+    assert np.array_equal(out, fresh) and np.array_equal(np.signbit(out), np.signbit(fresh))
 
 
 def test_stacked_march_takes_one_entry_per_subdomain():

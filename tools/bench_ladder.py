@@ -15,7 +15,12 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   subdomains of ``sweeps-1d``, Dirichlet and Neumann, as one chunk of the
   graded transfer build marches them), and the 49 sine modes × (26 + 76)
   rows of the ``nnwr2d-strip`` strips (the Neumann phase of its first
-  sweep).
+  sweep).  Each row re-times that last call, on the march's ``Stack`` as
+  the march left it.  On a checkout that keeps LU factors on the ``Stack``,
+  the ``step-8x401`` row (a uniform mesh, whose diagonal weight is the same
+  at every level) times substitution by ``dgttrs`` on the factors of an
+  earlier level, and the three graded rows time ``dgtsv``; an older
+  checkout times ``dgtsv`` in every row.
 - L1, DNWR: one subdomain march on the DNWR subdomains of the ``sweeps-1d``
   workload at seed 1 (77 and 25 nodes, 64 steps): the Dirichlet solve on
   the left, the Neumann solve on the right, with 1 and with 8 members.
@@ -49,14 +54,16 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   ``python -m fracwr.cli``, timed as whole processes and, beside that
   (``in_process``), as ``harness.run_experiment`` over the preset's configs
   in a fresh interpreter after its imports: the start-up of a process takes
-  longer than the run of a DNWR preset.
+  longer than the run of a DNWR preset.  An ``in_process`` repeat is the
+  best of ``PRESET_RUNS`` runs after one warm-up run, so that one slow run
+  on a drifting host does not decide it.
 - L4: the Tier-1 suite of each checkout (each runs its own tests).
 
 Every case runs ``REPEATS`` times on each side, and each repeat is a pair:
 one run per side, with the side that goes first alternating from repeat to
 repeat.  A repeat of an L1 or L2 case is the median of several calls after
-a warm-up call; L3 and L4 time whole processes, and an L3 repeat also one
-in-process run.  Every figure is the median over the repeats, with the
+a warm-up call; L3 and L4 time whole processes, and an L3 repeat also the
+in-process runs above.  Every figure is the median over the repeats, with the
 quartiles and the extremes.  ``wins`` counts the pairs in which "after" was
 faster.  A row (and an L3 row's ``in_process`` part) reads
 ``"no_change": false`` only when "after" won every pair or none and the
@@ -77,6 +84,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 5
+PRESET_RUNS = 4  # in-process runs of an L3 preset per repeat, after one warm-up run
 PRESETS = ("fig_dnwr_theta_sweep", "fig_dnwr_theta_sweep_wave", "fig_dnwr_hetero_grid",
            "fig_dnwr_bounds_sub", "fig_dnwr_bounds_wave", "fig_nnwr_theta_sweep",
            "fig_nnwr_theta_sweep_wave", "fig_nnwr_unequal", "fig_nnwr_kappa", "fig_nnwr_table2",
@@ -188,13 +196,13 @@ def _step_case(name):
              "step-16x25": lambda: _case("dnwr-neumann-16"),
              "step-49x26+49x76": _nnwr2d_sweep}[name]()
     calls, solve = [], kernels.step_solve
-    kernels.step_solve = lambda *args: calls.append(args) or solve(*args)
+    kernels.step_solve = lambda *args, **kw: calls.append((args, kw)) or solve(*args, **kw)
     try:
         march()
     finally:
         kernels.step_solve = solve
-    args = calls[-1]
-    return lambda: solve(*args)
+    args, kw = calls[-1]
+    return lambda: solve(*args, **kw)
 
 
 def _case(name):
@@ -233,15 +241,19 @@ def _case(name):
 
 
 def _run_preset(name):
-    """Print the seconds of ``harness.run_experiment`` over the configs of preset ``name``."""
+    """Print the best seconds of ``harness.run_experiment`` over the configs of
+    preset ``name``, of ``PRESET_RUNS`` runs after a warm-up run."""
     from fracwr import harness
 
     configs = harness.preset_config(name)
+    times = []
     with tempfile.TemporaryDirectory(prefix="ladder-") as out:
-        t0 = time.perf_counter()
-        for cfg in configs:
-            harness.run_experiment(cfg, out)
-        print(json.dumps(time.perf_counter() - t0))
+        for _ in range(1 + PRESET_RUNS):
+            t0 = time.perf_counter()
+            for cfg in configs:
+                harness.run_experiment(cfg, out)
+            times.append(time.perf_counter() - t0)
+    print(json.dumps(min(times[1:])))
 
 
 def _run_case(name):
