@@ -14,7 +14,8 @@ graded mesh an error-equation run builds it from N impulses, about the cost
 of ``ceil(N/4)`` one-member sweeps.  A run whose ``max_iter`` exceeds the
 build's cost builds ``S`` before its first sweep and applies it in every
 sweep; any other run, and every forced run on a graded mesh, marches every
-sweep.
+sweep.  ``S`` is built as one phase: each half-step has one position, so
+two phases would make as many marches.
 """
 
 import time
@@ -101,5 +102,5 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
         return h_new, h_new - h, fields
 
     results = iterate(cfg, sweep, cfg.initial_traces((cfg.n_steps,)), cfg.member_thetas(members),
-                      t_start, keep_fields, _affine(subs, weights, f, u0))
+                      t_start, keep_fields, (_affine(subs, weights, f, u0),))
     return results if members is not None else results[0]

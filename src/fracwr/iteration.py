@@ -11,17 +11,19 @@ member of a relaxation-weight sweep at once.  In
 itself the error; ``forced`` mode stops on the size of the last update.
 
 Every driver's sweep is a relaxation of a part that is affine in the traces,
-``x -> T x + c`` (``AffineSweep``), and the loop decides, once before the
-first sweep, whether that part is marched in every sweep or is a product
-with an assembled ``T`` in every sweep.  ``T`` is block lower triangular in
-time, and its blocks couple positions (interfaces or sine modes) at most
-``reach`` apart.  On a uniform time mesh every Caputo row is a shift of the
-first (L1 and wave alike; Lubich, Numer. Math. 1988), so ``T`` is block
-Toeplitz: one impulse at the first level per group of positions
-``2 reach + 1`` apart gives all of it (``toeplitz_operator``).  On a graded
-mesh a driver may let an error-equation run build ``T`` from an impulse at
-every level (``transfer_operator``).  ``T`` is built only where ``max_iter``
-exceeds the build's cost (``_affine_part``).
+``x -> T x + c``, given as a sequence of phases (``AffineSweep``s) applied in
+turn, and the loop decides, once before the first sweep, whether the phases
+are marched in every sweep or are products with their assembled ``T`` in
+every sweep.  A phase's ``T`` is block lower triangular in time, and its
+blocks couple positions (interfaces or sine modes) at most ``reach`` apart.
+On a uniform time mesh every Caputo row is a shift of the first (L1 and wave
+alike; Lubich, Numer. Math. 1988), so ``T`` is block Toeplitz: one impulse
+at the first level per group of positions ``2 reach + 1`` apart gives all of
+it (``toeplitz_operator``).  On a graded mesh a driver may let an
+error-equation run build ``T`` from an impulse at every level
+(``transfer_operator``).  The operators are built only where the marches of
+``max_iter`` sweeps, one per phase, exceed the build's cost in phase marches
+(``_affine_part``).
 """
 
 import math
@@ -165,20 +167,22 @@ class IterationConfig:
 
 @dataclass(frozen=True)
 class AffineSweep:
-    """The part of a driver's sweep that is affine in the traces, ``x -> T x + c``.
+    """A phase of a driver's sweep that is affine in its input, ``x -> T x + c``.
 
-    ``march(x, data)`` marches it for traces ``x`` of shape (members,) +
+    ``march(x, data)`` marches it for inputs ``x`` of shape (members,) +
     ``shape``, with the problem data or (``data=False``) without them, and
     returns ``(y, fields)`` with ``y`` shaped like ``x``.  ``layout(x)`` views
-    such an array as (members, positions, N); a position answers no trace
-    more than ``reach`` positions away.  With ``graded`` an error-equation run
-    on a graded mesh builds ``T`` too (``transfer_operator``).
+    such an array as (members, positions, N); a position answers no input
+    more than ``reach`` positions away.  A phase without ``data`` is linear
+    (``c`` = 0).  With ``graded`` an error-equation run on a graded mesh
+    builds ``T`` too (``transfer_operator``).
     """
 
     march: object
     layout: object
     shape: tuple
     reach: int = 0
+    data: bool = True
     graded: bool = False
 
     @property
@@ -258,35 +262,52 @@ def apply_operator(blocks, c, x) -> np.ndarray:
     return y if c is None else y + c
 
 
-def _affine_part(cfg, affine, keep_fields):
-    """``part(x)``: the affine part of a sweep at the traces ``x``, marched, or
-    the product with ``T`` plus ``c`` (one more march, with the data and zero
-    traces) where ``max_iter`` exceeds the build's cost in one-member sweeps:
+def _affine_part(cfg, phases, keep_fields):
+    """``part(x)``: the affine part of a sweep at the traces ``x``, its
+    ``phases`` (sharing one shape and layout) marched in turn, or in turn the
+    products with their ``T`` plus ``c`` (one more march, with the data and
+    zero input, for each phase with data) where ``max_iter`` sweeps of phase
+    marches exceed the build's cost in phase marches.  A phase costs
     ``min(positions, 2 reach + 1)`` impulse marches on a uniform mesh, plus
-    one for ``c`` in forced mode, or ``ceil(N/4)`` for ``transfer_operator``.
-    The rule reads config values alone and each member's product is its own,
-    so a member's bits do not depend on its companions.  Under
-    ``keep_fields`` a product sweep also marches ``x`` for the fields.
+    one for ``c`` in forced mode if it has data, or ``ceil(N/4)`` for
+    ``transfer_operator``.  The rule reads config values alone and each
+    member's product is its own, so a member's bits do not depend on its
+    companions.  Under ``keep_fields`` a product sweep also marches ``x`` for
+    the fields.
     """
     mesh = cfg.time_mesh()
-    if mesh.is_uniform:
-        cost = min(affine.extent[0], 2 * affine.reach + 1) + (not cfg.error_mode)
-        build = partial(toeplitz_operator, affine, mesh)
-    elif affine.graded and cfg.error_mode:
-        cost, build = -(-cfg.n_steps // 4), partial(transfer_operator, affine)
-    else:
-        cost = math.inf
-    if cfg.max_iter <= cost:
-        return lambda x: affine.march(x, True)
-    c = None if cfg.error_mode else affine.layout(
-        affine.march(np.zeros((1,) + affine.shape), True)[0])[0]
-    blocks = build()
+    cost, builds = 0, []
+    for phase in phases:
+        if mesh.is_uniform:
+            cost += min(phase.extent[0], 2 * phase.reach + 1) + (phase.data and not cfg.error_mode)
+            builds.append(partial(toeplitz_operator, phase, mesh))
+        elif phase.graded and cfg.error_mode:
+            cost += -(-cfg.n_steps // 4)
+            builds.append(partial(transfer_operator, phase))
+        else:
+            cost = math.inf
+
+    def marched(x):
+        fields = ()
+        for phase in phases:
+            x, more = phase.march(x, True)
+            fields += tuple(more)
+        return x, fields
+
+    if cfg.max_iter * len(phases) <= cost:
+        return marched
+    operators = [(None if cfg.error_mode or not phase.data else phase.layout(
+        phase.march(np.zeros((1,) + phase.shape), True)[0])[0], build())
+        for phase, build in zip(phases, builds)]
+    layout = phases[0].layout
 
     def part(x):
         y = np.empty_like(x)
-        for xm, ym in zip(affine.layout(x), affine.layout(y)):
-            ym[...] = apply_operator(blocks, c, xm)
-        return y, affine.march(x, True)[1] if keep_fields else ()
+        for xm, ym in zip(layout(x), layout(y)):
+            for c, blocks in operators:
+                xm = apply_operator(blocks, c, xm)
+            ym[...] = xm
+        return y, marched(x)[1] if keep_fields else ()
 
     return part
 
@@ -305,10 +326,11 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False,
     stacked along its first axis, one block per weight.  A member leaves the
     batch once its error meets the tolerance, or at ``max_iter``.
 
-    With ``affine`` (an ``AffineSweep``) the call is ``sweep(h, theta, part)``,
-    and the sweep gets its affine part as ``part(x) -> (y, fields)``: marched
-    in every sweep, or in every sweep a product with the operator assembled
-    before the first (``_affine_part``).
+    With ``affine`` (a sequence of ``AffineSweep`` phases) the call is
+    ``sweep(h, theta, part)``, and the sweep gets its affine part as
+    ``part(x) -> (y, fields)``: the phases marched in turn in every sweep, or
+    in every sweep their products with the operators assembled before the
+    first (``_affine_part``).
 
     A non-finite error raises ``ArithmeticError``: the iteration diverged.
     The raise comes at the first sweep where any member is non-finite, for

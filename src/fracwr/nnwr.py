@@ -12,13 +12,16 @@ subdomains (and all members of a relaxation sweep), which gives every
 subdomain bit for bit the field of its own march, so a rerun reproduces the
 iterates bit for bit.
 
-Phases (a)-(c) map the traces to psi affinely, and psi at an interface reads
-the traces of the two interfaces on each side and no further.  On a uniform
-time mesh ``fracwr.iteration`` assembles that map once (block-banded
-Toeplitz), from at most five impulse sweeps, and every sweep is a product; on
-a graded mesh every sweep marches.  An impulse at interface i reaches
-subdomains i and i+1 in phase (a) and i-1 ... i+2 in phase (c), and a march
-without data leaves out the subdomains whose end values are all zero.
+The part of a sweep that is affine in the traces is built in two phases:
+phases (a) and (b) map the traces to the flux mismatch, with the data, and
+phase (c) maps the mismatch to psi, without.  Each phase couples an
+interface to its two neighbours alone, though a whole sweep reaches two
+interfaces each way.  On a uniform time mesh ``fracwr.iteration`` assembles
+each phase's map once (block-banded Toeplitz), from at most three impulse
+marches, plus the data march of phase (a) in forced mode, and every sweep
+is the two products in turn; on a graded mesh every sweep marches.  An
+impulse at interface i reaches subdomains i and i+1 in either phase, and a
+march without data leaves out the subdomains whose end values are all zero.
 
 The 2D strip is a two-subdomain 1D partition times one uniform y lattice
 (``Nnwr2dConfig``), and it runs the same sweep in sine-mode space.  Its
@@ -28,14 +31,15 @@ the partition with the extra reaction coefficient kappa * lambda_k / dy**2,
 lambda_k = 4 sin(k pi / (2 ny))**2 (Buzbee, Golub & Nielson, SIAM J. Numer.
 Anal. 1970), and each phase marches both strips and all modes at once.
 The modes do not couple, so on a uniform mesh one impulse in every mode
-gives the whole map, with the modes as its positions.  Both drivers run
-their sweeps in the interface iteration of ``fracwr.iteration``; the source
-and the initial condition are tabulated once per run (in 2D, and moved into
-mode space).
+gives each phase's whole map, with the modes as its positions.  Both drivers
+run their sweeps in the interface iteration of ``fracwr.iteration``; the
+source and the initial condition are tabulated once per run (in 2D, and
+moved into mode space).
 """
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -69,44 +73,49 @@ class NnwrConfig(IterationConfig):
         return [optimal_theta_nnwr(a, b) for a, b in zip(kappas, kappas[1:])]
 
 
-def _sweep(subs, weights, h, f, u0, decay=None):
-    """Phases (a)-(c) of one sweep over the line subdomains ``subs``: psi and the Dirichlet fields.
+def _dirichlet_phase(subs, weights, f, u0, decay, h, data):
+    """Phases (a) and (b) over the line subdomains ``subs`` at the traces
+    ``h``, with the data ``f`` and ``u0`` or (``data=False``) without: the
+    flux mismatch and the Dirichlet fields.
 
     ``h`` stacks each member's interface traces, (members, interfaces, N),
     with a trailing mode axis when ``decay`` gives the lines a reaction term
-    (as in ``solve_waveform``); psi has the shape of ``h``.
+    (as in ``solve_waveform``); the mismatch has the shape of ``h``.
     """
-    m = len(h)
     # subdomain i lies between interfaces i - 1 and i; the outer ends have none
     traces = [None, *h.swapaxes(0, 1), None]
-    fields = solve_dirichlet_waveform(subs, weights, traces[:-1], traces[1:], f=f, u0=u0,
-                                      decay=decay, members=m)
-
-    mismatch = [
+    fields = solve_dirichlet_waveform(subs, weights, traces[:-1], traces[1:],
+                                      f=f if data else None, u0=u0 if data else None,
+                                      decay=decay, members=len(h))
+    mismatch = np.stack([
         interface_flux_series(fields[i][:, 1:], "right", subs[i])
         + interface_flux_series(fields[i + 1][:, 1:], "left", subs[i + 1])
         for i in range(len(subs) - 1)
-    ]
+    ], axis=1)
+    return mismatch, tuple(fields)
 
-    fluxes = [None, *mismatch, None]
+
+def _neumann_phase(subs, weights, decay, mismatch, data):
+    """Phase (c), which has no data to take: psi, shaped like the flux ``mismatch``."""
+    fluxes = [None, *mismatch.swapaxes(0, 1), None]
     corrections = solve_neumann_waveform(subs, weights, fluxes[:-1], fluxes[1:], decay=decay,
-                                         members=m)
-
+                                         members=len(mismatch))
     psi = np.stack([corrections[i][:, 1:, ..., -1] + corrections[i + 1][:, 1:, ..., 0]
                     for i in range(len(subs) - 1)], axis=1)
-    return psi, tuple(fields)
+    return psi, ()
 
 
-def _affine(subs, weights, f, u0, shape, layout=lambda x: x, reach=2, decay=None):
-    """``_sweep``'s psi as the affine part of a sweep (``iteration.AffineSweep``)."""
-    def march(x, data):
-        return _sweep(subs, weights, x, *((f, u0) if data else (None, None)), decay)
-
-    return AffineSweep(march=march, layout=layout, shape=shape, reach=reach)
+def _affine(subs, weights, f, u0, shape, layout=lambda x: x, reach=1, decay=None):
+    """psi of the traces as two phases (``iteration.AffineSweep``): the
+    Dirichlet phase, with the data, and the Neumann phase, without."""
+    return (AffineSweep(march=partial(_dirichlet_phase, subs, weights, f, u0, decay),
+                        layout=layout, shape=shape, reach=reach),
+            AffineSweep(march=partial(_neumann_phase, subs, weights, decay),
+                        layout=layout, shape=shape, reach=reach, data=False))
 
 
 def _affine_1d(cfg, weights):
-    """The affine part of an NNWR-1D sweep: psi per interface, (members, interfaces, N)."""
+    """The phases of an NNWR-1D sweep: psi per interface, (members, interfaces, N)."""
     subs = cfg.partition.subdomains
     f = u0 = None
     if not cfg.error_mode:
@@ -188,8 +197,8 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
         f_hat, u0_hat = zip(*(_mode_data(s, dy, weights, fs, us, sine)
                               for s, fs, us in zip(strips, f, u0)))
 
-    # the modes are the positions of the affine part, each with its own Toeplitz block
-    affine = _affine(strips, weights, f_hat, u0_hat, (1, cfg.n_steps, ny - 1),
+    # the modes are the positions of each phase, each with its own Toeplitz block
+    phases = _affine(strips, weights, f_hat, u0_hat, (1, cfg.n_steps, ny - 1),
                      layout=lambda x: x[:, 0].swapaxes(1, 2), reach=0, decay=decay)
 
     def sweep(h, thetas, part):
@@ -209,5 +218,5 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
     if np.isscalar(cfg.initial_guess):
         h0[:, 0] = h0[:, -1] = 0.0  # trace endpoints sit on the outer boundary
     results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, keep_fields,
-                      affine)
+                      phases)
     return results if members is not None else results[0]

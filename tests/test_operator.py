@@ -1,12 +1,14 @@
-"""The assembled sweep operator of ``fracwr.iteration`` on uniform time meshes.
+"""The assembled sweep operators of ``fracwr.iteration`` on uniform time meshes.
 
-On a uniform mesh every driver's sweep is a product with an operator built
-from a few impulse marches.  Its iterates must be those of marching every
-sweep, and a member's bits must not depend on its companions.
+On a uniform mesh every driver's sweep is a product with the operators of
+its phases, each built from a few impulse marches (DNWR has one phase,
+NNWR a Dirichlet and a Neumann phase).  Its iterates must be those of
+marching every sweep, and a member's bits must not depend on its companions.
 """
 
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -67,15 +69,17 @@ def _graded_dnwr(mode="error_equation"):
                       mode=mode, **_forced(mode))
 
 
-# the cost of a build in one-member sweeps: min(positions, 2 reach + 1)
-# impulse marches on a uniform mesh, plus one for c in forced mode, and
-# ceil(N/4) for an error-equation DNWR run on a graded mesh
+# the cost of a build in phase marches, per phase: min(positions, 2 reach + 1)
+# impulse marches on a uniform mesh, plus one for c in forced mode if the
+# phase has data, and ceil(N/4) for an error-equation DNWR run on a graded
+# mesh.  A sweep is one phase march per phase: NNWR's two phases of reach 1
+# cost 6 marches (7 forced), which 3 sweeps do not exceed and 4 do
 @pytest.mark.parametrize("make, mode, run, built, cost", [
-    (_dnwr, "error_equation", run_dnwr, "toeplitz_operator", 1),
-    (_dnwr, "forced", run_dnwr, "toeplitz_operator", 2),
-    (_nnwr, "error_equation", run_nnwr_1d, "toeplitz_operator", 5),
-    (_nnwr, "forced", run_nnwr_1d, "toeplitz_operator", 6),
-    (_graded_dnwr, "error_equation", run_dnwr, "transfer_operator", 16),
+    (_dnwr, "error_equation", run_dnwr, ["toeplitz_operator"], 1),
+    (_dnwr, "forced", run_dnwr, ["toeplitz_operator"], 2),
+    (_nnwr, "error_equation", run_nnwr_1d, ["toeplitz_operator"] * 2, 3),
+    (_nnwr, "forced", run_nnwr_1d, ["toeplitz_operator"] * 2, 3),
+    (_graded_dnwr, "error_equation", run_dnwr, ["transfer_operator"], 16),
 ], ids=["dnwr", "dnwr-forced", "nnwr1d", "nnwr1d-forced", "dnwr-graded"])
 def test_an_operator_is_built_only_when_max_iter_exceeds_its_cost(make, mode, run, built,
                                                                    cost, monkeypatch):
@@ -83,7 +87,7 @@ def test_an_operator_is_built_only_when_max_iter_exceeds_its_cost(make, mode, ru
     marched = run(replace(make(mode=mode), max_iter=cost))
     assert builds == []
     product = run(replace(make(mode=mode), max_iter=cost + 1))
-    assert builds == [built]
+    assert builds == built
     assert marched.report.iterations == cost and product.report.iterations == cost + 1
     np.testing.assert_allclose(product.report.errors[:cost], marched.report.errors,
                                rtol=1e-11, atol=1e-13)
@@ -107,11 +111,11 @@ def test_toeplitz_build_equals_the_full_impulse_build(order):
 
     cfg = _nnwr(order)
     weights = cfg.build_weights()
-    affine = _affine_1d(cfg, weights)
-    full = transfer_operator(affine)
-    t = toeplitz_operator(affine, weights.mesh)
-    assert t.shape == full.shape == (6, 5, 12, 12)
-    assert np.abs(t - full).max() <= 1e-14 * np.abs(full).max()
+    for phase in _affine_1d(cfg, weights):
+        full = transfer_operator(phase)
+        t = toeplitz_operator(phase, weights.mesh)
+        assert t.shape == full.shape == (6, 3, 12, 12)
+        assert np.abs(t - full).max() <= 1e-14 * np.abs(full).max()
 
 
 def test_toeplitz_build_is_refused_on_a_graded_mesh():
@@ -121,38 +125,40 @@ def test_toeplitz_build_is_refused_on_a_graded_mesh():
         toeplitz_operator(dnwr_affine(cfg.partition.subdomains, weights), weights.mesh)
     cfg = replace(_nnwr(0.5), grading=2.0)
     weights = cfg.build_weights()
-    with pytest.raises(ValueError, match="uniform"):
-        toeplitz_operator(_affine_1d(cfg, weights), weights.mesh)
+    for phase in _affine_1d(cfg, weights):
+        with pytest.raises(ValueError, match="uniform"):
+            toeplitz_operator(phase, weights.mesh)
 
 
 def test_nnwr_operator_is_zero_outside_the_band():
     # with a reach as wide as the partition each impulse group has one
-    # source, so every block is the response to one interface alone
+    # source, so every block is the response to one interface alone; each
+    # phase couples an interface to its neighbours only
     cfg = _nnwr(0.6)
     weights = cfg.build_weights()
-    affine = _affine_1d(cfg, weights)
-    wide = replace(affine, reach=5)
-    for blocks in (transfer_operator(wide), toeplitz_operator(wide, weights.mesh)):
-        assert blocks.shape == (6, 11, 12, 12)
-        for q in range(6):
-            for offset in range(-5, 6):
-                block = blocks[q, offset + 5]
-                if abs(offset) > 2 or not 0 <= q + offset < 6:
-                    assert np.all(block == 0.0)
-                else:
-                    assert np.all(np.diag(block) != 0.0)
-    # the banded build holds the same blocks
-    band = transfer_operator(affine)
-    np.testing.assert_array_equal(band, transfer_operator(wide)[:, 3:8])
+    for phase in _affine_1d(cfg, weights):
+        wide = replace(phase, reach=5)
+        for blocks in (transfer_operator(wide), toeplitz_operator(wide, weights.mesh)):
+            assert blocks.shape == (6, 11, 12, 12)
+            for q in range(6):
+                for offset in range(-5, 6):
+                    block = blocks[q, offset + 5]
+                    if abs(offset) > 1 or not 0 <= q + offset < 6:
+                        assert np.all(block == 0.0)
+                    else:
+                        assert np.all(np.diag(block) != 0.0)
+        # the banded build holds the same blocks
+        band = transfer_operator(phase)
+        np.testing.assert_array_equal(band, transfer_operator(wide)[:, 4:7])
 
 
 def test_nnwr_impulse_marches_stack_only_the_subdomains_they_reach(monkeypatch):
     # the eight subdomains and kappas of the sweeps-1d NNWR-1D config, at
-    # dx 0.25.  Five impulse groups of the seven interfaces (0 and 5, 1 and 6,
-    # 2, 3, 4) reach subdomains i and i+1 of each interface i in the Dirichlet
-    # phase, 4 + 4 + 2 + 2 + 2 = 14 blocks, and i-1 ... i+2 in the Neumann
-    # phase, 7 + 7 + 4 + 4 + 4 = 26; the other subdomains are not marched.
-    # Their zero fields must give the operator of the full path, bit for bit
+    # dx 0.25.  In each phase three impulse groups of the seven interfaces
+    # (0, 3 and 6; 1 and 4; 2 and 5) reach subdomains i and i+1 of each
+    # interface i, 6 + 4 + 4 = 14 blocks of the 3 x 8 = 24 of the full path;
+    # the other subdomains are not marched.  Their zero fields must give the
+    # operators of the full path, bit for bit
     half = [4.0 ** (-i) for i in range(4)]
     part = build_partition((0, 16), [2.0 * i for i in range(1, 8)], half + half[::-1], 0.25)
     cfg = NnwrConfig(partition=part, order=1.53, horizon=4.0, n_steps=16, grading=1.0,
@@ -181,15 +187,73 @@ def test_nnwr_impulse_marches_stack_only_the_subdomains_they_reach(monkeypatch):
     def build(full):
         state["full"] = full
         blocks.clear()
-        return toeplitz_operator(_affine_1d(cfg, weights), weights.mesh), dict(blocks)
+        ops = np.array([toeplitz_operator(p, weights.mesh) for p in _affine_1d(cfg, weights)])
+        return ops, dict(blocks)
 
     skipped, counts = build(full=False)
-    assert counts == {"dirichlet": 14, "neumann": 26}
+    assert counts == {"dirichlet": 14, "neumann": 14}
     full, counts = build(full=True)
-    assert counts == {"dirichlet": 40, "neumann": 40}
-    assert skipped.shape == (7, 5, 16, 16)
+    assert counts == {"dirichlet": 24, "neumann": 24}
+    assert skipped.shape == (2, 7, 3, 16, 16)
     assert np.array_equal(skipped, full)
     assert np.array_equal(np.signbit(skipped), np.signbit(full))
+
+
+def _march_phases(phases, x):
+    """The phases marched in turn, with the data: one marched sweep's affine part."""
+    x, fields = phases[0].march(x, True)
+    for phase in phases[1:]:
+        x = phase.march(x, True)[0]
+    return x, fields
+
+
+def test_a_forced_nnwr_build_marches_each_phase_once_per_impulse_group(monkeypatch):
+    # six interfaces of reach 1 in each phase: three impulse groups per phase,
+    # and one data march for the Dirichlet phase's c; the data-free Neumann
+    # phase has no c.  Product sweeps march nothing
+    calls, at_build = Counter(), []
+    for name in ("solve_dirichlet_waveform", "solve_neumann_waveform"):
+        monkeypatch.setattr(nnwr, name, lambda *a, name=name, march=getattr(nnwr, name), **kw:
+                            calls.update([name]) or march(*a, **kw))
+    affine_part = iteration._affine_part
+
+    def build(*args):
+        part = affine_part(*args)
+        at_build.append(dict(calls))
+        return part
+
+    monkeypatch.setattr(iteration, "_affine_part", build)
+    res = run_nnwr_1d(_nnwr(mode="forced"))
+    assert res.report.iterations == 8
+    expected = {"solve_dirichlet_waveform": 4, "solve_neumann_waveform": 3}
+    assert at_build == [expected] and calls == expected
+
+
+def _phases_2d(cfg, monkeypatch):
+    """The phases that ``run_nnwr_2d`` hands to the operator path for ``cfg``."""
+    phases = []
+    build = iteration._affine_part
+    monkeypatch.setattr(iteration, "_affine_part",
+                        lambda cfg, p, keep: phases.append(p) or build(cfg, p, keep))
+    run_nnwr_2d(replace(cfg, max_iter=1))
+    return phases[0]
+
+
+@pytest.mark.parametrize("mode", ["error_equation", "forced"])
+@pytest.mark.parametrize("driver", ["nnwr1d", "nnwr2d"])
+def test_phase_operators_applied_in_turn_match_a_marched_sweep(driver, mode, monkeypatch):
+    if driver == "nnwr1d":
+        cfg = _nnwr(mode=mode)
+        phases = _affine_1d(cfg, cfg.build_weights())
+    else:
+        cfg = _nnwr2d(mode)
+        phases = _phases_2d(cfg, monkeypatch)
+    product = iteration._affine_part(cfg, phases, False)
+    x = np.random.default_rng(3).standard_normal((2,) + phases[0].shape)
+    y, fields = product(x)
+    expected = _march_phases(phases, x)[0]
+    assert fields == ()
+    assert np.abs(y - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def _dnwr_by_hand(cfg, theta):
@@ -237,7 +301,8 @@ def test_uniform_iterates_match_sweeps_marched_by_hand(driver, mode, monkeypatch
     builds = _count_builds(monkeypatch)
     members = [0.2, "optimal", 0.7]
     results = run(cfg, members=members)
-    assert builds == ["toeplitz_operator"]  # one build, before the first sweep
+    # one build per phase, before the first sweep
+    assert builds == ["toeplitz_operator"] * (1 if driver == "dnwr" else 2)
     for member, res in zip(members, results):
         errs, h = by_hand(cfg, cfg.resolve_theta(member))
         assert res.report.iterations == cfg.max_iter
@@ -254,11 +319,11 @@ def test_uniform_2d_iterates_match_marched_sweeps(mode, monkeypatch):
     members = [0.2, "optimal"]
     builds = _count_builds(monkeypatch)
     results = run_nnwr_2d(cfg, members=members)
-    assert builds == ["toeplitz_operator"]
+    assert builds == ["toeplitz_operator"] * 2  # the Dirichlet and the Neumann phase
     monkeypatch.setattr(iteration, "_affine_part",
-                        lambda cfg, affine, keep_fields: lambda x: affine.march(x, True))
+                        lambda cfg, phases, keep_fields: partial(_march_phases, phases))
     marched = run_nnwr_2d(cfg, members=members)
-    assert builds == ["toeplitz_operator"]
+    assert builds == ["toeplitz_operator"] * 2
     atol = 1e-15 if cfg.error_mode else 1e-13
     for res, ref in zip(results, marched):
         assert res.report.iterations == ref.report.iterations == cfg.max_iter
@@ -283,9 +348,10 @@ def test_product_sweeps_of_a_member_are_the_same_alone_and_in_a_batch(make, run,
 @pytest.mark.parametrize("driver", ["dnwr", "nnwr1d"])
 def test_kept_fields_of_a_product_sweep_march_the_trace_it_starts_from(driver):
     make, run = {"dnwr": (_dnwr, run_dnwr), "nnwr1d": (_nnwr, run_nnwr_1d)}[driver]
-    cfg = replace(make(mode="forced"), theta="optimal", max_iter=4)
+    # both runs exceed the build's cost, so both apply the operators
+    cfg = replace(make(mode="forced"), theta="optimal", max_iter=5)
     res = run(cfg, keep_fields=True)
-    start = run(replace(cfg, max_iter=3)).traces  # the trace sweep 4 starts from
+    start = run(replace(cfg, max_iter=4)).traces  # the trace sweep 5 starts from
     weights = cfg.build_weights()
     subs = cfg.partition.subdomains
     traces = [None, start, None] if driver == "dnwr" else [None, *start, None]

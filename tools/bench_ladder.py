@@ -13,7 +13,7 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   rows of one member of the ``sweeps-1d`` NNWR-1D config (its Neumann
   phase, random fluxes), 16 members of 77 and of 25 rows (the DNWR
   subdomains of ``sweeps-1d``, Dirichlet and Neumann, as one chunk of the
-  graded transfer build marches them), and the 49 sine modes × (26 + 76)
+  graded transfer build marches them), and the 49 sine modes × (24 + 78)
   rows of the ``nnwr2d-strip`` strips (the Neumann phase of its first
   sweep).  Each row re-times that last call, on the march's ``Stack`` as
   the march left it.  On a checkout that keeps LU factors on the ``Stack``,
@@ -34,17 +34,22 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   That DNWR mesh is graded; the whole run's ``max_iter`` 60 exceeds
   ``ceil(N/4)`` = 16, so it builds the assembled operator before its first
   sweep and applies it in every sweep, while a one-sweep run marches.  The
-  NNWR-1D mesh is uniform, but one sweep does not repay its Toeplitz build
-  (six marches in forced mode), so its one-sweep run marches too.  And one
+  NNWR-1D mesh is uniform, but one sweep (two phase marches) does not repay
+  the Toeplitz builds of its two phases (seven phase marches in forced mode),
+  so its one-sweep run marches too.  And one
   NNWR-2D sweep: ``harness.run_experiment`` on the ``nnwr2d-strip``
   workload's config at seed 1 with ``run.max_iter`` 1 (its CSV and bound
   included), which reads the same on any checkout whatever its 2D config
   classes look like.
-- L2, operator: the Toeplitz build of ``fracwr.iteration`` for that NNWR-1D
-  config (five impulse sweeps, whose ten marches stack the 14 Dirichlet and
-  26 Neumann subdomain lines the impulses reach, of 40 each; a checkout that
-  marches every subdomain stacks all 80) and one product sweep with it (one member,
-  random traces), the Toeplitz build for the DNWR config of
+- L2, operator: the operator build of that NNWR-1D config, as
+  ``iteration._affine_part`` makes it before sweep 1 (its ``c`` included),
+  and one product sweep with it (one member, random traces).  Built one
+  phase at a time, that is three impulse marches per phase, which stack the
+  14 Dirichlet and 14 Neumann subdomain lines the impulses reach, of 24 each,
+  and one Dirichlet march with the data: 7 marches.  A checkout that builds
+  the whole sweep at once makes five impulse sweeps and the ``c`` sweep, 12
+  marches, whose impulse marches stack 14 Dirichlet and 26 Neumann lines.
+  Also the Toeplitz build for the DNWR config of
   ``fig_dnwr_theta_sweep_wave`` (one impulse march; 64 steps, order 1.5),
   and the graded build (``transfer_operator``, 64 impulses) for that
   ``sweeps-1d`` DNWR config.  A checkout without the operator path reports
@@ -91,7 +96,7 @@ PRESETS = ("fig_dnwr_theta_sweep", "fig_dnwr_theta_sweep_wave", "fig_dnwr_hetero
            "fig_2d", "fig_2d_wave")
 IN_PROCESS = {  # case: (layer, calls per repeat)
     "step-8x401": ("L0", 500), "step-16x77": ("L0", 500), "step-16x25": ("L0", 500),
-    "step-49x26+49x76": ("L0", 500),
+    "step-49x24+49x78": ("L0", 500),
     "dnwr-dirichlet-1": ("L1", 30), "dnwr-dirichlet-8": ("L1", 30),
     "dnwr-neumann-1": ("L1", 30), "dnwr-neumann-8": ("L1", 30),
     "nnwr1d-dirichlet-8x401": ("L1", 20), "nnwr1d-neumann-8x401": ("L1", 20),
@@ -175,16 +180,17 @@ def _operator_case(name):
         cfg = harness.preset_config("fig_dnwr_theta_sweep_wave")[0].run
         weights = cfg.build_weights()
         affine = dnwr._affine(cfg.partition.subdomains, weights)
-    else:
-        cfg = _experiment(1).run
-        weights = cfg.build_weights()
-        affine = nnwr._affine_1d(cfg, weights)
-    build = lambda: iteration.toeplitz_operator(affine, weights.mesh)  # noqa: E731
+        return lambda: iteration.toeplitz_operator(affine, weights.mesh)
+    # its max_iter 40 exceeds the build's cost, so _affine_part builds
+    cfg = _experiment(1).run
+    weights = cfg.build_weights()
+    build = lambda: iteration._affine_part(cfg, nnwr._affine_1d(cfg, weights), False)  # noqa: E731
     if "build" in name:
         return build
-    blocks = build()
-    h = np.random.default_rng(1).standard_normal(affine.extent)
-    return lambda: iteration.apply_operator(blocks, None, h)
+    part = build()
+    h = np.random.default_rng(1).standard_normal((1, cfg.partition.n_subdomains - 1,
+                                                  cfg.n_steps))
+    return lambda: part(h)
 
 
 def _step_case(name):
@@ -194,7 +200,7 @@ def _step_case(name):
     march = {"step-8x401": lambda: _nnwr_case("nnwr1d-neumann"),
              "step-16x77": lambda: _case("dnwr-dirichlet-16"),
              "step-16x25": lambda: _case("dnwr-neumann-16"),
-             "step-49x26+49x76": _nnwr2d_sweep}[name]()
+             "step-49x24+49x78": _nnwr2d_sweep}[name]()
     calls, solve = [], kernels.step_solve
     kernels.step_solve = lambda *args, **kw: calls.append((args, kw)) or solve(*args, **kw)
     try:
