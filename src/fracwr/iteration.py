@@ -266,14 +266,14 @@ def _affine_part(cfg, phases, keep_fields):
     """``part(x)``: the affine part of a sweep at the traces ``x``, its
     ``phases`` (sharing one shape and layout) marched in turn, or in turn the
     products with their ``T`` plus ``c`` (one more march, with the data and
-    zero input, for each phase with data) where ``max_iter`` sweeps of phase
-    marches exceed the build's cost in phase marches.  A phase costs
+    zero input, for each phase with data) where the phase marches of
+    ``max_iter`` marched sweeps exceed the build's cost.  A phase costs
     ``min(positions, 2 reach + 1)`` impulse marches on a uniform mesh, plus
     one for ``c`` in forced mode if it has data, or ``ceil(N/4)`` for
     ``transfer_operator``.  The rule reads config values alone and each
     member's product is its own, so a member's bits do not depend on its
-    companions.  Under ``keep_fields`` a product sweep also marches ``x`` for
-    the fields.
+    companions.  A sweep's fields are those of its first phase; under
+    ``keep_fields`` a product sweep also marches that phase at ``x`` for them.
     """
     mesh = cfg.time_mesh()
     cost, builds = 0, []
@@ -288,10 +288,9 @@ def _affine_part(cfg, phases, keep_fields):
             cost = math.inf
 
     def marched(x):
-        fields = ()
-        for phase in phases:
-            x, more = phase.march(x, True)
-            fields += tuple(more)
+        x, fields = phases[0].march(x, True)
+        for phase in phases[1:]:
+            x = phase.march(x, True)[0]
         return x, fields
 
     if cfg.max_iter * len(phases) <= cost:
@@ -307,7 +306,7 @@ def _affine_part(cfg, phases, keep_fields):
             for c, blocks in operators:
                 xm = apply_operator(blocks, c, xm)
             ym[...] = xm
-        return y, marched(x)[1] if keep_fields else ()
+        return y, phases[0].march(x, True)[1] if keep_fields else ()
 
     return part
 

@@ -210,7 +210,8 @@ def _march_phases(phases, x):
 def test_a_forced_nnwr_build_marches_each_phase_once_per_impulse_group(monkeypatch):
     # six interfaces of reach 1 in each phase: three impulse groups per phase,
     # and one data march for the Dirichlet phase's c; the data-free Neumann
-    # phase has no c.  Product sweeps march nothing
+    # phase has no c.  Product sweeps march nothing, or under keep_fields
+    # the Dirichlet phase alone, whose fields a sweep keeps
     calls, at_build = Counter(), []
     for name in ("solve_dirichlet_waveform", "solve_neumann_waveform"):
         monkeypatch.setattr(nnwr, name, lambda *a, name=name, march=getattr(nnwr, name), **kw:
@@ -227,6 +228,9 @@ def test_a_forced_nnwr_build_marches_each_phase_once_per_impulse_group(monkeypat
     assert res.report.iterations == 8
     expected = {"solve_dirichlet_waveform": 4, "solve_neumann_waveform": 3}
     assert at_build == [expected] and calls == expected
+    calls.clear()
+    run_nnwr_1d(_nnwr(mode="forced"), keep_fields=True)
+    assert calls == {"solve_dirichlet_waveform": 4 + 8, "solve_neumann_waveform": 3}
 
 
 def _phases_2d(cfg, monkeypatch):
