@@ -36,11 +36,10 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   sweep and applies it in every sweep, while a one-sweep run marches.  The
   NNWR-1D mesh is uniform, but one sweep (two phase marches) does not repay
   the Toeplitz builds of its two phases (seven phase marches in forced mode),
-  so its one-sweep run marches too.  And one
-  NNWR-2D sweep: ``harness.run_experiment`` on the ``nnwr2d-strip``
-  workload's config at seed 1 with ``run.max_iter`` 1 (its CSV and bound
-  included), which reads the same on any checkout whatever its 2D config
-  classes look like.
+  so its one-sweep run marches too.  And one NNWR-2D sweep:
+  ``harness.run_experiment`` on the ``nnwr2d-strip`` workload's config at
+  seed 1 with ``run.max_iter`` 1 (its CSV and bound included), which reads
+  the same on any checkout whatever its 2D config classes look like.
 - L2, operator: the operator build of that NNWR-1D config, as
   ``iteration._affine_part`` makes it before sweep 1 (its ``c`` included),
   and one product sweep with it (one member, random traces).  Built one
