@@ -45,20 +45,23 @@ class DnwrConfig(IterationConfig):
         return [optimal_theta_dnwr(*self.partition.kappas)]
 
 
-def _half_steps(subs, weights, h, f=(None, None), u0=(None, None)):
-    """The Dirichlet and the Neumann field of one sweep from the traces ``h`` (members, N)."""
+def _half_steps(subs, weights, h, f=(None, None), u0=(None, None), trim=True):
+    """The Dirichlet and the Neumann field of one sweep from the traces ``h``
+    (members, N), with ``trim`` at the nodes the sweep reads (``solve_waveform``)."""
     sub1, sub2 = subs
     m = len(h)
-    u1 = solve_dirichlet_waveform(sub1, weights, None, h, f=f[0], u0=u0[0], members=m)
+    u1 = solve_dirichlet_waveform(sub1, weights, None, h, f=f[0], u0=u0[0], members=m, trim=trim)
     flux = interface_flux_series(u1[:, 1:], "right", sub1)
-    u2 = solve_neumann_waveform(sub2, weights, -flux, None, f=f[1], u0=u0[1], members=m)
+    u2 = solve_neumann_waveform(sub2, weights, -flux, None, f=f[1], u0=u0[1], members=m,
+                                trim=trim)
     return u1, u2
 
 
-def _affine(subs, weights, f=(None, None), u0=(None, None)) -> AffineSweep:
-    """The Neumann interface trace ``g`` of the traces ``h`` (members, N), one position."""
+def _affine(subs, weights, f=(None, None), u0=(None, None), keep_fields=False) -> AffineSweep:
+    """The Neumann interface trace ``g`` of the traces ``h`` (members, N), one
+    position; the fields are whole only under ``keep_fields``."""
     def march(h, data):
-        fields = _half_steps(subs, weights, h, *((f, u0) if data else ()))
+        fields = _half_steps(subs, weights, h, *((f, u0) if data else ()), trim=not keep_fields)
         return fields[1][:, 1:, 0], fields
 
     return AffineSweep(march=march, layout=lambda h: h[:, None], shape=(weights.n_steps,),
@@ -102,5 +105,5 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
         return h_new, h_new - h, fields
 
     results = iterate(cfg, sweep, cfg.initial_traces((cfg.n_steps,)), cfg.member_thetas(members),
-                      t_start, keep_fields, (_affine(subs, weights, f, u0),))
+                      t_start, keep_fields, (_affine(subs, weights, f, u0, keep_fields),))
     return results if members is not None else results[0]

@@ -21,11 +21,17 @@ __all__ = [
     "build_subdomain",
     "build_partition",
     "axis_nodes",
+    "END_NODES",
     "laplacian_apply",
     "interface_flux_series",
 ]
 
 _DIV_TOL = 1e-8
+
+# The nodes a flux or an end value reads, the three nearest each end: a
+# field trimmed to them (``solver.solve_waveform(trim=True)``) serves
+# ``interface_flux_series`` as the whole field does.
+END_NODES = (0, 1, 2, -3, -2, -1)
 
 
 @dataclass(frozen=True)
@@ -134,9 +140,12 @@ def laplacian_apply(sub: Subdomain1D, field_row, out=None) -> np.ndarray:
 
 
 def interface_flux_series(fields, side: str, sub: Subdomain1D) -> np.ndarray:
-    """Outward flux at one end for every row of a space-time field."""
+    """Outward flux at one end for every row of a space-time field.
+
+    The field holds the nodes of ``sub`` or only its ``END_NODES``.
+    """
     u = np.asarray(fields, dtype=float)
-    if u.shape[-1] != sub.n_nodes or sub.n_nodes < 3:
+    if u.shape[-1] not in (sub.n_nodes, len(END_NODES)) or sub.n_nodes < 3:
         raise ValueError("field width does not match subdomain nodes")
     c = sub.kappa / (2.0 * sub.dx)
     if side == "right":

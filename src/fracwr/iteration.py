@@ -30,7 +30,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -212,9 +212,9 @@ def _answers(positions, reach, group):
 
 
 def toeplitz_operator(affine, mesh) -> np.ndarray:
-    """``T`` on a uniform ``mesh`` as blocks (positions, 2 reach + 1, N, N).
+    """``T`` on a uniform ``mesh`` as offset-major blocks (2 reach + 1, positions, N, N).
 
-    Block ``[q, d]`` maps the trace at position ``q + d - reach`` to position
+    Block ``[d, q]`` maps the trace at position ``q + d - reach`` to position
     ``q``; it is the lower-triangular Toeplitz matrix of the response to a
     unit trace at the first level.  The ``min(positions, 2 reach + 1)``
     impulse groups march one after another, one member each.
@@ -223,11 +223,11 @@ def toeplitz_operator(affine, mesh) -> np.ndarray:
         raise ValueError("a Toeplitz operator needs a uniform time mesh")
     positions, n = affine.extent
     width = 2 * affine.reach + 1
-    columns = np.zeros((positions, width, n))
+    columns = np.zeros((width, positions, n))
     for group in range(min(positions, width)):
         (y,) = _impulses(affine, [(group, 0)])
         for q, d in _answers(positions, affine.reach, group):
-            columns[q, d] = y[q]
+            columns[d, q] = y[q]
     lag = np.subtract.outer(np.arange(n), np.arange(n))
     return np.where(lag >= 0, columns[..., np.maximum(lag, 0)], 0.0)
 
@@ -242,23 +242,36 @@ def transfer_operator(affine) -> np.ndarray:
     """
     positions, n = affine.extent
     width = 2 * affine.reach + 1
-    blocks = np.zeros((positions, width, n, n))
+    blocks = np.zeros((width, positions, n, n))
     for group in range(min(positions, width)):
         for j in range(0, n, TRANSFER_CHUNK):
             levels = range(j, min(n, j + TRANSFER_CHUNK))
             y = _impulses(affine, [(group, level) for level in levels])
             for q, d in _answers(positions, affine.reach, group):
-                blocks[q, d, :, levels.start:levels.stop] = y[:, q].T
+                blocks[d, q, :, levels.start:levels.stop] = y[:, q].T
     return blocks
 
 
 def apply_operator(blocks, c, x) -> np.ndarray:
-    """``T x + c`` for one member's traces ``x`` (positions, N); ``c`` may be None."""
-    reach = blocks.shape[1] // 2
+    """``T x + c`` for one member's traces ``x`` (positions, N); ``c`` may be None.
+
+    One batched product per offset: the blocks of offset d over the positions
+    it reaches, each a matrix-vector product, added in the order of the
+    offsets, so that a position's sum starts at its first offset.
+    """
+    width, positions = blocks.shape[:2]
+    reach = width // 2
     y = np.empty_like(x)
-    for q in range(len(x)):
-        y[q] = reduce(np.add, [blocks[q, d] @ x[q + d - reach] for d in range(2 * reach + 1)
-                               if 0 <= q + d - reach < len(x)])
+    first = positions  # the positions from ``first`` on hold a partial sum
+    for d in range(width):
+        lo, hi = max(0, reach - d), min(positions, positions + reach - d)
+        if lo >= hi:
+            continue
+        term = np.matmul(blocks[d, lo:hi], x[lo + d - reach:hi + d - reach, :, None])[..., 0]
+        split = min(first, hi)
+        y[lo:split] = term[:split - lo]
+        y[split:hi] += term[split - lo:]
+        first = lo
     return y if c is None else y + c
 
 
@@ -333,9 +346,7 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False,
 
     A non-finite error raises ``ArithmeticError``: the iteration diverged.
     The raise comes at the first sweep where any member is non-finite, for
-    every member.  In a marched sweep the batch's tridiagonal solves also
-    carry a NaN across the zero couplings between members; a sweep that
-    applies an assembled operator keeps the members' values apart.
+    every member.
 
     Returns one ``RunResult`` per member, with the traces and, under
     ``keep_fields``, the fields of the member's last sweep.

@@ -1,157 +1,234 @@
-"""Per-time-level tridiagonal solves through LAPACK ``dgtsv`` or ``dgttrf``/``dgttrs``.
+"""The sine basis of each line of a waveform march, and one level's solve in it.
 
-One time level of a march is one tridiagonal system: a stack of blocks laid
-end to end with zero couplings between them.  A block is one subdomain line
-of one sweep member, or one sine mode of a 2D strip, and carries its own
-``s``, ``c``, diagonal shift, width and end kinds, so blocks of mixed kinds
-and widths share one ``dgtsv`` call.  ``dgtsv`` pivots, and a block still
-solves bit for bit as it does alone: every product that crosses a zero
-coupling is a product with an exact zero.
+At every time level a march solves one system per line: a line is one
+subdomain of one sweep member, or one sine mode of a 2D strip.  On the m
+interior nodes of a line the system is
 
-A Dirichlet end stays in the system as a decoupled identity row: its
-neighbour's coupling moves to the right-hand side, and the row returns
-``u = g`` exactly for the same reason.  A flux end's three-point row is
-condensed to two entries here alone; the monolithic reference in ``solver``
-solves its flux rows uncondensed.
+    (bnn + shift + s T) u = rhs + s (E_L e_1 + E_R e_m),   T = tridiag(-1, 2, -1),
 
-A level matrix depends on the level only through its Caputo diagonal weight
-``bnn``, the same at every level of a uniform mesh.  Its ``dgttrf`` factors,
-kept on the ``Stack``, solve every level with that ``bnn`` by ``dgttrs``,
-which makes ``dgtsv``'s operations on the same operands in the same order.
+with s = implicit_fraction * kappa / dx**2 and E_L, E_R the values of the
+two end nodes.  The orthonormal DST-I matrix S (symmetric, its own inverse)
+diagonalises T, S T S = diag(lambda_k), lambda_k = 4 sin(k pi / (2 (m+1)))**2
+(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970), so in the coefficients
+u_hat = S u a level is a division by bnn + shift + s lambda_k: the
+matrix-decomposition method (Bialecki, Fairweather & Karageorghis, Numer.
+Algorithms 2011).  The basis does not depend on the level, so a march moves
+its data into it once and its results back once (``dst``).
+
+A Dirichlet end is E = g, written as given, so it returns g exactly.  A flux
+end is the one-sided outward-flux row c (3 E - 4 u_1 + u_2) = q with
+c = kappa / (2 dx), that is E = q / (3c) - b . u_hat with b = S (-4/3 e_1 +
+1/3 e_2); substituted into the first interior row it turns s (2, -1) into
+s (2/3, -2/3), a rank-one change of the line's operator.  ``step_solve``
+solves it in the end values (Sherman-Morrison), a line with two flux ends by
+a 2 x 2 system (Woodbury).  On a 3-node line the flux row reads the other
+end node in place of u_2.  The rows of S mirror, S e_m = sigma * S e_1 with
+sigma_k = (-1)**(k+1), so both ends' terms of a line meet in one gather.
 """
 
-from itertools import accumulate
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 DIRICHLET = 0
 FLUX = 1
 
 
-def _index(rows):
-    """The list ``rows`` as an integer, a basic slice when it is evenly spaced,
-    or an index array: the cheapest index for ``step_solve`` to apply."""
-    if len(rows) == 1:
-        return rows[0]
-    step = rows[1] - rows[0]
-    if step > 0 and all(b - a == step for a, b in zip(rows, rows[1:])):
-        return slice(rows[0], rows[-1] + 1, step)
-    return np.array(rows)
+@lru_cache(maxsize=16)
+def _rows(m, rows):
+    # the phase j k pi / (m+1) reduced by whole turns first, so its sine keeps full accuracy
+    turns = np.outer(np.add(rows, 1), np.arange(1, m + 1)) % (2 * (m + 1))
+    basis = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * turns / (m + 1))
+    basis.setflags(write=False)
+    return basis
+
+
+def sine_rows(m, rows):
+    """The rows ``rows`` (interior node indices, 0 to m-1) of the orthonormal
+    DST-I of size m, read-only (they are kept for the next call)."""
+    return _rows(m, tuple(rows))
+
+
+def dst(x):
+    """The orthonormal DST-I of ``x`` along its last axis, which is its own inverse.
+
+    One real FFT of each row's odd extension; each row's result depends on
+    that row alone.
+    """
+    x = np.asarray(x, dtype=float)
+    m = x.shape[-1]
+    odd = np.zeros(x.shape[:-1] + (2 * m + 2,))
+    odd[..., 1:m + 1] = x
+    odd[..., m + 2:] = -x[..., ::-1]
+    return np.fft.rfft(odd)[..., 1:m + 1].imag * (-1.0 / np.sqrt(2.0 * (m + 1)))
+
+
+_SUM_DIFFERENCE = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+# The arrays of the last few stacks, by their arguments: the marches of a run
+# build the same few stacks sweep after sweep, and share their level terms.
+# Every kept array is a function of the arguments alone, so no result
+# depends on what is kept.
+_KEPT = {}
+_KEEP = 4
 
 
 class Stack:
-    """The constant parts of a stacked level matrix, built once per march.
+    """The lines of a march laid end to end, each in the sine basis of its interior.
 
-    Block b spans ``widths[b]`` rows (at least 3).  Its interior rows are
-    (-s, bnn + shift + 2*s, -s), with s = implicit_fraction * kappa / dx**2.
-    Each end is DIRICHLET (``u = g``) or FLUX, a one-sided three-point
-    outward-flux row kappa * (3*u0 - 4*u1 + u2) / (2*dx) = g with
-    c = kappa / (2*dx), whose third entry is eliminated against the first
-    interior row.  ``s``, ``c``, ``left`` and ``right`` hold one value per
-    block, and ``shift`` one value per block or None for zero.
-    ``scratch`` holds a level's diagonal and, with flux rows, its couplings;
-    ``lu`` is None or (bnn, the ``dgttrf`` factors at bnn, in arrays of their own).
+    Line l spans ``widths[l]`` nodes (at least 3), so ``widths[l] - 2``
+    coefficients, and ``size`` is their total.  ``s``, ``c``, ``left`` and
+    ``right`` (DIRICHLET or FLUX) hold one value per line, and ``shift`` one
+    value per line or None for zero.  Per coefficient the stack keeps the
+    row of S next to the left end (``edge``) and ``diag`` = s lambda_k +
+    shift; a stack with a flux end also keeps each line's b_L and b_R
+    (``b``) and b_L times both end rows (``b_edge``), whose sums over a line
+    give the Sherman-Morrison terms, and the terms of each level it has
+    solved (``prepare``).  Stacks with the same arguments share these arrays
+    (the last few are kept); each has scratch for
+    ``step_solve`` of its own.
     """
 
     def __init__(self, widths, s, c, left, right, shift=None):
-        # the index work runs on lists: a stack has few blocks
-        widths = np.asarray(widths).tolist()
-        if min(widths) < 3:
-            raise ValueError("a block needs at least 3 rows")
-        s, c = np.asarray(s, dtype=float), np.asarray(c, dtype=float)
+        widths = np.asarray(widths, dtype=int)
+        if widths.min() < 3:
+            raise ValueError("a line needs at least 3 rows")
+        kinds = np.stack([left, right], axis=1)
+        if not set(kinds.ravel().tolist()) <= {DIRICHLET, FLUX}:
+            raise ValueError(f"end kinds must be DIRICHLET or FLUX, got {kinds.tolist()}")
         n = len(widths)
-        first = list(accumulate(widths[:-1], initial=0))
-        self.size = first[-1] + widths[-1]
-        self.two_s = np.repeat(2.0 * s, widths)
-        self.shift = None if shift is None else np.repeat(shift, widths)
-        # lower[i] couples row i+1 to row i and upper[i] row i to row i+1;
-        # the couplings between blocks are zero
-        coupling = np.repeat(-s, widths)
-        self.lower, self.upper = coupling[1:].copy(), coupling[:-1]
-        between = [r - 1 for r in first[1:]]
-        self.lower[between] = self.upper[between] = 0.0
+        s, c = (np.broadcast_to(np.asarray(x, dtype=float), (n,)) for x in (s, c))
+        key = tuple(None if x is None else np.asarray(x, dtype=float).tobytes()
+                    for x in (widths, s, c, kinds, shift))
+        kept = _KEPT.pop(key, None) or self._arrays(widths, s, c, kinds, shift)
+        _KEPT[key] = kept
+        if len(_KEPT) > _KEEP:
+            del _KEPT[next(iter(_KEPT))]
+        self.__dict__.update(kept)
+        self.d, self.forcing = np.empty((2, self.size))
+        self.combined = np.empty((n, 2))
+        if self.has_flux:
+            self.products = np.empty((2, self.size))
 
-        # End e is the left end of block e for e < n and the right end of block
-        # e - n otherwise, as in ``step_solve``'s ``ends``.  Each end has its
-        # row, its neighbour row and one slot for the two couplings between
-        # them, in ``upper`` on the left and in ``lower`` on the right.
-        kinds = np.concatenate([left, right]).tolist()
-        if not set(kinds) <= {DIRICHLET, FLUX}:
-            raise ValueError(f"end kinds must be DIRICHLET or FLUX, got {kinds}")
-        rows = first + [f + w - 1 for f, w in zip(first, widths)]
-        nbrs = [r + 1 for r in rows[:n]] + [r - 1 for r in rows[n:]]
-        slots = rows[:n] + nbrs[n:]
-        s, c = np.concatenate([s, s]), np.concatenate([c, c])
-        dirichlet = [e for e, k in enumerate(kinds) if k == DIRICHLET]
-        self.lower[[slots[e] for e in dirichlet]] = self.upper[[slots[e] for e in dirichlet]] = 0.0
-        # one pass over the Dirichlet ends, or two when a 3-row block has two:
-        # its middle row adds s * g_left and then s * g_right
-        passes = [dirichlet]
-        if len({nbrs[e] for e in dirichlet}) < len(dirichlet):
-            passes = [[e for e in dirichlet if e < n], [e for e in dirichlet if e >= n]]
-        self.dirichlet = [(_index(p), _index([rows[e] for e in p]), _index([nbrs[e] for e in p]),
-                           s[_index(p)]) for p in passes if p]
-        # the flux ends of each side, as their couplings sit in one array per side
-        self.flux = []
-        for side, ends in enumerate((range(n), range(n, 2 * n))):
-            p = [e for e in ends if kinds[e] == FLUX]
-            if p:
-                at = _index(p)
-                self.flux.append((side, at, _index([rows[e] for e in p]),
-                                  _index([nbrs[e] for e in p]), -4.0 * c[at], c[at] / s[at],
-                                  _index([slots[e] for e in p])))
-        diag = {rows[e]: 1.0 if k == DIRICHLET else 2.0 * c[e] for e, k in enumerate(kinds)}
-        self.fixed = _index(sorted(diag))
-        self.fixed_diag = np.array([diag[r] for r in sorted(diag)])
-        self.scratch = np.empty(self.size), np.empty(self.size - 1), np.empty(self.size - 1)
-        self.lu = None
+    @staticmethod
+    def _arrays(widths, s, c, kinds, shift):
+        n = len(widths)
+        m = widths - 2
+        size = int(m.sum())
+        starts = np.concatenate([[0], np.cumsum(m)[:-1]])
+        line = np.repeat(np.arange(n), m)
+        k = np.arange(size) - starts[line]  # a coefficient's mode, from 0
+        span = (m + 1.0)[line]
+        edge = np.sqrt(2.0 / span) * np.sin(np.pi * (k + 1) / span)
+        diag = s[line] * 4.0 * np.sin(0.5 * np.pi * (k + 1) / span) ** 2
+        if shift is not None:
+            diag += np.broadcast_to(shift, (n,))[line]
+        flux = kinds == FLUX
+        # one gather gives a coefficient w_L + w_R (sigma = 1) or w_L - w_R (sigma = -1)
+        arrays = dict(lines=n, size=size, starts=starts, edge=edge, diag=diag,
+                      bounds=(float(diag.min()), float(diag.max())), gather=2 * line + k % 2,
+                      s=np.stack([s, s], axis=1), flux=flux, has_flux=bool(flux.any()))
+        if arrays["has_flux"]:
+            sigma = 1.0 - 2.0 * (k % 2)
+            second = np.sqrt(2.0 / span) * np.sin(2.0 * np.pi * (k + 1) / span)
+            b = -4.0 / 3.0 * edge + np.where(m[line] > 1, second / 3.0, 0.0)
+            coupled = flux[:, 0] & flux[:, 1]
+            # per line, alpha = 1 + s_f b_L . z_L and beta = rho + s b_L . z_R, where
+            # s_f is s on a line with a flux end; on a 3-node line a flux row
+            # weighs the other end node by rho = 1/3
+            arrays.update(
+                b=np.stack([b, sigma * b]), b_edge=np.stack([b * edge, sigma * b * edge]),
+                s_flux=np.where(flux.any(axis=1), s, 0.0), rho=np.where(m == 1, 1.0 / 3.0, 0.0),
+                flux_scale=np.where(flux, 1.0 / (3.0 * c)[:, None], 0.0),
+                partner=(flux & ~flux[:, ::-1]).astype(float),
+                coupled=coupled.astype(float) if coupled.any() else None,
+                levels={})  # a level's terms of the flux rows, by its diagonal weight
+        return arrays
+
+    def prepare(self, bnns):
+        """Keep the terms of the flux rows at each diagonal weight of ``bnns``.
+
+        They depend on the weight alone: the sums g = (b_L . z_L, b_L . z_R)
+        over each line with z = S e / (bnn + diag), the weight beta * partner
+        of a Dirichlet end in its partner's flux row, and the reciprocal of
+        each line's determinant (with the elimination ratio of a line with two
+        flux ends).  The weights are done a block at a time, each weight's
+        terms computed as alone.
+        """
+        if not self.has_flux:
+            return
+        new = np.array([b for b in dict.fromkeys(np.asarray(bnns, dtype=float).tolist())
+                        if b not in self.levels])
+        block = max(1, 2**15 // self.size)
+        for i in range(0, len(new), block):
+            part = new[i:i + block]
+            g = np.add.reduceat(self.b_edge[:, None] / (part[:, None] + self.diag), self.starts,
+                                axis=2)
+            alpha = g[0] * self.s_flux + 1.0
+            beta = g[1] * self.s[:, 0] + self.rho
+            det, ratio = alpha, None
+            if self.coupled is not None:
+                # a line with two flux ends solves [[alpha, beta], [beta, alpha]],
+                # written so that a line with one flux end (coupling 0) divides
+                # by alpha as in a stack without such lines
+                coupling = beta * self.coupled
+                ratio = (coupling / alpha)[..., None]
+                det = alpha - ratio[..., 0] * coupling
+            if not (alpha.all() and det.all()):
+                bad = np.flatnonzero(((alpha == 0.0) | (det == 0.0)).any(axis=0))[0]
+                raise ArithmeticError(f"level matrix is singular in line {bad}")
+            g, partner = g.transpose(1, 2, 0), beta[..., None] * self.partner
+            inverse = 1.0 / det[..., None]
+            for j, bnn in enumerate(part.tolist()):
+                self.levels[bnn] = (g[j], partner[j], None if ratio is None else ratio[j],
+                                    inverse[j])
 
 
-def step_solve(bnn, stack, rhs, ends, factor=False, out=None):
-    """Solve one implicit time level of the stacked system ``stack``.
+def step_solve(bnn, stack, rhs, ends, extra=None, out=None):
+    """Solve one time level of every line of ``stack`` in its sine basis.
 
-    ``bnn`` is the level's Caputo diagonal weight and ``rhs`` holds one value
-    per row.  ``ends`` holds the end values of the blocks, the left ends of
-    all blocks and then their right ends: the Dirichlet value or the outward
-    flux.  A Dirichlet end row returns its value exactly, and its neighbour's
-    row gains s * g on the right-hand side.  A flux row's eliminated entry
-    reads the unmodified ``rhs``.  ``rhs`` is not modified; the solution goes
-    to ``out`` (contiguous, not ``rhs``) when given.  ``factor`` replaces the
-    factors on ``stack`` by this level's.  A level whose ``bnn`` is exactly
-    the factors' solves by ``dgttrs`` on them, any other by ``dgtsv``.
+    ``rhs`` holds the basis coefficients of the interior right-hand sides,
+    and ``ends`` (lines, 2) the left and right end values of each line: the
+    Dirichlet value or the outward flux.  ``extra``, shaped like ``ends`` or
+    None, adds extra[l, e] times end e's row of S to line l's ``rhs`` (the
+    explicit half of a split level).  Returns the coefficients, in ``out``
+    when given, and the end values (lines, 2): a Dirichlet end's is its value
+    as given (a stack without flux ends returns ``ends``), a flux end's
+    follows from its row, with the terms ``Stack.prepare`` keeps for ``bnn``.
+    ``rhs`` is not modified.  Each line's result depends on that line alone.
     """
-    b = np.empty_like(rhs) if out is None else out
-    b[:] = rhs
-    for at, rows, nbrs, s in stack.dirichlet:
-        g = ends[at]
-        b[rows] = g
-        b[nbrs] += s * g
-    for side, at, rows, nbrs, m4c, f, slots in stack.flux:
-        b[rows] = ends[at] + f * rhs[nbrs]
-    if not factor and stack.lu is not None and stack.lu[0] == bnn:
-        x, info = dgttrs(*stack.lu[1], b, overwrite_b=True)
-    else:
-        diag, upper, lower = stack.scratch
-        shifted = bnn if stack.shift is None else np.add(bnn, stack.shift, out=diag)
-        np.add(stack.two_s, shifted, out=diag)
-        if stack.flux:  # flux rows change with bnn; otherwise dgtsv copies the constants
-            upper[:], lower[:] = stack.upper, stack.lower
-        else:
-            upper, lower = stack.upper, stack.lower
-        for side, at, rows, nbrs, m4c, f, slots in stack.flux:
-            # row (3c, -4c, c) plus (c/s) times the neighbouring interior row,
-            # whose diagonal entry is still bnn + shift + 2*s
-            (upper, lower)[side][slots] = m4c + f * diag[nbrs]
-        diag[stack.fixed] = stack.fixed_diag
-        if factor:  # the factors get arrays of their own; a singular matrix keeps none
-            *lu, info = dgttrf(lower, diag, upper)
-            if info == 0:
-                stack.lu = bnn, lu
-                x, info = dgttrs(*lu, b, overwrite_b=True)
-        else:
-            flux = bool(stack.flux)  # only then are the couplings scratch that dgtsv may overwrite
-            *_, x, info = dgtsv(lower, diag, upper, b, flux, True, flux, True)
-    if info != 0:
-        raise ArithmeticError(f"tridiagonal system is singular at row {info}")
-    return x
+    d, forcing = stack.d, stack.forcing
+    np.add(bnn, stack.diag, out=d)
+    if stack.bounds[0] <= -bnn <= stack.bounds[1] and not d.all():
+        col = int(np.flatnonzero(d == 0.0)[0])
+        line = int(np.searchsorted(stack.starts, col, side="right")) - 1
+        raise ArithmeticError(f"level matrix is singular in line {line}, "
+                              f"mode {col - stack.starts[line] + 1}")
+    values = ends
+    if stack.has_flux:
+        terms = stack.levels.get(bnn)
+        if terms is None:
+            stack.prepare([bnn])
+            terms = stack.levels[bnn]
+        g, partner, ratio, inverse = terms
+        np.divide(rhs, d, out=forcing)
+        np.multiply(stack.b, forcing, out=stack.products)
+        # each flux row: alpha E + beta E_other = q / (3c) - b . y - (extra terms)
+        h = ends * stack.flux_scale
+        h -= np.add.reduceat(stack.products, stack.starts, axis=1).T
+        h -= partner * ends[:, ::-1]
+        if extra is not None:
+            h -= extra * g[:, :1] + extra[:, ::-1] * g[:, 1:]
+        if ratio is not None:
+            h -= ratio * h[:, ::-1]
+        h *= inverse
+        values = np.where(stack.flux, h, ends)
+    weights = stack.s * values
+    if extra is not None:
+        weights += extra
+    # each line's w_L + w_R and w_L - w_R, exactly: the products with +-1 are exact
+    np.matmul(weights, _SUM_DIFFERENCE, out=stack.combined)
+    stack.combined.take(stack.gather, out=forcing)
+    forcing *= stack.edge
+    forcing += rhs
+    return np.divide(forcing, d, out=out), values

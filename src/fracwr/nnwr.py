@@ -7,10 +7,12 @@ correction solves driven by that mismatch (physical boundaries keep a
 homogeneous Dirichlet condition), and (d) the relaxed trace update
 h <- h - theta * psi per interface, psi = psi_i + psi_j the sum of the two
 corrections there.  The solves of phases (a) and (c) are independent across
-subdomains, as in the paper.  Each phase is one stacked march over all
-subdomains (and all members of a relaxation sweep), which gives every
-subdomain bit for bit the field of its own march, so a rerun reproduces the
-iterates bit for bit.
+subdomains, as in the paper.  Each phase is one march over all subdomains
+(and all members of a relaxation sweep), every line in the sine basis of its
+interior (``fracwr.kernels``), which gives every subdomain bit for bit the
+field of its own march, so a rerun reproduces the iterates bit for bit.  A
+phase moves back only the nodes it reads, the three nearest each end: the
+Dirichlet fields are whole only under ``keep_fields``.
 
 The part of a sweep that is affine in the traces is built in two phases:
 phases (a) and (b) map the traces to the flux mismatch, with the data, and
@@ -29,7 +31,9 @@ y-boundary rows are homogeneous Dirichlet, so the orthonormal DST-I over the
 interior y nodes diagonalises the whole sweep: mode k is the 1D sweep over
 the partition with the extra reaction coefficient kappa * lambda_k / dy**2,
 lambda_k = 4 sin(k pi / (2 ny))**2 (Buzbee, Golub & Nielson, SIAM J. Numer.
-Anal. 1970), and each phase marches both strips and all modes at once.
+Anal. 1970), and each phase marches both strips and all modes at once, each
+x-line in its own sine basis, so that the whole sweep is diagonal but for
+the rank-one flux-end terms.
 The modes do not couple, so on a uniform mesh one impulse in every mode
 gives each phase's whole map, with the modes as its positions.  Both drivers
 run their sweeps in the interface iteration of ``fracwr.iteration``; the
@@ -73,10 +77,11 @@ class NnwrConfig(IterationConfig):
         return [optimal_theta_nnwr(a, b) for a, b in zip(kappas, kappas[1:])]
 
 
-def _dirichlet_phase(subs, weights, f, u0, decay, h, data):
+def _dirichlet_phase(subs, weights, f, u0, decay, trim, h, data):
     """Phases (a) and (b) over the line subdomains ``subs`` at the traces
     ``h``, with the data ``f`` and ``u0`` or (``data=False``) without: the
-    flux mismatch and the Dirichlet fields.
+    flux mismatch and the Dirichlet fields, with ``trim`` at the nodes the
+    flux reads (``solve_waveform``).
 
     ``h`` stacks each member's interface traces, (members, interfaces, N),
     with a trailing mode axis when ``decay`` gives the lines a reaction term
@@ -86,7 +91,7 @@ def _dirichlet_phase(subs, weights, f, u0, decay, h, data):
     traces = [None, *h.swapaxes(0, 1), None]
     fields = solve_dirichlet_waveform(subs, weights, traces[:-1], traces[1:],
                                       f=f if data else None, u0=u0 if data else None,
-                                      decay=decay, members=len(h))
+                                      decay=decay, members=len(h), trim=trim)
     mismatch = np.stack([
         interface_flux_series(fields[i][:, 1:], "right", subs[i])
         + interface_flux_series(fields[i + 1][:, 1:], "left", subs[i + 1])
@@ -99,29 +104,31 @@ def _neumann_phase(subs, weights, decay, mismatch, data):
     """Phase (c), which has no data to take: psi, shaped like the flux ``mismatch``."""
     fluxes = [None, *mismatch.swapaxes(0, 1), None]
     corrections = solve_neumann_waveform(subs, weights, fluxes[:-1], fluxes[1:], decay=decay,
-                                         members=len(mismatch))
+                                         members=len(mismatch), trim=True)
     psi = np.stack([corrections[i][:, 1:, ..., -1] + corrections[i + 1][:, 1:, ..., 0]
                     for i in range(len(subs) - 1)], axis=1)
     return psi, ()
 
 
-def _affine(subs, weights, f, u0, shape, layout=lambda x: x, reach=1, decay=None):
+def _affine(subs, weights, f, u0, shape, keep_fields, layout=lambda x: x, reach=1, decay=None):
     """psi of the traces as two phases (``iteration.AffineSweep``): the
-    Dirichlet phase, with the data, and the Neumann phase, without."""
-    return (AffineSweep(march=partial(_dirichlet_phase, subs, weights, f, u0, decay),
+    Dirichlet phase, with the data, and the Neumann phase, without.  The
+    Dirichlet fields are whole only under ``keep_fields``."""
+    trim = not keep_fields
+    return (AffineSweep(march=partial(_dirichlet_phase, subs, weights, f, u0, decay, trim),
                         layout=layout, shape=shape, reach=reach),
             AffineSweep(march=partial(_neumann_phase, subs, weights, decay),
                         layout=layout, shape=shape, reach=reach, data=False))
 
 
-def _affine_1d(cfg, weights):
+def _affine_1d(cfg, weights, keep_fields=False):
     """The phases of an NNWR-1D sweep: psi per interface, (members, interfaces, N)."""
     subs = cfg.partition.subdomains
     f = u0 = None
     if not cfg.error_mode:
         f, u0 = zip(*(tabulate(weights, cfg.source, cfg.initial_condition, sub.nodes)
                       for sub in subs))
-    return _affine(subs, weights, f, u0, (len(subs) - 1, cfg.n_steps))
+    return _affine(subs, weights, f, u0, (len(subs) - 1, cfg.n_steps), keep_fields)
 
 
 def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
@@ -137,7 +144,7 @@ def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
 
     h0 = cfg.initial_traces((cfg.partition.n_subdomains - 1, cfg.n_steps))
     results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, keep_fields,
-                      _affine_1d(cfg, weights))
+                      _affine_1d(cfg, weights, keep_fields))
     return results if members is not None else results[0]
 
 
@@ -198,7 +205,7 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
                               for s, fs, us in zip(strips, f, u0)))
 
     # the modes are the positions of each phase, each with its own Toeplitz block
-    phases = _affine(strips, weights, f_hat, u0_hat, (1, cfg.n_steps, ny - 1),
+    phases = _affine(strips, weights, f_hat, u0_hat, (1, cfg.n_steps, ny - 1), keep_fields,
                      layout=lambda x: x[:, 0].swapaxes(1, 2), reach=0, decay=decay)
 
     def sweep(h, thetas, part):

@@ -7,22 +7,23 @@ Each solve marches the fully discrete fractional diffusion equation
 over all time levels at once, given Dirichlet traces or outward-flux traces
 on the interface ends.  The spatial operator is evaluated implicitly at t_n
 for the sub-diffusion and classical schemes and averaged between levels for
-the wave scheme (whose Caputo weights refer to the half point).  A march
-factors its level matrix once for each run of levels with equal Caputo
-diagonal weights, so once on a uniform mesh, and forms every level in
-buffers allocated once.  A monolithic whole-domain reference solver couples
+the wave scheme (whose Caputo weights refer to the half point).  Every
+level solves the same spatial operator, so a march moves each line into
+the sine basis of its interior once, where a level is a division with a
+rank-one correction per flux end (``kernels``), and moves back only the
+nodes its caller reads.  A monolithic whole-domain reference solver couples
 subdomains through the identical one-sided flux-balance row the
 substructuring iterations use, so a converged iteration and the monolithic
 solve agree to solver precision.  It solves that row as written, in a
-five-band system per level, so it shares neither the condensed rows of
-``kernels`` nor their LAPACK path with the march it judges.
+five-band system per level, so it shares neither the basis nor the
+eliminated flux rows of ``kernels`` with the march it judges.
 
 The march also takes a reaction term per line, which is how a 2D strip is
 solved: a sine transform in y turns the 5-point operator into one x-problem
 per y-mode, shifted by that mode's eigenvalue (``nnwr.run_nnwr_2d``).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, groupby
 
 import numpy as np
@@ -30,7 +31,7 @@ from scipy.linalg import solve_banded
 
 from . import kernels
 from .fractional_time import CaputoWeights
-from .geometry import Partition1D, Subdomain1D, laplacian_apply
+from .geometry import END_NODES, Partition1D, Subdomain1D
 
 __all__ = [
     "tabulate",
@@ -92,6 +93,7 @@ def tabulate(weights: CaputoWeights, f, u0, *grid):
 
 def solve_waveform(
     sub, weights: CaputoWeights, left, right, f=None, u0=None, decay=None, members=None,
+    trim=False,
 ):
     """March subdomains through all time levels with mixed end conditions.
 
@@ -99,6 +101,9 @@ def solve_waveform(
     values is None, a scalar, or a length-N array of the imposed trace /
     outward-normal flux at t_1..t_N; None stands for ('dirichlet', None).
     Returns the field u[n, node] with row 0 holding the initial samples.
+    With ``trim`` the field holds only the nodes ``geometry.END_NODES``, the
+    three nearest each end, which is all an interface flux or an end value
+    reads.
 
     ``sub`` is one ``Subdomain1D`` or a sequence of them.  With a sequence,
     ``left`` and ``right`` hold one end condition per subdomain, ``f`` and
@@ -120,15 +125,16 @@ def solve_waveform(
     (M, N, B), and so does the field, (M, N+1, n_nodes) or
     (M, N+1, B, n_nodes).
 
-    Every time level is one ``kernels.step_solve`` call on a
-    ``kernels.Stack`` built once per call, whose blocks are the lines of
-    every subdomain, member and mode; the matrix of a run of levels with
-    equal diagonal weights is factored once.  Each member's history term is
-    its own product of the Caputo row with its increments on one subdomain,
-    of the width a call without ``members`` uses, so the members and the
-    subdomains of a call do not change one another's bits.  Without ``f`` and ``u0``
-    the field is zero before the first level with a nonzero end value, and
-    the march starts there; a subdomain whose end values are zero at every
+    Every line of every subdomain, member and mode marches in the sine basis
+    of its interior (``kernels``): the data move into it once, every time
+    level is one ``kernels.step_solve`` call on a ``kernels.Stack`` built
+    once per call, and only the returned nodes move back, from the
+    increments of the levels.  Each member's history term is its own product
+    of the Caputo row with its increments on one subdomain, of the width a
+    call without ``members`` uses, so the members and the subdomains of a
+    call do not change one another's bits.  Without ``f`` and ``u0`` the
+    field is zero before the first level with a nonzero end value, and the
+    march starts there; a subdomain whose end values are zero at every
     level, for every member and mode, stays out of the stack, and its field
     is ``np.zeros``.
     """
@@ -148,11 +154,11 @@ def solve_waveform(
         decay = np.asarray(decay, dtype=float)
         decay = np.broadcast_to(decay, (len(subs), decay.shape[-1]))  # a row per subdomain
     modes = () if decay is None else decay.shape[1:]
-    lines = m * (1 if decay is None else decay.shape[1])  # blocks per subdomain
-    per_block = lambda x: [v for v in x for _ in range(lines)]  # noqa: E731
+    lines = m * (1 if decay is None else decay.shape[1])  # lines per subdomain
+    per_line = lambda x: [v for v in x for _ in range(lines)]  # noqa: E731
 
     kinds = ([], [])
-    # one row of end values per level: the left ends of all blocks, then the right ends
+    # one row of end values per level: the left ends of all lines, then the right ends
     vals = np.empty((n_steps, 2, len(subs), lines))
     for i, ends in enumerate(zip(left, right)):
         for k, side in enumerate(ends):
@@ -168,100 +174,148 @@ def solve_waveform(
     if all(fi is None for fi in f) and all(ui is None for ui in u0):
         live = np.flatnonzero(vals.any(axis=(0, 1, 3))).tolist()
     fields = [None if i in live else np.zeros((() if members is None else (m,)) + (n_steps + 1,)
-                                              + modes + (s.n_nodes,)) for i, s in enumerate(subs)]
+                                              + modes + (len(END_NODES) if trim else s.n_nodes,))
+              for i, s in enumerate(subs)]
     if not live:
         return fields[0] if single else fields
     subs, f, u0 = ([x[i] for i in live] for x in (subs, f, u0))
     kinds = tuple([side[i] for i in live] for side in kinds)
-    vals, decay = vals[:, :, live].reshape(n_steps, -1), None if decay is None else decay[live]
-    # subdomain i owns the columns bounds[i]:bounds[i+1] of a level, member by
-    # member, then mode by mode
-    bounds = list(accumulate([lines * s.n_nodes for s in subs], initial=0))
+    vals = vals[:, :, live].reshape(n_steps, 2, -1).transpose(0, 2, 1).copy()  # (N, lines, 2)
+    shift = None
     if decay is not None:
-        decay = np.concatenate([np.tile(row, m) for row in decay])
+        shift = theta_s * np.concatenate([np.tile(row, m) for row in decay[live]])
     stack = kernels.Stack(
-        per_block([s.n_nodes for s in subs]),
-        per_block([theta_s * s.kappa / s.dx**2 for s in subs]),
-        per_block([s.kappa / (2.0 * s.dx) for s in subs]),
-        per_block(kinds[0]), per_block(kinds[1]),
-        None if decay is None else theta_s * decay,
+        per_line([s.n_nodes for s in subs]),
+        per_line([theta_s * s.kappa / s.dx**2 for s in subs]),
+        per_line([s.kappa / (2.0 * s.dx) for s in subs]),
+        per_line(kinds[0]), per_line(kinds[1]), shift,
     )
-    if decay is not None:
-        decay = np.repeat(decay, per_block([s.n_nodes for s in subs]))
+    # subdomain i owns the coefficients bounds[i]:bounds[i+1] of a level,
+    # member by member, then mode by mode
+    sizes = [s.n_nodes - 2 for s in subs]
+    bounds = list(accumulate([lines * k for k in sizes], initial=0))
 
-    u = np.empty((n_steps + 1, stack.size))
-    for i, s in enumerate(subs):
-        shape = modes + (s.n_nodes,)
-        u[0, bounds[i]:bounds[i + 1]].reshape(m, -1)[...] = _initial_samples(
-            u0[i], (s.nodes,), shape).reshape(-1)
-    # one source table per subdomain; each level concatenates its rows for the members
+    # the coefficients of the last two levels, the end values of every level
+    # and, per subdomain, the initial samples and their coefficients
+    levels = np.zeros((2, stack.size))
+    values = np.zeros((n_steps + 1, stack.lines, 2))
+    starts = [None if ui is None else _initial_samples(ui, (s.nodes,), modes + (s.n_nodes,))
+              for ui, s in zip(u0, subs)]
+    starts_hat = [None if st is None else kernels.dst(st[..., 1:-1]) for st in starts]
+    for i, (st, st_hat) in enumerate(zip(starts, starts_hat)):
+        if st is not None:
+            levels[0, bounds[i]:bounds[i + 1]].reshape(m, -1)[...] = st_hat.reshape(-1)
+            values[0, i * lines:(i + 1) * lines] = np.tile(st[..., [0, -1]].reshape(-1, 2), (m, 1))
+    # one source table per subdomain; each level adds its row to every member
     sources = None
     if any(fi is not None for fi in f):
-        sources = [_source_table(fi, (s.nodes,), weights.eval_times, modes + (s.n_nodes,))
-                   .reshape(n_steps, -1) for fi, s in zip(f, subs)]
+        sources = [kernels.dst(_source_table(fi, (s.nodes,), weights.eval_times,
+                                             modes + (s.n_nodes,))[..., 1:-1]).reshape(n_steps, -1)
+                   for fi, s in zip(f, subs)]
 
-    # Consecutive subdomains on one grid (node count and dx) form a run.  A
-    # run's lines go through one Laplacian call with a coefficient per line,
-    # and its history products, one per member of each subdomain, through one
+    # Consecutive subdomains with one coefficient count form a run, whose
+    # history products, one per member of each subdomain, go through one
     # stacked matmul over member-major increments: each product reads a
     # contiguous (level, width) slab, as a call with one member of one
     # subdomain does (a strided slab changes the bits of narrow products).
+    # The increments of every run share one table.
     hist = np.empty(stack.size)
+    increments = np.empty(n_steps * stack.size)
     runs = []
-    for _, run in groupby(range(len(subs)), lambda i: (subs[i].n_nodes, subs[i].dx)):
+    for _, run in groupby(range(len(subs)), lambda i: sizes[i]):
         i, *others = run
         rows = slice(bounds[i], bounds[i + 1 + len(others)])
-        s = subs[i]
-        if others:
-            s = replace(s, kappa=np.repeat([subs[j].kappa for j in (i, *others)], lines)[:, None])
-        width = lines * s.n_nodes // m
+        width = lines // m * sizes[i]
         products = (rows.stop - rows.start) // width
-        runs.append((rows, s, hist[rows].reshape(products, width),
-                     u[:, rows].reshape(n_steps + 1, products, width),
-                     np.empty((products, n_steps, width))))
+        runs.append((hist[rows].reshape(products, width),
+                     levels[:, rows].reshape(2, products, width),
+                     increments[n_steps * rows.start:n_steps * rows.stop]
+                     .reshape(products, n_steps, width)))
     # without data the levels before the first nonzero end value are zero: they
     # are written, and the history products keep their length, so bits match
     first = 1
     if sources is None and all(ui is None for ui in u0):
-        first = next((n for n, row in enumerate(vals.any(axis=1), 1) if row), n_steps + 1)
-        u[1:first] = 0.0
-        for *_, increments in runs:
-            increments[:, : first - 1] = 0.0
-    # the levels reuse these buffers; ``added`` gives each member its subdomain's source row
-    rhs, explicit, reaction = np.empty((3, stack.size))
+        first = next((n for n, row in enumerate(vals.any(axis=(1, 2)), 1) if row), n_steps + 1)
+        for *_, table in runs:
+            table[:, : first - 1] = 0.0
+    # the explicit half of a split level: the diagonal, and the last end values
+    explicit = ends_weight = None
+    if theta_s < 1.0:
+        ratio = (1.0 - theta_s) / theta_s
+        explicit, ends_weight = ratio * stack.diag, ratio * stack.s
+    stack.prepare(weights.diagonal[first - 1:])
+    rhs = np.empty(stack.size)
     added = [(rhs[bounds[j]:bounds[j + 1]].reshape(m, -1), table)
              for j, table in enumerate(sources or ())]
-    diagonal = weights.diagonal.tolist()
     for n in range(first, n_steps + 1):
         b_row = weights.rows[n - 1]
         bnn = b_row[n - 1]
-        prev = u[n - 1]
-        np.multiply(bnn, prev, out=rhs)
+        prev = levels[(n - 1) % 2]
+        if explicit is None:
+            np.multiply(bnn, prev, out=rhs)
+        else:
+            np.subtract(bnn, explicit, out=rhs)
+            rhs *= prev
         for member_rows, table in added:
             member_rows += table[n - 1]
         if n > 1:
-            for _, _, out, _, increments in runs:
-                np.matmul(b_row[: n - 1], increments[:, : n - 1], out=out)
+            for out, _, table in runs:
+                np.matmul(b_row[: n - 1], table[:, : n - 1], out=out)
             rhs -= hist
-        if theta_s < 1.0:
-            for rows, s, *_ in runs:
-                laplacian_apply(s, prev[rows].reshape(-1, s.n_nodes),
-                                out=explicit[rows].reshape(-1, s.n_nodes))
-            if decay is not None:
-                explicit -= np.multiply(decay, prev, out=reaction)
-            explicit *= 1.0 - theta_s
-            rhs += explicit
-        # a run of equal diagonal weights factors at its first level; the rest reuse the factors
-        d = diagonal[n - 1]
-        factor = n < n_steps and diagonal[n] == d and (n == first or diagonal[n - 2] != d)
-        kernels.step_solve(bnn, stack, rhs, vals[n - 1], factor=factor, out=u[n])
-        for _, _, _, field, increments in runs:
-            np.subtract(field[n], field[n - 1], out=increments[:, n - 1])
+        extra = None if ends_weight is None else ends_weight * values[n - 1]
+        values[n] = kernels.step_solve(bnn, stack, rhs, vals[n - 1], extra, out=levels[n % 2])[1]
+        for _, level, table in runs:
+            np.subtract(level[n % 2], level[(n - 1) % 2], out=table[:, n - 1])
 
     for j, (i, s) in enumerate(zip(live, subs)):
-        field = u[:, bounds[j]:bounds[j + 1]].reshape((n_steps + 1, m) + modes + (s.n_nodes,))
-        fields[i] = field[:, 0] if members is None else field.swapaxes(0, 1)
+        table = increments[n_steps * bounds[j]:n_steps * bounds[j + 1]]
+        ends = values[:, j * lines:(j + 1) * lines].reshape(n_steps + 1, m, -1, 2)
+        field = _field(s, table.reshape(m, n_steps, -1, sizes[j]), ends.transpose(3, 1, 0, 2),
+                       starts[j], starts_hat[j], trim)
+        field = field.reshape((m, n_steps + 1) + modes + (field.shape[-1],))
+        fields[i] = field[0] if members is None else field
     return fields[0] if single else fields
+
+
+def _field(sub, increments, ends, start, start_hat, trim):
+    """The field (members, N+1, modes, nodes) of one subdomain from its
+    coefficient ``increments`` (members, N, modes, coefficients), its end
+    values (2, members, N+1, modes) and its initial samples ``start`` and
+    their coefficients (modes, ...; None for zero), at every node or, with
+    ``trim``, at ``END_NODES``.  Row 0 is ``start`` as given.  The interior
+    nodes among ``END_NODES`` come from their rows of the sine basis over the
+    cumulated increments, in a whole field too, so that they have the same
+    bits trimmed or not; the other nodes come from one inverse transform.
+    """
+    members, n_steps, n_modes, size = increments.shape
+    last = sub.n_nodes - 1
+    nodes = [k % sub.n_nodes for k in END_NODES]
+    rows = sorted({k - 1 for k in nodes if 0 < k < last})
+    basis = kernels.sine_rows(size, rows)
+    # one product per member, or per level of each member when the lines have
+    # modes: products small enough that BLAS runs them on one thread
+    near = np.matmul(increments.reshape(-1, n_modes if n_modes > 1 else n_steps, size), basis.T)
+    near = near.reshape(members, n_steps, n_modes, len(rows))
+    np.cumsum(near, axis=1, out=near)
+    if start_hat is not None:
+        near += start_hat.reshape(n_modes, size) @ basis.T
+    if trim:
+        out = np.empty((members, n_steps + 1, n_modes, len(nodes)))
+        inside = [col for col, k in enumerate(nodes) if 0 < k < last]
+        out[:, 1:, :, inside] = near[..., [rows.index(nodes[col] - 1) for col in inside]]
+    else:
+        nodes = range(sub.n_nodes)
+        out = np.empty((members, n_steps + 1, n_modes, sub.n_nodes))
+        inner = np.cumsum(increments, axis=1)
+        if start_hat is not None:
+            inner += start_hat.reshape(n_modes, size)
+        out[:, 1:, :, 1:-1] = kernels.dst(inner)
+        out[:, 1:, :, np.add(rows, 1)] = near
+    out[:, 0] = 0.0 if start is None else start.reshape(n_modes, -1)[:, nodes]
+    for col, k in enumerate(nodes):
+        if k in (0, last):
+            out[:, 1:, :, col] = ends[0 if k == 0 else 1, :, 1:]
+    return out
 
 
 def _ends(sub, side, left, right):
@@ -272,17 +326,18 @@ def _ends(sub, side, left, right):
 
 
 def solve_dirichlet_waveform(sub, weights, left_trace, right_trace, f=None, u0=None,
-                             decay=None, members=None):
+                             decay=None, members=None, trim=False):
     """Dirichlet half-step: imposed interface traces (None = physical boundary, g = 0).
 
     With a sequence of subdomains the traces hold one entry per subdomain.
     """
     left, right = _ends(sub, lambda g: ("dirichlet", g), left_trace, right_trace)
-    return solve_waveform(sub, weights, left, right, f=f, u0=u0, decay=decay, members=members)
+    return solve_waveform(sub, weights, left, right, f=f, u0=u0, decay=decay, members=members,
+                          trim=trim)
 
 
 def solve_neumann_waveform(sub, weights, left_flux, right_flux, f=None, u0=None,
-                           decay=None, members=None):
+                           decay=None, members=None, trim=False):
     """Neumann half-step: imposed outward-flux traces.
 
     A side given as None is a physical boundary, where a homogeneous Dirichlet
@@ -291,7 +346,8 @@ def solve_neumann_waveform(sub, weights, left_flux, right_flux, f=None, u0=None,
     """
     left, right = _ends(sub, lambda q: ("dirichlet", None) if q is None else ("flux", q),
                         left_flux, right_flux)
-    return solve_waveform(sub, weights, left, right, f=f, u0=u0, decay=decay, members=members)
+    return solve_waveform(sub, weights, left, right, f=f, u0=u0, decay=decay, members=members,
+                          trim=trim)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +385,8 @@ def solve_monolithic(partition: Partition1D, weights: CaputoWeights, f=None, u0=
     c = kappa / (2 dx) of each side, which is exactly the fixed-point
     condition of the substructuring iterations.  Each level is the five-band
     system as written, solved by ``scipy.linalg.solve_banded`` (LAPACK
-    ``gbsv``), not condensed to the tridiagonal form of ``kernels``.
+    ``gbsv``), with neither the sine bases nor the eliminated flux rows of
+    ``kernels``.
     """
     nodes, ifc = _global_grid(partition)
     ntot = len(nodes)

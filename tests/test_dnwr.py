@@ -167,6 +167,25 @@ def test_forced_mode_converges_to_monolithic_trace():
     assert np.abs(res.traces - mono.interface_traces()[0]).max() <= 1e-9
 
 
+def test_forced_wave_run_whose_u0_breaks_the_flux_row_matches_the_monolithic_solve():
+    # the wave scheme's first level reads u0 in its explicit half, and this
+    # u0 satisfies no flux row at the interface (nor is it zero at the outer
+    # ends), so the Neumann half's first level cannot assume one; the
+    # converged fields must still glue into the monolithic solve
+    f = lambda x, t: np.sin(np.pi * x / 2) * (1.0 + t)  # noqa: E731
+    u0 = lambda x: np.cos(3.0 * x) + x  # noqa: E731
+    cfg = _config(partition=build_partition((0, 2), [1.3], [1.0, 0.25], 0.02), order=1.5,
+                  grading=1.0, theta="optimal", mode="forced", tolerance=1e-12, max_iter=80,
+                  source=f, initial_condition=u0)
+    res = run_dnwr(cfg, keep_fields=True)
+    assert res.report.converged
+    mono = solve_monolithic(cfg.partition, cfg.build_weights(), f=cfg.source,
+                            u0=cfg.initial_condition)
+    u1, u2 = res.fields
+    glued = np.concatenate([u1, u2[:, 1:]], axis=1)
+    assert np.abs(glued - mono.field).max() <= 1e-9 * np.abs(mono.field).max()
+
+
 def test_fixed_point_invariance_any_theta():
     # started at the monolithic interface trace, one sweep leaves it unchanged
     f = lambda x, t: np.sin(np.pi * x / 2)

@@ -114,7 +114,7 @@ def test_toeplitz_build_equals_the_full_impulse_build(order):
     for phase in _affine_1d(cfg, weights):
         full = transfer_operator(phase)
         t = toeplitz_operator(phase, weights.mesh)
-        assert t.shape == full.shape == (6, 3, 12, 12)
+        assert t.shape == full.shape == (3, 6, 12, 12)  # offsets, then positions
         assert np.abs(t - full).max() <= 1e-14 * np.abs(full).max()
 
 
@@ -139,17 +139,17 @@ def test_nnwr_operator_is_zero_outside_the_band():
     for phase in _affine_1d(cfg, weights):
         wide = replace(phase, reach=5)
         for blocks in (transfer_operator(wide), toeplitz_operator(wide, weights.mesh)):
-            assert blocks.shape == (6, 11, 12, 12)
+            assert blocks.shape == (11, 6, 12, 12)
             for q in range(6):
                 for offset in range(-5, 6):
-                    block = blocks[q, offset + 5]
+                    block = blocks[offset + 5, q]
                     if abs(offset) > 1 or not 0 <= q + offset < 6:
                         assert np.all(block == 0.0)
                     else:
                         assert np.all(np.diag(block) != 0.0)
         # the banded build holds the same blocks
         band = transfer_operator(phase)
-        np.testing.assert_array_equal(band, transfer_operator(wide)[:, 4:7])
+        np.testing.assert_array_equal(band, transfer_operator(wide)[4:7])
 
 
 def test_nnwr_impulse_marches_stack_only_the_subdomains_they_reach(monkeypatch):
@@ -194,7 +194,7 @@ def test_nnwr_impulse_marches_stack_only_the_subdomains_they_reach(monkeypatch):
     assert counts == {"dirichlet": 14, "neumann": 14}
     full, counts = build(full=True)
     assert counts == {"dirichlet": 24, "neumann": 24}
-    assert skipped.shape == (2, 7, 3, 16, 16)
+    assert skipped.shape == (2, 3, 7, 16, 16)
     assert np.array_equal(skipped, full)
     assert np.array_equal(np.signbit(skipped), np.signbit(full))
 

@@ -8,19 +8,19 @@ Each DIR is a checkout of the repository; its ``src`` goes on PYTHONPATH of
 every process started for it.  Before and after runs alternate, each in a
 fresh interpreter, so that a drifting host hits both alike.  The cases:
 
-- L0: one ``kernels.step_solve`` call at each stacked shape the benchmark
-  workloads use, the last level of a real march at seed 1: the 8 × 401
-  rows of one member of the ``sweeps-1d`` NNWR-1D config (its Neumann
-  phase, random fluxes), 16 members of 77 and of 25 rows (the DNWR
-  subdomains of ``sweeps-1d``, Dirichlet and Neumann, as one chunk of the
-  graded transfer build marches them), and the 49 sine modes × (24 + 78)
-  rows of the ``nnwr2d-strip`` strips (the Neumann phase of its first
-  sweep).  Each row re-times that last call, on the march's ``Stack`` as
-  the march left it.  On a checkout that keeps LU factors on the ``Stack``,
-  the ``step-8x401`` row (a uniform mesh, whose diagonal weight is the same
-  at every level) times substitution by ``dgttrs`` on the factors of an
-  earlier level, and the three graded rows time ``dgtsv``; an older
-  checkout times ``dgtsv`` in every row.
+- L0: one ``kernels.step_solve`` call, one time level of a march, at each
+  stacked shape the benchmark workloads use, the last level of a real march
+  at seed 1: the 8 × 401 nodes of one member of the ``sweeps-1d`` NNWR-1D
+  config (its Neumann phase, random fluxes), 16 members of 77 and of 25
+  nodes (the DNWR subdomains of ``sweeps-1d``, Dirichlet and Neumann, as one
+  chunk of the graded transfer build marches them), and the 49 sine modes ×
+  (24 + 78) nodes of the ``nnwr2d-strip`` strips (the Neumann phase of its
+  first sweep).  Each row re-times that last call, on the march's ``Stack``
+  as the march left it.  On a checkout that marches each line in its sine
+  basis the call is the level's division, with the Sherman-Morrison terms
+  of its flux ends, over the lines' interior coefficients; on an older
+  checkout it is the LAPACK tridiagonal solve of the level (``dgttrs`` on
+  stored factors in the uniform ``step-8x401`` row, ``dgtsv`` elsewhere).
 - L1, DNWR: one subdomain march on the DNWR subdomains of the ``sweeps-1d``
   workload at seed 1 (77 and 25 nodes, 64 steps): the Dirichlet solve on
   the left, the Neumann solve on the right, with 1 and with 8 members.
@@ -28,6 +28,20 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   condition, tabulated beforehand) and one Neumann phase over the 8 × 401
   nodes of the ``sweeps-1d`` NNWR-1D config at seed 1 (32 steps), each one
   stacked march.
+- L1, graded lock-step: one Dirichlet march and one Neumann march at the
+  shape of ``fig_nnwr_unequal`` (5 subdomains of 176, 101, 226, 101 and 201
+  nodes, 4 members, 96 steps, auto grading at order 0.5), random traces and
+  fluxes, as a sweep of that preset marches its phases; and the split of
+  each: the time of its ``kernels.step_solve`` calls (``-level``) and the
+  rest of the march (``-rest``: the history products, the right-hand sides
+  and moving the results back).
+- L1, NNWR-2D: one Dirichlet phase and one Neumann phase of the
+  ``nnwr2d-strip`` config at seed 1, one march over both strips and all 49
+  sine modes (64 steps, graded), random mode traces and fluxes.
+
+  Every L1 march asks for the nodes its driver reads, the three nearest
+  each end (``trim``), on a checkout whose solver takes that; an older
+  checkout computes the whole field.
 - L2: one sweep of that DNWR config, with 1 member and with its 8, and one
   sweep of that NNWR-1D config.  Also the whole θ run of that DNWR config:
   its 8 members to its tolerance or ``max_iter``, as the workload runs them.
@@ -99,6 +113,10 @@ IN_PROCESS = {  # case: (layer, calls per repeat)
     "dnwr-dirichlet-1": ("L1", 30), "dnwr-dirichlet-8": ("L1", 30),
     "dnwr-neumann-1": ("L1", 30), "dnwr-neumann-8": ("L1", 30),
     "nnwr1d-dirichlet-8x401": ("L1", 20), "nnwr1d-neumann-8x401": ("L1", 20),
+    "unequal-dirichlet-4x5": ("L1", 10), "unequal-dirichlet-4x5-level": ("L1", 10),
+    "unequal-dirichlet-4x5-rest": ("L1", 10), "unequal-neumann-4x5": ("L1", 10),
+    "unequal-neumann-4x5-level": ("L1", 10), "unequal-neumann-4x5-rest": ("L1", 10),
+    "nnwr2d-dirichlet-49x24+49x78": ("L1", 10), "nnwr2d-neumann-49x24+49x78": ("L1", 10),
     "dnwr-sweep-1": ("L2", 10), "dnwr-sweep-8": ("L2", 10), "dnwr-run-8": ("L2", 3),
     "nnwr1d-sweep-8x401": ("L2", 10), "nnwr2d-sweep": ("L2", 10),
     "nnwr1d-build-8x401": ("L2", 5), "nnwr1d-product-8x401": ("L2", 200),
@@ -140,6 +158,79 @@ def _dnwr_setup(whole_run=False):
     return (exp.run if whole_run else replace(exp.run, max_iter=1)), list(exp.thetas)
 
 
+def _trim(solve):
+    """``{"trim": True}`` when the checkout's ``solve`` returns only the nodes
+    nearest the ends, as its drivers ask; else no keyword."""
+    import inspect
+
+    return {"trim": True} if "trim" in inspect.signature(solve).parameters else {}
+
+
+def _unequal_case(name):
+    """One graded lock-step march at the shape of fig_nnwr_unequal, or its split."""
+    import numpy as np
+    from fracwr import harness, kernels, solver
+
+    cfg = harness.preset_config("fig_nnwr_unequal")[0].run
+    weights = cfg.build_weights()
+    subs = cfg.partition.subdomains
+    members = len(harness.preset_config("fig_nnwr_unequal")[0].thetas)
+    ends = np.random.default_rng(1).standard_normal((len(subs) - 1, members, cfg.n_steps))
+    ends = [None, *ends, None]
+    solve = solver.solve_dirichlet_waveform if "dirichlet" in name else \
+        solver.solve_neumann_waveform
+    kw = _trim(solve)
+
+    def march():
+        return solve(subs, weights, ends[:-1], ends[1:], members=members, **kw)
+
+    if not name.endswith(("-level", "-rest")):
+        return march
+    step = kernels.step_solve
+
+    def split():
+        spent = [0.0]
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return step(*args, **kwargs)
+            finally:
+                spent[0] += time.perf_counter() - t0
+
+        kernels.step_solve = timed
+        try:
+            t0 = time.perf_counter()
+            march()
+            total = time.perf_counter() - t0
+        finally:
+            kernels.step_solve = step
+        return spent[0] if name.endswith("-level") else total - spent[0]
+
+    return split
+
+
+def _nnwr2d_phase(kind):
+    """One NNWR-2D phase march of the nnwr2d-strip config at seed 1, all modes at once."""
+    import numpy as np
+    from fracwr import solver
+    from fracwr.geometry import axis_nodes
+
+    cfg = _experiment(0, "nnwr2d-strip").run
+    weights = cfg.build_weights()
+    strips = cfg.partition.subdomains
+    ys = axis_nodes(*cfg.y_extent, cfg.dy)
+    ny = len(ys) - 1
+    k = np.arange(1, ny)
+    decay = [s.kappa * (2.0 * np.sin(0.5 * np.pi * k / ny) / (ys[1] - ys[0])) ** 2
+             for s in strips]
+    h = np.random.default_rng(1).standard_normal((1, cfg.n_steps, ny - 1))
+    solve = solver.solve_dirichlet_waveform if kind == "dirichlet" else \
+        solver.solve_neumann_waveform
+    kw = _trim(solve)
+    return lambda: solve(strips, weights, [None, h], [h, None], decay=decay, members=1, **kw)
+
+
 def _nnwr_case(kind):
     """One NNWR-1D phase or sweep of the sweeps-1d config at seed 1."""
     from dataclasses import replace
@@ -161,7 +252,8 @@ def _nnwr_case(kind):
         u0 = [cfg.initial_condition(s.nodes) for s in subs]
     else:
         solve, f, u0 = solver.solve_neumann_waveform, [None] * len(subs), [None] * len(subs)
-    return lambda: solve(subs, weights, traces[:-1], traces[1:], f=f, u0=u0)
+    kw = _trim(solve)
+    return lambda: solve(subs, weights, traces[:-1], traces[1:], f=f, u0=u0, **kw)
 
 
 def _operator_case(name):
@@ -220,6 +312,10 @@ def _case(name):
 
     if name.startswith("step-"):
         return _step_case(name)
+    if name.startswith("unequal-"):
+        return _unequal_case(name)
+    if name.startswith("nnwr2d-") and name != "nnwr2d-sweep":
+        return _nnwr2d_phase(name.split("-")[1])
     if "build" in name or "product" in name:
         return _operator_case(name)
     if name == "nnwr2d-sweep":
@@ -236,10 +332,11 @@ def _case(name):
             return lambda: run_dnwr(replace(cfg, theta="optimal"))
         return lambda: run_dnwr(cfg, members=thetas)
     traces = np.random.default_rng(1).standard_normal((m, cfg.n_steps))
+    trim = _trim(solver.solve_waveform)
     if kind == "dnwr-dirichlet":
-        solve = lambda h, **kw: solver.solve_dirichlet_waveform(sub1, weights, None, h, **kw)  # noqa: E731
+        solve = lambda h, **kw: solver.solve_dirichlet_waveform(sub1, weights, None, h, **kw, **trim)  # noqa: E731
     else:
-        solve = lambda h, **kw: solver.solve_neumann_waveform(sub2, weights, h, None, **kw)  # noqa: E731
+        solve = lambda h, **kw: solver.solve_neumann_waveform(sub2, weights, h, None, **kw, **trim)  # noqa: E731
     if m == 1:
         return lambda: solve(traces[0])
     return lambda: solve(traces, members=m)
@@ -270,10 +367,10 @@ def _run_case(name):
         return None
     fn()
     times = []
-    for _ in range(IN_PROCESS[name][1]):
+    for _ in range(IN_PROCESS[name][1]):  # a split case returns the seconds of its part
         t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
+        part = fn()
+        times.append(part if isinstance(part, float) else time.perf_counter() - t0)
     print(json.dumps(statistics.median(times)))
 
 
