@@ -71,6 +71,7 @@ _SUM_DIFFERENCE = np.array([[1.0, 1.0], [1.0, -1.0]])
 # depends on what is kept.
 _KEPT = {}
 _KEEP = 4
+_LEVELS = 4096  # the most level terms a kept stack holds
 
 
 class Stack:
@@ -157,8 +158,10 @@ class Stack:
         """
         if not self.has_flux:
             return
-        new = np.array([b for b in dict.fromkeys(np.asarray(bnns, dtype=float).tolist())
-                        if b not in self.levels])
+        wanted = dict.fromkeys(np.asarray(bnns, dtype=float).tolist())
+        if len(self.levels) + len(wanted) > _LEVELS:  # runs on many meshes start afresh
+            self.levels.clear()
+        new = np.array([b for b in wanted if b not in self.levels])
         block = max(1, 2**15 // self.size)
         for i in range(0, len(new), block):
             part = new[i:i + block]
