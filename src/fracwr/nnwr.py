@@ -195,7 +195,10 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
     # the transform matrix is symmetric and its own inverse
     k = np.arange(1, ny)
     sine = np.sqrt(2.0 / ny) * np.sin(np.pi * np.outer(k, k) / ny)
-    with np.errstate(over="ignore"):  # an infinite row makes the first sweep diverge
+    # a decay that overflows is infinite: the march divides that mode's levels by
+    # it, so the mode stays zero (the wave scheme's explicit half makes it a NaN,
+    # which the iteration reports as divergence)
+    with np.errstate(over="ignore"):
         decay = [s.kappa * (2.0 * np.sin(0.5 * np.pi * k / ny) / dy) ** 2 for s in strips]
     u0 = f_hat = u0_hat = (None, None)
     if not cfg.error_mode:
