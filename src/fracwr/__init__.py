@@ -20,7 +20,6 @@ from .geometry import (
     Subdomain1D,
     build_partition,
     build_subdomain,
-    laplacian_apply,
 )
 from .iteration import IterationReport, RunResult
 from .nnwr import (

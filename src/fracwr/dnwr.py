@@ -47,13 +47,15 @@ class DnwrConfig(IterationConfig):
 
 def _half_steps(subs, weights, h, f=(None, None), u0=(None, None), trim=True):
     """The Dirichlet and the Neumann field of one sweep from the traces ``h``
-    (members, N), with ``trim`` at the nodes the sweep reads (``solve_waveform``)."""
+    (members, N), with ``trim`` at the nodes the sweep reads (``solve_waveform``).
+    Each half-step marches its subdomain alone, with the tables ``f`` and
+    ``u0`` of that subdomain."""
     sub1, sub2 = subs
-    m = len(h)
-    u1 = solve_dirichlet_waveform(sub1, weights, None, h, f=f[0], u0=u0[0], members=m, trim=trim)
+    (u1,) = solve_dirichlet_waveform([sub1], weights, [None], [h], len(h), f=[f[0]], u0=[u0[0]],
+                                     trim=trim)
     flux = interface_flux_series(u1[:, 1:], "right", sub1)
-    u2 = solve_neumann_waveform(sub2, weights, -flux, None, f=f[1], u0=u0[1], members=m,
-                                trim=trim)
+    (u2,) = solve_neumann_waveform([sub2], weights, [-flux], [None], len(h), f=[f[1]],
+                                   u0=[u0[1]], trim=trim)
     return u1, u2
 
 

@@ -1,4 +1,4 @@
-"""Subdomain geometry, discrete Laplacians and interface-flux extraction.
+"""Subdomain geometry and interface-flux extraction.
 
 Domains are partitioned into non-overlapping subdomains that share exactly
 their interface points; every subdomain carries its own constant diffusion
@@ -22,7 +22,6 @@ __all__ = [
     "build_partition",
     "axis_nodes",
     "END_NODES",
-    "laplacian_apply",
     "interface_flux_series",
 ]
 
@@ -113,30 +112,6 @@ def _per_subdomain(values, n_sub, name):
     if len(values) != n_sub:
         raise ValueError(f"{name} list has {len(values)} entries for {n_sub} subdomains")
     return values
-
-
-def laplacian_apply(sub: Subdomain1D, field_row, out=None) -> np.ndarray:
-    """kappa * (u_{i-1} - 2 u_i + u_{i+1}) / dx**2 at interior nodes, 0 at ends.
-
-    The stencil runs along the last axis, so a stack of rows is applied at once.
-    ``sub.kappa`` may also be a column with one coefficient per row, for the
-    lines of several subdomains that share the node count and ``dx``.  The
-    result is written to ``out`` (C-contiguous, not overlapping the field)
-    when given, with the operations of the allocating call in its order.
-    """
-    u = np.asarray(field_row, dtype=float)
-    if u.shape[-1] != sub.n_nodes:
-        raise ValueError(f"field has {u.shape[-1]} values for {sub.n_nodes} nodes")
-    out = np.empty(u.shape) if out is None else out
-    # contiguous loops over the flattened rows; their end entries mix rows until zeroed
-    flat, inner = u.reshape(-1), out.reshape(-1)[1:-1]
-    np.multiply(2.0, flat[1:-1], out=inner)
-    np.subtract(flat[:-2], inner, out=inner)
-    inner += flat[2:]
-    np.multiply(sub.kappa, out, out=out)
-    out /= sub.dx**2
-    out[..., 0] = out[..., -1] = 0.0
-    return out
 
 
 def interface_flux_series(fields, side: str, sub: Subdomain1D) -> np.ndarray:

@@ -79,9 +79,10 @@ class NnwrConfig(IterationConfig):
 
 def _dirichlet_phase(subs, weights, f, u0, decay, trim, h, data):
     """Phases (a) and (b) over the line subdomains ``subs`` at the traces
-    ``h``, with the data ``f`` and ``u0`` or (``data=False``) without: the
-    flux mismatch and the Dirichlet fields, with ``trim`` at the nodes the
-    flux reads (``solve_waveform``).
+    ``h``, with the data or (``data=False``) without: the flux mismatch and
+    the Dirichlet fields, with ``trim`` at the nodes the flux reads
+    (``solve_waveform``).  ``f`` and ``u0`` are None or hold one table per
+    subdomain, from ``tabulate`` or, in mode space, ``_mode_data``.
 
     ``h`` stacks each member's interface traces, (members, interfaces, N),
     with a trailing mode axis when ``decay`` gives the lines a reaction term
@@ -89,9 +90,9 @@ def _dirichlet_phase(subs, weights, f, u0, decay, trim, h, data):
     """
     # subdomain i lies between interfaces i - 1 and i; the outer ends have none
     traces = [None, *h.swapaxes(0, 1), None]
-    fields = solve_dirichlet_waveform(subs, weights, traces[:-1], traces[1:],
+    fields = solve_dirichlet_waveform(subs, weights, traces[:-1], traces[1:], len(h),
                                       f=f if data else None, u0=u0 if data else None,
-                                      decay=decay, members=len(h), trim=trim)
+                                      decay=decay, trim=trim)
     mismatch = np.stack([
         interface_flux_series(fields[i][:, 1:], "right", subs[i])
         + interface_flux_series(fields[i + 1][:, 1:], "left", subs[i + 1])
@@ -103,8 +104,8 @@ def _dirichlet_phase(subs, weights, f, u0, decay, trim, h, data):
 def _neumann_phase(subs, weights, decay, mismatch, data):
     """Phase (c), which has no data to take: psi, shaped like the flux ``mismatch``."""
     fluxes = [None, *mismatch.swapaxes(0, 1), None]
-    corrections = solve_neumann_waveform(subs, weights, fluxes[:-1], fluxes[1:], decay=decay,
-                                         members=len(mismatch), trim=True)
+    corrections = solve_neumann_waveform(subs, weights, fluxes[:-1], fluxes[1:], len(mismatch),
+                                         decay=decay, trim=True)
     psi = np.stack([corrections[i][:, 1:, ..., -1] + corrections[i + 1][:, 1:, ..., 0]
                     for i in range(len(subs) - 1)], axis=1)
     return psi, ()

@@ -5,12 +5,15 @@ Each solve marches the fully discrete fractional diffusion equation
     sum_j b[n, j] (u^j - u^{j-1}) = kappa * Lap_h u^{eval} + f
 
 over all time levels at once, given Dirichlet traces or outward-flux traces
-on the interface ends.  The spatial operator is evaluated implicitly at t_n
-for the sub-diffusion and classical schemes and averaged between levels for
-the wave scheme (whose Caputo weights refer to the half point).  Every
-level solves the same spatial operator, so a march moves each line into
-the sine basis of its interior once, where a level is a division with a
-rank-one correction per flux end (``kernels``), and moves back only the
+on the interface ends.  A march takes one input form (``solve_waveform``):
+a sequence of subdomains, the member count of a relaxation sweep, per end
+None or an array of values, and the data as tables, which a driver makes
+once per run (``tabulate``).  The spatial operator is evaluated implicitly
+at t_n for the sub-diffusion and classical schemes and averaged between
+levels for the wave scheme (whose Caputo weights refer to the half point).
+Every level solves the same spatial operator, so a march moves each line
+into the sine basis of its interior once, where a level is a division with
+a rank-one correction per flux end (``kernels``), and moves back only the
 nodes its caller reads.  A monolithic whole-domain reference solver couples
 subdomains through the identical one-sided flux-balance row the
 substructuring iterations use, so a converged iteration and the monolithic
@@ -31,7 +34,7 @@ from scipy.linalg import solve_banded
 
 from . import kernels
 from .fractional_time import CaputoWeights
-from .geometry import END_NODES, Partition1D, Subdomain1D
+from .geometry import END_NODES, Partition1D
 
 __all__ = [
     "tabulate",
@@ -43,14 +46,10 @@ __all__ = [
 ]
 
 
-def _expand_trace(values, shape) -> np.ndarray:
-    if values is None:
-        return np.zeros(shape)
-    if np.isscalar(values):
-        return np.full(shape, float(values))
+def _table(values, shape, name) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != shape:
-        raise ValueError(f"trace has shape {arr.shape}, expected {shape}")
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
     return arr
 
 
@@ -59,10 +58,7 @@ def _initial_samples(u0, grid, shape) -> np.ndarray:
         return np.zeros(shape)
     if callable(u0):
         return np.broadcast_to(np.asarray(u0(*grid), dtype=float), shape)
-    arr = np.asarray(u0, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"initial data has shape {arr.shape}, expected {shape}")
-    return arr
+    return _table(u0, shape, "initial data")
 
 
 def _source_table(f, grid, eval_times, shape) -> np.ndarray:
@@ -91,39 +87,31 @@ def tabulate(weights: CaputoWeights, f, u0, *grid):
             None if u0 is None else _initial_samples(u0, grid, shape))
 
 
-def solve_waveform(
-    sub, weights: CaputoWeights, left, right, f=None, u0=None, decay=None, members=None,
-    trim=False,
-):
-    """March subdomains through all time levels with mixed end conditions.
+def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=False, f=None,
+                   u0=None, decay=None, trim=False):
+    """March subdomains through all time levels, the members of a relaxation
+    sweep at once.
 
-    ``left`` and ``right`` are ('dirichlet', values) or ('flux', values) where
-    values is None, a scalar, or a length-N array of the imposed trace /
-    outward-normal flux at t_1..t_N; None stands for ('dirichlet', None).
-    Returns the field u[n, node] with row 0 holding the initial samples.
-    With ``trim`` the field holds only the nodes ``geometry.END_NODES``, the
-    three nearest each end, which is all an interface flux or an end value
-    reads.
+    ``subs`` is a sequence of ``Subdomain1D``, and ``left`` and ``right``
+    hold one end per subdomain: None for a physical boundary, where
+    u = 0, or an array (members, N) of interface values at t_1..t_N, the
+    imposed traces or, with ``flux``, the outward-normal fluxes.  ``f`` and
+    ``u0`` are None or hold one entry per subdomain: None, or the table
+    that ``tabulate`` makes, (N, n_nodes) and (n_nodes,).  The members share
+    the data but have their own end values.  The call returns one field
+    (members, N+1, n_nodes) per subdomain, row 0 holding the initial
+    samples, each bit for bit the field of a call with that subdomain
+    alone.  With ``trim`` a field holds only the nodes
+    ``geometry.END_NODES``, the three nearest each end, which is all an
+    interface flux or an end value reads.
 
-    ``sub`` is one ``Subdomain1D`` or a sequence of them.  With a sequence,
-    ``left`` and ``right`` hold one end condition per subdomain, ``f`` and
-    ``u0`` are None, a callable, or one entry per subdomain, and the call
-    returns one field per subdomain, each bit for bit the field of a call
-    with that subdomain alone.
-
-    With ``decay`` (shape (B,)) the call marches B independent problems at
-    once, problem b solving D^nu u = kappa u_xx - decay[b] u + f with the
-    reaction term split between levels like the Laplacian; with a sequence
-    of subdomains ``decay`` may also hold one such row per subdomain.  Then
-    ``u0`` and a time-independent ``f`` have shape (B, n_nodes), a time table
-    ``f`` (N, B, n_nodes), trace arrays (N, B), and the field
-    (N+1, B, n_nodes).
-
-    With ``members`` = M the call marches M problems that share ``f``, ``u0``
-    and ``decay`` but have their own end values, the members of a relaxation
-    sweep.  Trace arrays then gain a leading member axis, (M, N) or
-    (M, N, B), and so does the field, (M, N+1, n_nodes) or
-    (M, N+1, B, n_nodes).
+    With ``decay`` (shape (B,), or one such row per subdomain) each member
+    marches B independent problems, problem b solving
+    D^nu u = kappa u_xx - decay[b] u + f with the reaction term split
+    between levels like the Laplacian.  Then the tables gain a mode axis
+    before the nodes, (N, B, n_nodes) and (B, n_nodes), the end arrays a
+    trailing one, (members, N, B), and the fields one before the nodes,
+    (members, N+1, B, n_nodes).
 
     Every line of every subdomain, member and mode marches in the sine basis
     of its interior (``kernels``): the data move into it once, every time
@@ -131,64 +119,56 @@ def solve_waveform(
     once per call, and only the returned nodes move back, from the
     increments of the levels.  Each member's history term is its own product
     of the Caputo row with its increments on one subdomain, of the width a
-    call without ``members`` uses, so the members and the subdomains of a
+    call with one member uses, so the members and the subdomains of a
     call do not change one another's bits.  Without ``f`` and ``u0`` the
     field is zero before the first level with a nonzero end value, and the
     march starts there; a subdomain whose end values are zero at every
     level, for every member and mode, stays out of the stack, and its field
     is ``np.zeros``.
     """
-    single = isinstance(sub, Subdomain1D)
-    subs = (sub,) if single else tuple(sub)
-    if single:
-        left, right, f, u0 = [left], [right], [f], [u0]
-    else:
-        f = [f] * len(subs) if f is None or callable(f) else f
-        u0 = [u0] * len(subs) if u0 is None or callable(u0) else u0
-        if not len(left) == len(right) == len(f) == len(u0) == len(subs):
-            raise ValueError("give one end condition, source and initial value per subdomain")
+    f = [None] * len(subs) if f is None else f
+    u0 = [None] * len(subs) if u0 is None else u0
+    if not len(left) == len(right) == len(f) == len(u0) == len(subs):
+        raise ValueError("give one end, source and initial value per subdomain")
     n_steps = weights.n_steps
     theta_s = weights.implicit_fraction
-    m = 1 if members is None else members
     if decay is not None:
         decay = np.asarray(decay, dtype=float)
         decay = np.broadcast_to(decay, (len(subs), decay.shape[-1]))  # a row per subdomain
     modes = () if decay is None else decay.shape[1:]
-    lines = m * (1 if decay is None else decay.shape[1])  # lines per subdomain
+    lines = members * (1 if decay is None else decay.shape[1])  # lines per subdomain
     per_line = lambda x: [v for v in x for _ in range(lines)]  # noqa: E731
 
-    kinds = ([], [])
+    # an end with values is a flux end under ``flux``; every other end is Dirichlet
+    kinds = np.full((2, len(subs)), kernels.DIRICHLET)
     # one row of end values per level: the left ends of all lines, then the right ends
-    vals = np.empty((n_steps, 2, len(subs), lines))
+    vals = np.zeros((n_steps, 2, len(subs), lines))
     for i, ends in enumerate(zip(left, right)):
-        for k, side in enumerate(ends):
-            kind, values = ("dirichlet", None) if side is None else side
-            if kind not in ("dirichlet", "flux"):
-                raise ValueError(f"boundary kind must be 'dirichlet' or 'flux', got {kind!r}")
-            kinds[k].append(kernels.DIRICHLET if kind == "dirichlet" else kernels.FLUX)
-            trace = _expand_trace(values, (() if members is None else (m,)) + (n_steps,) + modes)
-            vals[:, k, i] = trace.reshape(m, n_steps, -1).swapaxes(0, 1).reshape(n_steps, lines)
+        for k, values in enumerate(ends):
+            if values is not None:
+                values = _table(values, (members, n_steps) + modes, "an end")
+                kinds[k, i] = kernels.FLUX if flux else kernels.DIRICHLET
+                vals[:, k, i] = np.moveaxis(values, 1, 0).reshape(n_steps, lines)
     # without data a subdomain whose end values are all zero has the zero field,
     # and only the subdomains ``live`` enter the stack
     live = range(len(subs))
     if all(fi is None for fi in f) and all(ui is None for ui in u0):
         live = np.flatnonzero(vals.any(axis=(0, 1, 3))).tolist()
-    fields = [None if i in live else np.zeros((() if members is None else (m,)) + (n_steps + 1,)
-                                              + modes + (len(END_NODES) if trim else s.n_nodes,))
+    fields = [None if i in live else np.zeros((members, n_steps + 1) + modes
+                                              + (len(END_NODES) if trim else s.n_nodes,))
               for i, s in enumerate(subs)]
     if not live:
-        return fields[0] if single else fields
+        return fields
     subs, f, u0 = ([x[i] for i in live] for x in (subs, f, u0))
-    kinds = tuple([side[i] for i in live] for side in kinds)
     vals = vals[:, :, live].reshape(n_steps, 2, -1).transpose(0, 2, 1).copy()  # (N, lines, 2)
     shift = None
     if decay is not None:
-        shift = theta_s * np.concatenate([np.tile(row, m) for row in decay[live]])
+        shift = theta_s * np.concatenate([np.tile(row, members) for row in decay[live]])
     stack = kernels.Stack(
         per_line([s.n_nodes for s in subs]),
         per_line([theta_s * s.kappa / s.dx**2 for s in subs]),
         per_line([s.kappa / (2.0 * s.dx) for s in subs]),
-        per_line(kinds[0]), per_line(kinds[1]), shift,
+        per_line(kinds[0, live]), per_line(kinds[1, live]), shift,
     )
     # subdomain i owns the coefficients bounds[i]:bounds[i+1] of a level,
     # member by member, then mode by mode
@@ -199,19 +179,21 @@ def solve_waveform(
     # and, per subdomain, the initial samples and their coefficients
     levels = np.zeros((2, stack.size))
     values = np.zeros((n_steps + 1, stack.lines, 2))
-    starts = [None if ui is None else _initial_samples(ui, (s.nodes,), modes + (s.n_nodes,))
-              for ui, s in zip(u0, subs)]
+    shapes = [modes + (s.n_nodes,) for s in subs]
+    starts = [None if ui is None else _table(ui, shape, "initial data")
+              for ui, shape in zip(u0, shapes)]
     starts_hat = [None if st is None else kernels.dst(st[..., 1:-1]) for st in starts]
     for i, (st, st_hat) in enumerate(zip(starts, starts_hat)):
         if st is not None:
-            levels[0, bounds[i]:bounds[i + 1]].reshape(m, -1)[...] = st_hat.reshape(-1)
-            values[0, i * lines:(i + 1) * lines] = np.tile(st[..., [0, -1]].reshape(-1, 2), (m, 1))
-    # one source table per subdomain; each level adds its row to every member
+            levels[0, bounds[i]:bounds[i + 1]].reshape(members, -1)[...] = st_hat.reshape(-1)
+            values[0, i * lines:(i + 1) * lines] = np.tile(st[..., [0, -1]].reshape(-1, 2),
+                                                           (members, 1))
+    # one source table per subdomain (zeros for None); each level adds its row to every member
     sources = None
     if any(fi is not None for fi in f):
-        sources = [kernels.dst(_source_table(fi, (s.nodes,), weights.eval_times,
-                                             modes + (s.n_nodes,))[..., 1:-1]).reshape(n_steps, -1)
-                   for fi, s in zip(f, subs)]
+        sources = [kernels.dst((np.zeros((n_steps,) + shape) if fi is None else
+                                _table(fi, (n_steps,) + shape, "source"))[..., 1:-1])
+                   .reshape(n_steps, -1) for fi, shape in zip(f, shapes)]
 
     # Consecutive subdomains with one coefficient count form a run, whose
     # history products, one per member of each subdomain, go through one
@@ -225,7 +207,7 @@ def solve_waveform(
     for _, run in groupby(range(len(subs)), lambda i: sizes[i]):
         i, *others = run
         rows = slice(bounds[i], bounds[i + 1 + len(others)])
-        width = lines // m * sizes[i]
+        width = lines // members * sizes[i]
         products = (rows.stop - rows.start) // width
         runs.append((hist[rows].reshape(products, width),
                      levels[:, rows].reshape(2, products, width),
@@ -245,7 +227,7 @@ def solve_waveform(
         explicit, ends_weight = ratio * stack.diag, ratio * stack.s
     stack.prepare(weights.diagonal[first - 1:])
     rhs = np.empty(stack.size)
-    added = [(rhs[bounds[j]:bounds[j + 1]].reshape(m, -1), table)
+    added = [(rhs[bounds[j]:bounds[j + 1]].reshape(members, -1), table)
              for j, table in enumerate(sources or ())]
     for n in range(first, n_steps + 1):
         b_row = weights.rows[n - 1]
@@ -269,12 +251,11 @@ def solve_waveform(
 
     for j, (i, s) in enumerate(zip(live, subs)):
         table = increments[n_steps * bounds[j]:n_steps * bounds[j + 1]]
-        ends = values[:, j * lines:(j + 1) * lines].reshape(n_steps + 1, m, -1, 2)
-        field = _field(s, table.reshape(m, n_steps, -1, sizes[j]), ends.transpose(3, 1, 0, 2),
-                       starts[j], starts_hat[j], trim)
-        field = field.reshape((m, n_steps + 1) + modes + (field.shape[-1],))
-        fields[i] = field[0] if members is None else field
-    return fields[0] if single else fields
+        ends = values[:, j * lines:(j + 1) * lines].reshape(n_steps + 1, members, -1, 2)
+        field = _field(s, table.reshape(members, n_steps, -1, sizes[j]),
+                       ends.transpose(3, 1, 0, 2), starts[j], starts_hat[j], trim)
+        fields[i] = field.reshape((members, n_steps + 1) + modes + (field.shape[-1],))
+    return fields
 
 
 def _field(sub, increments, ends, start, start_hat, trim):
@@ -318,36 +299,16 @@ def _field(sub, increments, ends, start, start_hat, trim):
     return out
 
 
-def _ends(sub, side, left, right):
-    """The end conditions ``side(value)`` of one subdomain, or of each of a sequence."""
-    if isinstance(sub, Subdomain1D):
-        return side(left), side(right)
-    return [side(v) for v in left], [side(v) for v in right]
+def solve_dirichlet_waveform(subs, weights, left, right, members, f=None, u0=None, decay=None,
+                             trim=False):
+    """Dirichlet half-step: ``solve_waveform`` with the ends' values as traces."""
+    return solve_waveform(subs, weights, left, right, members, False, f, u0, decay, trim)
 
 
-def solve_dirichlet_waveform(sub, weights, left_trace, right_trace, f=None, u0=None,
-                             decay=None, members=None, trim=False):
-    """Dirichlet half-step: imposed interface traces (None = physical boundary, g = 0).
-
-    With a sequence of subdomains the traces hold one entry per subdomain.
-    """
-    left, right = _ends(sub, lambda g: ("dirichlet", g), left_trace, right_trace)
-    return solve_waveform(sub, weights, left, right, f=f, u0=u0, decay=decay, members=members,
-                          trim=trim)
-
-
-def solve_neumann_waveform(sub, weights, left_flux, right_flux, f=None, u0=None,
-                           decay=None, members=None, trim=False):
-    """Neumann half-step: imposed outward-flux traces.
-
-    A side given as None is a physical boundary, where a homogeneous Dirichlet
-    condition replaces the flux condition.  With a sequence of subdomains the
-    fluxes hold one entry per subdomain.
-    """
-    left, right = _ends(sub, lambda q: ("dirichlet", None) if q is None else ("flux", q),
-                        left_flux, right_flux)
-    return solve_waveform(sub, weights, left, right, f=f, u0=u0, decay=decay, members=members,
-                          trim=trim)
+def solve_neumann_waveform(subs, weights, left, right, members, f=None, u0=None, decay=None,
+                           trim=False):
+    """Neumann half-step: ``solve_waveform`` with the ends' values as outward fluxes."""
+    return solve_waveform(subs, weights, left, right, members, True, f, u0, decay, trim)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import fracwr.iteration as iteration
 from fracwr.dnwr import DnwrConfig, optimal_theta_dnwr, run_dnwr, transfer_matrix
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
 from fracwr.geometry import build_partition, interface_flux_series
-from fracwr.solver import solve_dirichlet_waveform, solve_monolithic, solve_neumann_waveform
+from fracwr.solver import solve_monolithic
 from fracwr.theory import DnwrBoundParams
+from marching import march_alone
 
 
 def test_optimal_theta_values():
@@ -52,9 +53,9 @@ def test_update_identity():
     weights = cfg.build_weights()
     sub1, sub2 = cfg.partition.subdomains
     h0 = np.ones(cfg.n_steps)
-    u1 = solve_dirichlet_waveform(sub1, weights, None, h0)
+    u1 = march_alone(sub1, weights, None, h0)
     flux = interface_flux_series(u1[1:], "right", sub1)
-    u2 = solve_neumann_waveform(sub2, weights, -flux, None)
+    u2 = march_alone(sub2, weights, -flux, None, flux=True)
     expected = 0.37 * u2[1:, 0] + (1 - 0.37) * h0
     np.testing.assert_array_equal(res.traces, expected)
 
@@ -82,9 +83,9 @@ def test_iterates_past_the_switch_match_marched_half_steps(order, monkeypatch):
         theta = cfg.resolve_theta(member)[0]
         h, errs = np.ones(cfg.n_steps), []
         for _ in range(cfg.max_iter):
-            u1 = solve_dirichlet_waveform(sub1, weights, None, h)
+            u1 = march_alone(sub1, weights, None, h)
             flux = interface_flux_series(u1[1:], "right", sub1)
-            u2 = solve_neumann_waveform(sub2, weights, -flux, None)
+            u2 = march_alone(sub2, weights, -flux, None, flux=True)
             h = theta * u2[1:, 0] + (1 - theta) * h
             errs.append(np.abs(h).max())
         np.testing.assert_allclose(res.report.sup_errors, errs, rtol=1e-12, atol=1e-15)

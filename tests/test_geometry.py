@@ -8,7 +8,6 @@ from fracwr.geometry import (
     build_partition,
     build_subdomain,
     interface_flux_series,
-    laplacian_apply,
 )
 from fracwr.nnwr import Nnwr2dConfig
 
@@ -67,16 +66,6 @@ def test_non_finite_cell_count_is_a_value_error(build):
 def test_zero_step_is_a_value_error(build):
     with pytest.raises(ValueError, match="positive and finite"):
         build()
-
-
-def test_laplacian_exact_on_polynomials():
-    sub = build_subdomain(0.0, 1.0, 0.7, 0.05)
-    x = sub.nodes
-    np.testing.assert_allclose(laplacian_apply(sub, x)[1:-1], 0.0, atol=1e-11)
-    np.testing.assert_allclose(laplacian_apply(sub, x**2)[1:-1], 2 * 0.7, rtol=1e-9)
-    assert np.all(laplacian_apply(sub, np.zeros_like(x)) == 0.0)
-    with pytest.raises(ValueError):
-        laplacian_apply(sub, np.zeros(3))
 
 
 def test_flux_exact_on_polynomials():

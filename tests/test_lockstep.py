@@ -16,7 +16,8 @@ from fracwr.geometry import build_partition
 from fracwr import harness
 from fracwr.harness import config_from_dict, run_experiment
 from fracwr.nnwr import Nnwr2dConfig, NnwrConfig, run_nnwr_1d, run_nnwr_2d
-from fracwr.solver import solve_waveform
+from fracwr.solver import solve_waveform, tabulate
+from marching import march_alone
 
 
 def _source_1d(x, t):
@@ -92,12 +93,11 @@ def test_member_axis_shapes():
     sub = cfg.partition.subdomains[0]
     w = cfg.build_weights()
     h = np.arange(3 * cfg.n_steps, dtype=float).reshape(3, cfg.n_steps)
-    u = solve_waveform(sub, w, None, ("dirichlet", h), f=_source_1d, u0=np.ones(sub.n_nodes),
-                       members=3)
+    f, u0 = tabulate(w, _source_1d, np.ones(sub.n_nodes), sub.nodes)
+    (u,) = solve_waveform([sub], w, [None], [h], 3, f=[f], u0=[u0])
     assert u.shape == (3, cfg.n_steps + 1, sub.n_nodes)
     for j in range(3):
-        solo = solve_waveform(sub, w, None, ("dirichlet", h[j]), f=_source_1d,
-                              u0=np.ones(sub.n_nodes))
+        solo = march_alone(sub, w, None, h[j], f=_source_1d, u0=np.ones(sub.n_nodes))
         assert np.array_equal(u[j], solo)
 
 

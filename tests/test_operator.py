@@ -20,7 +20,7 @@ from fracwr.dnwr import DnwrConfig, _affine as dnwr_affine, run_dnwr, transfer_m
 from fracwr.geometry import build_partition, interface_flux_series
 from fracwr.iteration import toeplitz_operator, transfer_operator
 from fracwr.nnwr import Nnwr2dConfig, NnwrConfig, _affine_1d, run_nnwr_1d, run_nnwr_2d
-from fracwr.solver import solve_dirichlet_waveform, solve_neumann_waveform
+from marching import march_alone
 
 
 def _source(x, t):
@@ -266,9 +266,9 @@ def _dnwr_by_hand(cfg, theta):
     data = {"f": cfg.source, "u0": cfg.initial_condition}
     h, errs = np.ones(cfg.n_steps), []
     for _ in range(cfg.max_iter):
-        u1 = solve_dirichlet_waveform(sub1, weights, None, h, **data)
+        u1 = march_alone(sub1, weights, None, h, **data)
         flux = interface_flux_series(u1[1:], "right", sub1)
-        u2 = solve_neumann_waveform(sub2, weights, -flux, None, **data)
+        u2 = march_alone(sub2, weights, -flux, None, flux=True, **data)
         h_new = theta * u2[1:, 0] + (1 - theta) * h
         errs.append([np.abs(h_new if cfg.error_mode else h_new - h).max()])
         h = h_new
@@ -282,12 +282,12 @@ def _nnwr_by_hand(cfg, theta):
     h, errs = np.ones((len(subs) - 1, cfg.n_steps)), []
     for _ in range(cfg.max_iter):
         traces = [None, *h, None]
-        u = [solve_dirichlet_waveform(s, weights, a, b, **data)
+        u = [march_alone(s, weights, a, b, **data)
              for s, a, b in zip(subs, traces[:-1], traces[1:])]
         fluxes = [None] + [interface_flux_series(u[i][1:], "right", subs[i])
                            + interface_flux_series(u[i + 1][1:], "left", subs[i + 1])
                            for i in range(len(subs) - 1)] + [None]
-        c = [solve_neumann_waveform(s, weights, a, b)
+        c = [march_alone(s, weights, a, b, flux=True)
              for s, a, b in zip(subs, fluxes[:-1], fluxes[1:])]
         update = theta[:, None] * np.array([c[i][1:, -1] + c[i + 1][1:, 0]
                                             for i in range(len(subs) - 1)])
@@ -361,8 +361,7 @@ def test_kept_fields_of_a_product_sweep_march_the_trace_it_starts_from(driver):
     traces = [None, start, None] if driver == "dnwr" else [None, *start, None]
     assert len(res.fields) == len(subs)
     for sub, a, b, u in zip(subs, traces[:-1], traces[1:], res.fields):
-        expected = solve_dirichlet_waveform(sub, weights, a, b, f=cfg.source,
-                                            u0=cfg.initial_condition)
+        expected = march_alone(sub, weights, a, b, f=cfg.source, u0=cfg.initial_condition)
         assert np.array_equal(u, expected)
         if driver == "dnwr":
             break  # the second DNWR field is the Neumann solve's

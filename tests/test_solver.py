@@ -1,7 +1,5 @@
 import functools
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,14 +7,10 @@ from scipy.sparse.linalg import spsolve
 
 from fracwr import kernels
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
-from fracwr.geometry import axis_nodes, build_partition, build_subdomain, laplacian_apply
+from fracwr.geometry import axis_nodes, build_partition, build_subdomain
 from fracwr.nnwr import Nnwr2dConfig, run_nnwr_2d
-from fracwr.solver import (
-    solve_dirichlet_waveform,
-    solve_monolithic,
-    solve_neumann_waveform,
-    solve_waveform,
-)
+from fracwr.solver import solve_monolithic, solve_waveform, tabulate
+from marching import march_alone
 
 
 def _weights(order=0.5, n=16, horizon=1.0, grading=None):
@@ -27,9 +21,9 @@ def _weights(order=0.5, n=16, horizon=1.0, grading=None):
 def test_zero_data_gives_zero_field():
     sub = build_subdomain(0.0, 1.0, 1.0, 0.1)
     for order in (0.5, 1.0, 1.5):
-        u = solve_dirichlet_waveform(sub, _weights(order), None, None)
+        u = march_alone(sub, _weights(order), None, None)
         assert np.all(u == 0.0)
-        u = solve_neumann_waveform(sub, _weights(order), np.zeros(16), np.zeros(16))
+        u = march_alone(sub, _weights(order), np.zeros(16), np.zeros(16), flux=True)
         assert np.all(u == 0.0)
 
 
@@ -38,7 +32,7 @@ def test_rows_satisfy_discrete_equations():
     sub = build_subdomain(0.0, 1.0, 0.7, 0.05)
     w = _weights(0.5, n=12)
     trace = np.sin(np.arange(1, 13) / 3.0)
-    u = solve_dirichlet_waveform(sub, w, None, trace)
+    u = march_alone(sub, w, None, trace)
     s = sub.kappa / sub.dx**2
     for n in range(1, 13):
         hist = w.rows[n - 1, :n] @ np.diff(u[: n + 1], axis=0)
@@ -53,7 +47,7 @@ def test_steady_state_linear_profile():
     # order 1, constant unit left trace, zero right: u -> linear interpolant
     sub = build_subdomain(0.0, 1.0, 1.0, 0.05)
     w = caputo_weights(build_graded_mesh(40.0, 400, 1.0), 1.0)
-    u = solve_dirichlet_waveform(sub, w, np.ones(400), None)
+    u = march_alone(sub, w, np.ones(400), None)
     expected = 1.0 - sub.nodes
     assert np.abs(u[-1] - expected).max() < 1e-6
 
@@ -62,7 +56,7 @@ def test_symmetric_data_symmetric_field():
     sub = build_subdomain(-1.0, 1.0, 1.0, 0.1)
     w = _weights(0.5, n=10)
     f = lambda x, t: np.cos(np.pi * x / 2)
-    u = solve_dirichlet_waveform(sub, w, None, None, f=f)
+    u = march_alone(sub, w, None, None, f=f)
     assert np.abs(u - u[:, ::-1]).max() < 1e-12
 
 
@@ -81,7 +75,7 @@ def test_neumann_manufactured_exact(order):
     f = lambda x, tt: dt_term(x, tt) - 2 * sub.kappa * tt
     left = -sub.kappa * 2 * 0.3 * t[1:]
     right = sub.kappa * 2 * 1.1 * t[1:]
-    u = solve_neumann_waveform(sub, w, left, right, f=f)
+    u = march_alone(sub, w, left, right, flux=True, f=f)
     exact = np.outer(t, sub.nodes**2)
     assert np.abs(u - exact).max() < 1e-11
 
@@ -95,13 +89,13 @@ def test_wave_manufactured_quadratic_time():
     te = w.eval_times
     f = lambda x, tt: x**2 * 2 * tt ** (2 - order) / math.gamma(3 - order) - 2 * sub.kappa * tt**2
     t = w.mesh.points
-    u = solve_dirichlet_waveform(sub, w, None, t[1:] ** 2, f=f, u0=None)
+    u = march_alone(sub, w, None, t[1:] ** 2, f=f, u0=None)
     exact = np.outer(t**2, sub.nodes**2)
     e1 = np.abs(u - exact).max()
     assert e1 < 5e-4
     # refine in time: the field error drops by better than first order
     w2 = _weights(order, n=2 * n, grading=1.0)
-    u2 = solve_dirichlet_waveform(sub, w2, None, w2.mesh.points[1:] ** 2, f=f)
+    u2 = march_alone(sub, w2, None, w2.mesh.points[1:] ** 2, f=f)
     e2 = np.abs(u2 - np.outer(w2.mesh.points**2, sub.nodes**2)).max()
     assert e2 < 0.55 * e1
 
@@ -120,7 +114,7 @@ def _l1_time_order(alpha, grading):
             dt_part = math.gamma(1 + alpha) + tt ** (1 - alpha) / math.gamma(2 - alpha)
             return shape * (dt_part + np.pi**2 * (tt**alpha + tt))
 
-        u = solve_dirichlet_waveform(sub, w, None, None, f=f)
+        u = march_alone(sub, w, None, None, f=f)
         exact = np.outer(t**alpha + t, phi)
         errs.append(np.abs(u - exact).max())  # sup over the whole window
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -140,48 +134,55 @@ def test_determinism_bitwise():
     sub = build_subdomain(0.0, 1.0, 0.5, 0.05)
     w = _weights(0.7, n=20)
     trace = np.sin(np.arange(1, 21) / 2)
-    u1 = solve_dirichlet_waveform(sub, w, trace, None)
-    u2 = solve_dirichlet_waveform(sub, w, trace, None)
+    u1 = march_alone(sub, w, trace, None)
+    u2 = march_alone(sub, w, trace, None)
     assert np.array_equal(u1, u2)
 
 
 def test_trace_length_mismatch_rejected():
     sub = build_subdomain(0.0, 1.0, 1.0, 0.1)
+    w = _weights(0.5, n=16)
     with pytest.raises(ValueError):
-        solve_dirichlet_waveform(sub, _weights(0.5, n=16), np.ones(7), None)
-    with pytest.raises(ValueError):
-        solve_waveform(sub, _weights(0.5, n=16), ("robin", None), None)
+        march_alone(sub, w, np.ones(7), None)
+    # the ends have a member axis, and the tables one row per level
+    with pytest.raises(ValueError, match="an end has shape"):
+        solve_waveform([sub], w, [np.ones(16)], [None], 1)
+    with pytest.raises(ValueError, match="source"):
+        solve_waveform([sub], w, [None], [None], 1, f=[np.ones(sub.n_nodes)])
+    with pytest.raises(ValueError, match="initial data"):
+        solve_waveform([sub], w, [None], [None], 1, u0=[np.ones(sub.n_nodes - 1)])
 
 
 @pytest.mark.parametrize("order", [0.6, 1.5])
 def test_stacked_march_equals_one_subdomain_marches(order):
     # unequal widths (a 3-node block among them), a run of two subdomains on
-    # one grid, and every end kind: physical Dirichlet, trace Dirichlet, and
-    # flux on both sides of a subdomain; three members and a source in time
+    # one grid, and physical ends and interface ends on both sides of a
+    # subdomain, the interface ends as traces and as fluxes; three members
+    # and a source in time
     subs = [build_subdomain(0.0, 1.0, 1.0, 0.125), build_subdomain(1.0, 1.25, 0.5, 0.125),
             build_subdomain(1.25, 2.25, 2.0, 0.125), build_subdomain(2.25, 3.25, 0.3, 0.125)]
     assert [s.n_nodes for s in subs] == [9, 3, 9, 9]
     w = _weights(order, n=12, grading=1.0 if order > 1 else None)
     rng = np.random.default_rng(5)
     data = rng.standard_normal((6, 3, 12))
-    left = [None, ("flux", data[0]), ("dirichlet", data[1]), ("flux", data[2])]
-    right = [("dirichlet", data[3]), ("flux", data[4]), ("flux", data[5]), None]
+    left, right = [None, data[0], data[1], data[2]], [data[3], data[4], data[5], None]
+    f, u0 = zip(*(tabulate(w, lambda x, t: np.sin(x) * (1.0 + t), np.cos, s.nodes)
+                  for s in subs))
 
-    def f(x, t):
-        return np.sin(x) * (1.0 + t)
-
-    def u0(x):
-        return np.cos(x)
-
-    stacked = solve_waveform(subs, w, left, right, f=f, u0=u0, members=3)
-    assert len(stacked) == len(subs)
-    for sub, lt, rt, field in zip(subs, left, right, stacked):
-        assert field.shape == (3, 13, sub.n_nodes)
-        alone = solve_waveform(sub, w, lt, rt, f=f, u0=u0, members=3)
-        assert np.array_equal(field, alone)
-        for j in range(3):
-            one = [None if side is None else (side[0], side[1][j]) for side in (lt, rt)]
-            assert np.array_equal(field[j], solve_waveform(sub, w, *one, f=f, u0=u0))
+    for flux in (False, True):
+        stacked = solve_waveform(subs, w, left, right, 3, flux, f=f, u0=u0)
+        assert len(stacked) == len(subs)
+        for i, (sub, field) in enumerate(zip(subs, stacked)):
+            assert field.shape == (3, 13, sub.n_nodes)
+            one = slice(i, i + 1)
+            (alone,) = solve_waveform([sub], w, left[one], right[one], 3, flux, f=f[one],
+                                      u0=u0[one])
+            assert np.array_equal(field, alone)
+            for j in range(3):
+                ends = [None if end is None else end[j:j + 1] for end in (left[i], right[i])]
+                (solo,) = solve_waveform([sub], w, ends[:1], ends[1:], 1, flux, f=f[one],
+                                         u0=u0[one])
+                assert np.array_equal(field[j], solo[0])
 
     # two lines on one grid with a decay row each, as the two strips of a 2D
     # sweep march their sine modes: mode tables for the data, traces per mode
@@ -190,21 +191,23 @@ def test_stacked_march_equals_one_subdomain_marches(order):
     tables = rng.standard_normal((2, 12, 3, 9))
     starts = rng.standard_normal((2, 3, 9))
     ends = rng.standard_normal((2, 2, 2, 12, 3))  # line, side, member, level, mode
-    left, right = [("flux", ends[0, 0]), ("dirichlet", ends[1, 0])], [("dirichlet", ends[0, 1]),
-                                                                       None]
-    stacked = solve_waveform(lines, w, left, right, f=tables, u0=starts, decay=decay, members=2)
-    for i, field in enumerate(stacked):
-        assert field.shape == (2, 13, 3, 9)
-        alone = solve_waveform(lines[i], w, left[i], right[i], f=tables[i], u0=starts[i],
-                               decay=decay[i], members=2)
-        assert np.array_equal(field, alone)
+    left, right = [ends[0, 0], ends[1, 0]], [ends[0, 1], None]
+    for flux in (False, True):
+        stacked = solve_waveform(lines, w, left, right, 2, flux, f=tables, u0=starts,
+                                 decay=decay)
+        for i, field in enumerate(stacked):
+            assert field.shape == (2, 13, 3, 9)
+            one = slice(i, i + 1)
+            (alone,) = solve_waveform(lines[one], w, left[one], right[one], 2, flux,
+                                      f=tables[one], u0=starts[one], decay=decay[i])
+            assert np.array_equal(field, alone)
 
 
 @pytest.mark.parametrize("order", [0.6, 1.5])
 def test_march_without_data_writes_its_zero_lead_in(order):
     # end values are zero before level 5 (earlier on some ends than others),
     # so a march without data is zero through level 4; it must match bit for
-    # bit the march that zero initial data send down the full path.  Dirichlet
+    # bit the march that zero initial data send down the full path.  Trace
     # and flux ends, eight members, and a line with a decay row
     subs = [build_subdomain(0.0, 1.0, 1.0, 0.125), build_subdomain(1.0, 2.0, 0.5, 0.25)]
     w = _weights(order, n=12, grading=1.0 if order > 1 else None)
@@ -212,24 +215,24 @@ def test_march_without_data_writes_its_zero_lead_in(order):
     ends = rng.standard_normal((4, 8, 12))
     ends[..., :4] = 0.0
     ends[1:, :, :7] = 0.0
-    left = [("dirichlet", ends[0]), ("flux", ends[1])]
-    right = [("flux", ends[2]), ("dirichlet", ends[3])]
-    skipped = solve_waveform(subs, w, left, right, members=8)
-    full = solve_waveform(subs, w, left, right, u0=[np.zeros(s.n_nodes) for s in subs],
-                          members=8)
-    for a, b in zip(skipped, full):
-        assert a.shape == (8, 13, a.shape[-1])
-        assert np.all(a[:, :5] == 0.0)
-        assert np.array_equal(a, b)
-    assert np.any(skipped[0][:, 5] != 0.0)
+    left, right = [ends[0], ends[1]], [ends[2], ends[3]]
+    zeros = [np.zeros(s.n_nodes) for s in subs]
+    for flux in (False, True):
+        skipped = solve_waveform(subs, w, left, right, 8, flux)
+        full = solve_waveform(subs, w, left, right, 8, flux, u0=zeros)
+        for a, b in zip(skipped, full):
+            assert a.shape == (8, 13, a.shape[-1])
+            assert np.all(a[:, :5] == 0.0)
+            assert np.array_equal(a, b)
+        assert np.any(skipped[0][:, 5] != 0.0)
 
     decay = np.array([0.5, 3.0, 40.0])
     trace = rng.standard_normal((8, 12, 3))
     trace[:, :6] = 0.0
-    for kind in ("dirichlet", "flux"):
-        skipped = solve_waveform(subs[0], w, (kind, trace), None, decay=decay, members=8)
-        full = solve_waveform(subs[0], w, (kind, trace), None, u0=np.zeros((3, 9)),
-                              decay=decay, members=8)
+    for flux in (False, True):
+        (skipped,) = solve_waveform(subs[:1], w, [trace], [None], 8, flux, decay=decay)
+        (full,) = solve_waveform(subs[:1], w, [trace], [None], 8, flux, u0=[np.zeros((3, 9))],
+                                 decay=decay)
         assert np.all(skipped[:, :7] == 0.0)
         assert np.array_equal(skipped, full)
 
@@ -242,7 +245,8 @@ def test_march_without_data_skips_its_zero_subdomains(modes, monkeypatch):
     # subdomain 2's ends are nonzero for member 1 alone.  The other three have
     # zero ends (one of them a -0.0) and must come back as exact +0.0 fields
     # without entering the stack.  Each marched field must match bit for bit
-    # the march that zero initial data send down the full path
+    # the march that zero initial data send down the full path, with the
+    # ends as traces and as fluxes
     a, b = 0.125, 0.25
     subs = [build_subdomain(0.0, 1.0, 1.0, a), build_subdomain(1.0, 2.0, 0.5, b),
             build_subdomain(2.0, 3.0, 2.0, a), build_subdomain(3.0, 4.0, 0.3, a),
@@ -258,28 +262,28 @@ def test_march_without_data_skips_its_zero_subdomains(modes, monkeypatch):
     member[1] = rng.standard_normal((12,) + mode)
     negative = zero()
     negative[0, 5] = -0.0
-    left = [("dirichlet", last), ("flux", negative), ("dirichlet", member), None,
-            ("dirichlet", 0.0)]
-    right = [("flux", zero()), ("dirichlet", zero()), ("flux", 2.0 * member), ("flux", None),
-             None]
+    left = [last, negative, member, None, zero()]
+    right = [zero(), zero(), 2.0 * member, None, None]
 
     widths = []
     stack = kernels.Stack
     monkeypatch.setattr(kernels, "Stack", lambda *a: widths.append(list(a[0])) or stack(*a))
-    skipped = solve_waveform(subs, w, left, right, decay=decay, members=3)
     lines = 3 * max(modes, 1)
-    assert widths == [[9] * (2 * lines)]
-    full = solve_waveform(subs, w, left, right, u0=[np.zeros(mode + (s.n_nodes,)) for s in subs],
-                          decay=decay, members=3)
-    assert widths[1] == [n for s in subs for n in [s.n_nodes] * lines]
+    zeros = [np.zeros(mode + (s.n_nodes,)) for s in subs]
+    for flux in (False, True):
+        widths.clear()
+        skipped = solve_waveform(subs, w, left, right, 3, flux, decay=decay)
+        assert widths == [[9] * (2 * lines)]
+        full = solve_waveform(subs, w, left, right, 3, flux, u0=zeros, decay=decay)
+        assert widths[1] == [n for s in subs for n in [s.n_nodes] * lines]
 
-    for i, (sub, field) in enumerate(zip(subs, skipped)):
-        assert field.shape == (3, 13) + mode + (sub.n_nodes,)
-        assert np.array_equal(field, full[i])
-        if i not in (0, 2):
-            assert not np.any(field) and not np.any(np.signbit(field))
-    assert np.all(skipped[0][:, :12] == 0.0) and np.any(skipped[0][2, 12] != 0.0)
-    assert not np.any(skipped[2][[0, 2]]) and np.all(skipped[2][1, 1:, ..., 0] != 0.0)
+        for i, (sub, field) in enumerate(zip(subs, skipped)):
+            assert field.shape == (3, 13) + mode + (sub.n_nodes,)
+            assert np.array_equal(field, full[i])
+            if i not in (0, 2):
+                assert not np.any(field) and not np.any(np.signbit(field))
+        assert np.all(skipped[0][:, :12] == 0.0) and np.any(skipped[0][2, 12] != 0.0)
+        assert not np.any(skipped[2][[0, 2]]) and np.all(skipped[2][1, 1:, ..., 0] != 0.0)
 
 
 def _reference_march(sub, w, left, right, f, u0, decay=0.0):
@@ -319,17 +323,16 @@ def test_factored_march_equals_the_march_that_never_factors(order, n):
     # the march in each line's sine basis (the factorisation of its operator,
     # built once) against a march that solves the raw equations of every
     # level afresh.  Two grids, a 3-node line, three members, a decay row per
-    # subdomain, every end kind, a source and an initial condition that
-    # satisfies no flux row, whose end values the wave scheme's first level
-    # reads in its explicit half
+    # subdomain, physical, trace and flux ends, a source and an initial
+    # condition that satisfies no flux row, whose end values the wave
+    # scheme's first level reads in its explicit half
     subs = [build_subdomain(0.0, 1.0, 1.0, 0.125), build_subdomain(1.0, 2.0, 0.5, 0.25),
             build_subdomain(2.0, 3.0, 2.0, 0.125), build_subdomain(3.0, 3.5, 0.7, 0.25)]
     assert subs[3].n_nodes == 3
     w = _weights(order, n=n, grading=1.0 if order > 1 else None)
     rng = np.random.default_rng(13)
     data = rng.standard_normal((6, 3, n, 2))
-    left = [None, ("flux", data[0]), ("dirichlet", data[1]), ("flux", data[5])]
-    right = [("flux", data[2]), ("dirichlet", data[3]), ("flux", data[4]), None]
+    left, right = [None, data[0], data[1], data[5]], [data[2], data[3], data[4], None]
     decay = np.array([[0.5, 3.0], [40.0, 0.25], [1.5, 7.0], [0.0, 2.0]])
 
     def f(x, t):
@@ -338,39 +341,36 @@ def test_factored_march_equals_the_march_that_never_factors(order, n):
     def u0(x):
         return np.cos(x) + x
 
-    fields = solve_waveform(subs, w, left, right, f=f, u0=u0, decay=decay, members=3)
-    for i, sub in enumerate(subs):
-        ends = [("dirichlet", np.zeros((3, n, 2))) if side is None else side
-                for side in (left[i], right[i])]
-        scale = np.abs(fields[i]).max()
-        for j in range(3):
-            for p in range(2):
-                one = [(kind, values[j, :, p]) for kind, values in ends]
-                ref = _reference_march(sub, w, *one, f, u0, decay[i, p])
-                np.testing.assert_allclose(fields[i][j, :, p], ref, rtol=0, atol=1e-12 * scale)
-                for e, (kind, values) in zip((0, -1), one):  # a Dirichlet end is exact
-                    if kind == "dirichlet":
-                        assert np.array_equal(fields[i][j, 1:, p, e], values)
-
-
-def test_laplacian_apply_into_out_equals_the_allocating_call():
-    # one kappa per row, as a run of subdomains on one grid applies it
-    sub = replace(build_subdomain(0.0, 1.0, 1.0, 0.125), kappa=np.array([[0.5], [1.0], [3.0]]))
-    rows = np.random.default_rng(17).standard_normal((3, 9))
-    rows[:, ::4] = -0.0
-    out = np.full((3, 9), np.nan)
-    assert laplacian_apply(sub, rows, out=out) is out
-    fresh = laplacian_apply(sub, rows)
-    assert np.array_equal(out, fresh) and np.array_equal(np.signbit(out), np.signbit(fresh))
+    # the tables of each line, the same in both modes
+    tables = [tabulate(w, f, u0, s.nodes) for s in subs]
+    f_modes = [np.broadcast_to(ft[:, None], (n, 2, s.n_nodes)) for (ft, _), s in zip(tables, subs)]
+    u0_modes = [np.broadcast_to(ut, (2, s.n_nodes)) for (_, ut), s in zip(tables, subs)]
+    for flux in (False, True):
+        fields = solve_waveform(subs, w, left, right, 3, flux, f=f_modes, u0=u0_modes,
+                                decay=decay)
+        for i, sub in enumerate(subs):
+            kinds = ["flux" if flux and end is not None else "dirichlet"
+                     for end in (left[i], right[i])]
+            ends = [np.zeros((3, n, 2)) if end is None else end for end in (left[i], right[i])]
+            scale = np.abs(fields[i]).max()
+            for j in range(3):
+                for p in range(2):
+                    one = [(kind, values[j, :, p]) for kind, values in zip(kinds, ends)]
+                    ref = _reference_march(sub, w, *one, f, u0, decay[i, p])
+                    np.testing.assert_allclose(fields[i][j, :, p], ref, rtol=0,
+                                               atol=1e-12 * scale)
+                    for e, (kind, values) in zip((0, -1), one):  # a Dirichlet end is exact
+                        if kind == "dirichlet":
+                            assert np.array_equal(fields[i][j, 1:, p, e], values)
 
 
 def test_stacked_march_takes_one_entry_per_subdomain():
     subs = [build_subdomain(0.0, 1.0, 1.0, 0.25), build_subdomain(1.0, 2.0, 1.0, 0.25)]
     with pytest.raises(ValueError, match="per subdomain"):
-        solve_waveform(subs, _weights(0.5, n=4), [None], [None, None])
+        solve_waveform(subs, _weights(0.5, n=4), [None], [None, None], 1)
     tables = [np.ones((4, 5)), np.full((4, 5), 2.0)]
-    u = solve_waveform(subs, _weights(0.5, n=4), [None, None], [None, None], f=tables)
-    alone = solve_waveform(subs[1], _weights(0.5, n=4), None, None, f=tables[1])
+    u = solve_waveform(subs, _weights(0.5, n=4), [None, None], [None, None], 1, f=tables)
+    (alone,) = solve_waveform(subs[1:], _weights(0.5, n=4), [None], [None], 1, f=tables[1:])
     assert np.array_equal(u[1], alone)
 
 
@@ -383,7 +383,7 @@ def test_monolithic_single_subdomain_equals_dirichlet_solve():
     w = _weights(0.5, n=12)
     f = lambda x, t: np.sin(np.pi * x)
     mono = solve_monolithic(part, w, f=f)
-    direct = solve_dirichlet_waveform(part.subdomains[0], w, None, None, f=f)
+    direct = march_alone(part.subdomains[0], w, None, None, f=f)
     assert np.abs(mono.field - direct).max() < 1e-13
 
 

@@ -41,7 +41,10 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
 
   Every L1 march asks for the nodes its driver reads, the three nearest
   each end (``trim``), on a checkout whose solver takes that; an older
-  checkout computes the whole field.
+  checkout computes the whole field.  Every L1 march passes a sequence of
+  subdomains, end arrays with a member axis and ``members=`` as a keyword
+  (1 for a one-member row): the one form the current solver takes, which
+  the earlier solvers that take ``members`` accept too.
 - L2: one sweep of that DNWR config, with 1 member and with its 8, and one
   sweep of that NNWR-1D config.  Also the whole θ run of that DNWR config:
   its 8 members to its tolerance or ``max_iter``, as the workload runs them.
@@ -244,7 +247,7 @@ def _nnwr_case(kind):
         return lambda: run_nnwr_1d(cfg)
     weights = cfg.build_weights()
     subs = cfg.partition.subdomains
-    traces = [None, *np.random.default_rng(1).standard_normal((len(subs) - 1, cfg.n_steps)),
+    traces = [None, *np.random.default_rng(1).standard_normal((len(subs) - 1, 1, cfg.n_steps)),
               None]
     if kind == "nnwr1d-dirichlet":
         solve = solver.solve_dirichlet_waveform
@@ -253,7 +256,7 @@ def _nnwr_case(kind):
     else:
         solve, f, u0 = solver.solve_neumann_waveform, [None] * len(subs), [None] * len(subs)
     kw = _trim(solve)
-    return lambda: solve(subs, weights, traces[:-1], traces[1:], f=f, u0=u0, **kw)
+    return lambda: solve(subs, weights, traces[:-1], traces[1:], members=1, f=f, u0=u0, **kw)
 
 
 def _operator_case(name):
@@ -334,12 +337,10 @@ def _case(name):
     traces = np.random.default_rng(1).standard_normal((m, cfg.n_steps))
     trim = _trim(solver.solve_waveform)
     if kind == "dnwr-dirichlet":
-        solve = lambda h, **kw: solver.solve_dirichlet_waveform(sub1, weights, None, h, **kw, **trim)  # noqa: E731
-    else:
-        solve = lambda h, **kw: solver.solve_neumann_waveform(sub2, weights, h, None, **kw, **trim)  # noqa: E731
-    if m == 1:
-        return lambda: solve(traces[0])
-    return lambda: solve(traces, members=m)
+        return lambda: solver.solve_dirichlet_waveform([sub1], weights, [None], [traces],
+                                                       members=m, **trim)
+    return lambda: solver.solve_neumann_waveform([sub2], weights, [traces], [None], members=m,
+                                                 **trim)
 
 
 def _run_preset(name):
