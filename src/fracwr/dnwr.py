@@ -20,6 +20,7 @@ two phases would make as many marches.
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,12 +60,11 @@ def _half_steps(subs, weights, h, f=(None, None), u0=(None, None), trim=True):
     return u1, u2
 
 
-def _affine(subs, weights, f=(None, None), u0=(None, None), keep_fields=False) -> AffineSweep:
+def _affine(subs, weights, f=(None, None), u0=(None, None)) -> AffineSweep:
     """The Neumann interface trace ``g`` of the traces ``h`` (members, N), one
-    position; the fields are whole only under ``keep_fields``."""
+    position."""
     def march(h, data):
-        fields = _half_steps(subs, weights, h, *((f, u0) if data else ()), trim=not keep_fields)
-        return fields[1][:, 1:, 0], fields
+        return _half_steps(subs, weights, h, *((f, u0) if data else ()))[1][:, 1:, 0]
 
     return AffineSweep(march=march, layout=lambda h: h[:, None], shape=(weights.n_steps,),
                        graded=True)
@@ -90,8 +90,8 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
 
     A sweep's ``g`` is marched or, where ``fracwr.iteration`` assembles ``S``
     (see the module docstring), the product of ``S`` with each member's trace
-    (plus ``c``); under ``keep_fields`` such a sweep also marches the trace it
-    starts from, for the fields.
+    (plus ``c``).  Under ``keep_fields`` the two whole half-step fields are
+    marched once, after the last sweep, at the trace that sweep started from.
     """
     t_start = time.perf_counter()
     weights = cfg.build_weights()
@@ -102,10 +102,10 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
     ])
 
     def sweep(h, theta, part):
-        g, fields = part(h)
-        h_new = theta * g + (1.0 - theta) * h
-        return h_new, h_new - h, fields
+        h_new = theta * part(h) + (1.0 - theta) * h
+        return h_new, h_new - h
 
+    fields = partial(_half_steps, subs, weights, f=f, u0=u0, trim=False) if keep_fields else None
     results = iterate(cfg, sweep, cfg.initial_traces((cfg.n_steps,)), cfg.member_thetas(members),
-                      t_start, keep_fields, (_affine(subs, weights, f, u0, keep_fields),))
+                      t_start, (_affine(subs, weights, f, u0),), fields)
     return results if members is not None else results[0]

@@ -29,7 +29,7 @@ error-equation run build ``T`` from an impulse at every level
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -73,7 +73,8 @@ class IterationReport:
 
 @dataclass(frozen=True)
 class RunResult:
-    """What a driver returns: the report, the last traces and, on request, the last fields."""
+    """What a driver returns: the report, the last traces and, on request, the
+    fields at the traces the last sweep started from."""
 
     report: IterationReport
     traces: np.ndarray  # DNWR (N,), NNWR-1D (n_interfaces, N), NNWR-2D (N, ny+1)
@@ -171,11 +172,11 @@ class AffineSweep:
 
     ``march(x, data)`` marches it for inputs ``x`` of shape (members,) +
     ``shape``, with the problem data or (``data=False``) without them, and
-    returns ``(y, fields)`` with ``y`` shaped like ``x``.  ``layout(x)`` views
-    such an array as (members, positions, N); a position answers no input
-    more than ``reach`` positions away.  A phase without ``data`` is linear
-    (``c`` = 0).  With ``graded`` an error-equation run on a graded mesh
-    builds ``T`` too (``transfer_operator``).
+    returns ``y`` shaped like ``x``.  ``layout(x)`` views such an array as
+    (members, positions, N); a position answers no input more than ``reach``
+    positions away.  A phase without ``data`` is linear (``c`` = 0).  With
+    ``graded`` an error-equation run on a graded mesh builds ``T`` too
+    (``transfer_operator``).
     """
 
     march: object
@@ -198,7 +199,7 @@ def _impulses(affine, starts):
     layout = affine.layout(x)
     for member, (group, level) in zip(layout, starts):
         member[group::2 * affine.reach + 1, level] = 1.0
-    return affine.layout(affine.march(x, False)[0])
+    return affine.layout(affine.march(x, False))
 
 
 def _answers(positions, reach, group):
@@ -275,7 +276,7 @@ def apply_operator(blocks, c, x) -> np.ndarray:
     return y if c is None else y + c
 
 
-def _affine_part(cfg, phases, keep_fields):
+def _affine_part(cfg, phases):
     """``part(x)``: the affine part of a sweep at the traces ``x``, its
     ``phases`` (sharing one shape and layout) marched in turn, or in turn the
     products with their ``T`` plus ``c`` (one more march, with the data and
@@ -285,8 +286,7 @@ def _affine_part(cfg, phases, keep_fields):
     one for ``c`` in forced mode if it has data, or ``ceil(N/4)`` for
     ``transfer_operator``.  The rule reads config values alone and each
     member's product is its own, so a member's bits do not depend on its
-    companions.  A sweep's fields are those of its first phase; under
-    ``keep_fields`` a product sweep also marches that phase at ``x`` for them.
+    companions.
     """
     mesh = cfg.time_mesh()
     cost, builds = 0, []
@@ -301,15 +301,14 @@ def _affine_part(cfg, phases, keep_fields):
             cost = math.inf
 
     def marched(x):
-        x, fields = phases[0].march(x, True)
-        for phase in phases[1:]:
-            x = phase.march(x, True)[0]
-        return x, fields
+        for phase in phases:
+            x = phase.march(x, True)
+        return x
 
     if cfg.max_iter * len(phases) <= cost:
         return marched
     operators = [(None if cfg.error_mode or not phase.data else phase.layout(
-        phase.march(np.zeros((1,) + phase.shape), True)[0])[0], build())
+        phase.march(np.zeros((1,) + phase.shape), True))[0], build())
         for phase, build in zip(phases, builds)]
     layout = phases[0].layout
 
@@ -319,50 +318,49 @@ def _affine_part(cfg, phases, keep_fields):
             for c, blocks in operators:
                 xm = apply_operator(blocks, c, xm)
             ym[...] = xm
-        return y, phases[0].march(x, True)[1] if keep_fields else ()
+        return y
 
     return part
 
 
-def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False,
-            affine=None) -> list:
+def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, phases, fields=None) -> list:
     """Apply ``sweep`` from ``h0`` until each member's interface error meets the tolerance.
 
     The members of a sweep march in lock-step: ``thetas`` holds one row of
-    interface weights per member, and ``sweep(h, theta)`` maps the active
-    members' traces, stacked along a leading member axis, and their rows of
-    ``thetas`` to ``(h_new, change, fields)``, each with the same leading
-    axis (``fields`` is a tuple of such arrays).  The error of a sweep is, per
-    member and interface, the sup norm of ``h_new`` in error-equation mode and
-    of ``change`` in forced mode; the traces of a member's interfaces are
+    interface weights per member, and ``sweep(h, theta, part)`` maps the
+    active members' traces, stacked along a leading member axis, and their
+    rows of ``thetas`` to ``(h_new, change)``, both with the same leading
+    axis.  The sweep gets its affine part as ``part(x) -> y``: the
+    ``phases`` (a sequence of ``AffineSweep``s) marched in turn in every
+    sweep, or in every sweep their products with the operators assembled
+    before the first (``_affine_part``).  The error of a sweep is, per member
+    and interface, the sup norm of ``h_new`` in error-equation mode and of
+    ``change`` in forced mode; the traces of a member's interfaces are
     stacked along its first axis, one block per weight.  A member leaves the
     batch once its error meets the tolerance, or at ``max_iter``.
-
-    With ``affine`` (a sequence of ``AffineSweep`` phases) the call is
-    ``sweep(h, theta, part)``, and the sweep gets its affine part as
-    ``part(x) -> (y, fields)``: the phases marched in turn in every sweep, or
-    in every sweep their products with the operators assembled before the
-    first (``_affine_part``).
 
     A non-finite error raises ``ArithmeticError``: the iteration diverged.
     The raise comes at the first sweep where any member is non-finite, for
     every member.
 
-    Returns one ``RunResult`` per member, with the traces and, under
-    ``keep_fields``, the fields of the member's last sweep.
+    Returns one ``RunResult`` per member, with the traces of the member's
+    last sweep.  With ``fields`` the loop keeps the trace each member's last
+    sweep started from, and after the last sweep one call ``fields(x)`` on
+    those traces stacked, a tuple of arrays with the same leading axis,
+    gives each member its ``RunResult.fields``; the report's ``wall_time``
+    leaves that call out.
     """
     thetas = np.asarray(thetas, dtype=float)
     n_ifc = thetas.shape[1]
     active = np.arange(len(thetas))
     h = np.repeat(h0[None], len(thetas), axis=0)
     errors = [[] for _ in thetas]
-    results = [None] * len(thetas)
-    part = None if affine is None else _affine_part(cfg, affine, keep_fields)
+    results, starts = [None] * len(thetas), [None] * len(thetas)
+    part = _affine_part(cfg, phases)
     for k in range(1, cfg.max_iter + 1):
         # an overflow shows as the non-finite error checked below, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            h_new, change, fields = (sweep(h, thetas[active]) if part is None else
-                                     sweep(h, thetas[active], part))
+            h_new, change = sweep(h, thetas[active], part)
             err = np.abs((h_new if cfg.error_mode else change).reshape(len(active), n_ifc, -1))
             err = err.max(axis=2)
         if not np.all(np.isfinite(err)):
@@ -374,12 +372,13 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, keep_fields=False,
             if converged[j] or k == cfg.max_iter:
                 report = IterationReport(errors=np.array(errors[i]), converged=bool(converged[j]),
                                          theta=thetas[i], wall_time=time.perf_counter() - t_start)
-                # copies, so that a result does not hold the whole batch alive
-                results[i] = RunResult(report=report, traces=h_new[j].copy(),
-                                       fields=tuple(u[j].copy() for u in fields)
-                                       if keep_fields else None)
+                # a copy, so that a result does not hold the whole batch alive
+                results[i] = RunResult(report=report, traces=h_new[j].copy())
+                starts[i] = h[j]
         active, h = active[~converged], h_new[~converged]
-        del fields  # so that the next sweep does not hold this one's fields while it runs
         if not len(active):
             break
-    return results
+    if fields is None:
+        return results
+    kept = fields(np.stack(starts))
+    return [replace(r, fields=tuple(u[i].copy() for u in kept)) for i, r in enumerate(results)]

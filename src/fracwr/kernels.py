@@ -22,8 +22,10 @@ c = kappa / (2 dx), that is E = q / (3c) - b . u_hat with b = S (-4/3 e_1 +
 s (2/3, -2/3), a rank-one change of the line's operator.  ``step_solve``
 solves it in the end values (Sherman-Morrison), a line with two flux ends by
 a 2 x 2 system (Woodbury).  On a 3-node line the flux row reads the other
-end node in place of u_2.  The rows of S mirror, S e_m = sigma * S e_1 with
-sigma_k = (-1)**(k+1), so both ends' terms of a line meet in one gather.
+end node in place of u_2.  A march takes one end kind per call, so a
+Dirichlet end of a line with a flux end is a physical end and holds 0: the
+flux row leaves its weight out.  The rows of S mirror, S e_m = sigma * S e_1
+with sigma_k = (-1)**(k+1), so both ends' terms of a line meet in one gather.
 """
 
 from functools import lru_cache
@@ -141,7 +143,6 @@ class Stack:
                 b=np.stack([b, sigma * b]), b_edge=np.stack([b * edge, sigma * b * edge]),
                 s_flux=np.where(flux.any(axis=1), s, 0.0), rho=np.where(m == 1, 1.0 / 3.0, 0.0),
                 flux_scale=np.where(flux, 1.0 / (3.0 * c)[:, None], 0.0),
-                partner=(flux & ~flux[:, ::-1]).astype(float),
                 coupled=coupled.astype(float) if coupled.any() else None,
                 levels={})  # a level's terms of the flux rows, by its diagonal weight
         return arrays
@@ -150,8 +151,7 @@ class Stack:
         """Keep the terms of the flux rows at each diagonal weight of ``bnns``.
 
         They depend on the weight alone: the sums g = (b_L . z_L, b_L . z_R)
-        over each line with z = S e / (bnn + diag), the weight beta * partner
-        of a Dirichlet end in its partner's flux row, and the reciprocal of
+        over each line with z = S e / (bnn + diag), and the reciprocal of
         each line's determinant (with the elimination ratio of a line with two
         flux ends).  The weights are done a block at a time, each weight's
         terms computed as alone.
@@ -180,11 +180,9 @@ class Stack:
             if not (alpha.all() and det.all()):
                 bad = np.flatnonzero(((alpha == 0.0) | (det == 0.0)).any(axis=0))[0]
                 raise ArithmeticError(f"level matrix is singular in line {bad}")
-            g, partner = g.transpose(1, 2, 0), beta[..., None] * self.partner
-            inverse = 1.0 / det[..., None]
+            g, inverse = g.transpose(1, 2, 0), 1.0 / det[..., None]
             for j, bnn in enumerate(part.tolist()):
-                self.levels[bnn] = (g[j], partner[j], None if ratio is None else ratio[j],
-                                    inverse[j])
+                self.levels[bnn] = (g[j], None if ratio is None else ratio[j], inverse[j])
 
 
 def step_solve(bnn, stack, rhs, ends, extra=None, out=None):
@@ -213,13 +211,12 @@ def step_solve(bnn, stack, rhs, ends, extra=None, out=None):
         if terms is None:
             stack.prepare([bnn])
             terms = stack.levels[bnn]
-        g, partner, ratio, inverse = terms
+        g, ratio, inverse = terms
         np.divide(rhs, d, out=forcing)
         np.multiply(stack.b, forcing, out=stack.products)
         # each flux row: alpha E + beta E_other = q / (3c) - b . y - (extra terms)
         h = ends * stack.flux_scale
         h -= np.add.reduceat(stack.products, stack.starts, axis=1).T
-        h -= partner * ends[:, ::-1]
         if extra is not None:
             h -= extra * g[:, :1] + extra[:, ::-1] * g[:, 1:]
         if ratio is not None:

@@ -11,8 +11,8 @@ subdomains, as in the paper.  Each phase is one march over all subdomains
 (and all members of a relaxation sweep), every line in the sine basis of its
 interior (``fracwr.kernels``), which gives every subdomain bit for bit the
 field of its own march, so a rerun reproduces the iterates bit for bit.  A
-phase moves back only the nodes it reads, the three nearest each end: the
-Dirichlet fields are whole only under ``keep_fields``.
+phase moves back only the nodes it reads, the three nearest each end; the
+whole Dirichlet fields (``keep_fields``) are one march more, after the loop.
 
 The part of a sweep that is affine in the traces is built in two phases:
 phases (a) and (b) map the traces to the flux mismatch, with the data, and
@@ -77,12 +77,12 @@ class NnwrConfig(IterationConfig):
         return [optimal_theta_nnwr(a, b) for a, b in zip(kappas, kappas[1:])]
 
 
-def _dirichlet_phase(subs, weights, f, u0, decay, trim, h, data):
+def _dirichlet_phase(subs, weights, f, u0, decay, h, data, whole=False):
     """Phases (a) and (b) over the line subdomains ``subs`` at the traces
-    ``h``, with the data or (``data=False``) without: the flux mismatch and
-    the Dirichlet fields, with ``trim`` at the nodes the flux reads
-    (``solve_waveform``).  ``f`` and ``u0`` are None or hold one table per
-    subdomain, from ``tabulate`` or, in mode space, ``_mode_data``.
+    ``h``, with the data or (``data=False``) without: the flux mismatch or,
+    with ``whole``, the whole Dirichlet fields.  ``f`` and ``u0`` are None or
+    hold one table per subdomain, from ``tabulate`` or, in mode space,
+    ``_mode_data``.
 
     ``h`` stacks each member's interface traces, (members, interfaces, N),
     with a trailing mode axis when ``decay`` gives the lines a reaction term
@@ -92,13 +92,14 @@ def _dirichlet_phase(subs, weights, f, u0, decay, trim, h, data):
     traces = [None, *h.swapaxes(0, 1), None]
     fields = solve_dirichlet_waveform(subs, weights, traces[:-1], traces[1:], len(h),
                                       f=f if data else None, u0=u0 if data else None,
-                                      decay=decay, trim=trim)
-    mismatch = np.stack([
+                                      decay=decay, trim=not whole)
+    if whole:
+        return tuple(fields)
+    return np.stack([
         interface_flux_series(fields[i][:, 1:], "right", subs[i])
         + interface_flux_series(fields[i + 1][:, 1:], "left", subs[i + 1])
         for i in range(len(subs) - 1)
     ], axis=1)
-    return mismatch, tuple(fields)
 
 
 def _neumann_phase(subs, weights, decay, mismatch, data):
@@ -106,46 +107,42 @@ def _neumann_phase(subs, weights, decay, mismatch, data):
     fluxes = [None, *mismatch.swapaxes(0, 1), None]
     corrections = solve_neumann_waveform(subs, weights, fluxes[:-1], fluxes[1:], len(mismatch),
                                          decay=decay, trim=True)
-    psi = np.stack([corrections[i][:, 1:, ..., -1] + corrections[i + 1][:, 1:, ..., 0]
-                    for i in range(len(subs) - 1)], axis=1)
-    return psi, ()
+    return np.stack([corrections[i][:, 1:, ..., -1] + corrections[i + 1][:, 1:, ..., 0]
+                     for i in range(len(subs) - 1)], axis=1)
 
 
-def _affine(subs, weights, f, u0, shape, keep_fields, layout=lambda x: x, reach=1, decay=None):
+def _affine(subs, weights, f, u0, shape, layout=lambda x: x, reach=1, decay=None):
     """psi of the traces as two phases (``iteration.AffineSweep``): the
-    Dirichlet phase, with the data, and the Neumann phase, without.  The
-    Dirichlet fields are whole only under ``keep_fields``."""
-    trim = not keep_fields
-    return (AffineSweep(march=partial(_dirichlet_phase, subs, weights, f, u0, decay, trim),
+    Dirichlet phase, with the data, and the Neumann phase, without."""
+    return (AffineSweep(march=partial(_dirichlet_phase, subs, weights, f, u0, decay),
                         layout=layout, shape=shape, reach=reach),
             AffineSweep(march=partial(_neumann_phase, subs, weights, decay),
                         layout=layout, shape=shape, reach=reach, data=False))
 
 
-def _affine_1d(cfg, weights, keep_fields=False):
+def _affine_1d(cfg, weights):
     """The phases of an NNWR-1D sweep: psi per interface, (members, interfaces, N)."""
     subs = cfg.partition.subdomains
     f = u0 = None
     if not cfg.error_mode:
         f, u0 = zip(*(tabulate(weights, cfg.source, cfg.initial_condition, sub.nodes)
                       for sub in subs))
-    return _affine(subs, weights, f, u0, (len(subs) - 1, cfg.n_steps), keep_fields)
+    return _affine(subs, weights, f, u0, (len(subs) - 1, cfg.n_steps))
 
 
 def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
     """Run the iteration with ``cfg.theta``, or with each of ``members`` in
     one batch (one ``RunResult`` per member, as ``run_dnwr`` describes)."""
     t_start = time.perf_counter()
-    weights = cfg.build_weights()
+    phases = _affine_1d(cfg, cfg.build_weights())
 
     def sweep(h, thetas, part):
-        psi, fields = part(h)
-        update = thetas[:, :, None] * psi
-        return h - update, update, fields
+        update = thetas[:, :, None] * part(h)
+        return h - update, update
 
     h0 = cfg.initial_traces((cfg.partition.n_subdomains - 1, cfg.n_steps))
-    results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, keep_fields,
-                      _affine_1d(cfg, weights, keep_fields))
+    results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, phases,
+                      partial(phases[0].march, data=True, whole=True) if keep_fields else None)
     return results if members is not None else results[0]
 
 
@@ -184,8 +181,8 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
 
     The iterate is the lattice trace (N, ny+1); a sweep moves its interior
     rows into mode space, runs the 1D sweep there and moves the update back,
-    whose y-boundary entries stay zero.  Under ``keep_fields`` the lattice
-    Dirichlet fields are rebuilt from the modes.
+    whose y-boundary entries stay zero.  The kept fields are the lattice
+    Dirichlet fields, rebuilt from the modes of a march after the loop.
     """
     t_start = time.perf_counter()
     weights = cfg.build_weights()
@@ -209,25 +206,29 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
                               for s, fs, us in zip(strips, f, u0)))
 
     # the modes are the positions of each phase, each with its own Toeplitz block
-    phases = _affine(strips, weights, f_hat, u0_hat, (1, cfg.n_steps, ny - 1), keep_fields,
+    phases = _affine(strips, weights, f_hat, u0_hat, (1, cfg.n_steps, ny - 1),
                      layout=lambda x: x[:, 0].swapaxes(1, 2), reach=0, decay=decay)
 
     def sweep(h, thetas, part):
-        psi_hat, fields = part((h[..., 1:-1] @ sine)[:, None])
+        psi_hat = part((h[..., 1:-1] @ sine)[:, None])
         update = np.zeros_like(h)
         update[..., 1:-1] = (thetas[:, :, None, None] * psi_hat)[:, 0] @ sine
-        lattice = []  # the Dirichlet fields: u0 at level 0, then the trace on the interface
-        for u_hat, start, column in zip(fields if keep_fields else (), u0, (-1, 0)):
+        return h - update, update
+
+    def lattice(h):
+        fields = []  # the Dirichlet fields: u0 at level 0, then the trace on the interface
+        modes = phases[0].march((h[..., 1:-1] @ sine)[:, None], True, whole=True)
+        for u_hat, start, column in zip(modes, u0, (-1, 0)):
             u = np.zeros(u_hat.shape[:2] + (u_hat.shape[-1], ny + 1))
             np.matmul(np.swapaxes(u_hat, -1, -2), sine, out=u[..., 1:-1])
             u[:, 0] = 0.0 if start is None else start
             u[:, 1:, column, 1:-1] = h[..., 1:-1]
-            lattice.append(u)
-        return h - update, update, tuple(lattice)
+            fields.append(u)
+        return tuple(fields)
 
     h0 = cfg.initial_traces((cfg.n_steps, ny + 1))
     if np.isscalar(cfg.initial_guess):
         h0[:, 0] = h0[:, -1] = 0.0  # trace endpoints sit on the outer boundary
-    results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, keep_fields,
-                      phases)
+    results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, phases,
+                      lattice if keep_fields else None)
     return results if members is not None else results[0]

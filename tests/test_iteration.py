@@ -8,7 +8,7 @@ from fracwr.cli import main
 from fracwr.dnwr import DnwrConfig, run_dnwr
 from fracwr.geometry import build_partition
 from fracwr.harness import config_from_dict, run_experiment
-from fracwr.iteration import IterationConfig, iterate
+from fracwr.iteration import AffineSweep, IterationConfig, iterate
 from fracwr.nnwr import Nnwr2dConfig, NnwrConfig, run_nnwr_1d
 
 
@@ -50,6 +50,12 @@ def test_default_max_iter_per_driver():
     assert (_dnwr().max_iter, _nnwr().max_iter, _nnwr2d().max_iter) == (50, 60, 30)
 
 
+def _marched(march, shape):
+    """One phase ``x -> march(x)`` that every sweep marches: on the graded mesh
+    of these configs a phase that is not ``graded`` builds no operator."""
+    return (AffineSweep(march=lambda x, data: march(x), layout=None, shape=shape),)
+
+
 @pytest.mark.parametrize("mode, expected", [("error_equation", [0.5, 0.125]),
                                             ("forced", [1.5, 0.375, 0.09375])])
 def test_iterate_stops_on_the_sup_norm(mode, expected):
@@ -57,8 +63,9 @@ def test_iterate_stops_on_the_sup_norm(mode, expected):
     # and twice as large on the second interface
     cfg = IterationConfig(order=0.5, horizon=1.0, n_steps=3, tolerance=0.2, mode=mode)
     h0 = np.array([[1.0] * 3, [2.0] * 3])
-    (result,) = iterate(cfg, lambda h, th: (h / 4, h / 4 - h, (h / 4,)), h0, [[0.3, 0.4]], 0.0,
-                        keep_fields=True)
+    # the fields are asked for at the trace the last sweep starts from
+    (result,) = iterate(cfg, lambda h, th, part: (part(h), part(h) - h), h0, [[0.3, 0.4]], 0.0,
+                        _marched(lambda x: x / 4, h0.shape), fields=lambda x: (x / 4,))
     report = result.report
     np.testing.assert_array_equal(report.errors[:, 1], expected)
     np.testing.assert_array_equal(report.errors[:, 0], np.array(expected) / 2)
@@ -70,7 +77,8 @@ def test_iterate_stops_on_the_sup_norm(mode, expected):
 
 def test_iterate_reports_max_iter_without_convergence():
     cfg = IterationConfig(order=0.5, horizon=1.0, n_steps=3, tolerance=1e-3, max_iter=4)
-    (result,) = iterate(cfg, lambda h, th: (h / 2, h / 2 - h, ()), np.ones(3), [[0.5]], 0.0)
+    (result,) = iterate(cfg, lambda h, th, part: (part(h), part(h) - h), np.ones(3), [[0.5]],
+                        0.0, _marched(lambda x: x / 2, (3,)))
     assert not result.report.converged and result.report.iterations == 4
     assert result.fields is None
 
@@ -82,11 +90,12 @@ def test_iterate_drops_each_member_at_its_own_stop():
     cfg = IterationConfig(order=0.5, horizon=1.0, n_steps=2, tolerance=1e-3, max_iter=12)
     widths = []
 
-    def sweep(h, th):
+    def sweep(h, th, part):
         widths.append(len(h))
-        return th[:, :, None] * h, (th[:, :, None] - 1.0) * h, ()
+        return th[:, :, None] * h, (th[:, :, None] - 1.0) * h
 
-    results = iterate(cfg, sweep, np.ones((1, 2)), [[0.5], [0.75], [0.25]], 0.0)
+    results = iterate(cfg, sweep, np.ones((1, 2)), [[0.5], [0.75], [0.25]], 0.0,
+                      _marched(lambda x: x, (1, 2)))
     assert [r.report.iterations for r in results] == [10, 12, 5]
     assert [r.report.converged for r in results] == [True, False, True]
     assert widths == [3] * 5 + [2] * 5 + [1] * 2

@@ -31,6 +31,13 @@ def test_sine_rows_and_eigenvalues_diagonalise_the_second_difference(m):
     assert np.array_equal(kernels.dst(x)[1], kernels.dst(x[1]))  # a row depends on itself alone
 
 
+def _quiet_dirichlet_beside_flux(stack, ends):
+    """``ends`` with 0 at each Dirichlet end of a line with a flux end, the
+    value such an end holds in every march (``kernels``)."""
+    ends[~stack.flux & stack.flux.any(axis=1, keepdims=True)] = 0.0
+    return ends
+
+
 def _lines(rhs, widths):
     start = 0
     for w in widths:
@@ -96,8 +103,8 @@ def test_step_solve_residuals_across_regimes(n, stiffness, bcs):
     rng = np.random.default_rng(int(stiffness) + 10 * bcs[0] + bcs[1])
     rhs = rng.standard_normal(n)
     b_in = rhs.copy()
-    ends = rng.standard_normal((1, 2))
     stack = kernels.Stack([n], [s], [c], [bcs[0]], [bcs[1]])
+    ends = _quiet_dirichlet_beside_flux(stack, rng.standard_normal((1, 2)))
     x, _, _ = _solve(bnn, stack, [n], rhs, ends)
 
     a, b = _dense_level(bnn, s, c, n, bcs, ends[0], rhs)
@@ -187,7 +194,7 @@ def _level(stack, seed):
     rng = np.random.default_rng(seed)
     rhs, ends = rng.standard_normal(stack.size), rng.standard_normal((stack.lines, 2))
     rhs[::4], ends[::3, 0] = -0.0, -0.0
-    return rhs, ends
+    return rhs, _quiet_dirichlet_beside_flux(stack, ends)
 
 
 def _condensed(bnn, s, c, shift, n, kinds, ends, rhs):
@@ -319,7 +326,7 @@ def test_level_solve_matches_the_condensed_level_matrix(kinds):
     stack = kernels.Stack([n, n], [s, s], [c, c], [kinds[0]] * 2, [kinds[1]] * 2, [0.0, shift])
     for bnn in rng.uniform(0.01, 50.0, 4):
         rhs = rng.standard_normal(2 * n)
-        ends = rng.standard_normal((2, 2))
+        ends = _quiet_dirichlet_beside_flux(stack, rng.standard_normal((2, 2)))
         x, _, values = _solve(bnn, stack, [n, n], rhs, ends)
         for k, sh in enumerate((0.0, shift)):
             a, b = _condensed_interior(bnn, s, c, sh, n, kinds, ends[k], rhs[k * n:(k + 1) * n])

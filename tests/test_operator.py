@@ -201,17 +201,16 @@ def test_nnwr_impulse_marches_stack_only_the_subdomains_they_reach(monkeypatch):
 
 def _march_phases(phases, x):
     """The phases marched in turn, with the data: one marched sweep's affine part."""
-    x, fields = phases[0].march(x, True)
-    for phase in phases[1:]:
-        x = phase.march(x, True)[0]
-    return x, fields
+    for phase in phases:
+        x = phase.march(x, True)
+    return x
 
 
 def test_a_forced_nnwr_build_marches_each_phase_once_per_impulse_group(monkeypatch):
     # six interfaces of reach 1 in each phase: three impulse groups per phase,
     # and one data march for the Dirichlet phase's c; the data-free Neumann
-    # phase has no c.  Product sweeps march nothing, or under keep_fields
-    # the Dirichlet phase alone, whose fields a sweep keeps
+    # phase has no c.  Product sweeps march nothing; keep_fields adds one
+    # Dirichlet march, after the last sweep
     calls, at_build = Counter(), []
     for name in ("solve_dirichlet_waveform", "solve_neumann_waveform"):
         monkeypatch.setattr(nnwr, name, lambda *a, name=name, march=getattr(nnwr, name), **kw:
@@ -230,7 +229,7 @@ def test_a_forced_nnwr_build_marches_each_phase_once_per_impulse_group(monkeypat
     assert at_build == [expected] and calls == expected
     calls.clear()
     run_nnwr_1d(_nnwr(mode="forced"), keep_fields=True)
-    assert calls == {"solve_dirichlet_waveform": 4 + 8, "solve_neumann_waveform": 3}
+    assert calls == {"solve_dirichlet_waveform": 4 + 1, "solve_neumann_waveform": 3}
 
 
 def _phases_2d(cfg, monkeypatch):
@@ -238,7 +237,7 @@ def _phases_2d(cfg, monkeypatch):
     phases = []
     build = iteration._affine_part
     monkeypatch.setattr(iteration, "_affine_part",
-                        lambda cfg, p, keep: phases.append(p) or build(cfg, p, keep))
+                        lambda cfg, p: phases.append(p) or build(cfg, p))
     run_nnwr_2d(replace(cfg, max_iter=1))
     return phases[0]
 
@@ -252,11 +251,10 @@ def test_phase_operators_applied_in_turn_match_a_marched_sweep(driver, mode, mon
     else:
         cfg = _nnwr2d(mode)
         phases = _phases_2d(cfg, monkeypatch)
-    product = iteration._affine_part(cfg, phases, False)
+    product = iteration._affine_part(cfg, phases)
     x = np.random.default_rng(3).standard_normal((2,) + phases[0].shape)
-    y, fields = product(x)
-    expected = _march_phases(phases, x)[0]
-    assert fields == ()
+    y = product(x)
+    expected = _march_phases(phases, x)
     assert np.abs(y - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -325,7 +323,7 @@ def test_uniform_2d_iterates_match_marched_sweeps(mode, monkeypatch):
     results = run_nnwr_2d(cfg, members=members)
     assert builds == ["toeplitz_operator"] * 2  # the Dirichlet and the Neumann phase
     monkeypatch.setattr(iteration, "_affine_part",
-                        lambda cfg, phases, keep_fields: partial(_march_phases, phases))
+                        lambda cfg, phases: partial(_march_phases, phases))
     marched = run_nnwr_2d(cfg, members=members)
     assert builds == ["toeplitz_operator"] * 2
     atol = 1e-15 if cfg.error_mode else 1e-13
@@ -350,18 +348,24 @@ def test_product_sweeps_of_a_member_are_the_same_alone_and_in_a_batch(make, run,
 
 
 @pytest.mark.parametrize("driver", ["dnwr", "nnwr1d"])
-def test_kept_fields_of_a_product_sweep_march_the_trace_it_starts_from(driver):
+def test_kept_fields_of_a_product_sweep_march_the_trace_it_starts_from(driver, monkeypatch):
     make, run = {"dnwr": (_dnwr, run_dnwr), "nnwr1d": (_nnwr, run_nnwr_1d)}[driver]
-    # both runs exceed the build's cost, so both apply the operators
-    cfg = replace(make(mode="forced"), theta="optimal", max_iter=5)
-    res = run(cfg, keep_fields=True)
-    start = run(replace(cfg, max_iter=4)).traces  # the trace sweep 5 starts from
-    weights = cfg.build_weights()
-    subs = cfg.partition.subdomains
-    traces = [None, start, None] if driver == "dnwr" else [None, *start, None]
-    assert len(res.fields) == len(subs)
-    for sub, a, b, u in zip(subs, traces[:-1], traces[1:], res.fields):
-        expected = march_alone(sub, weights, a, b, f=cfg.source, u0=cfg.initial_condition)
-        assert np.array_equal(u, expected)
-        if driver == "dnwr":
-            break  # the second DNWR field is the Neumann solve's
+    # on the uniform mesh both runs exceed the build's cost, so both apply
+    # the operators; on the graded mesh every forced sweep marches
+    uniform = replace(make(mode="forced"), theta="optimal", max_iter=5)
+    graded = replace(make(0.5, "forced"), theta="optimal", max_iter=5, grading=2.0)
+    builds = _count_builds(monkeypatch)
+    for cfg, built in ((uniform, 1 if driver == "dnwr" else 2), (graded, 0)):
+        builds.clear()
+        res = run(cfg, keep_fields=True)
+        assert len(builds) == built
+        start = run(replace(cfg, max_iter=4)).traces  # the trace sweep 5 starts from
+        weights = cfg.build_weights()
+        subs = cfg.partition.subdomains
+        traces = [None, start, None] if driver == "dnwr" else [None, *start, None]
+        assert len(res.fields) == len(subs)
+        for sub, a, b, u in zip(subs, traces[:-1], traces[1:], res.fields):
+            expected = march_alone(sub, weights, a, b, f=cfg.source, u0=cfg.initial_condition)
+            assert np.array_equal(u, expected)
+            if driver == "dnwr":
+                break  # the second DNWR field is the Neumann solve's

@@ -58,8 +58,9 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   seed 1 with ``run.max_iter`` 1 (its CSV and bound included), which reads
   the same on any checkout whatever its 2D config classes look like.
 - L2, operator: the operator build of that NNWR-1D config, as
-  ``iteration._affine_part`` makes it before sweep 1 (its ``c`` included),
-  and one product sweep with it (one member, random traces).  Built one
+  ``iteration._affine_part`` makes it before sweep 1 (its ``c`` included;
+  ``keep_fields`` False on a checkout whose ``_affine_part`` takes it), and
+  one product sweep with it (one member, random traces).  Built one
   phase at a time, that is three impulse marches per phase, which stack the
   14 Dirichlet and 14 Neumann subdomain lines the impulses reach, of 24 each,
   and one Dirichlet march with the data: 7 marches.  A checkout that builds
@@ -167,6 +168,14 @@ def _trim(solve):
     import inspect
 
     return {"trim": True} if "trim" in inspect.signature(solve).parameters else {}
+
+
+def _fieldless(function):
+    """``(False,)`` when the checkout's ``function`` takes ``keep_fields``, so
+    that it keeps no fields, as a sweep of a run without them; else nothing."""
+    import inspect
+
+    return (False,) if "keep_fields" in inspect.signature(function).parameters else ()
 
 
 def _unequal_case(name):
@@ -278,7 +287,8 @@ def _operator_case(name):
     # its max_iter 40 exceeds the build's cost, so _affine_part builds
     cfg = _experiment(1).run
     weights = cfg.build_weights()
-    build = lambda: iteration._affine_part(cfg, nnwr._affine_1d(cfg, weights), False)  # noqa: E731
+    build = lambda: iteration._affine_part(  # noqa: E731
+        cfg, nnwr._affine_1d(cfg, weights), *_fieldless(iteration._affine_part))
     if "build" in name:
         return build
     part = build()
