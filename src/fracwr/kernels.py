@@ -168,13 +168,12 @@ class Stack:
             g = np.add.reduceat(self.b_edge[:, None] / (part[:, None] + self.diag), self.starts,
                                 axis=2)
             alpha = g[0] * self.s_flux + 1.0
-            beta = g[1] * self.s[:, 0] + self.rho
             det, ratio = alpha, None
             if self.coupled is not None:
                 # a line with two flux ends solves [[alpha, beta], [beta, alpha]],
                 # written so that a line with one flux end (coupling 0) divides
                 # by alpha as in a stack without such lines
-                coupling = beta * self.coupled
+                coupling = (g[1] * self.s[:, 0] + self.rho) * self.coupled
                 ratio = (coupling / alpha)[..., None]
                 det = alpha - ratio[..., 0] * coupling
             if not (alpha.all() and det.all()):
