@@ -47,8 +47,8 @@ __all__ = [
     "transfer_operator",
 ]
 
-# Impulse columns marched as one batch when ``transfer_operator`` builds T: a
-# wider batch raises the peak memory of a run and saves no time.
+# Impulse columns marched as one batch when an operator is built: a wider
+# batch raises the peak memory of a run and saves no time.
 TRANSFER_CHUNK = 16
 
 
@@ -192,65 +192,50 @@ class AffineSweep:
         return self.layout(np.zeros((1,) + self.shape)).shape[1:]
 
 
-def _impulses(affine, starts):
-    """The responses (len(starts), positions, N) to unit traces, one member per
-    (group, level) of ``starts``; a group is every ``2 reach + 1``-th position."""
-    x = np.zeros((len(starts),) + affine.shape)
-    layout = affine.layout(x)
-    for member, (group, level) in zip(layout, starts):
-        member[group::2 * affine.reach + 1, level] = 1.0
-    return affine.layout(affine.march(x, False))
-
-
-def _answers(positions, reach, group):
-    """(position, offset index) of each position that answers the impulse group
-    ``group``: its one source lies ``offset index - reach`` positions away."""
-    width = 2 * reach + 1
-    for q in range(positions):
-        d = (group - q + reach) % width
-        if 0 <= q + d - reach < positions:
-            yield q, d
+def _columns(affine, levels):
+    """The answers to a unit trace at each of ``levels``, in the offset-major
+    blocks of ``toeplitz_operator`` with one column per level, (2 reach + 1,
+    positions, N, len(levels)).  The impulse groups (every ``2 reach +
+    1``-th position) march one after another, ``TRANSFER_CHUNK`` levels at
+    a time as the members of one batch, so no column depends on the chunk.
+    """
+    positions, n = affine.extent
+    width = 2 * affine.reach + 1
+    blocks = np.zeros((width, positions, n, len(levels)))
+    for group in range(min(positions, width)):
+        for j in range(0, len(levels), TRANSFER_CHUNK):
+            chunk = levels[j:j + TRANSFER_CHUNK]
+            x = np.zeros((len(chunk),) + affine.shape)
+            for member, level in zip(affine.layout(x), chunk):
+                member[group::width, level] = 1.0
+            y = affine.layout(affine.march(x, False))
+            # each position answers the one source of the group within reach
+            for q in range(positions):
+                d = (group - q + affine.reach) % width
+                if 0 <= q + d - affine.reach < positions:
+                    blocks[d, q, :, j:j + len(chunk)] = y[:, q].T
+    return blocks
 
 
 def toeplitz_operator(affine, mesh) -> np.ndarray:
     """``T`` on a uniform ``mesh`` as offset-major blocks (2 reach + 1, positions, N, N).
 
     Block ``[d, q]`` maps the trace at position ``q + d - reach`` to position
-    ``q``; it is the lower-triangular Toeplitz matrix of the response to a
-    unit trace at the first level.  The ``min(positions, 2 reach + 1)``
-    impulse groups march one after another, one member each.
+    ``q``; it is the lower-triangular Toeplitz matrix of the answer to a
+    unit trace at the first level (``_columns``).
     """
     if not mesh.is_uniform:
         raise ValueError("a Toeplitz operator needs a uniform time mesh")
-    positions, n = affine.extent
-    width = 2 * affine.reach + 1
-    columns = np.zeros((width, positions, n))
-    for group in range(min(positions, width)):
-        (y,) = _impulses(affine, [(group, 0)])
-        for q, d in _answers(positions, affine.reach, group):
-            columns[d, q] = y[q]
+    columns = _columns(affine, range(1))[..., 0]
+    n = columns.shape[-1]
     lag = np.subtract.outer(np.arange(n), np.arange(n))
     return np.where(lag >= 0, columns[..., np.maximum(lag, 0)], 0.0)
 
 
 def transfer_operator(affine) -> np.ndarray:
-    """``T`` on any mesh, in the blocks of ``toeplitz_operator``.
-
-    Column j of a block answers a unit trace at level j.  The columns of an
-    impulse group march ``TRANSFER_CHUNK`` levels at a time as the members
-    of one batch, so ``T`` does not depend on the chunk size.  A chunk's
-    marches start at its first level: the levels before it are zero.
-    """
-    positions, n = affine.extent
-    width = 2 * affine.reach + 1
-    blocks = np.zeros((width, positions, n, n))
-    for group in range(min(positions, width)):
-        for j in range(0, n, TRANSFER_CHUNK):
-            levels = range(j, min(n, j + TRANSFER_CHUNK))
-            y = _impulses(affine, [(group, level) for level in levels])
-            for q, d in _answers(positions, affine.reach, group):
-                blocks[d, q, :, levels.start:levels.stop] = y[:, q].T
-    return blocks
+    """``T`` on any mesh, in the blocks of ``toeplitz_operator``: column j of
+    a block answers a unit trace at level j (``_columns``)."""
+    return _columns(affine, range(affine.extent[1]))
 
 
 def apply_operator(blocks, c, x) -> np.ndarray:
@@ -258,21 +243,16 @@ def apply_operator(blocks, c, x) -> np.ndarray:
 
     One batched product per offset: the blocks of offset d over the positions
     it reaches, each a matrix-vector product, added in the order of the
-    offsets, so that a position's sum starts at its first offset.
+    offsets to a sum that starts at -0.0, which adds to any float exactly.
     """
     width, positions = blocks.shape[:2]
     reach = width // 2
-    y = np.empty_like(x)
-    first = positions  # the positions from ``first`` on hold a partial sum
+    y = np.full_like(x, -0.0)
     for d in range(width):
         lo, hi = max(0, reach - d), min(positions, positions + reach - d)
-        if lo >= hi:
-            continue
-        term = np.matmul(blocks[d, lo:hi], x[lo + d - reach:hi + d - reach, :, None])[..., 0]
-        split = min(first, hi)
-        y[lo:split] = term[:split - lo]
-        y[split:hi] += term[split - lo:]
-        first = lo
+        if lo < hi:
+            y[lo:hi] += np.matmul(blocks[d, lo:hi],
+                                  x[lo + d - reach:hi + d - reach, :, None])[..., 0]
     return y if c is None else y + c
 
 

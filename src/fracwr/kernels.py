@@ -37,18 +37,15 @@ FLUX = 1
 
 
 @lru_cache(maxsize=16)
-def _rows(m, rows):
+def sine_rows(m, rows):
+    """The rows ``rows`` (a tuple or range of interior node indices, 0 to
+    m-1) of the orthonormal DST-I of size m, read-only (they are kept for the
+    next call)."""
     # the phase j k pi / (m+1) reduced by whole turns first, so its sine keeps full accuracy
     turns = np.outer(np.add(rows, 1), np.arange(1, m + 1)) % (2 * (m + 1))
     basis = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * turns / (m + 1))
     basis.setflags(write=False)
     return basis
-
-
-def sine_rows(m, rows):
-    """The rows ``rows`` (interior node indices, 0 to m-1) of the orthonormal
-    DST-I of size m, read-only (they are kept for the next call)."""
-    return _rows(m, tuple(rows))
 
 
 def dst(x):
@@ -67,13 +64,47 @@ def dst(x):
 
 _SUM_DIFFERENCE = np.array([[1.0, 1.0], [1.0, -1.0]])
 
-# The arrays of the last few stacks, by their arguments: the marches of a run
-# build the same few stacks sweep after sweep, and share their level terms.
-# Every kept array is a function of the arguments alone, so no result
-# depends on what is kept.
-_KEPT = {}
-_KEEP = 4
 _LEVELS = 4096  # the most level terms a kept stack holds
+
+
+# The arrays of the last four stacks, by their arguments (tuples): the marches
+# of a run build the same few stacks sweep after sweep, and share their level
+# terms.  Every kept array is a function of the arguments alone, so no result
+# depends on what is kept.
+@lru_cache(maxsize=4)
+def _arrays(widths, s, c, kinds, shift):
+    widths, s, c, kinds = (np.array(x) for x in (widths, s, c, kinds))
+    n = len(widths)
+    m = widths - 2
+    size = int(m.sum())
+    starts = np.concatenate([[0], np.cumsum(m)[:-1]])
+    line = np.repeat(np.arange(n), m)
+    k = np.arange(size) - starts[line]  # a coefficient's mode, from 0
+    span = (m + 1.0)[line]
+    edge = np.sqrt(2.0 / span) * np.sin(np.pi * (k + 1) / span)
+    diag = s[line] * 4.0 * np.sin(0.5 * np.pi * (k + 1) / span) ** 2
+    if shift is not None:
+        diag += np.array(shift)[line]
+    flux = kinds.reshape(n, 2) == FLUX
+    # one gather gives a coefficient w_L + w_R (sigma = 1) or w_L - w_R (sigma = -1)
+    arrays = dict(lines=n, size=size, starts=starts, edge=edge, diag=diag,
+                  bounds=(float(diag.min()), float(diag.max())), gather=2 * line + k % 2,
+                  s=np.stack([s, s], axis=1), flux=flux, has_flux=bool(flux.any()))
+    if arrays["has_flux"]:
+        sigma = 1.0 - 2.0 * (k % 2)
+        second = np.sqrt(2.0 / span) * np.sin(2.0 * np.pi * (k + 1) / span)
+        b = -4.0 / 3.0 * edge + np.where(m[line] > 1, second / 3.0, 0.0)
+        coupled = flux[:, 0] & flux[:, 1]
+        # per line, alpha = 1 + s_f b_L . z_L and beta = rho + s b_L . z_R, where
+        # s_f is s on a line with a flux end; on a 3-node line a flux row
+        # weighs the other end node by rho = 1/3
+        arrays.update(
+            b=np.stack([b, sigma * b]), b_edge=np.stack([b * edge, sigma * b * edge]),
+            s_flux=np.where(flux.any(axis=1), s, 0.0), rho=np.where(m == 1, 1.0 / 3.0, 0.0),
+            flux_scale=np.where(flux, 1.0 / (3.0 * c)[:, None], 0.0),
+            coupled=coupled.astype(float) if coupled.any() else None,
+            levels={})  # a level's terms of the flux rows, by its diagonal weight
+    return arrays
 
 
 class Stack:
@@ -88,7 +119,7 @@ class Stack:
     (``b``) and b_L times both end rows (``b_edge``), whose sums over a line
     give the Sherman-Morrison terms, and the terms of each level it has
     solved (``prepare``).  Stacks with the same arguments share these arrays
-    (the last few are kept); each has scratch for
+    (``_arrays`` keeps those of the last four); each has scratch for
     ``step_solve`` of its own.
     """
 
@@ -101,51 +132,13 @@ class Stack:
             raise ValueError(f"end kinds must be DIRICHLET or FLUX, got {kinds.tolist()}")
         n = len(widths)
         s, c = (np.broadcast_to(np.asarray(x, dtype=float), (n,)) for x in (s, c))
-        key = tuple(None if x is None else np.asarray(x, dtype=float).tobytes()
-                    for x in (widths, s, c, kinds, shift))
-        kept = _KEPT.pop(key, None) or self._arrays(widths, s, c, kinds, shift)
-        _KEPT[key] = kept
-        if len(_KEPT) > _KEEP:
-            del _KEPT[next(iter(_KEPT))]
-        self.__dict__.update(kept)
+        shift = None if shift is None else np.broadcast_to(np.asarray(shift, dtype=float), (n,))
+        self.__dict__.update(_arrays(*(None if x is None else tuple(x.tolist())
+                                       for x in (widths, s, c, kinds.ravel(), shift))))
         self.d, self.forcing = np.empty((2, self.size))
         self.combined = np.empty((n, 2))
         if self.has_flux:
             self.products = np.empty((2, self.size))
-
-    @staticmethod
-    def _arrays(widths, s, c, kinds, shift):
-        n = len(widths)
-        m = widths - 2
-        size = int(m.sum())
-        starts = np.concatenate([[0], np.cumsum(m)[:-1]])
-        line = np.repeat(np.arange(n), m)
-        k = np.arange(size) - starts[line]  # a coefficient's mode, from 0
-        span = (m + 1.0)[line]
-        edge = np.sqrt(2.0 / span) * np.sin(np.pi * (k + 1) / span)
-        diag = s[line] * 4.0 * np.sin(0.5 * np.pi * (k + 1) / span) ** 2
-        if shift is not None:
-            diag += np.broadcast_to(shift, (n,))[line]
-        flux = kinds == FLUX
-        # one gather gives a coefficient w_L + w_R (sigma = 1) or w_L - w_R (sigma = -1)
-        arrays = dict(lines=n, size=size, starts=starts, edge=edge, diag=diag,
-                      bounds=(float(diag.min()), float(diag.max())), gather=2 * line + k % 2,
-                      s=np.stack([s, s], axis=1), flux=flux, has_flux=bool(flux.any()))
-        if arrays["has_flux"]:
-            sigma = 1.0 - 2.0 * (k % 2)
-            second = np.sqrt(2.0 / span) * np.sin(2.0 * np.pi * (k + 1) / span)
-            b = -4.0 / 3.0 * edge + np.where(m[line] > 1, second / 3.0, 0.0)
-            coupled = flux[:, 0] & flux[:, 1]
-            # per line, alpha = 1 + s_f b_L . z_L and beta = rho + s b_L . z_R, where
-            # s_f is s on a line with a flux end; on a 3-node line a flux row
-            # weighs the other end node by rho = 1/3
-            arrays.update(
-                b=np.stack([b, sigma * b]), b_edge=np.stack([b * edge, sigma * b * edge]),
-                s_flux=np.where(flux.any(axis=1), s, 0.0), rho=np.where(m == 1, 1.0 / 3.0, 0.0),
-                flux_scale=np.where(flux, 1.0 / (3.0 * c)[:, None], 0.0),
-                coupled=coupled.astype(float) if coupled.any() else None,
-                levels={})  # a level's terms of the flux rows, by its diagonal weight
-        return arrays
 
     def prepare(self, bnns):
         """Keep the terms of the flux rows at each diagonal weight of ``bnns``.

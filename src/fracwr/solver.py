@@ -53,38 +53,18 @@ def _table(values, shape, name) -> np.ndarray:
     return arr
 
 
-def _initial_samples(u0, grid, shape) -> np.ndarray:
-    if u0 is None:
-        return np.zeros(shape)
-    if callable(u0):
-        return np.broadcast_to(np.asarray(u0(*grid), dtype=float), shape)
-    return _table(u0, shape, "initial data")
-
-
-def _source_table(f, grid, eval_times, shape) -> np.ndarray:
-    n = len(eval_times)
-    if f is None:
-        return np.zeros((n,) + shape)
-    if callable(f):
-        return np.array([np.broadcast_to(f(*grid, t), shape) for t in eval_times], dtype=float)
-    arr = np.asarray(f, dtype=float)
-    if arr.shape == shape:
-        return np.broadcast_to(arr, (n,) + shape).copy()
-    if arr.shape == (n,) + shape:
-        return arr
-    raise ValueError(f"source has shape {arr.shape}, expected {shape} or {(n,) + shape}")
-
-
 def tabulate(weights: CaputoWeights, f, u0, *grid):
-    """``f`` at every level's evaluation time and ``u0`` on the nodes ``grid``.
+    """``f(*grid, t)`` at every level's evaluation time t and ``u0(*grid)``,
+    on the nodes ``grid``; ``f`` and ``u0`` are callables or None.
 
     ``grid`` is the node array of a line, or the two coordinate arrays of a
     lattice.  A driver calls this once per run and hands the tables to every
     solve; None stays None.
     """
     shape = np.shape(grid[0])
-    return (None if f is None else _source_table(f, grid, weights.eval_times, shape),
-            None if u0 is None else _initial_samples(u0, grid, shape))
+    return (None if f is None else np.array([np.broadcast_to(f(*grid, t), shape)
+                                             for t in weights.eval_times], dtype=float),
+            None if u0 is None else np.broadcast_to(np.asarray(u0(*grid), dtype=float), shape))
 
 
 def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=False, f=None,
@@ -271,7 +251,7 @@ def _field(sub, increments, ends, start, start_hat, trim):
     members, n_steps, n_modes, size = increments.shape
     last = sub.n_nodes - 1
     nodes = [k % sub.n_nodes for k in END_NODES]
-    rows = sorted({k - 1 for k in nodes if 0 < k < last})
+    rows = tuple(sorted({k - 1 for k in nodes if 0 < k < last}))
     basis = kernels.sine_rows(size, rows)
     # one product per member, or per level of each member when the lines have
     # modes: products small enough that BLAS runs them on one thread
@@ -340,6 +320,9 @@ def _global_grid(partition: Partition1D):
 def solve_monolithic(partition: Partition1D, weights: CaputoWeights, f=None, u0=None):
     """Single global solve with interface rows matching the iteration coupling.
 
+    The source ``f(x, t)`` and the initial condition ``u0(x)`` are callables
+    or None, sampled on the nodes as the drivers sample them (``tabulate``).
+
     At every interface node g the PDE row is replaced by the balance of the
     one-sided outward fluxes of both neighbours,
     c_l (u[g-2] - 4 u[g-1] + 3 u[g]) + c_r (3 u[g] - 4 u[g+1] + u[g+2]) = 0 with
@@ -370,15 +353,15 @@ def solve_monolithic(partition: Partition1D, weights: CaputoWeights, f=None, u0=
         band[[4, 3, 2, 1, 0], range(g - 2, g + 3)] = cl, -4.0 * cl, 3.0 * (cl + cr), -4.0 * cr, cr
     pde = np.setdiff1d(np.arange(1, ntot - 1), ifc)
 
-    ftab = _source_table(f, (nodes,), weights.eval_times, (ntot,))
+    ftab, start = tabulate(weights, f, u0, nodes)
     u = np.zeros((n_steps + 1, ntot))
-    u[0] = _initial_samples(u0, (nodes,), (ntot,))
+    u[0] = 0.0 if start is None else start
     du = np.zeros((n_steps, ntot))
     for n in range(1, n_steps + 1):
         b_row = weights.rows[n - 1]
         bnn = b_row[n - 1]
         prev = u[n - 1]
-        rhs = bnn * prev + ftab[n - 1]
+        rhs = bnn * prev if ftab is None else bnn * prev + ftab[n - 1]
         if n > 1:
             rhs -= b_row[: n - 1] @ du[: n - 1]
         if theta_s < 1.0:

@@ -5,6 +5,8 @@ import fracwr.iteration as iteration
 from fracwr.dnwr import DnwrConfig, optimal_theta_dnwr, run_dnwr, transfer_matrix
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
 from fracwr.geometry import build_partition, interface_flux_series
+from fracwr.iteration import transfer_operator
+from fracwr.nnwr import NnwrConfig, _affine_1d
 from fracwr.solver import solve_monolithic
 from fracwr.theory import DnwrBoundParams
 from marching import march_alone
@@ -99,9 +101,15 @@ def test_transfer_matrix_is_causal_and_independent_of_the_chunk(monkeypatch):
     assert s.shape == (21, 21)
     assert np.all(np.triu(s, 1) == 0.0)
     assert np.all(np.diag(s) != 0.0)
+    phases = _affine_1d(NnwrConfig(partition=build_partition((0, 2), [0.5, 0.9, 1.4],
+                                                             [1.0, 0.5, 2.0, 0.7], 0.1),
+                                   order=0.5, horizon=1.0, n_steps=21), weights)
+    blocks = [transfer_operator(phase) for phase in phases]  # three positions, reach 1
     for chunk in (1, 5, 21):
         monkeypatch.setattr("fracwr.iteration.TRANSFER_CHUNK", chunk)
         assert np.array_equal(transfer_matrix(part, weights), s)
+        for phase, t in zip(phases, blocks):
+            assert np.array_equal(transfer_operator(phase), t)
 
 
 def test_contraction_is_the_largest_diagonal_entry_of_the_transfer_matrix():

@@ -149,12 +149,13 @@ def test_step_solve_batch_equals_one_system_at_a_time(n, bcs):
 def test_identity_row_is_exact_next_to_a_pivoting_flux_row():
     # line 0 ends in Dirichlet rows; line 1 starts with a flux row whose
     # diagonal 2c is far below the coupling s next to it (the regime where an
-    # elimination pivots); every Dirichlet end still returns its g
+    # elimination pivots); every Dirichlet end still returns its g, which is
+    # 0 beside the flux end, as in every march
     s, c, bnn = 50.0, 0.5, 2.0
     stack = kernels.Stack([4, 5], [s, s], [c, c], [D, F], [D, D])
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(9)
-    ends = np.array([[0.1, 1.0 / 3.0], [-0.7, 2.0 ** -40]])
+    ends = np.array([[0.1, 1.0 / 3.0], [-0.7, 0.0]])
     x, _, values = _solve(bnn, stack, [4, 5], rhs, ends)
     assert x[3] == ends[0, 1] and x[0] == ends[0, 0] and x[8] == ends[1, 1]
     assert values[0, 0] == ends[0, 0] and values[1, 1] == ends[1, 1]

@@ -93,11 +93,11 @@ def test_member_axis_shapes():
     sub = cfg.partition.subdomains[0]
     w = cfg.build_weights()
     h = np.arange(3 * cfg.n_steps, dtype=float).reshape(3, cfg.n_steps)
-    f, u0 = tabulate(w, _source_1d, np.ones(sub.n_nodes), sub.nodes)
+    f, u0 = tabulate(w, _source_1d, np.ones_like, sub.nodes)
     (u,) = solve_waveform([sub], w, [None], [h], 3, f=[f], u0=[u0])
     assert u.shape == (3, cfg.n_steps + 1, sub.n_nodes)
     for j in range(3):
-        solo = march_alone(sub, w, None, h[j], f=_source_1d, u0=np.ones(sub.n_nodes))
+        solo = march_alone(sub, w, None, h[j], f=_source_1d, u0=np.ones_like)
         assert np.array_equal(u[j], solo)
 
 

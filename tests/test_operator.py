@@ -108,6 +108,8 @@ def test_toeplitz_build_equals_the_full_impulse_build(order):
     t = toeplitz_operator(dnwr_affine(cfg.partition.subdomains, weights), weights.mesh)
     assert t.shape == (1, 1, 16, 16)
     assert np.abs(t[0, 0] - s).max() <= 1e-14 * np.abs(s).max()
+    # both builds come from one impulse routine: a first column is one march
+    np.testing.assert_array_equal(t[0, 0, :, 0], s[:, 0])
 
     cfg = _nnwr(order)
     weights = cfg.build_weights()
@@ -116,6 +118,7 @@ def test_toeplitz_build_equals_the_full_impulse_build(order):
         t = toeplitz_operator(phase, weights.mesh)
         assert t.shape == full.shape == (3, 6, 12, 12)  # offsets, then positions
         assert np.abs(t - full).max() <= 1e-14 * np.abs(full).max()
+        np.testing.assert_array_equal(t[..., 0], full[..., 0])
 
 
 def test_toeplitz_build_is_refused_on_a_graded_mesh():
