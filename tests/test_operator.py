@@ -108,7 +108,8 @@ def test_toeplitz_build_equals_the_full_impulse_build(order):
     t = toeplitz_operator(dnwr_affine(cfg.partition.subdomains, weights), weights.mesh)
     assert t.shape == (1, 1, 16, 16)
     assert np.abs(t[0, 0] - s).max() <= 1e-14 * np.abs(s).max()
-    # both builds come from one impulse routine: a first column is one march
+    # both builds come from one impulse routine, and a march's bits do not
+    # depend on the members beside it (one here, a chunk in the full build)
     np.testing.assert_array_equal(t[0, 0, :, 0], s[:, 0])
 
     cfg = _nnwr(order)
