@@ -2,8 +2,8 @@
 
 Dirichlet-Neumann and Neumann-Neumann interface iterations for sub-diffusion
 and diffusion-wave equations in 1D and 2D, together with evaluators for their
-superlinear convergence estimates and the inverse-Laplace kernel machinery
-used to validate them.
+superlinear convergence estimates and the M-Wright function and numerical
+Laplace inversion that ``fracwr --seed-check`` tests.
 """
 
 from .dnwr import DnwrConfig, optimal_theta_dnwr, run_dnwr
@@ -39,8 +39,6 @@ from .theory import (
     Nnwr2dBoundParams,
     NnwrBoundParams,
     dnwr_error_bound,
-    invlap_exp,
-    kernel_positivity_check,
     mwright,
     nnwr2d_error_bound,
     nnwr_error_bound,

@@ -22,14 +22,12 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .geometry import Partition1D, interface_flux_series
-from .iteration import AffineSweep, IterationConfig, iterate, transfer_operator
+from .iteration import AffineSweep, IterationConfig, iterate
 from .solver import solve_dirichlet_waveform, solve_neumann_waveform, tabulate
 from .theory import optimal_theta_dnwr
 
-__all__ = ["DnwrConfig", "optimal_theta_dnwr", "run_dnwr", "transfer_matrix"]
+__all__ = ["DnwrConfig", "optimal_theta_dnwr", "run_dnwr"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -68,16 +66,6 @@ def _affine(subs, weights, f=(None, None), u0=(None, None)) -> AffineSweep:
 
     return AffineSweep(march=march, layout=lambda h: h[:, None], shape=(weights.n_steps,),
                        graded=True)
-
-
-def transfer_matrix(partition: Partition1D, weights) -> np.ndarray:
-    """The matrix ``S`` of the error-equation sweep ``h -> theta*S h + (1-theta)*h``.
-
-    Column j is the Neumann solve's interface trace answering a unit trace at
-    level j with zero data (``iteration.transfer_operator``).  No level
-    answers a later impulse, so ``S`` is lower triangular.
-    """
-    return transfer_operator(_affine(partition.subdomains, weights))[0, 0]
 
 
 def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):

@@ -360,7 +360,8 @@ def _run_members(cfg: ExperimentConfig, out_dir, paths):
         bound = lambda k: nnwr_error_bound(params, k)  # noqa: E731
 
     # more members march in one batch; a lone one takes the plain call,
-    # which returns its RunResult itself
+    # which returns its RunResult itself (perfbench/worker.py wraps that
+    # call and reads the result's traces)
     results = driver(run_cfg, members=cfg.thetas) if len(cfg.thetas) > 1 else [driver(run_cfg)]
     optimal = run_cfg.optimal_theta()
     for name, result in zip(names, results):

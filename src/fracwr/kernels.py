@@ -67,13 +67,14 @@ _SUM_DIFFERENCE = np.array([[1.0, 1.0], [1.0, -1.0]])
 _LEVELS = 4096  # the most level terms a kept stack holds
 
 
-# The arrays of the last four stacks, by their arguments (tuples): the marches
-# of a run build the same few stacks sweep after sweep, and share their level
-# terms.  Every kept array is a function of the arguments alone, so no result
-# depends on what is kept.
+# The arrays of the last four stacks, by the bytes of their arguments (None
+# for no shift): the marches of a run build the same few stacks sweep after
+# sweep, and share their level terms.  Every kept array is a function of the
+# arguments alone, so no result depends on what is kept.
 @lru_cache(maxsize=4)
 def _arrays(widths, s, c, kinds, shift):
-    widths, s, c, kinds = (np.array(x) for x in (widths, s, c, kinds))
+    widths, kinds = (np.frombuffer(x, dtype=int) for x in (widths, kinds))
+    s, c = (np.frombuffer(x, dtype=float) for x in (s, c))
     n = len(widths)
     m = widths - 2
     size = int(m.sum())
@@ -84,7 +85,7 @@ def _arrays(widths, s, c, kinds, shift):
     edge = np.sqrt(2.0 / span) * np.sin(np.pi * (k + 1) / span)
     diag = s[line] * 4.0 * np.sin(0.5 * np.pi * (k + 1) / span) ** 2
     if shift is not None:
-        diag += np.array(shift)[line]
+        diag += np.frombuffer(shift, dtype=float)[line]
     flux = kinds.reshape(n, 2) == FLUX
     # one gather gives a coefficient w_L + w_R (sigma = 1) or w_L - w_R (sigma = -1)
     arrays = dict(lines=n, size=size, starts=starts, edge=edge, diag=diag,
@@ -133,8 +134,9 @@ class Stack:
         n = len(widths)
         s, c = (np.broadcast_to(np.asarray(x, dtype=float), (n,)) for x in (s, c))
         shift = None if shift is None else np.broadcast_to(np.asarray(shift, dtype=float), (n,))
-        self.__dict__.update(_arrays(*(None if x is None else tuple(x.tolist())
-                                       for x in (widths, s, c, kinds.ravel(), shift))))
+        # the bytes are read back as ints (widths, kinds) and floats, so the dtypes are fixed here
+        self.__dict__.update(_arrays(*(None if x is None else x.tobytes()
+                                       for x in (widths, s, c, kinds.astype(int), shift))))
         self.d, self.forcing = np.empty((2, self.size))
         self.combined = np.empty((n, 2))
         if self.has_flux:

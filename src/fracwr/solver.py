@@ -117,7 +117,7 @@ def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=Fals
         decay = np.broadcast_to(decay, (len(subs), decay.shape[-1]))  # a row per subdomain
     modes = () if decay is None else decay.shape[1:]
     lines = members * (1 if decay is None else decay.shape[1])  # lines per subdomain
-    per_line = lambda x: [v for v in x for _ in range(lines)]  # noqa: E731
+    per_line = lambda x: np.repeat(x, lines)  # noqa: E731
 
     # an end with values is a flux end under ``flux``; every other end is Dirichlet
     kinds = np.full((2, len(subs)), kernels.DIRICHLET)

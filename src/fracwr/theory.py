@@ -1,11 +1,11 @@
-"""Closed-form convergence estimates and inverse-Laplace kernel machinery.
+"""Closed-form convergence estimates and the oracles that check their kernels.
 
-This module evaluates every analytic object the interface iterations are
-compared against: the M-Wright function and the inverse transforms of
-stretched exponentials exp(-l*s^a), L1-mass bounds for powers of cosech and
-sinh ratios, the superlinear error envelopes of the Dirichlet-Neumann and
-Neumann-Neumann iterations in 1D and 2D, and a fixed-contour numerical
-Bromwich inversion used as an independent oracle by the test suite.
+This module evaluates the superlinear error envelopes of the
+Dirichlet-Neumann and Neumann-Neumann iterations in 1D and 2D, with the
+analytic objects ``fracwr --seed-check`` tests against: the M-Wright
+function and its phase function, the window mass of the inverse transform of
+exp(-l*s^a) with its closed-form bound, and a fixed-contour numerical
+Bromwich inversion.
 
 Conventions: ``nu`` always denotes HALF the time-derivative order (the
 equation order is 2*nu), matching the scaled subdomain lengths
@@ -15,7 +15,7 @@ A = a/sqrt(kappa_1), B = b/sqrt(kappa_2) in which all estimates are stated.
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +25,9 @@ __all__ = [
     "optimal_theta_nnwr",
     "mwright_phase",
     "mwright",
-    "invlap_exp",
     "exp_kernel_mass",
     "exp_kernel_mass_bound",
     "talbot_invert",
-    "kernel_positivity_check",
-    "PositivityReport",
-    "cosech_power_mass",
-    "cosech_power_mass_bound",
-    "sinh_ratio_power_mass",
-    "sinh_ratio_power_mass_bound",
-    "geometric_exp_mass",
-    "geometric_exp_mass_bound",
     "DnwrBoundParams",
     "dnwr_error_bound",
     "NnwrBoundParams",
@@ -177,13 +168,6 @@ def mwright(alpha: float, x: float) -> float:
     return pref * _phase_integral(alpha, xs, with_u=True)
 
 
-def invlap_exp(alpha: float, l: float, t: float) -> float:
-    """Inverse Laplace transform of exp(-l * s^a): l*a*t^(-a-1) * M_a(l*t^-a)."""
-    if not (l > 0.0 and t > 0.0):
-        raise ValueError(f"need l > 0 and t > 0, got l={l}, t={t}")
-    return l * alpha * t ** (-(alpha + 1.0)) * mwright(alpha, l * t ** (-alpha))
-
-
 def exp_kernel_mass(alpha: float, l: float, t: float) -> float:
     """Exact integral over (0, t) of the inverse transform of exp(-l * s^a).
 
@@ -206,7 +190,7 @@ def exp_kernel_mass_bound(alpha: float, l: float, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-Talbot numerical Bromwich inversion (test oracle)
+# Fixed-Talbot numerical Bromwich inversion (an oracle of the self-check)
 # ---------------------------------------------------------------------------
 
 _TALBOT_NODES = 32  # M, the nodes of the fixed-Talbot contour
@@ -237,139 +221,6 @@ def talbot_invert(transform, t: float) -> float:
     if not math.isfinite(value):
         raise ArithmeticError("contour inversion produced a non-finite value")
     return value
-
-
-def _ratio_transform(kind: str, alpha: float, l1: float, l2: float):
-    """Stable sinh/cosh ratio transforms written with decaying exponentials.
-
-    For alpha <= 1/2 the principal branch keeps Re(s^alpha) > 0 on the whole
-    cut plane, so every exp(-2*l*s^alpha) below decays and no overflow occurs
-    even far out on the contour.
-    """
-    if kind == "phi":
-
-        def fhat(s):
-            w = s**alpha
-            return cmath.exp((l1 - l2) * w) * (1.0 - cmath.exp(-2.0 * l1 * w)) / (
-                1.0 - cmath.exp(-2.0 * l2 * w)
-            )
-
-    elif kind == "psi":
-
-        def fhat(s):
-            w = s**alpha
-            return cmath.exp((l1 - l2) * w) * (1.0 + cmath.exp(-2.0 * l1 * w)) / (
-                1.0 + cmath.exp(-2.0 * l2 * w)
-            )
-
-    else:
-        raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
-    return fhat
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    kind: str
-    alpha: float
-    l1: float
-    l2: float
-    times: np.ndarray
-    values: np.ndarray
-    min_value: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "min_value", float(np.min(self.values)))
-
-
-def kernel_positivity_check(kind, alpha, l1, l2, t_grid) -> PositivityReport:
-    """Numerically invert a sinh ('phi') or cosh ('psi') ratio on a time grid.
-
-    The inverted kernels are nonnegative for alpha <= 1/2; the report's
-    ``min_value`` quantifies how well the numerical inversion confirms it.
-    """
-    if not 0.0 <= l1 < l2:
-        raise ValueError(f"need 0 <= l1 < l2, got l1={l1}, l2={l2}")
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError(f"positivity range is alpha in (0, 1/2], got {alpha}")
-    fhat = _ratio_transform(kind, alpha, l1, l2)
-    times = np.asarray(t_grid, dtype=float)
-    values = np.array([talbot_invert(fhat, t) for t in times])
-    return PositivityReport(kind, alpha, l1, l2, times, values)
-
-
-# ---------------------------------------------------------------------------
-# Series masses of compound kernels and their closed-form bounds
-# ---------------------------------------------------------------------------
-
-_SERIES_TOL = 1e-18
-_SERIES_MAX = 2000
-
-
-def cosech_power_mass(alpha: float, l: float, k: int, t: float) -> float:
-    """Integral over (0, t) of the inverse transform of cosech^k(l * s^a)."""
-    total = 0.0
-    for m in range(_SERIES_MAX):
-        term = math.comb(m + k - 1, m) * exp_kernel_mass(alpha, (2 * m + k) * l, t)
-        total += term
-        if term <= _SERIES_TOL * max(total, 1e-300):
-            break
-    return 2.0**k * total
-
-
-def cosech_power_mass_bound(alpha: float, l: float, k: int, t: float) -> float:
-    """(2 / (1 - e^{-A1*B1}))^k * e^{-A1 * k^{1/(1-a)}} with the standard A1, B1."""
-    a1 = _window_rate(alpha, t, l)
-    b1 = _shifted_root(2.0, k, alpha)
-    return (2.0 / -math.expm1(-a1 * b1)) ** k * math.exp(-a1 * k ** (1.0 / (1.0 - alpha)))
-
-
-def sinh_ratio_power_mass(alpha: float, l1: float, l2: float, k: int, t: float) -> float:
-    """Integral over (0, t) of the inverse of sinh^k((l2-l1)s^a) / sinh^k(l2*s^a).
-
-    The kernel is nonnegative for alpha <= 1/2, so this is also its L1 mass.
-    """
-    if not 0.0 < l1 < l2:
-        raise ValueError(f"need 0 < l1 < l2, got l1={l1}, l2={l2}")
-    total = 0.0
-    for j in range(k + 1):
-        sign = -1.0 if j % 2 else 1.0
-        outer = sign * math.comb(k, j)
-        inner = 0.0
-        for m in range(_SERIES_MAX):
-            lam = 2.0 * m * l2 + k * l1 + 2.0 * j * (l2 - l1)
-            term = math.comb(m + k - 1, m) * exp_kernel_mass(alpha, lam, t)
-            inner += term
-            if term <= _SERIES_TOL * max(inner, 1e-300):
-                break
-        total += outer * inner
-    return total
-
-
-def sinh_ratio_power_mass_bound(alpha, l1, l2, k, t) -> float:
-    """((1 + e^{-A2}) / (1 - e^{-B2*C2}))^k * e^{-B2 * k^{1/(1-a)}}."""
-    b2 = _window_rate(alpha, t, l1)
-    a2 = _window_rate(alpha, t, 2.0 * l2 - 2.0 * l1)
-    c2 = _shifted_root(2.0 * l2 / l1, k, alpha)
-    return ((1.0 + math.exp(-a2)) / -math.expm1(-b2 * c2)) ** k * math.exp(
-        -b2 * k ** (1.0 / (1.0 - alpha))
-    )
-
-
-def geometric_exp_mass(alpha: float, l1: float, l2: float, t: float) -> float:
-    """Integral over (0, t) of the inverse of exp(-l1*s^a) / (1 - exp(-l2*s^a))."""
-    total = 0.0
-    for n in range(_SERIES_MAX):
-        term = exp_kernel_mass(alpha, l1 + n * l2, t)
-        total += term
-        if term <= _SERIES_TOL * max(total, 1e-300):
-            break
-    return total
-
-
-def geometric_exp_mass_bound(alpha: float, l1: float, l2: float, t: float) -> float:
-    """[1 + t^a * Gamma(2-a) / (l2 * Lam^{1-a})] * exp(-Lam * (l1/t^a)^{1/(1-a)})."""
-    front = 1.0 + t**alpha * math.gamma(2.0 - alpha) / (l2 * _rate(alpha) ** (1.0 - alpha))
-    return front * math.exp(-_scaled_rate(alpha, l1, t))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import fracwr.iteration as iteration
-from fracwr.dnwr import DnwrConfig, optimal_theta_dnwr, run_dnwr, transfer_matrix
+from fracwr.dnwr import DnwrConfig, optimal_theta_dnwr, run_dnwr
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
 from fracwr.geometry import build_partition, interface_flux_series
 from fracwr.iteration import transfer_operator
 from fracwr.nnwr import NnwrConfig, _affine_1d
 from fracwr.solver import solve_monolithic
 from fracwr.theory import DnwrBoundParams
-from marching import march_alone
+from marching import march_alone, transfer_matrix
 
 
 def test_optimal_theta_values():

@@ -173,6 +173,68 @@ def test_stack_rejects_short_blocks_and_unknown_kinds():
         kernels.Stack([3], [1.0], [1.0], [2], [0])
 
 
+_SCRATCH = ("d", "forcing", "combined", "products")  # each stack's own, unset
+
+
+def _kept(stack):
+    """The arrays a stack shares with stacks of the same arguments (``kernels._arrays``)."""
+    return {name: value for name, value in vars(stack).items() if name not in _SCRATCH}
+
+
+def _uncached(*args):
+    kernels._arrays.cache_clear()
+    return kernels.Stack(*args)
+
+
+def _assert_bitwise_equal(stack, reference):
+    got, want = _kept(stack), _kept(reference)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[name].dtype == value.dtype and got[name].shape == value.shape, name
+            assert got[name].tobytes() == value.tobytes(), name
+        else:
+            assert got[name] == value, name
+
+
+# (widths, s, c, left, right, shift) of a stack with flux ends, and the
+# arguments that set each variant one argument apart from it
+_BASE = ([7, 9], [0.7, 1.3], [0.35, 0.5], [F, D], [D, F], None)
+_VARIANTS = {
+    "one-line-s": {1: [0.7, np.nextafter(1.3, 2.0)]},
+    "zero-shift": {5: [0.0, 0.0]},
+    "swapped-widths": {0: [9, 7]},
+}
+
+
+def test_stacks_of_equal_arguments_share_their_arrays():
+    first = kernels.Stack(*_BASE)
+    second = kernels.Stack(*(None if x is None else list(x) for x in _BASE))
+    for name, value in _kept(first).items():
+        if isinstance(value, (np.ndarray, dict)):
+            assert _kept(second)[name] is value, name
+
+
+@pytest.mark.parametrize("variant", list(_VARIANTS))
+def test_a_stack_one_argument_apart_gets_the_arrays_of_a_fresh_build(variant):
+    args = [_VARIANTS[variant].get(i, x) for i, x in enumerate(_BASE)]
+    kernels.Stack(*_BASE)
+    _assert_bitwise_equal(kernels.Stack(*args), _uncached(*args))
+
+
+def test_int_lists_and_float_arrays_of_equal_values_build_one_stack():
+    # the key holds bytes, read back as ints (widths, kinds) or floats
+    # (s, c, shift): arguments of another dtype must be converted first
+    ints = ([7, 9], [1, 2], [1, 3], [F, D], [D, F], [0, 2])
+    floats = [np.array(x, dtype=float) for x in ints]
+    reference = _uncached(*floats)
+    _assert_bitwise_equal(_uncached(*ints), reference)
+    assert kernels.Stack(*ints).diag is kernels.Stack(*floats).diag
+    # line 0: s = 1 and shift 0 on 5 coefficients
+    np.testing.assert_allclose(reference.diag[:5], 4.0 * np.sin(np.arange(1, 6) * np.pi / 12) ** 2,
+                               rtol=1e-14, atol=0)
+
+
 # (widths, s, c, left end kinds, right end kinds, shift, bnn) of the level cases
 FACTOR_CASES = {
     "dirichlet": ([12], [0.7], [0.35], [D], [D], None, 3.0),

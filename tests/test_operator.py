@@ -16,11 +16,11 @@ import pytest
 import fracwr.iteration as iteration
 import fracwr.nnwr as nnwr
 from fracwr import kernels
-from fracwr.dnwr import DnwrConfig, _affine as dnwr_affine, run_dnwr, transfer_matrix
+from fracwr.dnwr import DnwrConfig, _affine as dnwr_affine, run_dnwr
 from fracwr.geometry import build_partition, interface_flux_series
 from fracwr.iteration import toeplitz_operator, transfer_operator
 from fracwr.nnwr import Nnwr2dConfig, NnwrConfig, _affine_1d, run_nnwr_1d, run_nnwr_2d
-from marching import march_alone
+from marching import march_alone, transfer_matrix
 
 
 def _source(x, t):

@@ -10,22 +10,24 @@ from fracwr.theory import (
     DnwrBoundParams,
     Nnwr2dBoundParams,
     NnwrBoundParams,
-    cosech_power_mass,
-    cosech_power_mass_bound,
     dnwr_error_bound,
     exp_kernel_mass,
     exp_kernel_mass_bound,
-    geometric_exp_mass,
-    geometric_exp_mass_bound,
-    invlap_exp,
-    kernel_positivity_check,
     mwright,
     mwright_phase,
     nnwr2d_error_bound,
     nnwr_error_bound,
+    talbot_invert,
+)
+from oracles import (
+    cosech_power_mass,
+    cosech_power_mass_bound,
+    geometric_exp_mass,
+    geometric_exp_mass_bound,
+    invlap_exp,
+    kernel_positivity_check,
     sinh_ratio_power_mass,
     sinh_ratio_power_mass_bound,
-    talbot_invert,
 )
 
 
