@@ -8,20 +8,20 @@ sweeps run in the interface iteration of ``fracwr.iteration``.
 
 The Neumann trace is affine in the Dirichlet trace, ``g = S h + c``, with a
 lower-triangular matrix ``S`` that does not depend on ``theta`` (``c`` = 0 in
-error-equation mode); a sweep is ``h -> theta*g + (1-theta)*h``.  On a
-uniform time mesh ``S`` is Toeplitz and one impulse march builds it; on a
-graded mesh an error-equation run builds it from N impulses, about the cost
-of ``ceil(N/4)`` one-member sweeps.  A run whose ``max_iter`` exceeds the
-build's cost builds ``S`` before its first sweep and applies it in every
-sweep; any other run, and every forced run on a graded mesh, marches every
-sweep.  ``S`` is built as one phase: each half-step has one position, so
-two phases would make as many marches.
+error-equation mode); a sweep is ``h -> theta*g + (1-theta)*h``.  ``S`` is
+the left subdomain's Dirichlet flux at the interface, sent through the right
+subdomain's Neumann map (``fracwr.maps``).  A run whose ``max_iter`` exceeds
+the cost of building it (``maps.build_cost``, plus the march of ``c`` in
+forced mode) builds ``S`` before its first sweep and applies it in every
+sweep; any other run marches every sweep.  ``S`` is built as one phase:
+each half-step has one position, so two phases would make as many marches.
 """
 
 import time
 from dataclasses import dataclass
 from functools import partial
 
+from . import maps
 from .geometry import Partition1D, interface_flux_series
 from .iteration import AffineSweep, IterationConfig, iterate
 from .solver import solve_dirichlet_waveform, solve_neumann_waveform, tabulate
@@ -59,13 +59,14 @@ def _half_steps(subs, weights, h, f=(None, None), u0=(None, None), trim=True):
 
 
 def _affine(subs, weights, f=(None, None), u0=(None, None)) -> AffineSweep:
-    """The Neumann interface trace ``g`` of the traces ``h`` (members, N), one
-    position."""
+    """The Neumann interface trace ``g`` of the traces ``h`` (members, 1, N):
+    one position, with ``S`` from the two subdomains' maps."""
     def march(h, data):
-        return _half_steps(subs, weights, h, *((f, u0) if data else ()))[1][:, 1:, 0]
+        return _half_steps(subs, weights, h[:, 0], *((f, u0) if data else ()))[1][:, None, 1:, 0]
 
-    return AffineSweep(march=march, layout=lambda h: h[:, None], shape=(weights.n_steps,),
-                       graded=True)
+    return AffineSweep(march=march, shape=(1, weights.n_steps),
+                       operator=lambda: maps.dnwr_operator(maps.interface_maps(subs, weights)),
+                       cost=maps.build_cost(weights, subs))
 
 
 def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
@@ -90,7 +91,7 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
     ])
 
     def sweep(h, theta, part):
-        h_new = theta * part(h) + (1.0 - theta) * h
+        h_new = theta * part(h[:, None])[:, 0] + (1.0 - theta) * h
         return h_new, h_new - h
 
     fields = partial(_half_steps, subs, weights, f=f, u0=u0, trim=False) if keep_fields else None

@@ -14,23 +14,16 @@ Every driver's sweep is a relaxation of a part that is affine in the traces,
 ``x -> T x + c``, given as a sequence of phases (``AffineSweep``s) applied in
 turn, and the loop decides, once before the first sweep, whether the phases
 are marched in every sweep or are products with their assembled ``T`` in
-every sweep.  A phase's ``T`` is block lower triangular in time, and its
-blocks couple positions (interfaces or sine modes) at most ``reach`` apart.
-On a uniform time mesh every Caputo row is a shift of the first (L1 and wave
-alike; Lubich, Numer. Math. 1988), so ``T`` is block Toeplitz: one impulse
-at the first level per group of positions ``2 reach + 1`` apart gives all of
-it (``toeplitz_operator``).  On a graded mesh a driver may let an
-error-equation run build ``T`` from an impulse at every level
-(``transfer_operator``).  The operators are built only where the marches of
-``max_iter`` sweeps, one per phase, exceed the build's cost in phase marches
-(``_affine_part``).
+every sweep.  A phase's ``T`` is block lower triangular in time, and each
+driver builds it from its subdomains' interface maps (``fracwr.maps``).  The
+operators are built only where the marches of ``max_iter`` sweeps, one per
+phase, exceed the build's cost in phase marches (``_affine_part``).
 """
 
 import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -43,13 +36,7 @@ __all__ = [
     "RunResult",
     "apply_operator",
     "iterate",
-    "toeplitz_operator",
-    "transfer_operator",
 ]
-
-# Impulse columns marched as one batch when an operator is built: a wider
-# batch raises the peak memory of a run and saves no time.
-TRANSFER_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -171,79 +158,31 @@ class AffineSweep:
     """A phase of a driver's sweep that is affine in its input, ``x -> T x + c``.
 
     ``march(x, data)`` marches it for inputs ``x`` of shape (members,) +
-    ``shape``, with the problem data or (``data=False``) without them, and
-    returns ``y`` shaped like ``x``.  ``layout(x)`` views such an array as
-    (members, positions, N); a position answers no input more than ``reach``
-    positions away.  A phase without ``data`` is linear (``c`` = 0).  With
-    ``graded`` an error-equation run on a graded mesh builds ``T`` too
-    (``transfer_operator``).
+    ``shape``, (members, positions, N), with the problem data or
+    (``data=False``) without them, and returns ``y`` shaped like ``x``.  A
+    phase without ``data`` is linear (``c`` = 0).  ``operator()`` builds
+    ``T`` from the subdomains' interface maps (``fracwr.maps``), as the
+    offset-major blocks of ``apply_operator``, and ``cost`` is what that
+    adds to the build, in marches of a phase; phases that share one build of
+    the maps charge it once.  A phase without an operator is always marched.
     """
 
     march: object
-    layout: object
     shape: tuple
-    reach: int = 0
+    operator: object = None
+    cost: float = math.inf
     data: bool = True
-    graded: bool = False
-
-    @property
-    def extent(self) -> tuple:
-        """(positions, N) of one member."""
-        return self.layout(np.zeros((1,) + self.shape)).shape[1:]
-
-
-def _columns(affine, levels):
-    """The answers to a unit trace at each of ``levels``, in the offset-major
-    blocks of ``toeplitz_operator`` with one column per level, (2 reach + 1,
-    positions, N, len(levels)).  The impulse groups (every ``2 reach +
-    1``-th position) march one after another, ``TRANSFER_CHUNK`` levels at
-    a time as the members of one batch, so no column depends on the chunk.
-    """
-    positions, n = affine.extent
-    width = 2 * affine.reach + 1
-    blocks = np.zeros((width, positions, n, len(levels)))
-    for group in range(min(positions, width)):
-        for j in range(0, len(levels), TRANSFER_CHUNK):
-            chunk = levels[j:j + TRANSFER_CHUNK]
-            x = np.zeros((len(chunk),) + affine.shape)
-            for member, level in zip(affine.layout(x), chunk):
-                member[group::width, level] = 1.0
-            y = affine.layout(affine.march(x, False))
-            # each position answers the one source of the group within reach
-            for q in range(positions):
-                d = (group - q + affine.reach) % width
-                if 0 <= q + d - affine.reach < positions:
-                    blocks[d, q, :, j:j + len(chunk)] = y[:, q].T
-    return blocks
-
-
-def toeplitz_operator(affine, mesh) -> np.ndarray:
-    """``T`` on a uniform ``mesh`` as offset-major blocks (2 reach + 1, positions, N, N).
-
-    Block ``[d, q]`` maps the trace at position ``q + d - reach`` to position
-    ``q``; it is the lower-triangular Toeplitz matrix of the answer to a
-    unit trace at the first level (``_columns``).
-    """
-    if not mesh.is_uniform:
-        raise ValueError("a Toeplitz operator needs a uniform time mesh")
-    columns = _columns(affine, range(1))[..., 0]
-    n = columns.shape[-1]
-    lag = np.subtract.outer(np.arange(n), np.arange(n))
-    return np.where(lag >= 0, columns[..., np.maximum(lag, 0)], 0.0)
-
-
-def transfer_operator(affine) -> np.ndarray:
-    """``T`` on any mesh, in the blocks of ``toeplitz_operator``: column j of
-    a block answers a unit trace at level j (``_columns``)."""
-    return _columns(affine, range(affine.extent[1]))
 
 
 def apply_operator(blocks, c, x) -> np.ndarray:
     """``T x + c`` for one member's traces ``x`` (positions, N); ``c`` may be None.
 
-    One batched product per offset: the blocks of offset d over the positions
-    it reaches, each a matrix-vector product, added in the order of the
-    offsets to a sum that starts at -0.0, which adds to any float exactly.
+    ``T`` is given as offset-major ``blocks`` (2 reach + 1, positions, N,
+    N): block ``[d, q]`` maps the trace at position ``q + d - reach`` to
+    position ``q``.  One batched product per offset: the blocks of offset d
+    over the positions it reaches, each a matrix-vector product, added in the
+    order of the offsets to a sum that starts at -0.0, which adds to any
+    float exactly.
     """
     width, positions = blocks.shape[:2]
     reach = width // 2
@@ -258,27 +197,14 @@ def apply_operator(blocks, c, x) -> np.ndarray:
 
 def _affine_part(cfg, phases):
     """``part(x)``: the affine part of a sweep at the traces ``x``, its
-    ``phases`` (sharing one shape and layout) marched in turn, or in turn the
-    products with their ``T`` plus ``c`` (one more march, with the data and
-    zero input, for each phase with data) where the phase marches of
-    ``max_iter`` marched sweeps exceed the build's cost.  A phase costs
-    ``min(positions, 2 reach + 1)`` impulse marches on a uniform mesh, plus
-    one for ``c`` in forced mode if it has data, or ``ceil(N/4)`` for
-    ``transfer_operator``.  The rule reads config values alone and each
-    member's product is its own, so a member's bits do not depend on its
-    companions.
+    ``phases`` marched in turn, or in turn the products with their ``T``
+    plus ``c`` (one more march, with the data and zero input, for each phase
+    with data in forced mode) where the phase marches of ``max_iter``
+    marched sweeps exceed the build's cost: the phases' ``cost`` plus those
+    data marches.  The rule reads config values alone and each member's
+    product is its own, so a member's bits do not depend on its companions.
     """
-    mesh = cfg.time_mesh()
-    cost, builds = 0, []
-    for phase in phases:
-        if mesh.is_uniform:
-            cost += min(phase.extent[0], 2 * phase.reach + 1) + (phase.data and not cfg.error_mode)
-            builds.append(partial(toeplitz_operator, phase, mesh))
-        elif phase.graded and cfg.error_mode:
-            cost += -(-cfg.n_steps // 4)
-            builds.append(partial(transfer_operator, phase))
-        else:
-            cost = math.inf
+    cost = sum(phase.cost + (phase.data and not cfg.error_mode) for phase in phases)
 
     def marched(x):
         for phase in phases:
@@ -287,14 +213,13 @@ def _affine_part(cfg, phases):
 
     if cfg.max_iter * len(phases) <= cost:
         return marched
-    operators = [(None if cfg.error_mode or not phase.data else phase.layout(
-        phase.march(np.zeros((1,) + phase.shape), True))[0], build())
-        for phase, build in zip(phases, builds)]
-    layout = phases[0].layout
+    operators = [(None if cfg.error_mode or not phase.data else
+                  phase.march(np.zeros((1,) + phase.shape), True)[0], phase.operator())
+                 for phase in phases]
 
     def part(x):
         y = np.empty_like(x)
-        for xm, ym in zip(layout(x), layout(y)):
+        for xm, ym in zip(x, y):
             for c, blocks in operators:
                 xm = apply_operator(blocks, c, xm)
             ym[...] = xm

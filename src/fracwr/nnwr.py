@@ -18,12 +18,10 @@ The part of a sweep that is affine in the traces is built in two phases:
 phases (a) and (b) map the traces to the flux mismatch, with the data, and
 phase (c) maps the mismatch to psi, without.  Each phase couples an
 interface to its two neighbours alone, though a whole sweep reaches two
-interfaces each way.  On a uniform time mesh ``fracwr.iteration`` assembles
-each phase's map once (block-banded Toeplitz), from at most three impulse
-marches, plus the data march of phase (a) in forced mode, and every sweep
-is the two products in turn; on a graded mesh every sweep marches.  An
-impulse at interface i reaches subdomains i and i+1 in either phase, and a
-march without data leaves out the subdomains whose end values are all zero.
+interfaces each way.  Where ``max_iter`` repays the build, ``fracwr.iteration``
+assembles each phase's map once, from the subdomains' interface maps
+(``fracwr.maps``), plus the data march of phase (a) in forced mode, and every
+sweep is the two products in turn; otherwise every sweep marches.
 
 The 2D strip is a two-subdomain 1D partition times one uniform y lattice
 (``Nnwr2dConfig``), and it runs the same sweep in sine-mode space.  Its
@@ -34,8 +32,8 @@ lambda_k = 4 sin(k pi / (2 ny))**2 (Buzbee, Golub & Nielson, SIAM J. Numer.
 Anal. 1970), and each phase marches both strips and all modes at once, each
 x-line in its own sine basis, so that the whole sweep is diagonal but for
 the rank-one flux-end terms.
-The modes do not couple, so on a uniform mesh one impulse in every mode
-gives each phase's whole map, with the modes as its positions.  Both drivers
+The modes do not couple, so each phase's map has the modes as its
+positions, each with its own block from the maps of its x-lines.  Both drivers
 run their sweeps in the interface iteration of ``fracwr.iteration``; the
 source and the initial condition are tabulated once per run (in 2D, and
 moved into mode space).
@@ -43,10 +41,11 @@ moved into mode space).
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
+from . import maps
 from .geometry import Partition1D, axis_nodes, build_subdomain, interface_flux_series
 from .iteration import AffineSweep, IterationConfig, iterate
 from .solver import solve_dirichlet_waveform, solve_neumann_waveform, tabulate
@@ -111,13 +110,15 @@ def _neumann_phase(subs, weights, decay, mismatch, data):
                      for i in range(len(subs) - 1)], axis=1)
 
 
-def _affine(subs, weights, f, u0, shape, layout=lambda x: x, reach=1, decay=None):
+def _affine(dirichlet, neumann, operators, shape, cost):
     """psi of the traces as two phases (``iteration.AffineSweep``): the
-    Dirichlet phase, with the data, and the Neumann phase, without."""
-    return (AffineSweep(march=partial(_dirichlet_phase, subs, weights, f, u0, decay),
-                        layout=layout, shape=shape, reach=reach),
-            AffineSweep(march=partial(_neumann_phase, subs, weights, decay),
-                        layout=layout, shape=shape, reach=reach, data=False))
+    Dirichlet phase, with the data, and the Neumann phase, without.  One call
+    of ``operators()`` builds both phases' operators from the maps, so the
+    Dirichlet phase carries the whole ``cost``."""
+    built = cache(operators)
+    return (AffineSweep(march=dirichlet, shape=shape, operator=lambda: built()[0], cost=cost),
+            AffineSweep(march=neumann, shape=shape, operator=lambda: built()[1], cost=0.0,
+                        data=False))
 
 
 def _affine_1d(cfg, weights):
@@ -127,7 +128,11 @@ def _affine_1d(cfg, weights):
     if not cfg.error_mode:
         f, u0 = zip(*(tabulate(weights, cfg.source, cfg.initial_condition, sub.nodes)
                       for sub in subs))
-    return _affine(subs, weights, f, u0, (len(subs) - 1, cfg.n_steps))
+    return _affine(partial(_dirichlet_phase, subs, weights, f, u0, None),
+                   partial(_neumann_phase, subs, weights, None),
+                   lambda: [blocks[:, :, 0] for blocks in
+                            maps.nnwr_operators(maps.interface_maps(subs, weights))],
+                   (len(subs) - 1, cfg.n_steps), maps.build_cost(weights, subs))
 
 
 def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
@@ -205,19 +210,29 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
         f_hat, u0_hat = zip(*(_mode_data(s, dy, weights, fs, us, sine)
                               for s, fs, us in zip(strips, f, u0)))
 
-    # the modes are the positions of each phase, each with its own Toeplitz block
-    phases = _affine(strips, weights, f_hat, u0_hat, (1, cfg.n_steps, ny - 1),
-                     layout=lambda x: x[:, 0].swapaxes(1, 2), reach=0, decay=decay)
+    # the modes are the positions of each phase, (members, modes, N), each
+    # with its own block; a march takes them as one interface's trailing axis
+    def modes(phase):
+        return lambda x, data: phase(x.swapaxes(1, 2)[:, None], data)[:, 0].swapaxes(1, 2)
+
+    phases = _affine(modes(partial(_dirichlet_phase, strips, weights, f_hat, u0_hat, decay)),
+                     modes(partial(_neumann_phase, strips, weights, decay)),
+                     lambda: [blocks[1:2, 0] for blocks in
+                              maps.nnwr_operators(maps.interface_maps(strips, weights, decay))],
+                     (ny - 1, cfg.n_steps), maps.build_cost(weights, strips, ny - 1))
 
     def sweep(h, thetas, part):
-        psi_hat = part((h[..., 1:-1] @ sine)[:, None])
+        psi_hat = part((h[..., 1:-1] @ sine).swapaxes(1, 2))
         update = np.zeros_like(h)
-        update[..., 1:-1] = (thetas[:, :, None, None] * psi_hat)[:, 0] @ sine
+        # contiguous, as the march's own layout, so that the product rounds alike
+        update[..., 1:-1] = np.ascontiguousarray(
+            (thetas[:, :, None] * psi_hat).swapaxes(1, 2)) @ sine
         return h - update, update
 
     def lattice(h):
         fields = []  # the Dirichlet fields: u0 at level 0, then the trace on the interface
-        modes = phases[0].march((h[..., 1:-1] @ sine)[:, None], True, whole=True)
+        modes = _dirichlet_phase(strips, weights, f_hat, u0_hat, decay,
+                                 (h[..., 1:-1] @ sine)[:, None], True, whole=True)
         for u_hat, start, column in zip(modes, u0, (-1, 0)):
             u = np.zeros(u_hat.shape[:2] + (u_hat.shape[-1], ny + 1))
             np.matmul(np.swapaxes(u_hat, -1, -2), sine, out=u[..., 1:-1])

@@ -62,8 +62,12 @@ def tabulate(weights: CaputoWeights, f, u0, *grid):
     solve; None stays None.
     """
     shape = np.shape(grid[0])
-    return (None if f is None else np.array([np.broadcast_to(f(*grid, t), shape)
-                                             for t in weights.eval_times], dtype=float),
+    table = None
+    if f is not None:
+        table = np.empty((weights.n_steps,) + shape)
+        for n, t in enumerate(weights.eval_times):
+            table[n] = f(*grid, t)
+    return (table,
             None if u0 is None else np.broadcast_to(np.asarray(u0(*grid), dtype=float), shape))
 
 
@@ -100,11 +104,7 @@ def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=Fals
     increments of the levels.  Each member's history term is its own product
     of the Caputo row with its increments on one subdomain, of the width a
     call with one member uses, so the members and the subdomains of a
-    call do not change one another's bits.  Without ``f`` and ``u0`` the
-    field is zero before the first level with a nonzero end value, and the
-    march starts there; a subdomain whose end values are zero at every
-    level, for every member and mode, stays out of the stack, and its field
-    is ``np.zeros``.
+    call do not change one another's bits.
     """
     f = [None] * len(subs) if f is None else f
     u0 = [None] * len(subs) if u0 is None else u0
@@ -129,26 +129,15 @@ def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=Fals
                 values = _table(values, (members, n_steps) + modes, "an end")
                 kinds[k, i] = kernels.FLUX if flux else kernels.DIRICHLET
                 vals[:, k, i] = np.moveaxis(values, 1, 0).reshape(n_steps, lines)
-    # without data a subdomain whose end values are all zero has the zero field,
-    # and only the subdomains ``live`` enter the stack
-    live = range(len(subs))
-    if all(fi is None for fi in f) and all(ui is None for ui in u0):
-        live = np.flatnonzero(vals.any(axis=(0, 1, 3))).tolist()
-    fields = [None if i in live else np.zeros((members, n_steps + 1) + modes
-                                              + (len(END_NODES) if trim else s.n_nodes,))
-              for i, s in enumerate(subs)]
-    if not live:
-        return fields
-    subs, f, u0 = ([x[i] for i in live] for x in (subs, f, u0))
-    vals = vals[:, :, live].reshape(n_steps, 2, -1).transpose(0, 2, 1).copy()  # (N, lines, 2)
+    vals = vals.reshape(n_steps, 2, -1).transpose(0, 2, 1).copy()  # (N, lines, 2)
     shift = None
     if decay is not None:
-        shift = theta_s * np.concatenate([np.tile(row, members) for row in decay[live]])
+        shift = theta_s * np.concatenate([np.tile(row, members) for row in decay])
     stack = kernels.Stack(
         per_line([s.n_nodes for s in subs]),
         per_line([theta_s * s.kappa / s.dx**2 for s in subs]),
         per_line([s.kappa / (2.0 * s.dx) for s in subs]),
-        per_line(kinds[0, live]), per_line(kinds[1, live]), shift,
+        per_line(kinds[0]), per_line(kinds[1]), shift,
     )
     # subdomain i owns the coefficients bounds[i]:bounds[i+1] of a level,
     # member by member, then mode by mode
@@ -193,23 +182,16 @@ def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=Fals
                      levels[:, rows].reshape(2, products, width),
                      increments[n_steps * rows.start:n_steps * rows.stop]
                      .reshape(products, n_steps, width)))
-    # without data the levels before the first nonzero end value are zero: they
-    # are written, and the history products keep their length, so bits match
-    first = 1
-    if sources is None and all(ui is None for ui in u0):
-        first = next((n for n, row in enumerate(vals.any(axis=(1, 2)), 1) if row), n_steps + 1)
-        for *_, table in runs:
-            table[:, : first - 1] = 0.0
     # the explicit half of a split level: the diagonal, and the last end values
     explicit = ends_weight = None
     if theta_s < 1.0:
         ratio = (1.0 - theta_s) / theta_s
         explicit, ends_weight = ratio * stack.diag, ratio * stack.s
-    stack.prepare(weights.diagonal[first - 1:])
+    stack.prepare(weights.diagonal)
     rhs = np.empty(stack.size)
     added = [(rhs[bounds[j]:bounds[j + 1]].reshape(members, -1), table)
              for j, table in enumerate(sources or ())]
-    for n in range(first, n_steps + 1):
+    for n in range(1, n_steps + 1):
         b_row = weights.rows[n - 1]
         bnn = b_row[n - 1]
         prev = levels[(n - 1) % 2]
@@ -229,12 +211,13 @@ def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=Fals
         for _, level, table in runs:
             np.subtract(level[n % 2], level[(n - 1) % 2], out=table[:, n - 1])
 
-    for j, (i, s) in enumerate(zip(live, subs)):
-        table = increments[n_steps * bounds[j]:n_steps * bounds[j + 1]]
-        ends = values[:, j * lines:(j + 1) * lines].reshape(n_steps + 1, members, -1, 2)
-        field = _field(s, table.reshape(members, n_steps, -1, sizes[j]),
-                       ends.transpose(3, 1, 0, 2), starts[j], starts_hat[j], trim)
-        fields[i] = field.reshape((members, n_steps + 1) + modes + (field.shape[-1],))
+    fields = []
+    for i, s in enumerate(subs):
+        table = increments[n_steps * bounds[i]:n_steps * bounds[i + 1]]
+        ends = values[:, i * lines:(i + 1) * lines].reshape(n_steps + 1, members, -1, 2)
+        field = _field(s, table.reshape(members, n_steps, -1, sizes[i]),
+                       ends.transpose(3, 1, 0, 2), starts[i], starts_hat[i], trim)
+        fields.append(field.reshape((members, n_steps + 1) + modes + (field.shape[-1],)))
     return fields
 
 

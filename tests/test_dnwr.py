@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-import fracwr.iteration as iteration
+import fracwr.maps as maps
 from fracwr.dnwr import DnwrConfig, optimal_theta_dnwr, run_dnwr
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
 from fracwr.geometry import build_partition, interface_flux_series
-from fracwr.iteration import transfer_operator
 from fracwr.nnwr import NnwrConfig, _affine_1d
 from fracwr.solver import solve_monolithic
 from fracwr.theory import DnwrBoundParams
-from marching import march_alone, transfer_matrix
+from marching import march_alone, transfer_matrix, transfer_operator
 
 
 def test_optimal_theta_values():
@@ -64,21 +63,21 @@ def test_update_identity():
 
 @pytest.mark.parametrize("order", [0.5, 1.5])
 def test_iterates_past_the_switch_match_marched_half_steps(order, monkeypatch):
-    # the driver applies the assembled matrix from the first sweep, on the
-    # graded mesh (order 0.5) because max_iter 10 exceeds ceil(N/4) = 4 and
-    # on the uniform one (order 1.5) because it exceeds one impulse march;
-    # its iterates must still be those of marching every half step by hand
+    # the driver applies the assembled matrix from the first sweep, because
+    # max_iter 10 exceeds the cost of building it from the maps, on the
+    # graded mesh (order 0.5: 68 lines, 5 resolvent blocks) and on the
+    # uniform one (order 1.5); its iterates must still be those of marching
+    # every half step by hand
     part = build_partition((0, 2), [1.2], [1.0, 0.3], [0.1, 0.04])
     cfg = _config(partition=part, order=order, n_steps=16, tolerance=1e-300, max_iter=10)
     builds = []
-    for name in ("toeplitz_operator", "transfer_operator"):
-        monkeypatch.setattr(iteration, name, lambda *a, name=name, build=getattr(iteration, name):
-                            builds.append(name) or build(*a))
+    monkeypatch.setattr(maps, "interface_maps", lambda *a, build=maps.interface_maps:
+                        builds.append(a) or build(*a))
     members = [0.2, "optimal", 0.7]
     results = run_dnwr(cfg, members=members)
     # all 10 sweeps use the matrix
-    assert builds == ["transfer_operator" if order < 1 else "toeplitz_operator"]
-    assert cfg.max_iter > 4
+    assert len(builds) == 1
+    assert cfg.max_iter > maps.build_cost(cfg.build_weights(), part.subdomains)
     weights = cfg.build_weights()
     sub1, sub2 = part.subdomains
     for member, res in zip(members, results):
@@ -104,12 +103,12 @@ def test_transfer_matrix_is_causal_and_independent_of_the_chunk(monkeypatch):
     phases = _affine_1d(NnwrConfig(partition=build_partition((0, 2), [0.5, 0.9, 1.4],
                                                              [1.0, 0.5, 2.0, 0.7], 0.1),
                                    order=0.5, horizon=1.0, n_steps=21), weights)
-    blocks = [transfer_operator(phase) for phase in phases]  # three positions, reach 1
+    blocks = [transfer_operator(phase, reach=1) for phase in phases]  # three positions
     for chunk in (1, 5, 21):
-        monkeypatch.setattr("fracwr.iteration.TRANSFER_CHUNK", chunk)
+        monkeypatch.setattr("marching.TRANSFER_CHUNK", chunk)
         assert np.array_equal(transfer_matrix(part, weights), s)
         for phase, t in zip(phases, blocks):
-            assert np.array_equal(transfer_operator(phase), t)
+            assert np.array_equal(transfer_operator(phase, reach=1), t)
 
 
 def test_contraction_is_the_largest_diagonal_entry_of_the_transfer_matrix():

@@ -51,9 +51,9 @@ def test_default_max_iter_per_driver():
 
 
 def _marched(march, shape):
-    """One phase ``x -> march(x)`` that every sweep marches: on the graded mesh
-    of these configs a phase that is not ``graded`` builds no operator."""
-    return (AffineSweep(march=lambda x, data: march(x), layout=None, shape=shape),)
+    """One phase ``x -> march(x)`` that every sweep marches: a phase without
+    an operator builds none."""
+    return (AffineSweep(march=lambda x, data: march(x), shape=shape),)
 
 
 @pytest.mark.parametrize("mode, expected", [("error_equation", [0.5, 0.125]),

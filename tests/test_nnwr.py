@@ -1,8 +1,10 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+import fracwr.iteration as iteration
 from fracwr import nnwr
 from fracwr.geometry import axis_nodes, build_partition
 from fracwr.nnwr import (
@@ -102,10 +104,19 @@ def test_wave_order_converges():
     assert res.report.iterations <= 4
 
 
+def _marched(phases, x):
+    """One marched sweep's affine part: the phases marched in turn, with the data."""
+    for phase in phases:
+        x = phase.march(x, True)
+    return x
+
+
 def test_each_phase_is_one_march_over_all_subdomains(monkeypatch):
-    # one Dirichlet march and one Neumann march per sweep, each over all five
-    # subdomains, whatever the subdomain count; in 2D each phase marches the
-    # x-lines of both strips (with all their sine modes) at once
+    # one Dirichlet march and one Neumann march per marched sweep, each over
+    # all five subdomains, whatever the subdomain count; in 2D each phase
+    # marches the x-lines of both strips (with all their sine modes) at once.
+    # Runs this long would build their operators, so every sweep is marched
+    monkeypatch.setattr(iteration, "_affine_part", lambda cfg, phases: partial(_marched, phases))
     calls = {"solve_dirichlet_waveform": [], "solve_neumann_waveform": []}
     for name, seen in calls.items():
         solve = getattr(nnwr, name)

@@ -1,9 +1,11 @@
-"""The assembled sweep operators of ``fracwr.iteration`` on uniform time meshes.
+"""The assembled sweep operators of ``fracwr.iteration``.
 
-On a uniform mesh every driver's sweep is a product with the operators of
-its phases, each built from a few impulse marches (DNWR has one phase,
-NNWR a Dirichlet and a Neumann phase).  Its iterates must be those of
-marching every sweep, and a member's bits must not depend on its companions.
+Every driver's sweep is, where ``max_iter`` repays the build, a product with
+the operators of its phases, built from the subdomains' interface maps
+(``fracwr.maps``; DNWR has one phase, NNWR a Dirichlet and a Neumann
+phase).  Its iterates must be those of marching every sweep, its operators
+those of the impulse-march oracle (``marching.transfer_operator``), and a
+member's bits must not depend on its companions.
 """
 
 from collections import Counter
@@ -14,13 +16,13 @@ import numpy as np
 import pytest
 
 import fracwr.iteration as iteration
+import fracwr.maps as maps
 import fracwr.nnwr as nnwr
-from fracwr import kernels
+from fracwr import harness
 from fracwr.dnwr import DnwrConfig, _affine as dnwr_affine, run_dnwr
 from fracwr.geometry import build_partition, interface_flux_series
-from fracwr.iteration import toeplitz_operator, transfer_operator
 from fracwr.nnwr import Nnwr2dConfig, NnwrConfig, _affine_1d, run_nnwr_1d, run_nnwr_2d
-from marching import march_alone, transfer_matrix
+from marching import march_alone, transfer_matrix, transfer_operator
 
 
 def _source(x, t):
@@ -56,10 +58,10 @@ def _nnwr2d(mode="error_equation"):
 
 
 def _count_builds(monkeypatch):
+    """One entry per build of the subdomain maps, which serves every phase of a run."""
     builds = []
-    for name in ("toeplitz_operator", "transfer_operator"):
-        monkeypatch.setattr(iteration, name, lambda *a, name=name, build=getattr(iteration, name):
-                            builds.append(name) or build(*a))
+    monkeypatch.setattr(maps, "interface_maps", lambda *a, build=maps.interface_maps:
+                        builds.append("interface_maps") or build(*a))
     return builds
 
 
@@ -69,138 +71,105 @@ def _graded_dnwr(mode="error_equation"):
                       mode=mode, **_forced(mode))
 
 
-# the cost of a build in phase marches, per phase: min(positions, 2 reach + 1)
-# impulse marches on a uniform mesh, plus one for c in forced mode if the
-# phase has data, and ceil(N/4) for an error-equation DNWR run on a graded
-# mesh.  A sweep is one phase march per phase: NNWR's two phases of reach 1
-# cost 6 marches (7 forced), which 3 sweeps do not exceed and 4 do
-@pytest.mark.parametrize("make, mode, run, built, cost", [
-    (_dnwr, "error_equation", run_dnwr, ["toeplitz_operator"], 1),
-    (_dnwr, "forced", run_dnwr, ["toeplitz_operator"], 2),
-    (_nnwr, "error_equation", run_nnwr_1d, ["toeplitz_operator"] * 2, 3),
-    (_nnwr, "forced", run_nnwr_1d, ["toeplitz_operator"] * 2, 3),
-    (_graded_dnwr, "error_equation", run_dnwr, ["transfer_operator"], 16),
-], ids=["dnwr", "dnwr-forced", "nnwr1d", "nnwr1d-forced", "dnwr-graded"])
-def test_an_operator_is_built_only_when_max_iter_exceeds_its_cost(make, mode, run, built,
-                                                                   cost, monkeypatch):
+def _graded_nnwr(mode="error_equation"):
+    return replace(_nnwr(0.5, mode), grading=2.0)
+
+
+# the most sweeps that march: the maps cost one march of a phase on a
+# uniform mesh, and on a graded one that plus an eighth per resolvent block
+# of 16 lines at N = 64 (scaled by (N/64)**2; here one block at N = 64, or
+# three at N = 12); forced mode adds one march with the data for each phase
+# with data (the Dirichlet one).  A sweep is one march per phase, two for
+# NNWR, so an error-equation NNWR run builds from its first sweep
+@pytest.mark.parametrize("make, mode, run, sweeps", [
+    (_dnwr, "error_equation", run_dnwr, 1),
+    (_dnwr, "forced", run_dnwr, 2),
+    (_nnwr, "error_equation", run_nnwr_1d, 0),
+    (_nnwr, "forced", run_nnwr_1d, 1),
+    (_graded_dnwr, "error_equation", run_dnwr, 1),
+    (_graded_dnwr, "forced", run_dnwr, 2),
+    (_graded_nnwr, "error_equation", run_nnwr_1d, 0),
+    (_graded_nnwr, "forced", run_nnwr_1d, 1),
+], ids=["dnwr", "dnwr-forced", "nnwr1d", "nnwr1d-forced", "dnwr-graded", "dnwr-graded-forced",
+        "nnwr1d-graded", "nnwr1d-graded-forced"])
+def test_an_operator_is_built_only_when_max_iter_exceeds_its_cost(make, mode, run, sweeps,
+                                                                   monkeypatch):
     builds = _count_builds(monkeypatch)
-    marched = run(replace(make(mode=mode), max_iter=cost))
-    assert builds == []
-    product = run(replace(make(mode=mode), max_iter=cost + 1))
-    assert builds == built
-    assert marched.report.iterations == cost and product.report.iterations == cost + 1
-    np.testing.assert_allclose(product.report.errors[:cost], marched.report.errors,
+    marched = run(replace(make(mode=mode), max_iter=max(sweeps, 1)))
+    assert builds == ([] if sweeps else ["interface_maps"])
+    builds.clear()
+    product = run(replace(make(mode=mode), max_iter=sweeps + 1))
+    assert builds == ["interface_maps"]
+    assert product.report.iterations == sweeps + 1
+    np.testing.assert_allclose(product.report.errors[:sweeps], marched.report.errors[:sweeps],
                                rtol=1e-11, atol=1e-13)
 
 
-def test_graded_forced_dnwr_and_graded_nnwr_march_every_sweep(monkeypatch):
-    builds = _count_builds(monkeypatch)
-    run_dnwr(replace(_graded_dnwr("forced"), max_iter=20))
-    run_nnwr_1d(replace(_nnwr(0.5), grading=2.0, max_iter=10))
-    assert builds == []
+def _preset_phases(name, monkeypatch):
+    """The phases that the driver of preset ``name`` hands to the operator path."""
+    seen = []
+    monkeypatch.setattr(iteration, "_affine_part",
+                        lambda cfg, phases: seen.append(phases) or partial(_march_phases, phases))
+    exp = harness.preset_config(name)[0]
+    run = {"dnwr": run_dnwr, "nnwr1d": run_nnwr_1d, "nnwr2d": run_nnwr_2d}[exp.algorithm]
+    run(replace(exp.run, max_iter=1))
+    return exp.run, seen[0]
+
+
+@pytest.mark.parametrize("name, blocks, builds", [
+    ("fig_dnwr_theta_sweep", 7, True), ("fig_nnwr_unequal", 50, True), ("fig_2d", 301, False),
+])
+def test_graded_presets_build_but_the_strip_marches_every_sweep(name, blocks, builds,
+                                                                monkeypatch):
+    # the cost of a graded build grows with the resolvent blocks: the graded
+    # 1D presets repay theirs many times over, while the strip's 49 y-modes
+    # of 98 x-lines (4802 lines, 301 blocks) cost more than its sweeps
+    cfg, phases = _preset_phases(name, monkeypatch)
+    cost = sum(phase.cost for phase in phases)
+    assert cost == 1.0 + blocks * (cfg.n_steps / 64.0) ** 2 / 8.0
+    assert (cfg.max_iter * len(phases) > cost) == builds
 
 
 @pytest.mark.parametrize("order", [0.6, 1.0, 1.5], ids=["l1", "classical", "wave"])
 def test_toeplitz_build_equals_the_full_impulse_build(order):
+    # on a uniform mesh the maps are Toeplitz, from one recurrence over the
+    # levels; the oracle marches a unit trace at every level
     cfg = _dnwr(order)
     weights = cfg.build_weights()
     s = transfer_matrix(cfg.partition, weights)
-    t = toeplitz_operator(dnwr_affine(cfg.partition.subdomains, weights), weights.mesh)
+    t = dnwr_affine(cfg.partition.subdomains, weights).operator()
     assert t.shape == (1, 1, 16, 16)
-    assert np.abs(t[0, 0] - s).max() <= 1e-14 * np.abs(s).max()
-    # both builds come from one impulse routine, and a march's bits do not
-    # depend on the members beside it (one here, a chunk in the full build)
-    np.testing.assert_array_equal(t[0, 0, :, 0], s[:, 0])
+    assert np.abs(t[0, 0] - s).max() <= 1e-12 * np.abs(s).max()
 
     cfg = _nnwr(order)
     weights = cfg.build_weights()
     for phase in _affine_1d(cfg, weights):
-        full = transfer_operator(phase)
-        t = toeplitz_operator(phase, weights.mesh)
+        full = transfer_operator(phase, reach=1)
+        t = phase.operator()
         assert t.shape == full.shape == (3, 6, 12, 12)  # offsets, then positions
-        assert np.abs(t - full).max() <= 1e-14 * np.abs(full).max()
-        np.testing.assert_array_equal(t[..., 0], full[..., 0])
-
-
-def test_toeplitz_build_is_refused_on_a_graded_mesh():
-    cfg = replace(_dnwr(0.5), grading="auto")
-    weights = cfg.build_weights()
-    with pytest.raises(ValueError, match="uniform"):
-        toeplitz_operator(dnwr_affine(cfg.partition.subdomains, weights), weights.mesh)
-    cfg = replace(_nnwr(0.5), grading=2.0)
-    weights = cfg.build_weights()
-    for phase in _affine_1d(cfg, weights):
-        with pytest.raises(ValueError, match="uniform"):
-            toeplitz_operator(phase, weights.mesh)
+        assert np.abs(t - full).max() <= 1e-12 * np.abs(full).max()
 
 
 def test_nnwr_operator_is_zero_outside_the_band():
-    # with a reach as wide as the partition each impulse group has one
-    # source, so every block is the response to one interface alone; each
-    # phase couples an interface to its neighbours only
+    # with a reach as wide as the partition each impulse group of the oracle
+    # has one source, so every block is the response to one interface alone;
+    # each phase couples an interface to its neighbours only
     cfg = _nnwr(0.6)
     weights = cfg.build_weights()
     for phase in _affine_1d(cfg, weights):
-        wide = replace(phase, reach=5)
-        for blocks in (transfer_operator(wide), toeplitz_operator(wide, weights.mesh)):
-            assert blocks.shape == (11, 6, 12, 12)
-            for q in range(6):
-                for offset in range(-5, 6):
-                    block = blocks[offset + 5, q]
-                    if abs(offset) > 1 or not 0 <= q + offset < 6:
-                        assert np.all(block == 0.0)
-                    else:
-                        assert np.all(np.diag(block) != 0.0)
-        # the banded build holds the same blocks
-        band = transfer_operator(phase)
-        np.testing.assert_array_equal(band, transfer_operator(wide)[4:7])
-
-
-def test_nnwr_impulse_marches_stack_only_the_subdomains_they_reach(monkeypatch):
-    # the eight subdomains and kappas of the sweeps-1d NNWR-1D config, at
-    # dx 0.25.  In each phase three impulse groups of the seven interfaces
-    # (0, 3 and 6; 1 and 4; 2 and 5) reach subdomains i and i+1 of each
-    # interface i, 6 + 4 + 4 = 14 blocks of the 3 x 8 = 24 of the full path;
-    # the other subdomains are not marched.  Their zero fields must give the
-    # operators of the full path, bit for bit
-    half = [4.0 ** (-i) for i in range(4)]
-    part = build_partition((0, 16), [2.0 * i for i in range(1, 8)], half + half[::-1], 0.25)
-    cfg = NnwrConfig(partition=part, order=1.53, horizon=4.0, n_steps=16, grading=1.0,
-                     max_iter=40, mode="forced", source=_source,
-                     initial_condition=lambda x: x * (16.0 - x))
-    weights = cfg.build_weights()
-
-    blocks, state = Counter(), {"phase": None, "full": False}
-    stack = kernels.Stack
-
-    def count(widths, *args):
-        blocks[state["phase"]] += len(widths)
-        return stack(widths, *args)
-
-    monkeypatch.setattr(kernels, "Stack", count)
-    for name in ("solve_dirichlet_waveform", "solve_neumann_waveform"):
-        def solve(subs, *args, phase=name.split("_")[1], march=getattr(nnwr, name), u0=None,
-                  **kw):
-            state["phase"] = phase
-            if state["full"] and u0 is None:  # zero initial data: the full path
-                u0 = [np.zeros(s.n_nodes) for s in subs]
-            return march(subs, *args, u0=u0, **kw)
-
-        monkeypatch.setattr(nnwr, name, solve)
-
-    def build(full):
-        state["full"] = full
-        blocks.clear()
-        ops = np.array([toeplitz_operator(p, weights.mesh) for p in _affine_1d(cfg, weights)])
-        return ops, dict(blocks)
-
-    skipped, counts = build(full=False)
-    assert counts == {"dirichlet": 14, "neumann": 14}
-    full, counts = build(full=True)
-    assert counts == {"dirichlet": 24, "neumann": 24}
-    assert skipped.shape == (2, 3, 7, 16, 16)
-    assert np.array_equal(skipped, full)
-    assert np.array_equal(np.signbit(skipped), np.signbit(full))
+        wide = transfer_operator(phase, reach=5)
+        assert wide.shape == (11, 6, 12, 12)
+        for q in range(6):
+            for offset in range(-5, 6):
+                block = wide[offset + 5, q]
+                if abs(offset) > 1 or not 0 <= q + offset < 6:
+                    assert np.all(block == 0.0)
+                else:
+                    assert np.all(np.diag(block) != 0.0)
+        # the built band holds the same blocks, and zeros past the ends
+        band = phase.operator()
+        assert np.abs(band - wide[4:7]).max() <= 1e-12 * np.abs(band).max()
+        assert np.all(band[0, 0] == 0.0) and np.all(band[2, -1] == 0.0)
 
 
 def _march_phases(phases, x):
@@ -210,10 +179,10 @@ def _march_phases(phases, x):
     return x
 
 
-def test_a_forced_nnwr_build_marches_each_phase_once_per_impulse_group(monkeypatch):
-    # six interfaces of reach 1 in each phase: three impulse groups per phase,
-    # and one data march for the Dirichlet phase's c; the data-free Neumann
-    # phase has no c.  Product sweeps march nothing; keep_fields adds one
+def test_a_forced_nnwr_build_marches_only_the_data_of_its_dirichlet_phase(monkeypatch):
+    # the maps build both phases' operators without a march; forced mode adds
+    # one Dirichlet march with the data for its c, and the data-free Neumann
+    # phase has none.  Product sweeps march nothing; keep_fields adds one
     # Dirichlet march, after the last sweep
     calls, at_build = Counter(), []
     for name in ("solve_dirichlet_waveform", "solve_neumann_waveform"):
@@ -229,11 +198,11 @@ def test_a_forced_nnwr_build_marches_each_phase_once_per_impulse_group(monkeypat
     monkeypatch.setattr(iteration, "_affine_part", build)
     res = run_nnwr_1d(_nnwr(mode="forced"))
     assert res.report.iterations == 8
-    expected = {"solve_dirichlet_waveform": 4, "solve_neumann_waveform": 3}
+    expected = {"solve_dirichlet_waveform": 1}
     assert at_build == [expected] and calls == expected
     calls.clear()
     run_nnwr_1d(_nnwr(mode="forced"), keep_fields=True)
-    assert calls == {"solve_dirichlet_waveform": 4 + 1, "solve_neumann_waveform": 3}
+    assert calls == {"solve_dirichlet_waveform": 1 + 1}
 
 
 def _phases_2d(cfg, monkeypatch):
@@ -307,8 +276,8 @@ def test_uniform_iterates_match_sweeps_marched_by_hand(driver, mode, monkeypatch
     builds = _count_builds(monkeypatch)
     members = [0.2, "optimal", 0.7]
     results = run(cfg, members=members)
-    # one build per phase, before the first sweep
-    assert builds == ["toeplitz_operator"] * (1 if driver == "dnwr" else 2)
+    # one build of the maps serves every phase, before the first sweep
+    assert builds == ["interface_maps"]
     for member, res in zip(members, results):
         errs, h = by_hand(cfg, cfg.resolve_theta(member))
         assert res.report.iterations == cfg.max_iter
@@ -325,11 +294,11 @@ def test_uniform_2d_iterates_match_marched_sweeps(mode, monkeypatch):
     members = [0.2, "optimal"]
     builds = _count_builds(monkeypatch)
     results = run_nnwr_2d(cfg, members=members)
-    assert builds == ["toeplitz_operator"] * 2  # the Dirichlet and the Neumann phase
+    assert builds == ["interface_maps"]  # for the Dirichlet and the Neumann phase
     monkeypatch.setattr(iteration, "_affine_part",
                         lambda cfg, phases: partial(_march_phases, phases))
     marched = run_nnwr_2d(cfg, members=members)
-    assert builds == ["toeplitz_operator"] * 2
+    assert builds == ["interface_maps"]
     atol = 1e-15 if cfg.error_mode else 1e-13
     for res, ref in zip(results, marched):
         assert res.report.iterations == ref.report.iterations == cfg.max_iter
@@ -354,13 +323,16 @@ def test_product_sweeps_of_a_member_are_the_same_alone_and_in_a_batch(make, run,
 @pytest.mark.parametrize("driver", ["dnwr", "nnwr1d"])
 def test_kept_fields_of_a_product_sweep_march_the_trace_it_starts_from(driver, monkeypatch):
     make, run = {"dnwr": (_dnwr, run_dnwr), "nnwr1d": (_nnwr, run_nnwr_1d)}[driver]
-    # on the uniform mesh both runs exceed the build's cost, so both apply
-    # the operators; on the graded mesh every forced sweep marches
+    # five sweeps exceed the build's cost on both meshes, so these runs apply
+    # the operators; the last run marches every sweep
     uniform = replace(make(mode="forced"), theta="optimal", max_iter=5)
     graded = replace(make(0.5, "forced"), theta="optimal", max_iter=5, grading=2.0)
     builds = _count_builds(monkeypatch)
-    for cfg, built in ((uniform, 1 if driver == "dnwr" else 2), (graded, 0)):
+    for cfg, built in ((uniform, 1), (graded, 1), (uniform, 0)):
         builds.clear()
+        if not built:
+            monkeypatch.setattr(iteration, "_affine_part",
+                                lambda cfg, phases: partial(_march_phases, phases))
         res = run(cfg, keep_fields=True)
         assert len(builds) == built
         start = run(replace(cfg, max_iter=4)).traces  # the trace sweep 5 starts from

@@ -12,8 +12,8 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   stacked shape the benchmark workloads use, the last level of a real march
   at seed 1: the 8 × 401 nodes of one member of the ``sweeps-1d`` NNWR-1D
   config (its Neumann phase, random fluxes), 16 members of 77 and of 25
-  nodes (the DNWR subdomains of ``sweeps-1d``, Dirichlet and Neumann, as one
-  chunk of the graded transfer build marches them), and the 49 sine modes ×
+  nodes (the DNWR subdomains of ``sweeps-1d``, Dirichlet and Neumann, with
+  16 members), and the 49 sine modes ×
   (24 + 78) nodes of the ``nnwr2d-strip`` strips (the Neumann phase of its
   first sweep).  Each row re-times that last call, on the march's ``Stack``
   as the march left it.  On a checkout that marches each line in its sine
@@ -48,11 +48,12 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
 - L2: one sweep of that DNWR config, with 1 member and with its 8, and one
   sweep of that NNWR-1D config.  Also the whole θ run of that DNWR config:
   its 8 members to its tolerance or ``max_iter``, as the workload runs them.
-  That DNWR mesh is graded; the whole run's ``max_iter`` 60 exceeds
-  ``ceil(N/4)`` = 16, so it builds the assembled operator before its first
-  sweep and applies it in every sweep, while a one-sweep run marches.  The
-  NNWR-1D mesh is uniform, but one sweep (two phase marches) does not repay
-  the Toeplitz builds of its two phases (seven phase marches in forced mode),
+  That DNWR mesh is graded; the whole run's ``max_iter`` 60 exceeds the
+  cost of building ``S`` from the subdomain maps (``maps.build_cost``, about
+  two phase marches), so it builds ``S`` before its first sweep and applies
+  it in every sweep, while a one-sweep run marches.  The NNWR-1D mesh is
+  uniform, but one sweep (two phase marches) does not repay the build of
+  its two phases and the march of ``c`` (two phase marches in forced mode),
   so its one-sweep run marches too.  And one NNWR-2D sweep:
   ``harness.run_experiment`` on the ``nnwr2d-strip`` workload's config at
   seed 1 with ``run.max_iter`` 1 (its CSV and bound included), which reads
@@ -60,17 +61,15 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
 - L2, operator: the operator build of that NNWR-1D config, as
   ``iteration._affine_part`` makes it before sweep 1 (its ``c`` included;
   ``keep_fields`` False on a checkout whose ``_affine_part`` takes it), and
-  one product sweep with it (one member, random traces).  Built one
-  phase at a time, that is three impulse marches per phase, which stack the
-  14 Dirichlet and 14 Neumann subdomain lines the impulses reach, of 24 each,
-  and one Dirichlet march with the data: 7 marches.  A checkout that builds
-  the whole sweep at once makes five impulse sweeps and the ``c`` sweep, 12
-  marches, whose impulse marches stack 14 Dirichlet and 26 Neumann lines.
-  Also the Toeplitz build for the DNWR config of
-  ``fig_dnwr_theta_sweep_wave`` (one impulse march; 64 steps, order 1.5),
-  and the graded build (``transfer_operator``, 64 impulses) for that
-  ``sweeps-1d`` DNWR config.  A checkout without the operator path reports
-  ``null`` for them.
+  one product sweep with it (one member, random traces).  On a checkout
+  with ``fracwr.maps`` the build is ``maps.interface_maps`` and
+  ``maps.nnwr_operators`` and one Dirichlet march with the data; an older
+  checkout marches impulses.  Also the build of ``S`` for the DNWR config of
+  ``fig_dnwr_theta_sweep_wave`` (64 steps, order 1.5, uniform) and for that
+  ``sweeps-1d`` DNWR config (graded): ``maps.dnwr_operator`` of
+  ``maps.interface_maps`` where the checkout has them, else the impulse
+  builds ``iteration.toeplitz_operator`` and ``iteration.transfer_operator``.
+  A checkout with neither reports ``null`` for them.
 - L3: the six θ-list presets, the two DNWR bounds presets,
   ``fig_nnwr_kappa``, ``fig_nnwr_table2``, ``fig_2d`` and ``fig_2d_wave`` through
   ``python -m fracwr.cli``, timed as whole processes and, beside that
@@ -272,19 +271,27 @@ def _nnwr_case(kind):
 
 def _operator_case(name):
     """One operator build or product sweep, or None on a checkout without them."""
+    import importlib.util
+
     import numpy as np
     from fracwr import dnwr, harness, iteration, nnwr
 
-    if not hasattr(iteration, "toeplitz_operator"):
+    has_maps = importlib.util.find_spec("fracwr.maps") is not None
+    if not (has_maps or hasattr(iteration, "toeplitz_operator")):
         return None
-    if name == "dnwr-build-graded":
-        cfg = _experiment(0).run
-        affine = dnwr._affine(cfg.partition.subdomains, cfg.build_weights())
-        return lambda: iteration.transfer_operator(affine)
-    if name == "dnwr-build-wave":
-        cfg = harness.preset_config("fig_dnwr_theta_sweep_wave")[0].run
+    if name.startswith("dnwr-build"):
+        graded = name == "dnwr-build-graded"
+        cfg = (_experiment(0) if graded else
+               harness.preset_config("fig_dnwr_theta_sweep_wave")[0]).run
         weights = cfg.build_weights()
-        affine = dnwr._affine(cfg.partition.subdomains, weights)
+        subs = cfg.partition.subdomains
+        if has_maps:
+            from fracwr import maps
+
+            return lambda: maps.dnwr_operator(maps.interface_maps(subs, weights))
+        affine = dnwr._affine(subs, weights)
+        if graded:
+            return lambda: iteration.transfer_operator(affine)
         return lambda: iteration.toeplitz_operator(affine, weights.mesh)
     # its max_iter 40 exceeds the build's cost, so _affine_part builds
     cfg = _experiment(1).run
