@@ -95,13 +95,17 @@ def _graded_nnwr(mode="error_equation"):
 def test_an_operator_is_built_only_when_max_iter_exceeds_its_cost(make, mode, run, sweeps,
                                                                    monkeypatch):
     builds = _count_builds(monkeypatch)
-    marched = run(replace(make(mode=mode), max_iter=max(sweeps, 1)))
-    assert builds == ([] if sweeps else ["interface_maps"])
-    builds.clear()
+    if sweeps:
+        marched = run(replace(make(mode=mode), max_iter=sweeps))
+        assert builds == [] and marched.report.iterations == sweeps
     product = run(replace(make(mode=mode), max_iter=sweeps + 1))
     assert builds == ["interface_maps"]
     assert product.report.iterations == sweeps + 1
-    np.testing.assert_allclose(product.report.errors[:sweeps], marched.report.errors[:sweeps],
+    # every sweep of the product run against the same sweeps marched
+    monkeypatch.setattr(iteration, "_affine_part",
+                        lambda cfg, phases: partial(_march_phases, phases))
+    marched = run(replace(make(mode=mode), max_iter=sweeps + 1))
+    np.testing.assert_allclose(product.report.errors, marched.report.errors,
                                rtol=1e-11, atol=1e-13)
 
 
