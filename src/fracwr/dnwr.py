@@ -11,9 +11,9 @@ lower-triangular matrix ``S`` that does not depend on ``theta`` (``c`` = 0 in
 error-equation mode); a sweep is ``h -> theta*g + (1-theta)*h``.  ``S`` is
 the left subdomain's Dirichlet flux at the interface, sent through the right
 subdomain's Neumann map (``fracwr.maps``).  A run whose ``max_iter`` exceeds
-the cost of building it (``maps.build_cost``, plus the march of ``c`` in
-forced mode) builds ``S`` before its first sweep and applies it in every
-sweep; any other run marches every sweep.  ``S`` is built as one phase:
+the cost of building it (``maps.build_cost``, one march that checks it,
+plus the march of ``c`` in forced mode) builds ``S`` before its first sweep
+and applies it in every sweep; any other run marches every sweep.  ``S`` is built as one phase:
 each half-step has one position, so two phases would make as many marches.
 """
 

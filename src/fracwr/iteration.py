@@ -17,7 +17,10 @@ are marched in every sweep or are products with their assembled ``T`` in
 every sweep.  A phase's ``T`` is block lower triangular in time, and each
 driver builds it from its subdomains' interface maps (``fracwr.maps``).  The
 operators are built only where the marches of ``max_iter`` sweeps, one per
-phase, exceed the build's cost in phase marches (``_affine_part``).
+phase, exceed the build's cost in phase marches (``_affine_part``).  A
+built ``T`` must reproduce one march of its phase, of a unit trace, within
+``CHECK_TOL`` of the magnitude of its terms, or the run raises: the
+run-time check that the maps and the marches describe the same sweep.
 """
 
 import math
@@ -28,6 +31,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fractional_time import build_graded_mesh, caputo_weights, default_grading
+
+# how far a built operator's product may depart from the march that checks
+# it, relative to the largest row sum of the operator's magnitudes; a build
+# agrees with the marches to about 1e-13 of its largest entry
+CHECK_TOL = 1e-8
 
 __all__ = [
     "AffineSweep",
@@ -198,13 +206,20 @@ def apply_operator(blocks, c, x) -> np.ndarray:
 def _affine_part(cfg, phases):
     """``part(x)``: the affine part of a sweep at the traces ``x``, its
     ``phases`` marched in turn, or in turn the products with their ``T``
-    plus ``c`` (one more march, with the data and zero input, for each phase
-    with data in forced mode) where the phase marches of ``max_iter``
-    marched sweeps exceed the build's cost: the phases' ``cost`` plus those
-    data marches.  The rule reads config values alone and each member's
-    product is its own, so a member's bits do not depend on its companions.
+    plus ``c`` where the phase marches of ``max_iter`` marched sweeps exceed
+    the build's cost: the phases' ``cost``, one march per phase that checks
+    its ``T``, and in forced mode one march with the data and zero input,
+    for ``c``, per phase with data.  The rule reads config values alone and
+    each member's product is its own, so a member's bits do not depend on
+    its companions.
+
+    The check marches a unit trace (one at every position and level) through
+    each phase without its data, and ``T`` times it must lie within
+    ``CHECK_TOL`` of that march, relative to the largest row sum of ``|T|``,
+    or the call raises ``ArithmeticError``; a march that is not finite is
+    left to the iteration, which reports the divergence.
     """
-    cost = sum(phase.cost + (phase.data and not cfg.error_mode) for phase in phases)
+    cost = sum(phase.cost + 1 + (phase.data and not cfg.error_mode) for phase in phases)
 
     def marched(x):
         for phase in phases:
@@ -216,6 +231,14 @@ def _affine_part(cfg, phases):
     operators = [(None if cfg.error_mode or not phase.data else
                   phase.march(np.zeros((1,) + phase.shape), True)[0], phase.operator())
                  for phase in phases]
+    for phase, (_, blocks) in zip(phases, operators):
+        unit = np.ones(phase.shape)
+        y = phase.march(unit[None], False)[0]
+        gap = np.abs(apply_operator(blocks, None, unit) - y).max()
+        scale = apply_operator(np.abs(blocks), None, unit).max()
+        if np.all(np.isfinite(y)) and not gap <= CHECK_TOL * scale:
+            raise ArithmeticError(f"a sweep operator built from the interface maps departs "
+                                  f"from the march by {gap:.3g}, against terms up to {scale:.3g}")
 
     def part(x):
         y = np.empty_like(x)

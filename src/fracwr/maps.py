@@ -35,8 +35,6 @@ block, so a build never holds more of them.  No eigendecomposition of A is
 formed: on a graded mesh its eigenvectors are too ill-conditioned.
 """
 
-import math
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -154,17 +152,33 @@ def interface_maps(subs, weights, decay=None):
     return x, y, np.array([sub.kappa / (2.0 * sub.dx) for sub in subs])
 
 
+# The build/march ratio of a graded build, measured on the graded presets at
+# other step counts (one phase, one member; Xeon, 2 vCPU, numpy 2.4 with
+# OpenBLAS), measured / 2.2 (lines N / 6400)**0.6:
+#
+#     lines   N = 16      32         64         128
+#       98    1.1/1.0    1.1/1.4    2.0/2.2    3.9/3.3
+#      198    1.6/1.4    1.9/2.2    2.7/3.3    6.5/5.0
+#      298    2.2/1.8    2.6/2.8    3.9/4.2    9.2/6.4
+#      795    5.2/3.3    6.5/5.0    9.3/7.6   17.7/11.6
+#     4802   17.8/9.8   18.6/14.8  19.6/22.5  26.7/34.0
+#
+# The rule is within a factor 1.42 above and 1.82 below every point,
+# N = 24, 48 and 96 included.  The march's cost per level does not grow
+# with the lines alone, so the ratio grows slower than the lines or N.
+GRADED_COST = (2.2, 6400.0, 0.6)
+
+
 def build_cost(weights, subs, modes=1) -> float:
     """What ``interface_maps`` costs on ``subs`` (``modes`` lines each), in
-    marches of a sweep phase over them, as the presets measure it: about one
-    on a uniform mesh, and on a graded mesh one plus an eighth of a march
-    per resolvent block at N = 64, growing as N**2 (a block's inverse is
-    O(N**3) work, a march's history O(N**2) per line).  A value of config
-    values alone."""
+    marches of a sweep phase over them: about one on a uniform mesh, and on
+    a graded one c (lines N / scale)**p (``GRADED_COST``), at least one.  A
+    value of config values alone."""
     if weights.mesh.is_uniform:
         return 1.0
-    blocks = math.ceil(modes * sum(sub.n_nodes - 2 for sub in subs) / MODE_BLOCK)
-    return 1.0 + blocks * (weights.n_steps / 64.0) ** 2 / 8.0
+    c, scale, p = GRADED_COST
+    lines = modes * sum(sub.n_nodes - 2 for sub in subs)
+    return max(1.0, c * (lines * weights.n_steps / scale) ** p)
 
 
 def dnwr_operator(maps) -> np.ndarray:

@@ -20,8 +20,9 @@ phase (c) maps the mismatch to psi, without.  Each phase couples an
 interface to its two neighbours alone, though a whole sweep reaches two
 interfaces each way.  Where ``max_iter`` repays the build, ``fracwr.iteration``
 assembles each phase's map once, from the subdomains' interface maps
-(``fracwr.maps``), plus the data march of phase (a) in forced mode, and every
-sweep is the two products in turn; otherwise every sweep marches.
+(``fracwr.maps``), checks it against one march of the phase, and adds the
+data march of phase (a) in forced mode; every sweep is then the two
+products in turn.  Otherwise every sweep marches.
 
 The 2D strip is a two-subdomain 1D partition times one uniform y lattice
 (``Nnwr2dConfig``), and it runs the same sweep in sine-mode space.  Its

@@ -3,7 +3,7 @@
 Every operator a run builds comes from the maps; the oracle
 (``marching.transfer_operator``) marches a unit trace at every level of every
 position through whole subdomains, as the library once built them.  Each
-built operator must agree with it within 1e-12 of its largest entry.
+built block must agree with it within 1e-12 of the block's largest entry.
 """
 
 from dataclasses import replace
@@ -20,8 +20,12 @@ from marching import transfer_matrix, transfer_operator
 
 
 def _close(built, oracle):
+    """Every N x N block of ``built`` within 1e-12 of the oracle block's
+    largest entry; a block that is zero in the oracle must be zero."""
     assert built.shape == oracle.shape
-    assert np.abs(built - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    n = oracle.shape[-1]
+    for b, o in zip(built.reshape(-1, n, n), oracle.reshape(-1, n, n)):
+        assert np.abs(b - o).max() <= 1e-12 * np.abs(o).max()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 12, 16, 21, 96])
@@ -75,13 +79,11 @@ def _strip_phases(monkeypatch, **over):
 
 @pytest.mark.parametrize("order, grading", [(1.5, 1.0), (0.5, "auto")], ids=["wave", "graded"])
 def test_each_strip_mode_matches_the_oracle(order, grading, monkeypatch):
-    # the y-modes are the positions, each line shifted by its decay; every
-    # mode's block is compared on its own scale
+    # the y-modes are the positions, each line shifted by its decay
     for phase in _strip_phases(monkeypatch, order=order, grading=grading):
-        built, oracle = phase.operator(), transfer_operator(phase)
+        built = phase.operator()
         assert built.shape == (1, 7, 8, 8)
-        for mode in range(7):
-            _close(built[0, mode], oracle[0, mode])
+        _close(built, transfer_operator(phase))
 
 
 def test_a_mode_block_need_not_divide_the_line_count(monkeypatch):

@@ -76,28 +76,28 @@ def _graded_nnwr(mode="error_equation"):
 
 
 # the most sweeps that march: the maps cost one march of a phase on a
-# uniform mesh, and on a graded one that plus an eighth per resolvent block
-# of 16 lines at N = 64 (scaled by (N/64)**2; here one block at N = 64, or
-# three at N = 12); forced mode adds one march with the data for each phase
-# with data (the Dirichlet one).  A sweep is one march per phase, two for
-# NNWR, so an error-equation NNWR run builds from its first sweep
+# uniform mesh and on these small graded ones (the graded cost, 2.2 (lines
+# N / 6400)**0.6, is below one at 12 lines and N = 64, or 17 lines and
+# N = 12), the check of each phase's operator one march more, and forced
+# mode one march with the data for each phase with data (the Dirichlet one).
+# A sweep is one march per phase, two for NNWR, so an error-equation NNWR
+# run builds from max_iter 2
 @pytest.mark.parametrize("make, mode, run, sweeps", [
-    (_dnwr, "error_equation", run_dnwr, 1),
-    (_dnwr, "forced", run_dnwr, 2),
-    (_nnwr, "error_equation", run_nnwr_1d, 0),
-    (_nnwr, "forced", run_nnwr_1d, 1),
-    (_graded_dnwr, "error_equation", run_dnwr, 1),
-    (_graded_dnwr, "forced", run_dnwr, 2),
-    (_graded_nnwr, "error_equation", run_nnwr_1d, 0),
-    (_graded_nnwr, "forced", run_nnwr_1d, 1),
+    (_dnwr, "error_equation", run_dnwr, 2),
+    (_dnwr, "forced", run_dnwr, 3),
+    (_nnwr, "error_equation", run_nnwr_1d, 1),
+    (_nnwr, "forced", run_nnwr_1d, 2),
+    (_graded_dnwr, "error_equation", run_dnwr, 2),
+    (_graded_dnwr, "forced", run_dnwr, 3),
+    (_graded_nnwr, "error_equation", run_nnwr_1d, 1),
+    (_graded_nnwr, "forced", run_nnwr_1d, 2),
 ], ids=["dnwr", "dnwr-forced", "nnwr1d", "nnwr1d-forced", "dnwr-graded", "dnwr-graded-forced",
         "nnwr1d-graded", "nnwr1d-graded-forced"])
 def test_an_operator_is_built_only_when_max_iter_exceeds_its_cost(make, mode, run, sweeps,
                                                                    monkeypatch):
     builds = _count_builds(monkeypatch)
-    if sweeps:
-        marched = run(replace(make(mode=mode), max_iter=sweeps))
-        assert builds == [] and marched.report.iterations == sweeps
+    marched = run(replace(make(mode=mode), max_iter=sweeps))
+    assert builds == [] and marched.report.iterations == sweeps
     product = run(replace(make(mode=mode), max_iter=sweeps + 1))
     assert builds == ["interface_maps"]
     assert product.report.iterations == sweeps + 1
@@ -107,6 +107,28 @@ def test_an_operator_is_built_only_when_max_iter_exceeds_its_cost(make, mode, ru
     marched = run(replace(make(mode=mode), max_iter=sweeps + 1))
     np.testing.assert_allclose(product.report.errors, marched.report.errors,
                                rtol=1e-11, atol=1e-13)
+
+
+@pytest.mark.parametrize("driver", ["dnwr", "nnwr1d"])
+@pytest.mark.parametrize("error, raises", [(1e-6, True), (1e-11, False)])
+def test_a_build_is_checked_against_a_march(driver, error, raises, monkeypatch):
+    # the left subdomain's X off by one part in 1e6 makes every phase's
+    # operator depart from the march of a unit trace; one part in 1e11 stays
+    # within the check
+    make, run = {"dnwr": (_dnwr, run_dnwr), "nnwr1d": (_nnwr, run_nnwr_1d)}[driver]
+
+    def off(*args, build=maps.interface_maps):
+        x, y, c = build(*args)
+        x = x.copy()
+        x[0] *= 1.0 + error
+        return x, y, c
+
+    monkeypatch.setattr(maps, "interface_maps", off)
+    if raises:
+        with pytest.raises(ArithmeticError, match="departs from the march"):
+            run(make())
+    else:
+        assert run(make()).report.iterations == make().max_iter
 
 
 def _preset_phases(name, monkeypatch):
@@ -120,18 +142,18 @@ def _preset_phases(name, monkeypatch):
     return exp.run, seen[0]
 
 
-@pytest.mark.parametrize("name, blocks, builds", [
-    ("fig_dnwr_theta_sweep", 7, True), ("fig_nnwr_unequal", 50, True), ("fig_2d", 301, False),
+@pytest.mark.parametrize("name, lines, builds", [
+    ("fig_dnwr_theta_sweep", 98, True), ("fig_nnwr_unequal", 795, True), ("fig_2d", 4802, False),
 ])
-def test_graded_presets_build_but_the_strip_marches_every_sweep(name, blocks, builds,
+def test_graded_presets_build_but_the_strip_marches_every_sweep(name, lines, builds,
                                                                 monkeypatch):
-    # the cost of a graded build grows with the resolvent blocks: the graded
+    # the cost of a graded build grows with its lines and steps: the graded
     # 1D presets repay theirs many times over, while the strip's 49 y-modes
-    # of 98 x-lines (4802 lines, 301 blocks) cost more than its sweeps
+    # of 98 x-lines cost more than the sweeps after its first
     cfg, phases = _preset_phases(name, monkeypatch)
     cost = sum(phase.cost for phase in phases)
-    assert cost == 1.0 + blocks * (cfg.n_steps / 64.0) ** 2 / 8.0
-    assert (cfg.max_iter * len(phases) > cost) == builds
+    assert cost == 2.2 * (lines * cfg.n_steps / 6400.0) ** 0.6
+    assert ((cfg.max_iter - 1) * len(phases) > cost) == builds
 
 
 @pytest.mark.parametrize("order", [0.6, 1.0, 1.5], ids=["l1", "classical", "wave"])
@@ -143,7 +165,7 @@ def test_toeplitz_build_equals_the_full_impulse_build(order):
     s = transfer_matrix(cfg.partition, weights)
     t = dnwr_affine(cfg.partition.subdomains, weights).operator()
     assert t.shape == (1, 1, 16, 16)
-    assert np.abs(t[0, 0] - s).max() <= 1e-12 * np.abs(s).max()
+    assert np.abs(t[0, 0] - s).max() <= 1e-14 * np.abs(s).max()
 
     cfg = _nnwr(order)
     weights = cfg.build_weights()
@@ -151,7 +173,7 @@ def test_toeplitz_build_equals_the_full_impulse_build(order):
         full = transfer_operator(phase, reach=1)
         t = phase.operator()
         assert t.shape == full.shape == (3, 6, 12, 12)  # offsets, then positions
-        assert np.abs(t - full).max() <= 1e-12 * np.abs(full).max()
+        assert np.abs(t - full).max() <= 1e-14 * np.abs(full).max()
 
 
 def test_nnwr_operator_is_zero_outside_the_band():
@@ -184,10 +206,11 @@ def _march_phases(phases, x):
 
 
 def test_a_forced_nnwr_build_marches_only_the_data_of_its_dirichlet_phase(monkeypatch):
-    # the maps build both phases' operators without a march; forced mode adds
-    # one Dirichlet march with the data for its c, and the data-free Neumann
-    # phase has none.  Product sweeps march nothing; keep_fields adds one
-    # Dirichlet march, after the last sweep
+    # the maps build both phases' operators without a march, and one march of
+    # a unit trace checks each; forced mode adds one Dirichlet march with the
+    # data for its c, and the data-free Neumann phase has none.  Product
+    # sweeps march nothing; keep_fields adds one Dirichlet march, after the
+    # last sweep
     calls, at_build = Counter(), []
     for name in ("solve_dirichlet_waveform", "solve_neumann_waveform"):
         monkeypatch.setattr(nnwr, name, lambda *a, name=name, march=getattr(nnwr, name), **kw:
@@ -202,11 +225,11 @@ def test_a_forced_nnwr_build_marches_only_the_data_of_its_dirichlet_phase(monkey
     monkeypatch.setattr(iteration, "_affine_part", build)
     res = run_nnwr_1d(_nnwr(mode="forced"))
     assert res.report.iterations == 8
-    expected = {"solve_dirichlet_waveform": 1}
+    expected = {"solve_dirichlet_waveform": 1 + 1, "solve_neumann_waveform": 1}
     assert at_build == [expected] and calls == expected
     calls.clear()
     run_nnwr_1d(_nnwr(mode="forced"), keep_fields=True)
-    assert calls == {"solve_dirichlet_waveform": 1 + 1}
+    assert calls == {"solve_dirichlet_waveform": 2 + 1, "solve_neumann_waveform": 1}
 
 
 def _phases_2d(cfg, monkeypatch):

@@ -63,7 +63,8 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   ``keep_fields`` False on a checkout whose ``_affine_part`` takes it), and
   one product sweep with it (one member, random traces).  On a checkout
   with ``fracwr.maps`` the build is ``maps.interface_maps`` and
-  ``maps.nnwr_operators`` and one Dirichlet march with the data; an older
+  ``maps.nnwr_operators``, one Dirichlet march with the data and, where
+  ``_affine_part`` checks its operators, one march of each phase; an older
   checkout marches impulses.  Also the build of ``S`` for the DNWR config of
   ``fig_dnwr_theta_sweep_wave`` (64 steps, order 1.5, uniform) and for that
   ``sweeps-1d`` DNWR config (graded): ``maps.dnwr_operator`` of
