@@ -13,8 +13,9 @@ the left subdomain's Dirichlet flux at the interface, sent through the right
 subdomain's Neumann map (``fracwr.maps``).  A run whose ``max_iter`` exceeds
 the cost of building it (``maps.build_cost``, one march that checks it,
 plus the march of ``c`` in forced mode) builds ``S`` before its first sweep
-and applies it in every sweep; any other run marches every sweep.  ``S`` is built as one phase:
-each half-step has one position, so two phases would make as many marches.
+and applies it in every sweep; any other run marches every sweep.  ``S`` is
+built as one phase: each half-step has one position, so two phases would
+make as many marches.
 """
 
 import time

@@ -164,8 +164,9 @@ def interface_maps(subs, weights, decay=None):
 #     4802   17.8/9.8   18.6/14.8  19.6/22.5  26.7/34.0
 #
 # The rule is within a factor 1.42 above and 1.82 below every point,
-# N = 24, 48 and 96 included.  The march's cost per level does not grow
-# with the lines alone, so the ratio grows slower than the lines or N.
+# N = 24, 48 and 96 included.  The ratio grows slower than the lines or N:
+# part of a march's cost per level does not grow with the lines, and at
+# small N a build's cost per block of lines outweighs its inverses.
 GRADED_COST = (2.2, 6400.0, 0.6)
 
 

@@ -205,7 +205,7 @@ def _march_phases(phases, x):
     return x
 
 
-def test_a_forced_nnwr_build_marches_only_the_data_of_its_dirichlet_phase(monkeypatch):
+def test_a_forced_nnwr_build_marches_its_data_and_one_check_per_phase(monkeypatch):
     # the maps build both phases' operators without a march, and one march of
     # a unit trace checks each; forced mode adds one Dirichlet march with the
     # data for its c, and the data-free Neumann phase has none.  Product
