@@ -46,24 +46,24 @@ class DnwrConfig(IterationConfig):
 
 
 def _half_steps(subs, weights, h, f=(None, None), u0=(None, None), trim=True):
-    """The Dirichlet and the Neumann field of one sweep from the traces ``h``
-    (members, N), with ``trim`` at the nodes the sweep reads (``solve_waveform``).
+    """The Dirichlet and the Neumann field of one sweep from the trace ``h``
+    (N,), with ``trim`` at the nodes the sweep reads (``solve_waveform``).
     Each half-step marches its subdomain alone, with the tables ``f`` and
     ``u0`` of that subdomain."""
     sub1, sub2 = subs
-    (u1,) = solve_dirichlet_waveform([sub1], weights, [None], [h], len(h), f=[f[0]], u0=[u0[0]],
+    (u1,) = solve_dirichlet_waveform([sub1], weights, [None], [h], f=[f[0]], u0=[u0[0]],
                                      trim=trim)
-    flux = interface_flux_series(u1[:, 1:], "right", sub1)
-    (u2,) = solve_neumann_waveform([sub2], weights, [-flux], [None], len(h), f=[f[1]],
-                                   u0=[u0[1]], trim=trim)
+    flux = interface_flux_series(u1[1:], "right", sub1)
+    (u2,) = solve_neumann_waveform([sub2], weights, [-flux], [None], f=[f[1]], u0=[u0[1]],
+                                   trim=trim)
     return u1, u2
 
 
 def _affine(subs, weights, f=(None, None), u0=(None, None)) -> AffineSweep:
-    """The Neumann interface trace ``g`` of the traces ``h`` (members, 1, N):
-    one position, with ``S`` from the two subdomains' maps."""
+    """The Neumann interface trace ``g`` of the trace ``h`` (1, N): one
+    position, with ``S`` from the two subdomains' maps."""
     def march(h, data):
-        return _half_steps(subs, weights, h[:, 0], *((f, u0) if data else ()))[1][:, None, 1:, 0]
+        return _half_steps(subs, weights, h[0], *((f, u0) if data else ()))[1][None, 1:, 0]
 
     return AffineSweep(march=march, shape=(1, weights.n_steps),
                        operator=lambda: maps.dnwr_operator(maps.interface_maps(subs, weights)),
@@ -74,14 +74,15 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
     """Run the iteration with ``cfg.theta``, or with each of ``members``.
 
     Without ``members`` the call returns one ``RunResult``.  With a sequence
-    of weights (each one that ``cfg.theta`` takes) every member marches in
-    one batch and the call returns one ``RunResult`` per member, in order,
+    of weights (each one that ``cfg.theta`` takes) the members iterate in
+    lock-step and the call returns one ``RunResult`` per member, in order,
     each bit for bit the result of a run with that member as ``cfg.theta``.
 
     A sweep's ``g`` is marched or, where ``fracwr.iteration`` assembles ``S``
     (see the module docstring), the product of ``S`` with each member's trace
-    (plus ``c``).  Under ``keep_fields`` the two whole half-step fields are
-    marched once, after the last sweep, at the trace that sweep started from.
+    (plus ``c``).  Under ``keep_fields`` each member's two whole half-step
+    fields are marched once, after its last sweep, at the trace that sweep
+    started from.
     """
     t_start = time.perf_counter()
     weights = cfg.build_weights()

@@ -165,20 +165,20 @@ class IterationConfig:
 class AffineSweep:
     """A phase of a driver's sweep that is affine in its input, ``x -> T x + c``.
 
-    ``march(x, data)`` marches it for inputs ``x`` of shape (members,) +
-    ``shape``, (members, positions, N), with the problem data or
-    (``data=False``) without them, and returns ``y`` shaped like ``x``.  A
-    phase without ``data`` is linear (``c`` = 0).  ``operator()`` builds
-    ``T`` from the subdomains' interface maps (``fracwr.maps``), as the
-    offset-major blocks of ``apply_operator``, and ``cost`` is what that
-    adds to the build, in marches of a phase; phases that share one build of
-    the maps charge it once.  A phase without an operator is always marched.
+    ``march(x, data)`` marches it for one member's input ``x`` of shape
+    ``shape``, (positions, N), with the problem data or (``data=False``)
+    without them, and returns ``y`` shaped like ``x``.  A phase without
+    ``data`` is linear (``c`` = 0).  ``operator()`` builds ``T`` from the
+    subdomains' interface maps (``fracwr.maps``), as the offset-major blocks
+    of ``apply_operator``, and ``cost`` is what that adds to the build, in
+    marches of a phase; phases that share one build of the maps charge it
+    once.
     """
 
     march: object
     shape: tuple
-    operator: object = None
-    cost: float = math.inf
+    operator: object
+    cost: float
     data: bool = True
 
 
@@ -204,14 +204,14 @@ def apply_operator(blocks, c, x) -> np.ndarray:
 
 
 def _affine_part(cfg, phases):
-    """``part(x)``: the affine part of a sweep at the traces ``x``, its
-    ``phases`` marched in turn, or in turn the products with their ``T``
-    plus ``c`` where the phase marches of ``max_iter`` marched sweeps exceed
-    the build's cost: the phases' ``cost``, one march per phase that checks
-    its ``T``, and in forced mode one march with the data and zero input,
-    for ``c``, per phase with data.  The rule reads config values alone and
-    each member's product is its own, so a member's bits do not depend on
-    its companions.
+    """``part(x)``: the affine part of a sweep at the traces ``x`` (members,
+    positions, N), member by member: its ``phases`` marched in turn, or in
+    turn the products with their ``T`` plus ``c`` where the phase marches of
+    ``max_iter`` marched sweeps exceed the build's cost: the phases'
+    ``cost``, one march per phase that checks its ``T``, and in forced mode
+    one march with the data and zero input, for ``c``, per phase with data.
+    The rule reads config values alone and each member is marched or
+    multiplied alone, so a member's bits do not depend on its companions.
 
     The check marches a unit trace (one at every position and level) through
     each phase without its data, and ``T`` times it must lie within
@@ -220,48 +220,44 @@ def _affine_part(cfg, phases):
     left to the iteration, which reports the divergence.
     """
     cost = sum(phase.cost + 1 + (phase.data and not cfg.error_mode) for phase in phases)
-
-    def marched(x):
-        for phase in phases:
-            x = phase.march(x, True)
-        return x
-
     if cfg.max_iter * len(phases) <= cost:
-        return marched
-    operators = [(None if cfg.error_mode or not phase.data else
-                  phase.march(np.zeros((1,) + phase.shape), True)[0], phase.operator())
-                 for phase in phases]
-    for phase, (_, blocks) in zip(phases, operators):
-        unit = np.ones(phase.shape)
-        y = phase.march(unit[None], False)[0]
-        gap = np.abs(apply_operator(blocks, None, unit) - y).max()
-        scale = apply_operator(np.abs(blocks), None, unit).max()
-        if np.all(np.isfinite(y)) and not gap <= CHECK_TOL * scale:
-            raise ArithmeticError(f"a sweep operator built from the interface maps departs "
-                                  f"from the march by {gap:.3g}, against terms up to {scale:.3g}")
+        def one(x):
+            for phase in phases:
+                x = phase.march(x, True)
+            return x
+    else:
+        operators = [(None if cfg.error_mode or not phase.data else
+                      phase.march(np.zeros(phase.shape), True), phase.operator())
+                     for phase in phases]
+        for phase, (_, blocks) in zip(phases, operators):
+            unit = np.ones(phase.shape)
+            y = phase.march(unit, False)
+            gap = np.abs(apply_operator(blocks, None, unit) - y).max()
+            scale = apply_operator(np.abs(blocks), None, unit).max()
+            if np.all(np.isfinite(y)) and not gap <= CHECK_TOL * scale:
+                raise ArithmeticError(f"a sweep operator built from the interface maps departs "
+                                      f"from the march by {gap:.3g}, against terms up to "
+                                      f"{scale:.3g}")
 
-    def part(x):
-        y = np.empty_like(x)
-        for xm, ym in zip(x, y):
+        def one(x):
             for c, blocks in operators:
-                xm = apply_operator(blocks, c, xm)
-            ym[...] = xm
-        return y
+                x = apply_operator(blocks, c, x)
+            return x
 
-    return part
+    return lambda xs: np.stack([one(x) for x in xs])
 
 
 def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, phases, fields=None) -> list:
     """Apply ``sweep`` from ``h0`` until each member's interface error meets the tolerance.
 
-    The members of a sweep march in lock-step: ``thetas`` holds one row of
+    The members of a sweep iterate in lock-step: ``thetas`` holds one row of
     interface weights per member, and ``sweep(h, theta, part)`` maps the
     active members' traces, stacked along a leading member axis, and their
     rows of ``thetas`` to ``(h_new, change)``, both with the same leading
-    axis.  The sweep gets its affine part as ``part(x) -> y``: the
-    ``phases`` (a sequence of ``AffineSweep``s) marched in turn in every
-    sweep, or in every sweep their products with the operators assembled
-    before the first (``_affine_part``).  The error of a sweep is, per member
+    axis.  The sweep gets its affine part as ``part(x) -> y``, member by
+    member: the ``phases`` (a sequence of ``AffineSweep``s) marched in turn
+    in every sweep, or in every sweep their products with the operators
+    assembled before the first (``_affine_part``).  The error of a sweep is, per member
     and interface, the sup norm of ``h_new`` in error-equation mode and of
     ``change`` in forced mode; the traces of a member's interfaces are
     stacked along its first axis, one block per weight.  A member leaves the
@@ -273,10 +269,9 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, phases, fields=Non
 
     Returns one ``RunResult`` per member, with the traces of the member's
     last sweep.  With ``fields`` the loop keeps the trace each member's last
-    sweep started from, and after the last sweep one call ``fields(x)`` on
-    those traces stacked, a tuple of arrays with the same leading axis,
-    gives each member its ``RunResult.fields``; the report's ``wall_time``
-    leaves that call out.
+    sweep started from, and after the last sweep ``fields(x)`` on that
+    trace, a tuple of arrays the call owns, gives each member its
+    ``RunResult.fields``; the report's ``wall_time`` leaves those calls out.
     """
     thetas = np.asarray(thetas, dtype=float)
     n_ifc = thetas.shape[1]
@@ -308,5 +303,4 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, phases, fields=Non
             break
     if fields is None:
         return results
-    kept = fields(np.stack(starts))
-    return [replace(r, fields=tuple(u[i].copy() for u in kept)) for i, r in enumerate(results)]
+    return [replace(r, fields=fields(x)) for r, x in zip(results, starts)]

@@ -1,8 +1,8 @@
 """The sine basis of each line of a waveform march, and one level's solve in it.
 
 At every time level a march solves one system per line: a line is one
-subdomain of one sweep member, or one sine mode of a 2D strip.  On the m
-interior nodes of a line the system is
+subdomain, or one sine mode of a 2D strip.  On the m interior nodes of a
+line the system is
 
     (bnn + shift + s T) u = rhs + s (E_L e_1 + E_R e_m),   T = tridiag(-1, 2, -1),
 

@@ -8,10 +8,9 @@ homogeneous Dirichlet condition), and (d) the relaxed trace update
 h <- h - theta * psi per interface, psi = psi_i + psi_j the sum of the two
 corrections there.  The solves of phases (a) and (c) are independent across
 subdomains, as in the paper.  Each phase is one march over all subdomains
-(and all members of a relaxation sweep), every line in the sine basis of its
-interior (``fracwr.kernels``), which gives every subdomain bit for bit the
-field of its own march, so a rerun reproduces the iterates bit for bit.  A
-phase moves back only the nodes it reads, the three nearest each end; the
+of one member of a relaxation sweep, every line in the sine basis of its
+interior (``fracwr.kernels``), and a rerun reproduces the iterates bit for
+bit.  A phase moves back only the nodes it reads, the three nearest each end; the
 whole Dirichlet fields (``keep_fields``) are one march more, after the loop.
 
 The part of a sweep that is affine in the traces is built in two phases:
@@ -84,31 +83,31 @@ def _dirichlet_phase(subs, weights, f, u0, decay, h, data, whole=False):
     hold one table per subdomain, from ``tabulate`` or, in mode space,
     ``_mode_data``.
 
-    ``h`` stacks each member's interface traces, (members, interfaces, N),
-    with a trailing mode axis when ``decay`` gives the lines a reaction term
-    (as in ``solve_waveform``); the mismatch has the shape of ``h``.
+    ``h`` holds the interface traces, (interfaces, N), with a trailing mode
+    axis when ``decay`` gives the lines a reaction term (as in
+    ``solve_waveform``); the mismatch has the shape of ``h``.
     """
     # subdomain i lies between interfaces i - 1 and i; the outer ends have none
-    traces = [None, *h.swapaxes(0, 1), None]
-    fields = solve_dirichlet_waveform(subs, weights, traces[:-1], traces[1:], len(h),
+    traces = [None, *h, None]
+    fields = solve_dirichlet_waveform(subs, weights, traces[:-1], traces[1:],
                                       f=f if data else None, u0=u0 if data else None,
                                       decay=decay, trim=not whole)
     if whole:
         return tuple(fields)
     return np.stack([
-        interface_flux_series(fields[i][:, 1:], "right", subs[i])
-        + interface_flux_series(fields[i + 1][:, 1:], "left", subs[i + 1])
+        interface_flux_series(fields[i][1:], "right", subs[i])
+        + interface_flux_series(fields[i + 1][1:], "left", subs[i + 1])
         for i in range(len(subs) - 1)
-    ], axis=1)
+    ])
 
 
 def _neumann_phase(subs, weights, decay, mismatch, data):
     """Phase (c), which has no data to take: psi, shaped like the flux ``mismatch``."""
-    fluxes = [None, *mismatch.swapaxes(0, 1), None]
-    corrections = solve_neumann_waveform(subs, weights, fluxes[:-1], fluxes[1:], len(mismatch),
-                                         decay=decay, trim=True)
-    return np.stack([corrections[i][:, 1:, ..., -1] + corrections[i + 1][:, 1:, ..., 0]
-                     for i in range(len(subs) - 1)], axis=1)
+    fluxes = [None, *mismatch, None]
+    corrections = solve_neumann_waveform(subs, weights, fluxes[:-1], fluxes[1:], decay=decay,
+                                         trim=True)
+    return np.stack([corrections[i][1:, ..., -1] + corrections[i + 1][1:, ..., 0]
+                     for i in range(len(subs) - 1)])
 
 
 def _affine(dirichlet, neumann, operators, shape, cost):
@@ -123,7 +122,7 @@ def _affine(dirichlet, neumann, operators, shape, cost):
 
 
 def _affine_1d(cfg, weights):
-    """The phases of an NNWR-1D sweep: psi per interface, (members, interfaces, N)."""
+    """The phases of an NNWR-1D sweep: psi per interface, (interfaces, N)."""
     subs = cfg.partition.subdomains
     f = u0 = None
     if not cfg.error_mode:
@@ -138,7 +137,7 @@ def _affine_1d(cfg, weights):
 
 def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
     """Run the iteration with ``cfg.theta``, or with each of ``members`` in
-    one batch (one ``RunResult`` per member, as ``run_dnwr`` describes)."""
+    lock-step (one ``RunResult`` per member, as ``run_dnwr`` describes)."""
     t_start = time.perf_counter()
     phases = _affine_1d(cfg, cfg.build_weights())
 
@@ -183,7 +182,7 @@ def _mode_data(sub, dy, weights, f, u0, sine):
 
 def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
     """Run the iteration with ``cfg.theta``, or with each of ``members`` in
-    one batch (one ``RunResult`` per member, as ``run_dnwr`` describes).
+    lock-step (one ``RunResult`` per member, as ``run_dnwr`` describes).
 
     The iterate is the lattice trace (N, ny+1); a sweep moves its interior
     rows into mode space, runs the 1D sweep there and moves the update back,
@@ -211,10 +210,10 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
         f_hat, u0_hat = zip(*(_mode_data(s, dy, weights, fs, us, sine)
                               for s, fs, us in zip(strips, f, u0)))
 
-    # the modes are the positions of each phase, (members, modes, N), each
-    # with its own block; a march takes them as one interface's trailing axis
+    # the modes are the positions of each phase, (modes, N), each with its
+    # own block; a march takes them as one interface's trailing axis
     def modes(phase):
-        return lambda x, data: phase(x.swapaxes(1, 2)[:, None], data)[:, 0].swapaxes(1, 2)
+        return lambda x, data: phase(x.T[None], data)[0].T
 
     phases = _affine(modes(partial(_dirichlet_phase, strips, weights, f_hat, u0_hat, decay)),
                      modes(partial(_neumann_phase, strips, weights, decay)),
@@ -233,12 +232,12 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
     def lattice(h):
         fields = []  # the Dirichlet fields: u0 at level 0, then the trace on the interface
         modes = _dirichlet_phase(strips, weights, f_hat, u0_hat, decay,
-                                 (h[..., 1:-1] @ sine)[:, None], True, whole=True)
+                                 (h[..., 1:-1] @ sine)[None], True, whole=True)
         for u_hat, start, column in zip(modes, u0, (-1, 0)):
-            u = np.zeros(u_hat.shape[:2] + (u_hat.shape[-1], ny + 1))
+            u = np.zeros((u_hat.shape[0], u_hat.shape[-1], ny + 1))
             np.matmul(np.swapaxes(u_hat, -1, -2), sine, out=u[..., 1:-1])
-            u[:, 0] = 0.0 if start is None else start
-            u[:, 1:, column, 1:-1] = h[..., 1:-1]
+            u[0] = 0.0 if start is None else start
+            u[1:, column, 1:-1] = h[..., 1:-1]
             fields.append(u)
         return tuple(fields)
 

@@ -6,11 +6,11 @@ Each solve marches the fully discrete fractional diffusion equation
 
 over all time levels at once, given Dirichlet traces or outward-flux traces
 on the interface ends.  A march takes one input form (``solve_waveform``):
-a sequence of subdomains, the member count of a relaxation sweep, per end
-None or an array of values, and the data as tables, which a driver makes
-once per run (``tabulate``).  The spatial operator is evaluated implicitly
-at t_n for the sub-diffusion and classical schemes and averaged between
-levels for the wave scheme (whose Caputo weights refer to the half point).
+a sequence of subdomains, per end None or an array of values, and the
+data as tables, which a driver makes once per run (``tabulate``).  The
+spatial operator is evaluated implicitly at t_n for the sub-diffusion and
+classical schemes and averaged between levels for the wave scheme (whose
+Caputo weights refer to the half point).
 Every level solves the same spatial operator, so a march moves each line
 into the sine basis of its interior once, where a level is a division with
 a rank-one correction per flux end (``kernels``), and moves back only the
@@ -27,7 +27,7 @@ per y-mode, shifted by that mode's eigenvalue (``nnwr.run_nnwr_2d``).
 """
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -71,40 +71,35 @@ def tabulate(weights: CaputoWeights, f, u0, *grid):
             None if u0 is None else np.broadcast_to(np.asarray(u0(*grid), dtype=float), shape))
 
 
-def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=False, f=None,
-                   u0=None, decay=None, trim=False):
-    """March subdomains through all time levels, the members of a relaxation
-    sweep at once.
+def solve_waveform(subs, weights: CaputoWeights, left, right, flux=False, f=None, u0=None,
+                   decay=None, trim=False):
+    """March subdomains through all time levels.
 
     ``subs`` is a sequence of ``Subdomain1D``, and ``left`` and ``right``
     hold one end per subdomain: None for a physical boundary, where
-    u = 0, or an array (members, N) of interface values at t_1..t_N, the
-    imposed traces or, with ``flux``, the outward-normal fluxes.  ``f`` and
-    ``u0`` are None or hold one entry per subdomain: None, or the table
-    that ``tabulate`` makes, (N, n_nodes) and (n_nodes,).  The members share
-    the data but have their own end values.  The call returns one field
-    (members, N+1, n_nodes) per subdomain, row 0 holding the initial
-    samples, each bit for bit the field of a call with that subdomain
-    alone.  With ``trim`` a field holds only the nodes
-    ``geometry.END_NODES``, the three nearest each end, which is all an
-    interface flux or an end value reads.
+    u = 0, or an array (N,) of interface values at t_1..t_N, the imposed
+    traces or, with ``flux``, the outward-normal fluxes.  ``f`` and ``u0``
+    are None or hold one entry per subdomain: None, or the table that
+    ``tabulate`` makes, (N, n_nodes) and (n_nodes,).  The call returns one
+    field (N+1, n_nodes) per subdomain, row 0 holding the initial samples.
+    With ``trim`` a field holds only the nodes ``geometry.END_NODES``, the
+    three nearest each end, which is all an interface flux or an end value
+    reads.
 
-    With ``decay`` (shape (B,), or one such row per subdomain) each member
+    With ``decay`` (shape (B,), or one such row per subdomain) the call
     marches B independent problems, problem b solving
     D^nu u = kappa u_xx - decay[b] u + f with the reaction term split
     between levels like the Laplacian.  Then the tables gain a mode axis
     before the nodes, (N, B, n_nodes) and (B, n_nodes), the end arrays a
-    trailing one, (members, N, B), and the fields one before the nodes,
-    (members, N+1, B, n_nodes).
+    trailing one, (N, B), and the fields one before the nodes,
+    (N+1, B, n_nodes).
 
-    Every line of every subdomain, member and mode marches in the sine basis
-    of its interior (``kernels``): the data move into it once, every time
-    level is one ``kernels.step_solve`` call on a ``kernels.Stack`` built
-    once per call, and only the returned nodes move back, from the
-    increments of the levels.  Each member's history term is its own product
-    of the Caputo row with its increments on one subdomain, of the width a
-    call with one member uses, so the members and the subdomains of a
-    call do not change one another's bits.
+    Every line of every subdomain and mode marches in the sine basis of its
+    interior (``kernels``): the data move into it once, every time level is
+    one ``kernels.step_solve`` call on a ``kernels.Stack`` built once per
+    call, and only the returned nodes move back, from the increments of the
+    levels.  The increments are kept level by level, so a level's history
+    term is one product of the Caputo row with the increments before it.
     """
     f = [None] * len(subs) if f is None else f
     u0 = [None] * len(subs) if u0 is None else u0
@@ -112,11 +107,13 @@ def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=Fals
         raise ValueError("give one end, source and initial value per subdomain")
     n_steps = weights.n_steps
     theta_s = weights.implicit_fraction
+    shift = None
     if decay is not None:
         decay = np.asarray(decay, dtype=float)
         decay = np.broadcast_to(decay, (len(subs), decay.shape[-1]))  # a row per subdomain
+        shift = theta_s * decay.ravel()
     modes = () if decay is None else decay.shape[1:]
-    lines = members * (1 if decay is None else decay.shape[1])  # lines per subdomain
+    lines = 1 if decay is None else decay.shape[1]  # lines per subdomain
     per_line = lambda x: np.repeat(x, lines)  # noqa: E731
 
     # an end with values is a flux end under ``flux``; every other end is Dirichlet
@@ -126,21 +123,17 @@ def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=Fals
     for i, ends in enumerate(zip(left, right)):
         for k, values in enumerate(ends):
             if values is not None:
-                values = _table(values, (members, n_steps) + modes, "an end")
+                values = _table(values, (n_steps,) + modes, "an end")
                 kinds[k, i] = kernels.FLUX if flux else kernels.DIRICHLET
-                vals[:, k, i] = np.moveaxis(values, 1, 0).reshape(n_steps, lines)
+                vals[:, k, i] = values.reshape(n_steps, lines)
     vals = vals.reshape(n_steps, 2, -1).transpose(0, 2, 1).copy()  # (N, lines, 2)
-    shift = None
-    if decay is not None:
-        shift = theta_s * np.concatenate([np.tile(row, members) for row in decay])
     stack = kernels.Stack(
         per_line([s.n_nodes for s in subs]),
         per_line([theta_s * s.kappa / s.dx**2 for s in subs]),
         per_line([s.kappa / (2.0 * s.dx) for s in subs]),
         per_line(kinds[0]), per_line(kinds[1]), shift,
     )
-    # subdomain i owns the coefficients bounds[i]:bounds[i+1] of a level,
-    # member by member, then mode by mode
+    # subdomain i owns the coefficients bounds[i]:bounds[i+1] of a level, mode by mode
     sizes = [s.n_nodes - 2 for s in subs]
     bounds = list(accumulate([lines * k for k in sizes], initial=0))
 
@@ -154,34 +147,18 @@ def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=Fals
     starts_hat = [None if st is None else kernels.dst(st[..., 1:-1]) for st in starts]
     for i, (st, st_hat) in enumerate(zip(starts, starts_hat)):
         if st is not None:
-            levels[0, bounds[i]:bounds[i + 1]].reshape(members, -1)[...] = st_hat.reshape(-1)
-            values[0, i * lines:(i + 1) * lines] = np.tile(st[..., [0, -1]].reshape(-1, 2),
-                                                           (members, 1))
-    # one source table per subdomain (zeros for None); each level adds its row to every member
+            levels[0, bounds[i]:bounds[i + 1]] = st_hat.reshape(-1)
+            values[0, i * lines:(i + 1) * lines] = st[..., [0, -1]].reshape(-1, 2)
+    # one source table per subdomain (zeros for None); each level adds its row
     sources = None
     if any(fi is not None for fi in f):
         sources = [kernels.dst((np.zeros((n_steps,) + shape) if fi is None else
                                 _table(fi, (n_steps,) + shape, "source"))[..., 1:-1])
                    .reshape(n_steps, -1) for fi, shape in zip(f, shapes)]
 
-    # Consecutive subdomains with one coefficient count form a run, whose
-    # history products, one per member of each subdomain, go through one
-    # stacked matmul over member-major increments: each product reads a
-    # contiguous (level, width) slab, as a call with one member of one
-    # subdomain does (a strided slab changes the bits of narrow products).
-    # The increments of every run share one table.
+    # the increments of every level, level-major, and the history term of one level
+    increments = np.empty((n_steps, stack.size))
     hist = np.empty(stack.size)
-    increments = np.empty(n_steps * stack.size)
-    runs = []
-    for _, run in groupby(range(len(subs)), lambda i: sizes[i]):
-        i, *others = run
-        rows = slice(bounds[i], bounds[i + 1 + len(others)])
-        width = lines // members * sizes[i]
-        products = (rows.stop - rows.start) // width
-        runs.append((hist[rows].reshape(products, width),
-                     levels[:, rows].reshape(2, products, width),
-                     increments[n_steps * rows.start:n_steps * rows.stop]
-                     .reshape(products, n_steps, width)))
     # the explicit half of a split level: the diagonal, and the last end values
     explicit = ends_weight = None
     if theta_s < 1.0:
@@ -189,8 +166,7 @@ def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=Fals
         explicit, ends_weight = ratio * stack.diag, ratio * stack.s
     stack.prepare(weights.diagonal)
     rhs = np.empty(stack.size)
-    added = [(rhs[bounds[j]:bounds[j + 1]].reshape(members, -1), table)
-             for j, table in enumerate(sources or ())]
+    added = [(rhs[bounds[j]:bounds[j + 1]], table) for j, table in enumerate(sources or ())]
     for n in range(1, n_steps + 1):
         b_row = weights.rows[n - 1]
         bnn = b_row[n - 1]
@@ -200,78 +176,72 @@ def solve_waveform(subs, weights: CaputoWeights, left, right, members, flux=Fals
         else:
             np.subtract(bnn, explicit, out=rhs)
             rhs *= prev
-        for member_rows, table in added:
-            member_rows += table[n - 1]
+        for rows, table in added:
+            rows += table[n - 1]
         if n > 1:
-            for out, _, table in runs:
-                np.matmul(b_row[: n - 1], table[:, : n - 1], out=out)
+            np.matmul(b_row[: n - 1], increments[: n - 1], out=hist)
             rhs -= hist
         extra = None if ends_weight is None else ends_weight * values[n - 1]
         values[n] = kernels.step_solve(bnn, stack, rhs, vals[n - 1], extra, out=levels[n % 2])[1]
-        for _, level, table in runs:
-            np.subtract(level[n % 2], level[(n - 1) % 2], out=table[:, n - 1])
+        np.subtract(levels[n % 2], levels[(n - 1) % 2], out=increments[n - 1])
 
-    fields = []
-    for i, s in enumerate(subs):
-        table = increments[n_steps * bounds[i]:n_steps * bounds[i + 1]]
-        ends = values[:, i * lines:(i + 1) * lines].reshape(n_steps + 1, members, -1, 2)
-        field = _field(s, table.reshape(members, n_steps, -1, sizes[i]),
-                       ends.transpose(3, 1, 0, 2), starts[i], starts_hat[i], trim)
-        fields.append(field.reshape((members, n_steps + 1) + modes + (field.shape[-1],)))
-    return fields
+    return [_field(s, increments[:, bounds[i]:bounds[i + 1]].reshape(n_steps, lines, sizes[i]),
+                   values[:, i * lines:(i + 1) * lines], starts[i], starts_hat[i], modes, trim)
+            for i, s in enumerate(subs)]
 
 
-def _field(sub, increments, ends, start, start_hat, trim):
-    """The field (members, N+1, modes, nodes) of one subdomain from its
-    coefficient ``increments`` (members, N, modes, coefficients), its end
-    values (2, members, N+1, modes) and its initial samples ``start`` and
-    their coefficients (modes, ...; None for zero), at every node or, with
-    ``trim``, at ``END_NODES``.  Row 0 is ``start`` as given.  The interior
-    nodes among ``END_NODES`` come from their rows of the sine basis over the
-    cumulated increments, in a whole field too, so that they have the same
-    bits trimmed or not; the other nodes come from one inverse transform.
+def _field(sub, increments, ends, start, start_hat, modes, trim):
+    """The field (N+1, [modes,] nodes) of one subdomain from its coefficient
+    ``increments`` (N, lines, coefficients), its end values (N+1, lines, 2)
+    and its initial samples ``start`` and their coefficients (modes, ...;
+    None for zero), at every node or, with ``trim``, at ``END_NODES``.  Row 0
+    is ``start`` as given.  The interior nodes among ``END_NODES`` come from
+    their rows of the sine basis over the cumulated increments, in a whole
+    field too, so that they have the same bits trimmed or not; the other
+    nodes come from one inverse transform.
     """
-    members, n_steps, n_modes, size = increments.shape
+    n_steps, n_modes, size = increments.shape
     last = sub.n_nodes - 1
     nodes = [k % sub.n_nodes for k in END_NODES]
     rows = tuple(sorted({k - 1 for k in nodes if 0 < k < last}))
     basis = kernels.sine_rows(size, rows)
-    # one product per member, or per level of each member when the lines have
-    # modes: products small enough that BLAS runs them on one thread
+    # one product, or one per level when the lines have modes: products
+    # small enough that BLAS runs them on one thread
     near = np.matmul(increments.reshape(-1, n_modes if n_modes > 1 else n_steps, size), basis.T)
-    near = near.reshape(members, n_steps, n_modes, len(rows))
-    np.cumsum(near, axis=1, out=near)
+    near = near.reshape(n_steps, n_modes, len(rows))
+    np.cumsum(near, axis=0, out=near)
     if start_hat is not None:
         near += start_hat.reshape(n_modes, size) @ basis.T
-    if trim:
-        out = np.empty((members, n_steps + 1, n_modes, len(nodes)))
-        inside = [col for col, k in enumerate(nodes) if 0 < k < last]
-        out[:, 1:, :, inside] = near[..., [rows.index(nodes[col] - 1) for col in inside]]
-    else:
+    if not trim:
         nodes = range(sub.n_nodes)
-        out = np.empty((members, n_steps + 1, n_modes, sub.n_nodes))
-        inner = np.cumsum(increments, axis=1)
+    field = np.empty((n_steps + 1,) + modes + (len(nodes),))
+    out = field.reshape(n_steps + 1, n_modes, len(nodes))  # a view: writes land in field
+    if trim:
+        inside = [col for col, k in enumerate(nodes) if 0 < k < last]
+        out[1:, :, inside] = near[..., [rows.index(nodes[col] - 1) for col in inside]]
+    else:
+        inner = np.cumsum(increments, axis=0)
         if start_hat is not None:
             inner += start_hat.reshape(n_modes, size)
-        out[:, 1:, :, 1:-1] = kernels.dst(inner)
-        out[:, 1:, :, np.add(rows, 1)] = near
-    out[:, 0] = 0.0 if start is None else start.reshape(n_modes, -1)[:, nodes]
+        out[1:, :, 1:-1] = kernels.dst(inner)
+        out[1:, :, np.add(rows, 1)] = near
+    out[0] = 0.0 if start is None else start.reshape(n_modes, -1)[:, nodes]
     for col, k in enumerate(nodes):
         if k in (0, last):
-            out[:, 1:, :, col] = ends[0 if k == 0 else 1, :, 1:]
-    return out
+            out[1:, :, col] = ends[1:, :, 0 if k == 0 else 1]
+    return field
 
 
-def solve_dirichlet_waveform(subs, weights, left, right, members, f=None, u0=None, decay=None,
+def solve_dirichlet_waveform(subs, weights, left, right, f=None, u0=None, decay=None,
                              trim=False):
     """Dirichlet half-step: ``solve_waveform`` with the ends' values as traces."""
-    return solve_waveform(subs, weights, left, right, members, False, f, u0, decay, trim)
+    return solve_waveform(subs, weights, left, right, False, f, u0, decay, trim)
 
 
-def solve_neumann_waveform(subs, weights, left, right, members, f=None, u0=None, decay=None,
+def solve_neumann_waveform(subs, weights, left, right, f=None, u0=None, decay=None,
                            trim=False):
     """Neumann half-step: ``solve_waveform`` with the ends' values as outward fluxes."""
-    return solve_waveform(subs, weights, left, right, members, True, f, u0, decay, trim)
+    return solve_waveform(subs, weights, left, right, True, f, u0, decay, trim)
 
 
 # ---------------------------------------------------------------------------

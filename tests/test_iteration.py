@@ -51,9 +51,10 @@ def test_default_max_iter_per_driver():
 
 
 def _marched(march, shape):
-    """One phase ``x -> march(x)`` that every sweep marches: a phase without
-    an operator builds none."""
-    return (AffineSweep(march=lambda x, data: march(x), shape=shape),)
+    """One phase ``x -> march(x)`` that every sweep marches: its build costs
+    more than any ``max_iter`` repays."""
+    return (AffineSweep(march=lambda x, data: march(x), shape=shape, operator=None,
+                        cost=math.inf),)
 
 
 @pytest.mark.parametrize("mode, expected", [("error_equation", [0.5, 0.125]),
@@ -128,7 +129,7 @@ def test_divergence_raises_naming_the_sweep():
                          ids=["diverging", "sweep-then-diverging", "diverging-then-sweep"])
 def test_cli_exits_2_on_divergence_and_writes_no_csv(tmp_path, capsys, theta):
     raw = _diverging()
-    # the members march in one batch, so a diverging member fails the whole run
+    # the members iterate in lock-step, and a diverging member fails the whole run
     raw["relaxation"]["theta"] = theta
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))

@@ -1,4 +1,4 @@
-"""The members of a relaxation sweep march in one batch, bit for bit as alone.
+"""The members of a relaxation sweep iterate in lock-step, bit for bit as alone.
 
 Each driver called with ``members`` must give every member exactly the
 errors, traces, stop and fields of a call with that member as ``theta``:
@@ -11,13 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fracwr.maps as maps
 from fracwr.dnwr import DnwrConfig, run_dnwr
 from fracwr.geometry import build_partition
 from fracwr import harness
 from fracwr.harness import config_from_dict, run_experiment
 from fracwr.nnwr import Nnwr2dConfig, NnwrConfig, run_nnwr_1d, run_nnwr_2d
-from fracwr.solver import solve_waveform, tabulate
-from marching import march_alone
 
 
 def _source_1d(x, t):
@@ -54,12 +53,24 @@ MEMBERS = {_dnwr: [0.15, "optimal", 0.6], _nnwr: ["optimal", 0.05, 0.3],
            _nnwr2d: [0.1, 0.2, "optimal"]}
 
 
+# max_iter None keeps the case's own, at which every driver builds its
+# operators; the marched cases stop where each driver's rule marches every
+# sweep (two sweeps of one DNWR phase, one of the two NNWR phases)
 @pytest.mark.parametrize("mode", ["error_equation", "forced"])
-@pytest.mark.parametrize("make", [_dnwr, _nnwr, _nnwr2d], ids=["dnwr", "nnwr1d", "nnwr2d"])
-def test_lockstep_members_equal_solo_runs(make, mode):
+@pytest.mark.parametrize("make, max_iter", [
+    pytest.param(_dnwr, None, id="dnwr"), pytest.param(_nnwr, None, id="nnwr1d"),
+    pytest.param(_nnwr2d, None, id="nnwr2d"), pytest.param(_dnwr, 2, id="dnwr-marched"),
+    pytest.param(_nnwr, 1, id="nnwr1d-marched"), pytest.param(_nnwr2d, 1, id="nnwr2d-marched"),
+])
+def test_lockstep_members_equal_solo_runs(make, max_iter, mode, monkeypatch):
     cfg, run = make(mode)
+    cfg = cfg if max_iter is None else replace(cfg, max_iter=max_iter)
     members = MEMBERS[make]
+    builds = []
+    monkeypatch.setattr(maps, "interface_maps", lambda *a, build=maps.interface_maps:
+                        builds.append(a) or build(*a))
     batch = run(cfg, keep_fields=True, members=members)
+    assert len(builds) == (max_iter is None)
     assert len(batch) == len(members)
     stops = []
     for member, got in zip(members, batch):
@@ -75,8 +86,11 @@ def test_lockstep_members_equal_solo_runs(make, mode):
         # each result owns its arrays, so it keeps no other member's alive
         assert got.traces.base is None and all(u.base is None for u in got.fields)
         stops.append((got.report.converged, got.report.iterations))
-    assert (False, cfg.max_iter) in stops
-    assert any(conv and k < cfg.max_iter for conv, k in stops)
+    if max_iter is None:
+        assert (False, cfg.max_iter) in stops
+        assert any(conv and k < cfg.max_iter for conv, k in stops)
+    else:
+        assert stops == [(False, max_iter)] * len(members)
 
 
 def test_members_must_be_a_non_empty_sequence():
@@ -86,19 +100,6 @@ def test_members_must_be_a_non_empty_sequence():
             run(cfg, members=members)
     with pytest.raises(ValueError, match="theta"):
         run(cfg, members=[0.5, 1.5])
-
-
-def test_member_axis_shapes():
-    cfg, _ = _dnwr("forced")
-    sub = cfg.partition.subdomains[0]
-    w = cfg.build_weights()
-    h = np.arange(3 * cfg.n_steps, dtype=float).reshape(3, cfg.n_steps)
-    f, u0 = tabulate(w, _source_1d, np.ones_like, sub.nodes)
-    (u,) = solve_waveform([sub], w, [None], [h], 3, f=[f], u0=[u0])
-    assert u.shape == (3, cfg.n_steps + 1, sub.n_nodes)
-    for j in range(3):
-        solo = march_alone(sub, w, None, h[j], f=_source_1d, u0=np.ones_like)
-        assert np.array_equal(u[j], solo)
 
 
 def _raw(theta):

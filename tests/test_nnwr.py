@@ -104,11 +104,15 @@ def test_wave_order_converges():
     assert res.report.iterations <= 4
 
 
-def _marched(phases, x):
-    """One marched sweep's affine part: the phases marched in turn, with the data."""
-    for phase in phases:
-        x = phase.march(x, True)
-    return x
+def _marched(phases, xs):
+    """One marched sweep's affine part: the phases marched in turn, with the
+    data, for each member's traces ``xs[i]``."""
+    ys = []
+    for x in xs:
+        for phase in phases:
+            x = phase.march(x, True)
+        ys.append(x)
+    return np.array(ys)
 
 
 def test_each_phase_is_one_march_over_all_subdomains(monkeypatch):

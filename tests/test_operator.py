@@ -22,6 +22,7 @@ from fracwr import harness
 from fracwr.dnwr import DnwrConfig, _affine as dnwr_affine, run_dnwr
 from fracwr.geometry import build_partition, interface_flux_series
 from fracwr.nnwr import Nnwr2dConfig, NnwrConfig, _affine_1d, run_nnwr_1d, run_nnwr_2d
+from fracwr.solver import solve_waveform, tabulate
 from marching import march_alone, transfer_matrix, transfer_operator
 
 
@@ -198,11 +199,15 @@ def test_nnwr_operator_is_zero_outside_the_band():
         assert np.all(band[0, 0] == 0.0) and np.all(band[2, -1] == 0.0)
 
 
-def _march_phases(phases, x):
-    """The phases marched in turn, with the data: one marched sweep's affine part."""
-    for phase in phases:
-        x = phase.march(x, True)
-    return x
+def _march_phases(phases, xs):
+    """The phases marched in turn, with the data, for each member's traces
+    ``xs[i]``: one marched sweep's affine part."""
+    ys = []
+    for x in xs:
+        for phase in phases:
+            x = phase.march(x, True)
+        ys.append(x)
+    return np.array(ys)
 
 
 def test_a_forced_nnwr_build_marches_its_data_and_one_check_per_phase(monkeypatch):
@@ -365,10 +370,14 @@ def test_kept_fields_of_a_product_sweep_march_the_trace_it_starts_from(driver, m
         start = run(replace(cfg, max_iter=4)).traces  # the trace sweep 5 starts from
         weights = cfg.build_weights()
         subs = cfg.partition.subdomains
-        traces = [None, start, None] if driver == "dnwr" else [None, *start, None]
         assert len(res.fields) == len(subs)
-        for sub, a, b, u in zip(subs, traces[:-1], traces[1:], res.fields):
-            expected = march_alone(sub, weights, a, b, f=cfg.source, u0=cfg.initial_condition)
-            assert np.array_equal(u, expected)
-            if driver == "dnwr":
-                break  # the second DNWR field is the Neumann solve's
+        if driver == "dnwr":  # the second DNWR field is the Neumann solve's
+            expected = [march_alone(subs[0], weights, None, start, f=cfg.source,
+                                    u0=cfg.initial_condition)]
+        else:  # one Dirichlet march over every subdomain, as the sweep's phase
+            traces = [None, *start, None]
+            f, u0 = zip(*(tabulate(weights, cfg.source, cfg.initial_condition, sub.nodes)
+                          for sub in subs))
+            expected = solve_waveform(subs, weights, traces[:-1], traces[1:], f=f, u0=u0)
+        for u, ref in zip(res.fields, expected):
+            assert np.array_equal(u, ref)

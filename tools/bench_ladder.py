@@ -9,42 +9,38 @@ every process started for it.  Before and after runs alternate, each in a
 fresh interpreter, so that a drifting host hits both alike.  The cases:
 
 - L0: one ``kernels.step_solve`` call, one time level of a march, at each
-  stacked shape the benchmark workloads use, the last level of a real march
-  at seed 1: the 8 × 401 nodes of one member of the ``sweeps-1d`` NNWR-1D
-  config (its Neumann phase, random fluxes), 16 members of 77 and of 25
-  nodes (the DNWR subdomains of ``sweeps-1d``, Dirichlet and Neumann, with
-  16 members), and the 49 sine modes ×
-  (24 + 78) nodes of the ``nnwr2d-strip`` strips (the Neumann phase of its
-  first sweep).  Each row re-times that last call, on the march's ``Stack``
-  as the march left it.  On a checkout that marches each line in its sine
-  basis the call is the level's division, with the Sherman-Morrison terms
-  of its flux ends, over the lines' interior coefficients; on an older
-  checkout it is the LAPACK tridiagonal solve of the level (``dgttrs`` on
-  stored factors in the uniform ``step-8x401`` row, ``dgtsv`` elsewhere).
+  stacked shape the benchmark workloads use, the last level of a real
+  one-member march at seed 1: the 8 × 401 nodes of the ``sweeps-1d``
+  NNWR-1D config (its Neumann phase, random fluxes), one line of 77 and one
+  of 25 nodes (the DNWR subdomains of ``sweeps-1d``, Dirichlet and
+  Neumann), and the 49 sine modes × (24 + 78) nodes of the
+  ``nnwr2d-strip`` strips (the Neumann phase of its first sweep).  Each row
+  re-times that last call, on the march's ``Stack`` as the march left it:
+  the level's division, with the Sherman-Morrison terms of its flux ends,
+  over the lines' interior coefficients.
 - L1, DNWR: one subdomain march on the DNWR subdomains of the ``sweeps-1d``
   workload at seed 1 (77 and 25 nodes, 64 steps): the Dirichlet solve on
-  the left, the Neumann solve on the right, with 1 and with 8 members.
+  the left, the Neumann solve on the right.
 - L1, NNWR-1D: one Dirichlet phase (with the source and the initial
   condition, tabulated beforehand) and one Neumann phase over the 8 × 401
   nodes of the ``sweeps-1d`` NNWR-1D config at seed 1 (32 steps), each one
   stacked march.
-- L1, graded lock-step: one Dirichlet march and one Neumann march at the
-  shape of ``fig_nnwr_unequal`` (5 subdomains of 176, 101, 226, 101 and 201
-  nodes, 4 members, 96 steps, auto grading at order 0.5), random traces and
-  fluxes, as a sweep of that preset marches its phases; and the split of
-  each: the time of its ``kernels.step_solve`` calls (``-level``) and the
-  rest of the march (``-rest``: the history products, the right-hand sides
-  and moving the results back).
+- L1, graded: one Dirichlet march and one Neumann march at the shape of
+  ``fig_nnwr_unequal`` (5 subdomains of 176, 101, 226, 101 and 201 nodes,
+  96 steps, auto grading at order 0.5), random traces and fluxes, as a
+  marched sweep of that preset marches each member's phases; and the split
+  of each: the time of its ``kernels.step_solve`` calls (``-level``) and
+  the rest of the march (``-rest``: the history products, the right-hand
+  sides and moving the results back).
 - L1, NNWR-2D: one Dirichlet phase and one Neumann phase of the
   ``nnwr2d-strip`` config at seed 1, one march over both strips and all 49
   sine modes (64 steps, graded), random mode traces and fluxes.
 
-  Every L1 march asks for the nodes its driver reads, the three nearest
-  each end (``trim``), on a checkout whose solver takes that; an older
-  checkout computes the whole field.  Every L1 march passes a sequence of
-  subdomains, end arrays with a member axis and ``members=`` as a keyword
-  (1 for a one-member row): the one form the current solver takes, which
-  the earlier solvers that take ``members`` accept too.
+  Every march asks for the nodes its driver reads, the three nearest each
+  end (``trim``), and marches one member.  It passes a sequence of
+  subdomains and one end array per subdomain; on a checkout whose solver
+  takes a member count the end arrays gain a member axis of one and the
+  call ``members=1`` (``_one_member``).
 - L2: one sweep of that DNWR config, with 1 member and with its 8, and one
   sweep of that NNWR-1D config.  Also the whole θ run of that DNWR config:
   its 8 members to its tolerance or ``max_iter``, as the workload runs them.
@@ -59,18 +55,13 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   seed 1 with ``run.max_iter`` 1 (its CSV and bound included), which reads
   the same on any checkout whatever its 2D config classes look like.
 - L2, operator: the operator build of that NNWR-1D config, as
-  ``iteration._affine_part`` makes it before sweep 1 (its ``c`` included;
-  ``keep_fields`` False on a checkout whose ``_affine_part`` takes it), and
-  one product sweep with it (one member, random traces).  On a checkout
-  with ``fracwr.maps`` the build is ``maps.interface_maps`` and
-  ``maps.nnwr_operators``, one Dirichlet march with the data and, where
-  ``_affine_part`` checks its operators, one march of each phase; an older
-  checkout marches impulses.  Also the build of ``S`` for the DNWR config of
-  ``fig_dnwr_theta_sweep_wave`` (64 steps, order 1.5, uniform) and for that
-  ``sweeps-1d`` DNWR config (graded): ``maps.dnwr_operator`` of
-  ``maps.interface_maps`` where the checkout has them, else the impulse
-  builds ``iteration.toeplitz_operator`` and ``iteration.transfer_operator``.
-  A checkout with neither reports ``null`` for them.
+  ``iteration._affine_part`` makes it before sweep 1 (its ``c`` included),
+  and one product sweep with it (one member, random traces).  The build is
+  ``maps.interface_maps`` and ``maps.nnwr_operators``, one Dirichlet march
+  with the data and one march of each phase that checks its operator.  Also
+  the build of ``S`` for the DNWR config of ``fig_dnwr_theta_sweep_wave``
+  (64 steps, order 1.5, uniform) and for that ``sweeps-1d`` DNWR config
+  (graded): ``maps.dnwr_operator`` of ``maps.interface_maps``.
 - L3: the six θ-list presets, the two DNWR bounds presets,
   ``fig_nnwr_kappa``, ``fig_nnwr_table2``, ``fig_2d`` and ``fig_2d_wave`` through
   ``python -m fracwr.cli``, timed as whole processes and, beside that
@@ -114,14 +105,13 @@ PRESETS = ("fig_dnwr_theta_sweep", "fig_dnwr_theta_sweep_wave", "fig_dnwr_hetero
            "fig_nnwr_theta_sweep_wave", "fig_nnwr_unequal", "fig_nnwr_kappa", "fig_nnwr_table2",
            "fig_2d", "fig_2d_wave")
 IN_PROCESS = {  # case: (layer, calls per repeat)
-    "step-8x401": ("L0", 500), "step-16x77": ("L0", 500), "step-16x25": ("L0", 500),
+    "step-8x401": ("L0", 500), "step-1x77": ("L0", 500), "step-1x25": ("L0", 500),
     "step-49x24+49x78": ("L0", 500),
-    "dnwr-dirichlet-1": ("L1", 30), "dnwr-dirichlet-8": ("L1", 30),
-    "dnwr-neumann-1": ("L1", 30), "dnwr-neumann-8": ("L1", 30),
+    "dnwr-dirichlet-1": ("L1", 30), "dnwr-neumann-1": ("L1", 30),
     "nnwr1d-dirichlet-8x401": ("L1", 20), "nnwr1d-neumann-8x401": ("L1", 20),
-    "unequal-dirichlet-4x5": ("L1", 10), "unequal-dirichlet-4x5-level": ("L1", 10),
-    "unequal-dirichlet-4x5-rest": ("L1", 10), "unequal-neumann-4x5": ("L1", 10),
-    "unequal-neumann-4x5-level": ("L1", 10), "unequal-neumann-4x5-rest": ("L1", 10),
+    "unequal-dirichlet-1x5": ("L1", 10), "unequal-dirichlet-1x5-level": ("L1", 10),
+    "unequal-dirichlet-1x5-rest": ("L1", 10), "unequal-neumann-1x5": ("L1", 10),
+    "unequal-neumann-1x5-level": ("L1", 10), "unequal-neumann-1x5-rest": ("L1", 10),
     "nnwr2d-dirichlet-49x24+49x78": ("L1", 10), "nnwr2d-neumann-49x24+49x78": ("L1", 10),
     "dnwr-sweep-1": ("L2", 10), "dnwr-sweep-8": ("L2", 10), "dnwr-run-8": ("L2", 3),
     "nnwr1d-sweep-8x401": ("L2", 10), "nnwr2d-sweep": ("L2", 10),
@@ -164,39 +154,34 @@ def _dnwr_setup(whole_run=False):
     return (exp.run if whole_run else replace(exp.run, max_iter=1)), list(exp.thetas)
 
 
-def _trim(solve):
-    """``{"trim": True}`` when the checkout's ``solve`` returns only the nodes
-    nearest the ends, as its drivers ask; else no keyword."""
+def _one_member(solve, ends):
+    """The end arrays ``ends`` and the keywords of a one-member march of
+    ``solve`` that returns the nodes its driver reads: on a checkout whose
+    ``solve`` takes a member count, with a member axis of one and
+    ``members=1``."""
     import inspect
 
-    return {"trim": True} if "trim" in inspect.signature(solve).parameters else {}
-
-
-def _fieldless(function):
-    """``(False,)`` when the checkout's ``function`` takes ``keep_fields``, so
-    that it keeps no fields, as a sweep of a run without them; else nothing."""
-    import inspect
-
-    return (False,) if "keep_fields" in inspect.signature(function).parameters else ()
+    if "members" not in inspect.signature(solve).parameters:
+        return ends, {"trim": True}
+    return [None if e is None else e[None] for e in ends], {"trim": True, "members": 1}
 
 
 def _unequal_case(name):
-    """One graded lock-step march at the shape of fig_nnwr_unequal, or its split."""
+    """One graded march at the shape of fig_nnwr_unequal, or its split."""
     import numpy as np
     from fracwr import harness, kernels, solver
 
     cfg = harness.preset_config("fig_nnwr_unequal")[0].run
     weights = cfg.build_weights()
     subs = cfg.partition.subdomains
-    members = len(harness.preset_config("fig_nnwr_unequal")[0].thetas)
-    ends = np.random.default_rng(1).standard_normal((len(subs) - 1, members, cfg.n_steps))
-    ends = [None, *ends, None]
     solve = solver.solve_dirichlet_waveform if "dirichlet" in name else \
         solver.solve_neumann_waveform
-    kw = _trim(solve)
+    ends, kw = _one_member(solve, list(np.random.default_rng(1).standard_normal(
+        (len(subs) - 1, cfg.n_steps))))
+    ends = [None, *ends, None]
 
     def march():
-        return solve(subs, weights, ends[:-1], ends[1:], members=members, **kw)
+        return solve(subs, weights, ends[:-1], ends[1:], **kw)
 
     if not name.endswith(("-level", "-rest")):
         return march
@@ -238,11 +223,11 @@ def _nnwr2d_phase(kind):
     k = np.arange(1, ny)
     decay = [s.kappa * (2.0 * np.sin(0.5 * np.pi * k / ny) / (ys[1] - ys[0])) ** 2
              for s in strips]
-    h = np.random.default_rng(1).standard_normal((1, cfg.n_steps, ny - 1))
     solve = solver.solve_dirichlet_waveform if kind == "dirichlet" else \
         solver.solve_neumann_waveform
-    kw = _trim(solve)
-    return lambda: solve(strips, weights, [None, h], [h, None], decay=decay, members=1, **kw)
+    (h,), kw = _one_member(solve, [np.random.default_rng(1).standard_normal((cfg.n_steps,
+                                                                             ny - 1))])
+    return lambda: solve(strips, weights, [None, h], [h, None], decay=decay, **kw)
 
 
 def _nnwr_case(kind):
@@ -258,47 +243,33 @@ def _nnwr_case(kind):
         return lambda: run_nnwr_1d(cfg)
     weights = cfg.build_weights()
     subs = cfg.partition.subdomains
-    traces = [None, *np.random.default_rng(1).standard_normal((len(subs) - 1, 1, cfg.n_steps)),
-              None]
     if kind == "nnwr1d-dirichlet":
         solve = solver.solve_dirichlet_waveform
         f = [np.array([cfg.source(s.nodes, t) for t in weights.eval_times]) for s in subs]
         u0 = [cfg.initial_condition(s.nodes) for s in subs]
     else:
         solve, f, u0 = solver.solve_neumann_waveform, [None] * len(subs), [None] * len(subs)
-    kw = _trim(solve)
-    return lambda: solve(subs, weights, traces[:-1], traces[1:], members=1, f=f, u0=u0, **kw)
+    traces, kw = _one_member(solve, list(np.random.default_rng(1).standard_normal(
+        (len(subs) - 1, cfg.n_steps))))
+    traces = [None, *traces, None]
+    return lambda: solve(subs, weights, traces[:-1], traces[1:], f=f, u0=u0, **kw)
 
 
 def _operator_case(name):
-    """One operator build or product sweep, or None on a checkout without them."""
-    import importlib.util
-
+    """One operator build or product sweep."""
     import numpy as np
-    from fracwr import dnwr, harness, iteration, nnwr
+    from fracwr import harness, iteration, maps, nnwr
 
-    has_maps = importlib.util.find_spec("fracwr.maps") is not None
-    if not (has_maps or hasattr(iteration, "toeplitz_operator")):
-        return None
     if name.startswith("dnwr-build"):
-        graded = name == "dnwr-build-graded"
-        cfg = (_experiment(0) if graded else
+        cfg = (_experiment(0) if name == "dnwr-build-graded" else
                harness.preset_config("fig_dnwr_theta_sweep_wave")[0]).run
         weights = cfg.build_weights()
         subs = cfg.partition.subdomains
-        if has_maps:
-            from fracwr import maps
-
-            return lambda: maps.dnwr_operator(maps.interface_maps(subs, weights))
-        affine = dnwr._affine(subs, weights)
-        if graded:
-            return lambda: iteration.transfer_operator(affine)
-        return lambda: iteration.toeplitz_operator(affine, weights.mesh)
+        return lambda: maps.dnwr_operator(maps.interface_maps(subs, weights))
     # its max_iter 40 exceeds the build's cost, so _affine_part builds
     cfg = _experiment(1).run
     weights = cfg.build_weights()
-    build = lambda: iteration._affine_part(  # noqa: E731
-        cfg, nnwr._affine_1d(cfg, weights), *_fieldless(iteration._affine_part))
+    build = lambda: iteration._affine_part(cfg, nnwr._affine_1d(cfg, weights))  # noqa: E731
     if "build" in name:
         return build
     part = build()
@@ -312,8 +283,8 @@ def _step_case(name):
     from fracwr import kernels
 
     march = {"step-8x401": lambda: _nnwr_case("nnwr1d-neumann"),
-             "step-16x77": lambda: _case("dnwr-dirichlet-16"),
-             "step-16x25": lambda: _case("dnwr-neumann-16"),
+             "step-1x77": lambda: _case("dnwr-dirichlet-1"),
+             "step-1x25": lambda: _case("dnwr-neumann-1"),
              "step-49x24+49x78": _nnwr2d_sweep}[name]()
     calls, solve = [], kernels.step_solve
     kernels.step_solve = lambda *args, **kw: calls.append((args, kw)) or solve(*args, **kw)
@@ -349,18 +320,15 @@ def _case(name):
     cfg, thetas = _dnwr_setup(whole_run=kind == "dnwr-run")
     weights = cfg.build_weights()
     sub1, sub2 = cfg.partition.subdomains
-    m = int(width)
     if kind in ("dnwr-sweep", "dnwr-run"):
-        if m == 1:
+        if width == "1":
             return lambda: run_dnwr(replace(cfg, theta="optimal"))
         return lambda: run_dnwr(cfg, members=thetas)
-    traces = np.random.default_rng(1).standard_normal((m, cfg.n_steps))
-    trim = _trim(solver.solve_waveform)
+    (traces,), kw = _one_member(solver.solve_waveform,
+                                [np.random.default_rng(1).standard_normal(cfg.n_steps)])
     if kind == "dnwr-dirichlet":
-        return lambda: solver.solve_dirichlet_waveform([sub1], weights, [None], [traces],
-                                                       members=m, **trim)
-    return lambda: solver.solve_neumann_waveform([sub2], weights, [traces], [None], members=m,
-                                                 **trim)
+        return lambda: solver.solve_dirichlet_waveform([sub1], weights, [None], [traces], **kw)
+    return lambda: solver.solve_neumann_waveform([sub2], weights, [traces], [None], **kw)
 
 
 def _run_preset(name):
@@ -383,9 +351,6 @@ def _run_case(name):
     if name in PRESETS:
         return _run_preset(name)
     fn = _case(name)
-    if fn is None:
-        print(json.dumps(None))
-        return None
     fn()
     times = []
     for _ in range(IN_PROCESS[name][1]):  # a split case returns the seconds of its part
@@ -489,11 +454,7 @@ def main(argv=None):
                 times[side].append(_time(getattr(args, side), case))
                 if layer == "L3":
                     inner[side].append(_time(getattr(args, side), case, in_process=True))
-        if None in times["before"]:  # a case the "before" checkout cannot run
-            row = {"layer": layer, "case": case, "before": None,
-                   "after": _summary(times["after"])}
-        else:
-            row = {"layer": layer, "case": case, **_compare(times["before"], times["after"])}
+        row = {"layer": layer, "case": case, **_compare(times["before"], times["after"])}
         if layer == "L3":
             row["in_process"] = _compare(inner["before"], inner["after"])
         print(json.dumps(row), file=sys.stderr)
