@@ -257,11 +257,12 @@ def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, phases, fields=Non
     axis.  The sweep gets its affine part as ``part(x) -> y``, member by
     member: the ``phases`` (a sequence of ``AffineSweep``s) marched in turn
     in every sweep, or in every sweep their products with the operators
-    assembled before the first (``_affine_part``).  The error of a sweep is, per member
-    and interface, the sup norm of ``h_new`` in error-equation mode and of
-    ``change`` in forced mode; the traces of a member's interfaces are
-    stacked along its first axis, one block per weight.  A member leaves the
-    batch once its error meets the tolerance, or at ``max_iter``.
+    assembled before the first (``_affine_part``).  The error of a sweep
+    is, per member and interface, the sup norm of ``h_new`` in
+    error-equation mode and of ``change`` in forced mode; the traces of a
+    member's interfaces are stacked along its first axis, one block per
+    weight.  A member leaves the batch once its error meets the tolerance,
+    or at ``max_iter``.
 
     A non-finite error raises ``ArithmeticError``: the iteration diverged.
     The raise comes at the first sweep where any member is non-finite, for

@@ -10,8 +10,9 @@ corrections there.  The solves of phases (a) and (c) are independent across
 subdomains, as in the paper.  Each phase is one march over all subdomains
 of one member of a relaxation sweep, every line in the sine basis of its
 interior (``fracwr.kernels``), and a rerun reproduces the iterates bit for
-bit.  A phase moves back only the nodes it reads, the three nearest each end; the
-whole Dirichlet fields (``keep_fields``) are one march more, after the loop.
+bit.  A phase moves back only the nodes it reads, the three nearest each
+end; the whole Dirichlet fields (``keep_fields``) are one march more, after
+the loop.
 
 The part of a sweep that is affine in the traces is built in two phases:
 phases (a) and (b) map the traces to the flux mismatch, with the data, and
