@@ -15,12 +15,14 @@ with three schemes:
 
 Every scheme is stored in one common form: lower-triangular rows b[n, j] such
 that the discrete operator at level n equals sum_j b[n, j] * (u^j - u^{j-1}).
-Constants are therefore annihilated exactly by construction.
+Constants are therefore annihilated exactly by construction.  Summed by parts,
+the same rows act on the levels themselves (``CaputoWeights.level_rows``).
 """
 
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +106,23 @@ class CaputoWeights:
     @property
     def diagonal(self) -> np.ndarray:
         return np.diag(self.rows)
+
+    @cached_property
+    def level_rows(self) -> np.ndarray:
+        """The operator in level form, (N, N+1): ``level_rows[n-1, j]``
+        multiplies u^j in the operator at level n, j = 0..n.
+
+        Row n holds -b[n, 1], then b[n, j] - b[n, j+1], then b[n, n] (the
+        rows times the first difference), and zeros beyond.  Columns 1..N are
+        the operator on u^1..u^N, and minus the first n columns of row n give
+        that level's history term.  Computed once per weights; read-only.
+        """
+        n = self.n_steps
+        level = np.zeros((n, n + 1))
+        level[:, 1:] = self.rows
+        level[:, :-1] -= self.rows
+        level.setflags(write=False)
+        return level
 
     @property
     def implicit_fraction(self) -> float:

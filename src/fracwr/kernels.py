@@ -222,7 +222,8 @@ def step_solve(bnn, stack, rhs, ends, extra=None, out=None):
         weights += extra
     # each line's w_L + w_R and w_L - w_R, exactly: the products with +-1 are exact
     np.matmul(weights, _SUM_DIFFERENCE, out=stack.combined)
-    stack.combined.take(stack.gather, out=forcing)
+    # every index is in range, so clipping changes no bit and spares numpy a buffer
+    stack.combined.take(stack.gather, out=forcing, mode="clip")
     forcing *= stack.edge
     forcing += rhs
     return np.divide(forcing, d, out=out), values

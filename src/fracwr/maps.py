@@ -7,14 +7,16 @@ t_1..t_N) solves
 
     (A + d_k P) u_k = s S0_k P (E_L + sigma_k E_R).
 
-A is the Caputo rows times the first-difference matrix, P = I + ((1 -
-theta_s) / theta_s) L the split level of the wave scheme (L the lag-1 shift;
-P = I for L1), d_k = s lambda_k plus theta_s times the decay of a 2D y-mode,
-S0 and S1 the first two rows of the sine basis S, and s, lambda_k and
-sigma_k are those of ``kernels``.  With R_k = (A + d_k P)^-1 P and a_k =
-s S0_k (4 S0_k - S1_k), each line has two lower-triangular interface kernels,
-G0 = sum_k a_k R_k and G1 = sum_k sigma_k a_k R_k, and the outward fluxes
-c (3 E - 4 u_1 + u_2) of its two ends are
+A is the Caputo rows times the first-difference matrix (the columns of
+t_1..t_N of ``CaputoWeights.level_rows``, the matrix the march reads its
+history from), P = I + ((1 - theta_s) / theta_s) L the split level of the
+wave scheme (L the lag-1 shift; P = I for L1), d_k = s lambda_k plus
+theta_s times the decay of a 2D y-mode, S0 and S1 the first two rows of the
+sine basis S, and s, lambda_k and sigma_k are those of ``kernels``.  With
+R_k = (A + d_k P)^-1 P and a_k = s S0_k (4 S0_k - S1_k), each line has two
+lower-triangular interface kernels, G0 = sum_k a_k R_k and G1 = sum_k
+sigma_k a_k R_k, and the outward fluxes c (3 E - 4 u_1 + u_2) of its two
+ends are
 
     F_L = c (X E_L + Y E_R),   F_R = c (Y E_L + X E_R),   X = 3I - G0,  Y = -G1,
 
@@ -89,15 +91,15 @@ def _uniform_sums(a, d, r, w, starts):
     return sliding_window_view(padded, n, axis=-1)[..., ::-1].copy()
 
 
-def _graded_sums(a_full, d, w, group, groups):
+def _graded_sums(a, d, w, group, groups):
     """The kernels (2, groups, N, N) on a graded mesh, from the whole matrix
     A (the mesh is L1, so P = I): the resolvents of ``MODE_BLOCK`` lines at
     a time, each block summed into the groups it touches."""
-    n = len(a_full)
+    n = len(a)
     out = np.zeros((2, groups, n * n))
     for lo in range(0, len(d), MODE_BLOCK):
         part = slice(lo, lo + MODE_BLOCK)
-        m = np.repeat(a_full[None], len(d[part]), axis=0)
+        m = np.repeat(a[None], len(d[part]), axis=0)
         np.einsum("...ii->...i", m)[...] += d[part, None]
         g = group[part]
         touched = g == np.arange(g[0], g[-1] + 1)[:, None]  # (groups of the block, lines)
@@ -138,14 +140,13 @@ def interface_maps(subs, weights, decay=None):
     decay = np.broadcast_to(decay, (len(subs), decay.shape[-1]))
     modes, n = decay.shape[1], weights.n_steps
     d, w, group = _lines(subs, weights, decay)
-    a_full = weights.rows.copy()
-    a_full[:, :-1] -= weights.rows[:, 1:]  # the rows times the first difference
+    a = weights.level_rows[:, 1:]  # the operator on the levels t_1..t_N
     if weights.mesh.is_uniform:
         starts = np.flatnonzero(np.diff(group, prepend=-1))
         r = 1.0 / weights.implicit_fraction - 1.0
-        g0, g1 = _uniform_sums(a_full[:, 0], d, r, w, starts)
+        g0, g1 = _uniform_sums(a[:, 0], d, r, w, starts)
     else:
-        g0, g1 = _graded_sums(a_full, d, w, group, len(subs) * modes)
+        g0, g1 = _graded_sums(a, d, w, group, len(subs) * modes)
     shape = (len(subs), modes, n, n)
     x, y = 3.0 * np.eye(n) - g0.reshape(shape), -g1.reshape(shape)
     y[[sub.n_nodes == 3 for sub in subs]] += np.eye(n)

@@ -14,12 +14,18 @@ Caputo weights refer to the half point).
 Every level solves the same spatial operator, so a march moves each line
 into the sine basis of its interior once, where a level is a division with
 a rank-one correction per flux end (``kernels``), and moves back only the
-nodes its caller reads.  A monolithic whole-domain reference solver couples
-subdomains through the identical one-sided flux-balance row the
-substructuring iterations use, so a converged iteration and the monolithic
-solve agree to solver precision.  It solves that row as written, in a
-five-band system per level, so it shares neither the basis nor the
-eliminated flux rows of ``kernels`` with the march it judges.
+nodes its caller reads.  A march keeps the levels themselves, so a level's
+history term is the Caputo operator in level form over the levels before it
+(``CaputoWeights.level_rows``), and those terms come in blocks of ``BLOCK``
+levels: one product gives the part of every level of a block that reads the
+levels before the block, and each level adds the part that reads the levels
+of its block before it (``history_plan``).  A monolithic whole-domain
+reference solver couples subdomains through the identical one-sided
+flux-balance row the substructuring iterations use, so a converged
+iteration and the monolithic solve agree to solver precision.  It solves
+that row as written, in a five-band system per level, so it shares neither
+the basis, nor the eliminated flux rows of ``kernels``, nor the level form
+with the march it judges.
 
 The march also takes a reaction term per line, which is how a 2D strip is
 solved: a sine transform in y turns the 5-point operator into one x-problem
@@ -37,6 +43,7 @@ from .fractional_time import CaputoWeights
 from .geometry import END_NODES, Partition1D
 
 __all__ = [
+    "history_plan",
     "tabulate",
     "solve_waveform",
     "solve_dirichlet_waveform",
@@ -44,6 +51,9 @@ __all__ = [
     "MonolithicSolution",
     "solve_monolithic",
 ]
+
+BLOCK = 16  # levels whose far history terms one product gives
+PRODUCT_SIZE = 2**18  # the most multiply-adds of a product OpenBLAS keeps on one thread
 
 
 def _table(values, shape, name) -> np.ndarray:
@@ -97,9 +107,12 @@ def solve_waveform(subs, weights: CaputoWeights, left, right, flux=False, f=None
     Every line of every subdomain and mode marches in the sine basis of its
     interior (``kernels``): the data move into it once, every time level is
     one ``kernels.step_solve`` call on a ``kernels.Stack`` built once per
-    call, and only the returned nodes move back, from the increments of the
-    levels.  The increments are kept level by level, so a level's history
-    term is one product of the Caputo row with the increments before it.
+    call, and only the returned nodes move back, from the levels.  The
+    levels are kept, row 0 the initial coefficients, and the history terms
+    of a block of ``BLOCK`` levels are one product with the levels before
+    the block and, per level, one with the levels of the block before it,
+    each split by columns so that BLAS runs it on one thread
+    (``history_plan``).
     """
     f = [None] * len(subs) if f is None else f
     u0 = [None] * len(subs) if u0 is None else u0
@@ -137,81 +150,100 @@ def solve_waveform(subs, weights: CaputoWeights, left, right, flux=False, f=None
     sizes = [s.n_nodes - 2 for s in subs]
     bounds = list(accumulate([lines * k for k in sizes], initial=0))
 
-    # the coefficients of the last two levels, the end values of every level
-    # and, per subdomain, the initial samples and their coefficients
-    levels = np.zeros((2, stack.size))
+    # the coefficients of every level, level-major, the end values of every
+    # level and, per subdomain, the initial samples; row 0 holds the initial
+    # coefficients
+    levels = np.empty((n_steps + 1, stack.size))  # every row but row 0 is written once
+    levels[0] = 0.0
     values = np.zeros((n_steps + 1, stack.lines, 2))
     shapes = [modes + (s.n_nodes,) for s in subs]
     starts = [None if ui is None else _table(ui, shape, "initial data")
               for ui, shape in zip(u0, shapes)]
-    starts_hat = [None if st is None else kernels.dst(st[..., 1:-1]) for st in starts]
-    for i, (st, st_hat) in enumerate(zip(starts, starts_hat)):
+    for i, st in enumerate(starts):
         if st is not None:
-            levels[0, bounds[i]:bounds[i + 1]] = st_hat.reshape(-1)
+            levels[0, bounds[i]:bounds[i + 1]] = kernels.dst(st[..., 1:-1]).reshape(-1)
             values[0, i * lines:(i + 1) * lines] = st[..., [0, -1]].reshape(-1, 2)
-    # one source table per subdomain (zeros for None); each level adds its row
+    # one source table per subdomain (zeros for None); each block of levels adds its rows
     sources = None
     if any(fi is not None for fi in f):
         sources = [kernels.dst((np.zeros((n_steps,) + shape) if fi is None else
                                 _table(fi, (n_steps,) + shape, "source"))[..., 1:-1])
                    .reshape(n_steps, -1) for fi, shape in zip(f, shapes)]
 
-    # the increments of every level, level-major, and the history term of one level
-    increments = np.empty((n_steps, stack.size))
-    hist = np.empty(stack.size)
+    # the history rows (minus the operator on the levels before each level),
+    # the right-hand sides of one block of levels and the near part of one
+    history = np.negative(weights.level_rows[:, :-1])
+    block = np.empty((min(BLOCK, n_steps), stack.size))
+    near = np.empty(stack.size)
     # the explicit half of a split level: the diagonal, and the last end values
     explicit = ends_weight = None
     if theta_s < 1.0:
         ratio = (1.0 - theta_s) / theta_s
         explicit, ends_weight = ratio * stack.diag, ratio * stack.s
     stack.prepare(weights.diagonal)
-    rhs = np.empty(stack.size)
-    added = [(rhs[bounds[j]:bounds[j + 1]], table) for j, table in enumerate(sources or ())]
-    for n in range(1, n_steps + 1):
-        b_row = weights.rows[n - 1]
-        bnn = b_row[n - 1]
-        prev = levels[(n - 1) % 2]
-        if explicit is None:
-            np.multiply(bnn, prev, out=rhs)
-        else:
-            np.subtract(bnn, explicit, out=rhs)
-            rhs *= prev
-        for rows, table in added:
-            rows += table[n - 1]
-        if n > 1:
-            np.matmul(b_row[: n - 1], increments[: n - 1], out=hist)
-            rhs -= hist
-        extra = None if ends_weight is None else ends_weight * values[n - 1]
-        values[n] = kernels.step_solve(bnn, stack, rhs, vals[n - 1], extra, out=levels[n % 2])[1]
-        np.subtract(levels[n % 2], levels[(n - 1) % 2], out=increments[n - 1])
+    bnns = weights.diagonal.tolist()
+    for lo, hi, far_columns, near_columns in history_plan(n_steps, stack.size):
+        rhs = block[:hi - lo]
+        for cols in far_columns:
+            np.matmul(history[lo:hi, :lo + 1], levels[:lo + 1, cols], out=rhs[:, cols])
+        for j, table in enumerate(sources or ()):
+            rhs[:, bounds[j]:bounds[j + 1]] += table[lo:hi]
+        for n in range(lo + 1, hi + 1):
+            row = rhs[n - 1 - lo]
+            if n - 1 > lo:
+                for cols in near_columns:
+                    np.matmul(history[n - 1, lo + 1:n], levels[lo + 1:n, cols], out=near[cols])
+                row += near
+            if explicit is not None:
+                row -= np.multiply(explicit, levels[n - 1], out=near)
+            extra = None if ends_weight is None else ends_weight * values[n - 1]
+            values[n] = kernels.step_solve(bnns[n - 1], stack, row, vals[n - 1], extra,
+                                           out=levels[n])[1]
 
-    return [_field(s, increments[:, bounds[i]:bounds[i + 1]].reshape(n_steps, lines, sizes[i]),
-                   values[:, i * lines:(i + 1) * lines], starts[i], starts_hat[i], modes, trim)
+    return [_field(s, levels[1:, bounds[i]:bounds[i + 1]].reshape(n_steps, lines, sizes[i]),
+                   values[:, i * lines:(i + 1) * lines], starts[i], modes, trim)
             for i, s in enumerate(subs)]
 
 
-def _field(sub, increments, ends, start, start_hat, modes, trim):
-    """The field (N+1, [modes,] nodes) of one subdomain from its coefficient
-    ``increments`` (N, lines, coefficients), its end values (N+1, lines, 2)
-    and its initial samples ``start`` and their coefficients (modes, ...;
-    None for zero), at every node or, with ``trim``, at ``END_NODES``.  Row 0
-    is ``start`` as given.  The interior nodes among ``END_NODES`` come from
-    their rows of the sine basis over the cumulated increments, in a whole
-    field too, so that they have the same bits trimmed or not; the other
-    nodes come from one inverse transform.
+def history_plan(n_steps, size):
+    """The history products of a march of ``n_steps`` levels over ``size``
+    coefficients, one entry ``(lo, hi, far, near)`` per block of ``BLOCK``
+    levels lo+1..hi.
+
+    One product gives the far part of every level of the block, from the
+    levels 0..lo; each level adds its near part, one product over the levels
+    of the block before it.  ``far`` and ``near`` split each product by
+    columns so that none exceeds ``PRODUCT_SIZE`` multiply-adds (rows x inner
+    x columns), the size up to which OpenBLAS runs it on one thread.
     """
-    n_steps, n_modes, size = increments.shape
+    def split(rows, inner):
+        width = max(1, PRODUCT_SIZE // (rows * inner))
+        return [slice(c, c + width) for c in range(0, size, width)]
+
+    near = split(1, BLOCK - 1)
+    return [(lo, min(lo + BLOCK, n_steps), split(min(BLOCK, n_steps - lo), lo + 1), near)
+            for lo in range(0, n_steps, BLOCK)]
+
+
+def _field(sub, coefficients, ends, start, modes, trim):
+    """The field (N+1, [modes,] nodes) of one subdomain from its
+    ``coefficients`` (N, lines, coefficients) at t_1..t_N, its end values
+    (N+1, lines, 2) and its initial samples ``start`` (modes, ...; None for
+    zero), at every node or, with ``trim``, at ``END_NODES``.  Row 0 is
+    ``start`` as given.  The interior nodes among ``END_NODES`` come from
+    their rows of the sine basis, in a whole field too, so that they have the
+    same bits trimmed or not; the other nodes come from one inverse transform.
+    """
+    n_steps, n_modes, size = coefficients.shape
     last = sub.n_nodes - 1
     nodes = [k % sub.n_nodes for k in END_NODES]
     rows = tuple(sorted({k - 1 for k in nodes if 0 < k < last}))
     basis = kernels.sine_rows(size, rows)
     # one product, or one per level when the lines have modes: products
     # small enough that BLAS runs them on one thread
-    near = np.matmul(increments.reshape(-1, n_modes if n_modes > 1 else n_steps, size), basis.T)
+    near = np.matmul(coefficients.reshape(-1, n_modes if n_modes > 1 else n_steps, size),
+                     basis.T)
     near = near.reshape(n_steps, n_modes, len(rows))
-    np.cumsum(near, axis=0, out=near)
-    if start_hat is not None:
-        near += start_hat.reshape(n_modes, size) @ basis.T
     if not trim:
         nodes = range(sub.n_nodes)
     field = np.empty((n_steps + 1,) + modes + (len(nodes),))
@@ -220,10 +252,7 @@ def _field(sub, increments, ends, start, start_hat, modes, trim):
         inside = [col for col, k in enumerate(nodes) if 0 < k < last]
         out[1:, :, inside] = near[..., [rows.index(nodes[col] - 1) for col in inside]]
     else:
-        inner = np.cumsum(increments, axis=0)
-        if start_hat is not None:
-            inner += start_hat.reshape(n_modes, size)
-        out[1:, :, 1:-1] = kernels.dst(inner)
+        out[1:, :, 1:-1] = kernels.dst(coefficients)
         out[1:, :, np.add(rows, 1)] = near
     out[0] = 0.0 if start is None else start.reshape(n_modes, -1)[:, nodes]
     for col, k in enumerate(nodes):

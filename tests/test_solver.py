@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from scipy.sparse.linalg import spsolve
 from fracwr.fractional_time import build_graded_mesh, caputo_weights, default_grading
 from fracwr.geometry import axis_nodes, build_partition, build_subdomain
 from fracwr.nnwr import Nnwr2dConfig, run_nnwr_2d
-from fracwr.solver import solve_monolithic, solve_waveform, tabulate
-from marching import march_alone
+from fracwr.solver import BLOCK, history_plan, solve_monolithic, solve_waveform, tabulate
+from marching import march_alone, solve_waveform_increments
 
 
 def _weights(order=0.5, n=16, horizon=1.0, grading=None):
@@ -157,9 +158,9 @@ def test_stacked_march_equals_one_subdomain_marches(order):
     # unequal widths (a 3-node block among them), two neighbours on one
     # grid, and physical ends and interface ends on both sides of a
     # subdomain, the interface ends as traces and as fluxes, and a source in
-    # time.  A level's history term is one product over every subdomain's
-    # increments, whose rounding may depend on the others beside it, so a
-    # subdomain's field agrees with its own march to 1e-14 of its largest value
+    # time.  A level's history term comes from products over every
+    # subdomain's levels, whose rounding may depend on the others beside it, so
+    # a subdomain's field agrees with its own march to 1e-14 of its largest value
     subs = [build_subdomain(0.0, 1.0, 1.0, 0.125), build_subdomain(1.0, 1.25, 0.5, 0.125),
             build_subdomain(1.25, 2.25, 2.0, 0.125), build_subdomain(2.25, 3.25, 0.3, 0.125)]
     assert [s.n_nodes for s in subs] == [9, 3, 9, 9]
@@ -314,6 +315,60 @@ def test_stacked_march_takes_one_entry_per_subdomain():
     u = solve_waveform(subs, _weights(0.5, n=4), [None, None], [None, None], f=tables)
     (alone,) = solve_waveform(subs[1:], _weights(0.5, n=4), [None], [None], f=tables[1:])
     assert np.array_equal(u[1], alone)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33, 64])
+@pytest.mark.parametrize("order", [0.5, 1.5])
+def test_level_march_agrees_with_the_increment_march(order, n):
+    # the march in level form, its history in blocks of BLOCK levels, against
+    # the march in increment form (tests/marching.py) at step counts on both
+    # sides of the block edges: graded L1 and the uniform wave scheme (its
+    # explicit half), trace and flux ends, physical ends, a 3-node line,
+    # tabulated sources and initial values, and lines with decay modes.  Every
+    # field agrees within 1e-13 of its largest value, trimmed or whole
+    assert BLOCK == 16
+    subs = [build_subdomain(0.0, 1.0, 1.0, 0.125), build_subdomain(1.0, 1.25, 0.5, 0.125),
+            build_subdomain(1.25, 2.25, 2.0, 0.1)]
+    w = _weights(order, n=n, grading=1.0 if order > 1 else None)
+    rng = np.random.default_rng(n)
+    data = rng.standard_normal((4, n))
+    left, right = [None, data[0], data[1]], [data[2], data[3], None]
+    f, u0 = zip(*(tabulate(w, lambda x, t: np.sin(3.0 * x) * (1.0 + t), lambda x: np.cos(x) + x,
+                           s.nodes) for s in subs))
+    decay = np.array([[0.5, 3.0, 40.0], [7.0, 0.25, 1.5]])
+    lines = [subs[0], subs[2]]
+    ends = rng.standard_normal((2, n, 3))
+    tables = [rng.standard_normal((n, 3, s.n_nodes)) for s in lines]
+    starts = [rng.standard_normal((3, s.n_nodes)) for s in lines]
+    cases = [(subs, left, right, dict(f=f, u0=u0)), (subs, left, right, {}),
+             (lines, [ends[0], None], [ends[1], None],
+              dict(f=tables, u0=starts, decay=decay))]
+    for (group, lo, hi, data_kw), flux, trim in itertools.product(cases, (False, True),
+                                                                  (False, True)):
+        new = solve_waveform(group, w, lo, hi, flux, trim=trim, **data_kw)
+        old = solve_waveform_increments(group, w, lo, hi, flux, trim=trim, **data_kw)
+        for a, b in zip(new, old):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("n_steps, size", [(64, 4802), (32, 3192)])
+def test_every_history_product_stays_on_one_thread(n_steps, size):
+    # the shapes of the nnwr2d-strip marches (49 modes x (22 + 76)
+    # coefficients) and of the sweeps-1d NNWR-1D marches (8 x 399).  OpenBLAS
+    # runs a product of at most 2**18 multiply-adds on one thread; the plan
+    # tiles the levels 1..N with blocks and each product's columns with slices
+    plan = history_plan(n_steps, size)
+    assert [(lo, hi) for lo, hi, _, _ in plan] == [
+        (lo, min(lo + BLOCK, n_steps)) for lo in range(0, n_steps, BLOCK)]
+    for lo, hi, far, near in plan:
+        for columns in (far, near):
+            assert np.array_equal(np.concatenate([np.arange(size)[c] for c in columns]),
+                                  np.arange(size))
+        # the far part of every level of the block, then each level's near part
+        products = [(hi - lo, lo + 1, far)] + [(1, n - 1 - lo, near) for n in range(lo + 2, hi + 1)]
+        for rows, inner, columns in products:
+            assert all(rows * inner * len(range(size)[c]) <= 2**18 for c in columns)
 
 
 # ---------------------------------------------------------------------------

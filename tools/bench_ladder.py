@@ -34,7 +34,8 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   sides and moving the results back).
 - L1, NNWR-2D: one Dirichlet phase and one Neumann phase of the
   ``nnwr2d-strip`` config at seed 1, one march over both strips and all 49
-  sine modes (64 steps, graded), random mode traces and fluxes.
+  sine modes (64 steps, graded), random mode traces and fluxes, and the
+  same ``-level`` and ``-rest`` split of each.
 
   Every march asks for the nodes its driver reads, the three nearest each
   end (``trim``), and marches one member.  It passes a sequence of
@@ -74,9 +75,11 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
 
 Every case runs ``REPEATS`` times on each side, and each repeat is a pair:
 one run per side, with the side that goes first alternating from repeat to
-repeat.  A repeat of an L1 or L2 case is the median of several calls after
-a warm-up call; L3 and L4 time whole processes, and an L3 repeat also the
-in-process runs above.  Every figure is the median over the repeats, with the
+repeat.  A repeat of an L0, L1 or L2 case is the median of several calls
+after a warm-up call: the calls its row lists, and more while they span
+less than ``SPAN_S``, so that one slow stretch of the host does not decide
+a sub-millisecond row.  L3 and L4 time whole processes, and an L3 repeat
+also the in-process runs above.  Every figure is the median over the repeats, with the
 quartiles and the extremes.  ``wins`` counts the pairs in which "after" was
 faster.  A row (and an L3 row's ``in_process`` part) reads
 ``"no_change": false`` only when "after" won all pairs but at most one, or at
@@ -99,6 +102,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 10
+SPAN_S = 0.01  # an in-process repeat makes its listed calls, and more until it spans this
 PRESET_RUNS = 4  # in-process runs of an L3 preset per repeat, after one warm-up run
 PRESETS = ("fig_dnwr_theta_sweep", "fig_dnwr_theta_sweep_wave", "fig_dnwr_hetero_grid",
            "fig_dnwr_bounds_sub", "fig_dnwr_bounds_wave", "fig_nnwr_theta_sweep",
@@ -112,7 +116,12 @@ IN_PROCESS = {  # case: (layer, calls per repeat)
     "unequal-dirichlet-1x5": ("L1", 10), "unequal-dirichlet-1x5-level": ("L1", 10),
     "unequal-dirichlet-1x5-rest": ("L1", 10), "unequal-neumann-1x5": ("L1", 10),
     "unequal-neumann-1x5-level": ("L1", 10), "unequal-neumann-1x5-rest": ("L1", 10),
-    "nnwr2d-dirichlet-49x24+49x78": ("L1", 10), "nnwr2d-neumann-49x24+49x78": ("L1", 10),
+    "nnwr2d-dirichlet-49x24+49x78": ("L1", 10),
+    "nnwr2d-dirichlet-49x24+49x78-level": ("L1", 10),
+    "nnwr2d-dirichlet-49x24+49x78-rest": ("L1", 10),
+    "nnwr2d-neumann-49x24+49x78": ("L1", 10),
+    "nnwr2d-neumann-49x24+49x78-level": ("L1", 10),
+    "nnwr2d-neumann-49x24+49x78-rest": ("L1", 10),
     "dnwr-sweep-1": ("L2", 10), "dnwr-sweep-8": ("L2", 10), "dnwr-run-8": ("L2", 3),
     "nnwr1d-sweep-8x401": ("L2", 10), "nnwr2d-sweep": ("L2", 10),
     "nnwr1d-build-8x401": ("L2", 5), "nnwr1d-product-8x401": ("L2", 200),
@@ -169,7 +178,7 @@ def _one_member(solve, ends):
 def _unequal_case(name):
     """One graded march at the shape of fig_nnwr_unequal, or its split."""
     import numpy as np
-    from fracwr import harness, kernels, solver
+    from fracwr import harness, solver
 
     cfg = harness.preset_config("fig_nnwr_unequal")[0].run
     weights = cfg.build_weights()
@@ -179,9 +188,14 @@ def _unequal_case(name):
     ends, kw = _one_member(solve, list(np.random.default_rng(1).standard_normal(
         (len(subs) - 1, cfg.n_steps))))
     ends = [None, *ends, None]
+    return _split(name, lambda: solve(subs, weights, ends[:-1], ends[1:], **kw))
 
-    def march():
-        return solve(subs, weights, ends[:-1], ends[1:], **kw)
+
+def _split(name, march):
+    """``march``, or with a ``-level`` or ``-rest`` name a callable that
+    marches once and returns the seconds of its ``kernels.step_solve`` calls
+    or of the rest of the march."""
+    from fracwr import kernels
 
     if not name.endswith(("-level", "-rest")):
         return march
@@ -209,8 +223,9 @@ def _unequal_case(name):
     return split
 
 
-def _nnwr2d_phase(kind):
-    """One NNWR-2D phase march of the nnwr2d-strip config at seed 1, all modes at once."""
+def _nnwr2d_phase(name):
+    """One NNWR-2D phase march of the nnwr2d-strip config at seed 1, all modes
+    at once, or its split."""
     import numpy as np
     from fracwr import solver
     from fracwr.geometry import axis_nodes
@@ -223,11 +238,11 @@ def _nnwr2d_phase(kind):
     k = np.arange(1, ny)
     decay = [s.kappa * (2.0 * np.sin(0.5 * np.pi * k / ny) / (ys[1] - ys[0])) ** 2
              for s in strips]
-    solve = solver.solve_dirichlet_waveform if kind == "dirichlet" else \
+    solve = solver.solve_dirichlet_waveform if "dirichlet" in name else \
         solver.solve_neumann_waveform
     (h,), kw = _one_member(solve, [np.random.default_rng(1).standard_normal((cfg.n_steps,
                                                                              ny - 1))])
-    return lambda: solve(strips, weights, [None, h], [h, None], decay=decay, **kw)
+    return _split(name, lambda: solve(strips, weights, [None, h], [h, None], decay=decay, **kw))
 
 
 def _nnwr_case(kind):
@@ -309,7 +324,7 @@ def _case(name):
     if name.startswith("unequal-"):
         return _unequal_case(name)
     if name.startswith("nnwr2d-") and name != "nnwr2d-sweep":
-        return _nnwr2d_phase(name.split("-")[1])
+        return _nnwr2d_phase(name)
     if "build" in name or "product" in name:
         return _operator_case(name)
     if name == "nnwr2d-sweep":
@@ -353,9 +368,10 @@ def _run_case(name):
     fn = _case(name)
     fn()
     times = []
-    for _ in range(IN_PROCESS[name][1]):  # a split case returns the seconds of its part
+    start = time.perf_counter()
+    while len(times) < IN_PROCESS[name][1] or time.perf_counter() - start < SPAN_S:
         t0 = time.perf_counter()
-        part = fn()
+        part = fn()  # a split case returns the seconds of its part
         times.append(part if isinstance(part, float) else time.perf_counter() - t0)
     print(json.dumps(statistics.median(times)))
 
