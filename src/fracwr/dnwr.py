@@ -74,15 +74,16 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
     """Run the iteration with ``cfg.theta``, or with each of ``members``.
 
     Without ``members`` the call returns one ``RunResult``.  With a sequence
-    of weights (each one that ``cfg.theta`` takes) the members iterate in
-    lock-step and the call returns one ``RunResult`` per member, in order,
-    each bit for bit the result of a run with that member as ``cfg.theta``.
+    of weights (each one that ``cfg.theta`` takes) the members run in turn,
+    sharing the built ``S`` and its check, and the call returns one
+    ``RunResult`` per member, in order, each bit for bit the result of a run
+    with that member as ``cfg.theta``.
 
     A sweep's ``g`` is marched or, where ``fracwr.iteration`` assembles ``S``
-    (see the module docstring), the product of ``S`` with each member's trace
+    (see the module docstring), the product of ``S`` with the member's trace
     (plus ``c``).  Under ``keep_fields`` each member's two whole half-step
-    fields are marched once, after its last sweep, at the trace that sweep
-    started from.
+    fields are marched once, after the last member, at the trace its last
+    sweep started from.
     """
     t_start = time.perf_counter()
     weights = cfg.build_weights()
@@ -93,10 +94,9 @@ def run_dnwr(cfg: DnwrConfig, keep_fields: bool = False, members=None):
     ])
 
     def sweep(h, theta, part):
-        h_new = theta * part(h[:, None])[:, 0] + (1.0 - theta) * h
+        h_new = theta * part(h[None])[0] + (1.0 - theta) * h
         return h_new, h_new - h
 
     fields = partial(_half_steps, subs, weights, f=f, u0=u0, trim=False) if keep_fields else None
-    results = iterate(cfg, sweep, cfg.initial_traces((cfg.n_steps,)), cfg.member_thetas(members),
-                      t_start, (_affine(subs, weights, f, u0),), fields)
-    return results if members is not None else results[0]
+    return iterate(cfg, sweep, cfg.initial_traces((cfg.n_steps,)), members, t_start,
+                   (_affine(subs, weights, f, u0),), fields)

@@ -359,9 +359,9 @@ def _run_members(cfg: ExperimentConfig, out_dir, paths):
         params = NnwrBoundParams(nu=nu, lengths=lengths, kappas=kappas, horizon=run_cfg.horizon)
         bound = lambda k: nnwr_error_bound(params, k)  # noqa: E731
 
-    # more members iterate in lock-step; a lone one takes the plain call,
-    # which returns its RunResult itself (perfbench/worker.py wraps that
-    # call and reads the result's traces)
+    # more members run in turn in one call, over one build; a lone one takes
+    # the plain call, which returns its RunResult itself (perfbench/worker.py
+    # wraps that call and reads the result's traces)
     results = driver(run_cfg, members=cfg.thetas) if len(cfg.thetas) > 1 else [driver(run_cfg)]
     optimal = run_cfg.optimal_theta()
     for name, result in zip(names, results):
@@ -394,8 +394,9 @@ def remove_outputs(paths):
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list:
     """Execute every sweep member and return the list of CSV paths written.
 
-    The members iterate in one lock-step driver call, and each writes its own
-    CSV.  If the run raises, the CSVs already written are removed.
+    The members run in turn in one driver call, which builds the sweep's
+    operators once for all of them, and each writes its own CSV.  If the run
+    raises, the CSVs already written are removed.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = []

@@ -5,8 +5,8 @@ fixed-point iteration on the interface traces: only the sweep that maps the
 current traces to the next ones differs.  This module holds what the drivers
 share: the run configuration (time mesh, stopping rule, mode, the weight of
 each interface), the report, the result, and the loop that applies a sweep
-until the sup norm of the interface error meets the tolerance, for every
-member of a relaxation-weight sweep at once.  In
+until the sup norm of the interface error meets the tolerance, for each
+member of a relaxation-weight sweep in turn, over one build.  In
 ``error_equation`` mode all problem data are zero, so the trace iterate is
 itself the error; ``forced`` mode stops on the size of the last update.
 
@@ -26,7 +26,7 @@ run-time check that the maps and the marches describe the same sweep.
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,18 +130,6 @@ class IterationConfig:
             raise ValueError(f"theta must lie in (0, 1], got {th}")
         return th
 
-    def member_thetas(self, members=None) -> np.ndarray:
-        """One row of interface weights per sweep member, shape (members, interfaces).
-
-        Each member takes a form ``theta`` takes; ``None`` stands for the one
-        member ``self.theta``.
-        """
-        if members is None:
-            members = [self.theta]
-        elif isinstance(members, str) or not len(members):
-            raise ValueError(f"members must be a non-empty sequence, got {members!r}")
-        return np.array([self.resolve_theta(m) for m in members])
-
     def time_mesh(self):
         """The configured (graded) time mesh."""
         r = default_grading(self.order) if self.grading == "auto" else float(self.grading)
@@ -204,14 +192,14 @@ def apply_operator(blocks, c, x) -> np.ndarray:
 
 
 def _affine_part(cfg, phases):
-    """``part(x)``: the affine part of a sweep at the traces ``x`` (members,
-    positions, N), member by member: its ``phases`` marched in turn, or in
-    turn the products with their ``T`` plus ``c`` where the phase marches of
-    ``max_iter`` marched sweeps exceed the build's cost: the phases'
-    ``cost``, one march per phase that checks its ``T``, and in forced mode
-    one march with the data and zero input, for ``c``, per phase with data.
-    The rule reads config values alone and each member is marched or
-    multiplied alone, so a member's bits do not depend on its companions.
+    """``part(x)``: the affine part of a sweep at one member's traces ``x``
+    (positions, N): its ``phases`` marched in turn, or in turn the products
+    with their ``T`` plus ``c`` where the phase marches of ``max_iter``
+    marched sweeps exceed the build's cost: the phases' ``cost``, one march
+    per phase that checks its ``T``, and in forced mode one march with the
+    data and zero input, for ``c``, per phase with data.  The rule reads
+    config values alone, so one ``part`` serves every member of a sweep and a
+    member's bits do not depend on its companions.
 
     The check marches a unit trace (one at every position and level) through
     each phase without its data, and ``T`` times it must lie within
@@ -244,64 +232,56 @@ def _affine_part(cfg, phases):
                 x = apply_operator(blocks, c, x)
             return x
 
-    return lambda xs: np.stack([one(x) for x in xs])
+    return one
 
 
-def iterate(cfg: IterationConfig, sweep, h0, thetas, t_start, phases, fields=None) -> list:
-    """Apply ``sweep`` from ``h0`` until each member's interface error meets the tolerance.
+def iterate(cfg: IterationConfig, sweep, h0, members, t_start, phases, fields=None):
+    """Apply ``sweep`` from ``h0`` until the interface error meets the tolerance,
+    with ``cfg.theta`` or with each of ``members`` in turn.
 
-    The members of a sweep iterate in lock-step: ``thetas`` holds one row of
-    interface weights per member, and ``sweep(h, theta, part)`` maps the
-    active members' traces, stacked along a leading member axis, and their
-    rows of ``thetas`` to ``(h_new, change)``, both with the same leading
-    axis.  The sweep gets its affine part as ``part(x) -> y``, member by
-    member: the ``phases`` (a sequence of ``AffineSweep``s) marched in turn
-    in every sweep, or in every sweep their products with the operators
-    assembled before the first (``_affine_part``).  The error of a sweep
-    is, per member and interface, the sup norm of ``h_new`` in
-    error-equation mode and of ``change`` in forced mode; the traces of a
-    member's interfaces are stacked along its first axis, one block per
-    weight.  A member leaves the batch once its error meets the tolerance,
-    or at ``max_iter``.
+    ``members`` is None or a non-empty sequence of weights, each one that
+    ``cfg.theta`` takes.  ``sweep(h, theta, part)`` maps one member's traces
+    and its row of interface weights to ``(h_new, change)``; it gets its
+    affine part as ``part(x) -> y``: the ``phases`` (a sequence of
+    ``AffineSweep``s) marched in turn in every sweep, or in every sweep their
+    products with the operators assembled, once for all members, before the
+    first (``_affine_part``).  The error of a sweep is, per interface, the
+    sup norm of ``h_new`` in error-equation mode and of ``change`` in forced
+    mode; the traces of the interfaces are stacked along the first axis, one
+    block per weight.  A member stops once its error meets the tolerance, or
+    at ``max_iter``.  A non-finite error raises ``ArithmeticError``, naming
+    the member's sweep: the iteration diverged.
 
-    A non-finite error raises ``ArithmeticError``: the iteration diverged.
-    The raise comes at the first sweep where any member is non-finite, for
-    every member.
-
-    Returns one ``RunResult`` per member, with the traces of the member's
-    last sweep.  With ``fields`` the loop keeps the trace each member's last
-    sweep started from, and after the last sweep ``fields(x)`` on that
-    trace, a tuple of arrays the call owns, gives each member its
-    ``RunResult.fields``; the report's ``wall_time`` leaves those calls out.
+    Returns one ``RunResult``, or one per member, with the traces of the last
+    sweep.  With ``fields`` the loop keeps the trace each member's last sweep
+    started from, and after the last member ``fields(x)`` on that trace, a
+    tuple of arrays the call owns, gives each member its ``RunResult.fields``;
+    the reports' ``wall_time`` leaves those calls out.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    n_ifc = thetas.shape[1]
-    active = np.arange(len(thetas))
-    h = np.repeat(h0[None], len(thetas), axis=0)
-    errors = [[] for _ in thetas]
-    results, starts = [None] * len(thetas), [None] * len(thetas)
+    if members is not None and (isinstance(members, str) or not len(members)):
+        raise ValueError(f"members must be a non-empty sequence, got {members!r}")
+    thetas = [cfg.resolve_theta(m) for m in ([cfg.theta] if members is None else members)]
     part = _affine_part(cfg, phases)
-    for k in range(1, cfg.max_iter + 1):
+    runs = []
+    for theta in thetas:
+        h, errors = h0, []
         # an overflow shows as the non-finite error checked below, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            h_new, change = sweep(h, thetas[active], part)
-            err = np.abs((h_new if cfg.error_mode else change).reshape(len(active), n_ifc, -1))
-            err = err.max(axis=2)
-        if not np.all(np.isfinite(err)):
-            raise ArithmeticError(f"the iteration diverged: sweep {k} has interface errors "
-                                  f"{err.tolist()}")
-        converged = err.max(axis=1) <= cfg.tolerance
-        for j, i in enumerate(active):
-            errors[i].append(err[j])
-            if converged[j] or k == cfg.max_iter:
-                report = IterationReport(errors=np.array(errors[i]), converged=bool(converged[j]),
-                                         theta=thetas[i], wall_time=time.perf_counter() - t_start)
-                # a copy, so that a result does not hold the whole batch alive
-                results[i] = RunResult(report=report, traces=h_new[j].copy())
-                starts[i] = h[j]
-        active, h = active[~converged], h_new[~converged]
-        if not len(active):
-            break
-    if fields is None:
-        return results
-    return [replace(r, fields=fields(x)) for r, x in zip(results, starts)]
+            for k in range(1, cfg.max_iter + 1):
+                start = h
+                h, change = sweep(start, theta, part)
+                err = np.abs(h if cfg.error_mode else change).reshape(len(theta), -1).max(axis=1)
+                worst = err.max()
+                if not worst < math.inf:  # NaN fails too
+                    raise ArithmeticError(f"the iteration diverged: sweep {k} has interface "
+                                          f"errors {err.tolist()}")
+                errors.append(err)
+                if worst <= cfg.tolerance:
+                    break
+        report = IterationReport(errors=np.array(errors), converged=bool(worst <= cfg.tolerance),
+                                 theta=theta, wall_time=time.perf_counter() - t_start)
+        runs.append((report, h, start))
+    results = [RunResult(report=report, traces=traces,
+                         fields=None if fields is None else fields(start))
+               for report, traces, start in runs]
+    return results[0] if members is None else results

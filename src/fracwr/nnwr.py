@@ -138,18 +138,17 @@ def _affine_1d(cfg, weights):
 
 def run_nnwr_1d(cfg: NnwrConfig, keep_fields: bool = False, members=None):
     """Run the iteration with ``cfg.theta``, or with each of ``members`` in
-    lock-step (one ``RunResult`` per member, as ``run_dnwr`` describes)."""
+    turn (one ``RunResult`` per member, as ``run_dnwr`` describes)."""
     t_start = time.perf_counter()
     phases = _affine_1d(cfg, cfg.build_weights())
 
-    def sweep(h, thetas, part):
-        update = thetas[:, :, None] * part(h)
+    def sweep(h, theta, part):
+        update = theta[:, None] * part(h)
         return h - update, update
 
     h0 = cfg.initial_traces((cfg.partition.n_subdomains - 1, cfg.n_steps))
-    results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, phases,
-                      partial(phases[0].march, data=True, whole=True) if keep_fields else None)
-    return results if members is not None else results[0]
+    return iterate(cfg, sweep, h0, members, t_start, phases,
+                   partial(phases[0].march, data=True, whole=True) if keep_fields else None)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -183,7 +182,7 @@ def _mode_data(sub, dy, weights, f, u0, sine):
 
 def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
     """Run the iteration with ``cfg.theta``, or with each of ``members`` in
-    lock-step (one ``RunResult`` per member, as ``run_dnwr`` describes).
+    turn (one ``RunResult`` per member, as ``run_dnwr`` describes).
 
     The iterate is the lattice trace (N, ny+1); a sweep moves its interior
     rows into mode space, runs the 1D sweep there and moves the update back,
@@ -222,12 +221,11 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
                               maps.nnwr_operators(maps.interface_maps(strips, weights, decay))],
                      (ny - 1, cfg.n_steps), maps.build_cost(weights, strips, ny - 1))
 
-    def sweep(h, thetas, part):
-        psi_hat = part((h[..., 1:-1] @ sine).swapaxes(1, 2))
+    def sweep(h, theta, part):
+        psi_hat = part((h[:, 1:-1] @ sine).T)
         update = np.zeros_like(h)
         # contiguous, as the march's own layout, so that the product rounds alike
-        update[..., 1:-1] = np.ascontiguousarray(
-            (thetas[:, :, None] * psi_hat).swapaxes(1, 2)) @ sine
+        update[:, 1:-1] = np.ascontiguousarray((theta * psi_hat).T) @ sine
         return h - update, update
 
     def lattice(h):
@@ -245,6 +243,4 @@ def run_nnwr_2d(cfg: Nnwr2dConfig, keep_fields: bool = False, members=None):
     h0 = cfg.initial_traces((cfg.n_steps, ny + 1))
     if np.isscalar(cfg.initial_guess):
         h0[:, 0] = h0[:, -1] = 0.0  # trace endpoints sit on the outer boundary
-    results = iterate(cfg, sweep, h0, cfg.member_thetas(members), t_start, phases,
-                      lattice if keep_fields else None)
-    return results if members is not None else results[0]
+    return iterate(cfg, sweep, h0, members, t_start, phases, lattice if keep_fields else None)

@@ -424,7 +424,7 @@ class NnwrBoundParams:
             out[i1 - 1] = w
         return out
 
-    @property
+    @functools.cached_property
     def contraction(self) -> float:
         """c = max over interfaces of theta_i * c_i."""
         return float(np.max(self.thetas() * self.weight_sums()))

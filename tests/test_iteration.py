@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ def test_default_max_iter_per_driver():
     assert (_dnwr().max_iter, _nnwr().max_iter, _nnwr2d().max_iter) == (50, 60, 30)
 
 
+@dataclass(frozen=True, kw_only=True)
+class _Config(IterationConfig):
+    """An iteration on ``interfaces`` interfaces, each with the optimal weight 0.5."""
+    interfaces: int = 1
+
+    def optimal_theta(self):
+        return [0.5] * self.interfaces
+
+
 def _marched(march, shape):
     """One phase ``x -> march(x)`` that every sweep marches: its build costs
     more than any ``max_iter`` repays."""
@@ -62,7 +72,7 @@ def _marched(march, shape):
 def test_iterate_stops_on_the_sup_norm(mode, expected):
     # h -> h/4 on two interfaces; the error is the iterate or the update,
     # and twice as large on the second interface
-    cfg = IterationConfig(order=0.5, horizon=1.0, n_steps=3, tolerance=0.2, mode=mode)
+    cfg = _Config(order=0.5, horizon=1.0, n_steps=3, tolerance=0.2, mode=mode, interfaces=2)
     h0 = np.array([[1.0] * 3, [2.0] * 3])
     # the fields are asked for at the trace the last sweep starts from
     (result,) = iterate(cfg, lambda h, th, part: (part(h), part(h) - h), h0, [[0.3, 0.4]], 0.0,
@@ -77,29 +87,41 @@ def test_iterate_stops_on_the_sup_norm(mode, expected):
 
 
 def test_iterate_reports_max_iter_without_convergence():
-    cfg = IterationConfig(order=0.5, horizon=1.0, n_steps=3, tolerance=1e-3, max_iter=4)
-    (result,) = iterate(cfg, lambda h, th, part: (part(h), part(h) - h), np.ones(3), [[0.5]],
-                        0.0, _marched(lambda x: x / 2, (3,)))
+    # without members the call runs cfg.theta and returns its RunResult
+    cfg = _Config(order=0.5, horizon=1.0, n_steps=3, tolerance=1e-3, max_iter=4)
+    result = iterate(cfg, lambda h, th, part: (part(h), part(h) - h), np.ones(3), None,
+                     0.0, _marched(lambda x: x / 2, (3,)))
     assert not result.report.converged and result.report.iterations == 4
     assert result.fields is None
+    np.testing.assert_array_equal(result.report.theta, [0.5])
 
 
-def test_iterate_drops_each_member_at_its_own_stop():
+@pytest.mark.parametrize("members", [[], "optimal"], ids=["empty", "string"])
+def test_iterate_rejects_members_that_are_not_a_sequence(members):
+    cfg = _Config(order=0.5, horizon=1.0, n_steps=3)
+    with pytest.raises(ValueError, match="non-empty sequence"):
+        iterate(cfg, None, np.ones(3), members, 0.0, _marched(lambda x: x, (3,)))
+
+
+def test_iterate_runs_the_members_in_turn_each_to_its_own_stop():
     # member i contracts by its weight; 0.5 and 0.25 meet the tolerance at
-    # sweeps 10 and 5, 0.75 runs to max_iter, and the sweep sees only the
-    # members still active
-    cfg = IterationConfig(order=0.5, horizon=1.0, n_steps=2, tolerance=1e-3, max_iter=12)
-    widths = []
+    # sweeps 10 and 5, and 0.75 runs to max_iter.  The members run one after
+    # another, each from h0 with its own traces, over one affine part
+    cfg = _Config(order=0.5, horizon=1.0, n_steps=2, tolerance=1e-3, max_iter=12)
+    seen, parts = [], []
 
     def sweep(h, th, part):
-        widths.append(len(h))
-        return th[:, :, None] * h, (th[:, :, None] - 1.0) * h
+        assert h.shape == (1, 2) and th.shape == (1,)
+        seen.append(float(th[0]))
+        parts.append(part)
+        return th[:, None] * h, (th[:, None] - 1.0) * h
 
-    results = iterate(cfg, sweep, np.ones((1, 2)), [[0.5], [0.75], [0.25]], 0.0,
+    results = iterate(cfg, sweep, np.ones((1, 2)), [0.5, 0.75, [0.25]], 0.0,
                       _marched(lambda x: x, (1, 2)))
     assert [r.report.iterations for r in results] == [10, 12, 5]
     assert [r.report.converged for r in results] == [True, False, True]
-    assert widths == [3] * 5 + [2] * 5 + [1] * 2
+    assert seen == [0.5] * 10 + [0.75] * 12 + [0.25] * 5
+    assert all(part is parts[0] for part in parts)
     for r, th in zip(results, (0.5, 0.75, 0.25)):
         k = r.report.iterations
         np.testing.assert_array_equal(r.traces, np.full((1, 2), th**k))
@@ -129,7 +151,7 @@ def test_divergence_raises_naming_the_sweep():
                          ids=["diverging", "sweep-then-diverging", "diverging-then-sweep"])
 def test_cli_exits_2_on_divergence_and_writes_no_csv(tmp_path, capsys, theta):
     raw = _diverging()
-    # the members iterate in lock-step, and a diverging member fails the whole run
+    # the members run in turn in one call, and a diverging member fails the whole run
     raw["relaxation"]["theta"] = theta
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))

@@ -199,23 +199,20 @@ def test_nnwr_operator_is_zero_outside_the_band():
         assert np.all(band[0, 0] == 0.0) and np.all(band[2, -1] == 0.0)
 
 
-def _march_phases(phases, xs):
-    """The phases marched in turn, with the data, for each member's traces
-    ``xs[i]``: one marched sweep's affine part."""
-    ys = []
-    for x in xs:
-        for phase in phases:
-            x = phase.march(x, True)
-        ys.append(x)
-    return np.array(ys)
+def _march_phases(phases, x):
+    """The phases marched in turn, with the data, for one member's traces
+    ``x``: one marched sweep's affine part."""
+    for phase in phases:
+        x = phase.march(x, True)
+    return x
 
 
 def test_a_forced_nnwr_build_marches_its_data_and_one_check_per_phase(monkeypatch):
     # the maps build both phases' operators without a march, and one march of
     # a unit trace checks each; forced mode adds one Dirichlet march with the
-    # data for its c, and the data-free Neumann phase has none.  Product
-    # sweeps march nothing; keep_fields adds one Dirichlet march, after the
-    # last sweep
+    # data for its c, and the data-free Neumann phase has none.  One build
+    # serves every member, and product sweeps march nothing; keep_fields adds
+    # one Dirichlet march per member, after the last member's last sweep
     calls, at_build = Counter(), []
     for name in ("solve_dirichlet_waveform", "solve_neumann_waveform"):
         monkeypatch.setattr(nnwr, name, lambda *a, name=name, march=getattr(nnwr, name), **kw:
@@ -228,13 +225,19 @@ def test_a_forced_nnwr_build_marches_its_data_and_one_check_per_phase(monkeypatc
         return part
 
     monkeypatch.setattr(iteration, "_affine_part", build)
-    res = run_nnwr_1d(_nnwr(mode="forced"))
-    assert res.report.iterations == 8
+    builds = _count_builds(monkeypatch)
     expected = {"solve_dirichlet_waveform": 1 + 1, "solve_neumann_waveform": 1}
-    assert at_build == [expected] and calls == expected
-    calls.clear()
-    run_nnwr_1d(_nnwr(mode="forced"), keep_fields=True)
-    assert calls == {"solve_dirichlet_waveform": 2 + 1, "solve_neumann_waveform": 1}
+    for members in (None, [0.2, "optimal", 0.7]):
+        calls.clear()
+        at_build.clear()
+        builds.clear()
+        res = run_nnwr_1d(_nnwr(mode="forced"), members=members)
+        runs = [res] if members is None else res
+        assert [r.report.iterations for r in runs] == [8] * len(runs)
+        assert at_build == [expected] and calls == expected and builds == ["interface_maps"]
+        calls.clear()
+        run_nnwr_1d(_nnwr(mode="forced"), keep_fields=True, members=members)
+        assert calls == {"solve_dirichlet_waveform": 2 + len(runs), "solve_neumann_waveform": 1}
 
 
 def _phases_2d(cfg, monkeypatch):
@@ -257,10 +260,9 @@ def test_phase_operators_applied_in_turn_match_a_marched_sweep(driver, mode, mon
         cfg = _nnwr2d(mode)
         phases = _phases_2d(cfg, monkeypatch)
     product = iteration._affine_part(cfg, phases)
-    x = np.random.default_rng(3).standard_normal((2,) + phases[0].shape)
-    y = product(x)
-    expected = _march_phases(phases, x)
-    assert np.abs(y - expected).max() <= 1e-12 * np.abs(expected).max()
+    for x in np.random.default_rng(3).standard_normal((2,) + phases[0].shape):
+        expected = _march_phases(phases, x)
+        assert np.abs(product(x) - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def _dnwr_by_hand(cfg, theta):

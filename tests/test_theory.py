@@ -365,6 +365,18 @@ def test_nnwr_bound_basics():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_nnwr_bound_sequence_computes_its_contraction_once(monkeypatch):
+    sums, calls = NnwrBoundParams.weight_sums, []
+    monkeypatch.setattr(NnwrBoundParams, "weight_sums",
+                        lambda self: calls.append(self) or sums(self))
+    p = NnwrBoundParams(nu=0.25, lengths=(4, 4, 4, 4), kappas=(1, 0.25, 0.25, 1), horizon=1.0)
+    bounds = [nnwr_error_bound(p, k) for k in range(1, 13)]
+    assert len(calls) == 1
+    # the cached constant is the one a fresh evaluation gives
+    c = float(np.max(p.thetas() * sums(p)))
+    assert bounds == [c**k * math.exp(-p.mu * (2.0 * k) ** (1.0 / 0.75)) for k in range(1, 13)]
+
+
 def test_nnwr_theta_values():
     p = NnwrBoundParams(nu=0.25, lengths=(1, 1), kappas=(1.0, 1.0), horizon=1.0)
     assert p.thetas()[0] == pytest.approx(0.25)

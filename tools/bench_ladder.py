@@ -39,9 +39,7 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
 
   Every march asks for the nodes its driver reads, the three nearest each
   end (``trim``), and marches one member.  It passes a sequence of
-  subdomains and one end array per subdomain; on a checkout whose solver
-  takes a member count the end arrays gain a member axis of one and the
-  call ``members=1`` (``_one_member``).
+  subdomains and one end array per subdomain.
 - L2: one sweep of that DNWR config, with 1 member and with its 8, and one
   sweep of that NNWR-1D config.  Also the whole θ run of that DNWR config:
   its 8 members to its tolerance or ``max_iter``, as the workload runs them.
@@ -57,7 +55,8 @@ fresh interpreter, so that a drifting host hits both alike.  The cases:
   the same on any checkout whatever its 2D config classes look like.
 - L2, operator: the operator build of that NNWR-1D config, as
   ``iteration._affine_part`` makes it before sweep 1 (its ``c`` included),
-  and one product sweep with it (one member, random traces).  The build is
+  and one product sweep with it (one member, random traces, given a member
+  axis of one on a checkout whose affine part takes one).  The build is
   ``maps.interface_maps`` and ``maps.nnwr_operators``, one Dirichlet march
   with the data and one march of each phase that checks its operator.  Also
   the build of ``S`` for the DNWR config of ``fig_dnwr_theta_sweep_wave``
@@ -163,18 +162,6 @@ def _dnwr_setup(whole_run=False):
     return (exp.run if whole_run else replace(exp.run, max_iter=1)), list(exp.thetas)
 
 
-def _one_member(solve, ends):
-    """The end arrays ``ends`` and the keywords of a one-member march of
-    ``solve`` that returns the nodes its driver reads: on a checkout whose
-    ``solve`` takes a member count, with a member axis of one and
-    ``members=1``."""
-    import inspect
-
-    if "members" not in inspect.signature(solve).parameters:
-        return ends, {"trim": True}
-    return [None if e is None else e[None] for e in ends], {"trim": True, "members": 1}
-
-
 def _unequal_case(name):
     """One graded march at the shape of fig_nnwr_unequal, or its split."""
     import numpy as np
@@ -185,10 +172,8 @@ def _unequal_case(name):
     subs = cfg.partition.subdomains
     solve = solver.solve_dirichlet_waveform if "dirichlet" in name else \
         solver.solve_neumann_waveform
-    ends, kw = _one_member(solve, list(np.random.default_rng(1).standard_normal(
-        (len(subs) - 1, cfg.n_steps))))
-    ends = [None, *ends, None]
-    return _split(name, lambda: solve(subs, weights, ends[:-1], ends[1:], **kw))
+    ends = [None, *np.random.default_rng(1).standard_normal((len(subs) - 1, cfg.n_steps)), None]
+    return _split(name, lambda: solve(subs, weights, ends[:-1], ends[1:], trim=True))
 
 
 def _split(name, march):
@@ -240,9 +225,9 @@ def _nnwr2d_phase(name):
              for s in strips]
     solve = solver.solve_dirichlet_waveform if "dirichlet" in name else \
         solver.solve_neumann_waveform
-    (h,), kw = _one_member(solve, [np.random.default_rng(1).standard_normal((cfg.n_steps,
-                                                                             ny - 1))])
-    return _split(name, lambda: solve(strips, weights, [None, h], [h, None], decay=decay, **kw))
+    h = np.random.default_rng(1).standard_normal((cfg.n_steps, ny - 1))
+    return _split(name, lambda: solve(strips, weights, [None, h], [h, None], decay=decay,
+                                      trim=True))
 
 
 def _nnwr_case(kind):
@@ -264,10 +249,9 @@ def _nnwr_case(kind):
         u0 = [cfg.initial_condition(s.nodes) for s in subs]
     else:
         solve, f, u0 = solver.solve_neumann_waveform, [None] * len(subs), [None] * len(subs)
-    traces, kw = _one_member(solve, list(np.random.default_rng(1).standard_normal(
-        (len(subs) - 1, cfg.n_steps))))
-    traces = [None, *traces, None]
-    return lambda: solve(subs, weights, traces[:-1], traces[1:], f=f, u0=u0, **kw)
+    traces = [None, *np.random.default_rng(1).standard_normal((len(subs) - 1, cfg.n_steps)),
+              None]
+    return lambda: solve(subs, weights, traces[:-1], traces[1:], f=f, u0=u0, trim=True)
 
 
 def _operator_case(name):
@@ -288,8 +272,9 @@ def _operator_case(name):
     if "build" in name:
         return build
     part = build()
-    h = np.random.default_rng(1).standard_normal((1, cfg.partition.n_subdomains - 1,
-                                                  cfg.n_steps))
+    h = np.random.default_rng(1).standard_normal((cfg.partition.n_subdomains - 1, cfg.n_steps))
+    if hasattr(iteration.IterationConfig, "member_thetas"):
+        h = h[None]  # a checkout whose affine part takes a leading member axis
     return lambda: part(h)
 
 
@@ -339,11 +324,11 @@ def _case(name):
         if width == "1":
             return lambda: run_dnwr(replace(cfg, theta="optimal"))
         return lambda: run_dnwr(cfg, members=thetas)
-    (traces,), kw = _one_member(solver.solve_waveform,
-                                [np.random.default_rng(1).standard_normal(cfg.n_steps)])
+    traces = np.random.default_rng(1).standard_normal(cfg.n_steps)
     if kind == "dnwr-dirichlet":
-        return lambda: solver.solve_dirichlet_waveform([sub1], weights, [None], [traces], **kw)
-    return lambda: solver.solve_neumann_waveform([sub2], weights, [traces], [None], **kw)
+        return lambda: solver.solve_dirichlet_waveform([sub1], weights, [None], [traces],
+                                                       trim=True)
+    return lambda: solver.solve_neumann_waveform([sub2], weights, [traces], [None], trim=True)
 
 
 def _run_preset(name):
