@@ -103,7 +103,7 @@ def test_iterate_rejects_members_that_are_not_a_sequence(members):
         iterate(cfg, None, np.ones(3), members, 0.0, _marched(lambda x: x, (3,)))
 
 
-def test_iterate_runs_the_members_in_turn_each_to_its_own_stop():
+def test_iterate_drops_each_member_at_its_own_stop():
     # member i contracts by its weight; 0.5 and 0.25 meet the tolerance at
     # sweeps 10 and 5, and 0.75 runs to max_iter.  The members run one after
     # another, each from h0 with its own traces, over one affine part
